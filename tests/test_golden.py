@@ -1,0 +1,108 @@
+"""Golden reports: every subcommand at small sizes, hashed.
+
+Each run's report.json (without its timing_seconds line) and each SVG it
+writes is hashed with sha256 and compared with the table in golden.json.
+A refactor must keep every entry. After an intended change to report
+bytes, refresh the table with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and list each changed entry in CHANGES.md.
+"""
+
+import hashlib
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from simflow.cli import main
+
+TABLE = Path(__file__).with_name("golden.json")
+TIMING = re.compile(rb'\n[ ]*"timing_seconds": [^\n]*')
+GOLDEN = json.loads(TABLE.read_text()) if TABLE.is_file() else {}
+
+SWEEP_INI = """\
+[model]
+name = normal-normal
+n_obs = 5
+[sweep]
+pipeline = sbc
+s = 30
+m = 9
+vary_model_tau0 = 0.5|2.0
+"""
+
+NN12 = ["--model", "normal-normal", "--model-params", "n_obs=12"]
+
+# label -> argv; runs in order, in one working directory, with relative paths
+RUNS = {
+    "sbc": ["sbc", *NN12, "--S", "60", "--M", "19"],
+    "sbc-perturbed": ["sbc", "--model", "beta-binomial", "--approximator", "perturbed",
+                      "--approximator-params", "sd_scale=0.5", "--S", "60", "--M", "19"],
+    "post-sbc": ["post-sbc", *NN12, "--data", "data.csv", "--S", "40", "--M", "19"],
+    "freq-calibrate": ["freq-calibrate", *NN12, "--theta-star", "0.3",
+                       "--estimator", "posterior-mean",
+                       "--sampling", "normal:0.28,0.28", "--S", "100"],
+    "power": ["power", *NN12, "--theta-star", "0.5", "--theta0", "0",
+              "--null-s", "500", "--S", "50"],
+    "accuracy": ["accuracy", *NN12, "--theta-star", "prior",
+                 "--estimator", "posterior-mean", "--S", "100"],
+    "test": ["test", *NN12, "--data", "data.csv", "--theta0", "0", "--S", "2000"],
+    "ppc": ["ppc", *NN12, "--data", "data.csv", "--S", "200"],
+    "prior-check": ["prior-check", *NN12, "--region=-1,1", "--S", "2000"],
+    "elicit": ["elicit", "--expert-stats", "3.1,4.6,6.3,8.2,10.0", "--sims", "500",
+               "--max-iter", "20", "--tolerance", "0"],
+    "abc": ["abc", *NN12, "--data", "data.csv", "--quantile", "0.05", "--M", "100"],
+    "compare": ["compare", *NN12, "--data", "data.csv", "--S", "2000"],
+    "sensitivity": ["sensitivity", *NN12, "--data", "data.csv", "--M", "400"],
+    "sweep": ["sensitivity", "--mode", "sweep", "--config", "sweep.ini"],
+    "render": ["render", "--report", "sbc/report.json"],
+}
+
+
+def run_all(workdir: Path) -> dict[str, str]:
+    """Run every command in workdir; return {output file: sha256}."""
+    y = np.random.default_rng(3).normal(0.4, 1.0, size=12)
+    (workdir / "data.csv").write_text("y0\n" + "".join(f"{v:.17g}\n" for v in y))
+    (workdir / "sweep.ini").write_text(SWEEP_INI)
+    digests = {}
+    for label, argv in RUNS.items():
+        rc = main([*argv, "--seed", "5", "--out", label])
+        assert rc == 0, f"{label} exited {rc}"
+        out = workdir / label
+        body = TIMING.sub(b"", (out / "report.json").read_bytes())
+        digests[f"{label}/report.json"] = hashlib.sha256(body).hexdigest()
+        for svg in sorted(out.glob("*.svg")):
+            digests[f"{label}/{svg.name}"] = hashlib.sha256(svg.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        return run_all(workdir)
+
+
+def test_golden_files_present(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(digests, name):
+    assert digests.get(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        table = run_all(Path(tmp))
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} digests to {TABLE}")
