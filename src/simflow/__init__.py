@@ -4,7 +4,7 @@ The package treats one question many ways: if you can simulate from a model,
 what can repeated simulation tell you about an inference procedure? The
 pipelines share a common vocabulary (models, datasets, summary statistics,
 approximate posteriors) and a common determinism contract: one root seed,
-derived per-task streams, results independent of thread count.
+derived per-task streams, each task's results independent of the others.
 """
 
 from .approximators import (

@@ -2,8 +2,9 @@
 approximators, frequentist calibration of estimators, power analysis,
 sharpness, and estimator accuracy.
 
-All pipelines share the same skeleton: an embarrassingly parallel outer
-loop over simulated datasets, one derived random stream per iteration.
+All pipelines share one replication loop, `_replicate`: for i < S, open
+stream (seed, 0, i), draw theta from the prior (or use a fixed truth),
+simulate a dataset, and compute the pipeline's statistic on it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from .approximators import Approximator
 from .diagnostics import PValueSet, UniformityVerdict, uniformity_test
 from .models import Dataset, Model, SummaryStatistic, param_target
-from .parallel import map_indexed
 from .rng import substream
 from .simtest import simulation_pvalue
 
@@ -55,13 +55,16 @@ class SbcConfig:
     targets: tuple[SummaryStatistic, ...] | None = None
     bins: int = 10
     band_coverage: float = 0.95
-    threads: int = 1
 
     def __post_init__(self):
         if self.s < 10:
             raise ValueError("SBC needs at least 10 outer simulations")
         if self.m < 1:
             raise ValueError("inner draw count must be positive")
+        if self.bins < 2:
+            raise ValueError("bins must be at least 2")
+        if not 0.5 <= self.band_coverage < 1.0:
+            raise ValueError("band coverage must lie in [0.5, 1)")
 
 
 @dataclass(frozen=True)
@@ -78,29 +81,47 @@ class SbcResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _replication_stream(seed: int, i: int) -> np.random.Generator:
+    """The stream of replication i; it depends on (seed, i) only."""
+    return substream(seed, 0, i)
+
+
+def _replicate(model: Model, seed: int, s: int, statistic, theta_star=None) -> list:
+    """statistic(theta, y, rng) for replications i = 0..s-1, in order.
+
+    Replication i draws theta from the prior (unless theta_star fixes it),
+    then the dataset y, then whatever the statistic draws, all from its own
+    stream, so its output does not depend on s or on other replications.
+    """
+    if theta_star is not None:
+        theta_star = np.asarray(theta_star, dtype=float).reshape(-1)
+    out = []
+    for i in range(s):
+        rng = _replication_stream(seed, i)
+        theta = model.sample_prior(rng, 1)[0] if theta_star is None else theta_star
+        out.append(statistic(theta, model.simulate_data(theta, rng), rng))
+    return out
+
+
 def _default_targets(model: Model) -> tuple[SummaryStatistic, ...]:
     return tuple(param_target(i) for i in range(model.param_dim))
 
 
-def run_sbc(model: Model, approximator: Approximator, cfg: SbcConfig) -> SbcResult:
-    """Nested simulation: prior draw, dataset, approximate posterior, rank.
+def _sbc_ranks(model, approximator, targets, m: int):
+    """Statistic of one SBC replication: per target, the p-value of theta
+    among m approximate posterior draws given y."""
 
-    Under an exactly calibrated approximator each target's p-values are
-    discrete uniform on {0, 1/M, ..., 1}.
-    """
-    targets = cfg.targets or _default_targets(model)
+    def ranks(theta, y, rng) -> list[float]:
+        draws = approximator.approximate(model, y, rng, m=m)
+        return [sbc_pvalue(t.on_params(theta), t.on_param_batch(draws.values), rng)
+                for t in targets]
 
-    def one(i: int):
-        rng = substream(cfg.seed, 0, i)
-        theta = model.sample_prior(rng, 1)[0]
-        y = model.simulate_data(theta, rng)
-        draws = approximator.approximate(model, y, rng, m=cfg.m)
-        out = np.empty(len(targets))
-        for j, t in enumerate(targets):
-            out[j] = sbc_pvalue(t.on_params(theta), t.on_param_batch(draws.values), rng)
-        return out
+    return ranks
 
-    rows = np.array(map_indexed(one, cfg.s, cfg.threads))
+
+def _sbc_result(kind, model, approximator, cfg, targets, rows, metadata=None) -> SbcResult:
+    """Per-target p-value sets and uniformity verdicts from (S, targets) rows."""
+    rows = np.array(rows)
     pvalues = {}
     verdicts = {}
     for j, t in enumerate(targets):
@@ -110,7 +131,7 @@ def run_sbc(model: Model, approximator: Approximator, cfg: SbcConfig) -> SbcResu
             pset, bins=cfg.bins, band_coverage=cfg.band_coverage
         )
     return SbcResult(
-        kind="sbc",
+        kind=kind,
         model=model.name,
         approximator=approximator.name,
         s=cfg.s,
@@ -119,8 +140,20 @@ def run_sbc(model: Model, approximator: Approximator, cfg: SbcConfig) -> SbcResu
         target_names=tuple(t.name for t in targets),
         pvalues=pvalues,
         verdicts=verdicts,
-        metadata={"approximator_kind": approximator.kind},
+        metadata={"approximator_kind": approximator.kind, **(metadata or {})},
     )
+
+
+def run_sbc(model: Model, approximator: Approximator, cfg: SbcConfig) -> SbcResult:
+    """Nested simulation: prior draw, dataset, approximate posterior, rank.
+
+    Under an exactly calibrated approximator each target's p-values are
+    discrete uniform on {0, 1/M, ..., 1}.
+    """
+    targets = cfg.targets or _default_targets(model)
+    rows = _replicate(model, cfg.seed, cfg.s,
+                      _sbc_ranks(model, approximator, targets, cfg.m))
+    return _sbc_result("sbc", model, approximator, cfg, targets, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +181,29 @@ def posterior_mean_estimator(model: Model) -> EstimatorSpec:
     )
 
 
+def _estimated(estimator: EstimatorSpec, then):
+    """Statistic then(estimate, theta, rng); NaN when the estimator raises or
+    gives a non-finite value, which _drop_failed counts as a failure."""
+
+    def statistic(theta, y, rng) -> float:
+        try:
+            est = float(estimator.point(y))
+        except Exception:
+            return np.nan
+        return then(est, theta, rng) if np.isfinite(est) else np.nan
+
+    return statistic
+
+
+def _drop_failed(values) -> tuple[np.ndarray, int]:
+    """The finite values and the number of failed (non-finite) ones."""
+    values = np.asarray(values, dtype=float)
+    failed = ~np.isfinite(values)
+    if failed.all():
+        raise RuntimeError("estimator failed on every simulated dataset")
+    return values[~failed], int(failed.sum())
+
+
 @dataclass(frozen=True)
 class FreqCalResult:
     kind: str
@@ -171,7 +227,6 @@ def run_frequentist_calibration(
     seed: int = 0,
     alphas: tuple[float, ...] = (0.9,),
     bins: int = 10,
-    threads: int = 1,
 ) -> FreqCalResult:
     """Calibration of an estimator against an approximate sampling law.
 
@@ -191,24 +246,14 @@ def run_frequentist_calibration(
     if empirical:
         ref = np.asarray(sampling_dist, dtype=float)
 
-    def one(i: int):
-        rng = substream(seed, 0, i)
-        y = model.simulate_data(theta_star, rng)
-        try:
-            est = float(estimator.point(y))
-        except Exception:
-            return np.nan
-        if not np.isfinite(est):
-            return np.nan
-        if empirical:
+        def pvalue(est, theta, rng) -> float:
             return simulation_pvalue(est, ref, "lower", rng)
-        return float(sampling_dist.cdf(est))
+    else:
+        def pvalue(est, theta, rng) -> float:
+            return float(sampling_dist.cdf(est))
 
-    raw = np.array(map_indexed(one, s, threads))
-    failed = ~np.isfinite(raw)
-    pvals = raw[~failed]
-    if pvals.size == 0:
-        raise RuntimeError("estimator failed on every simulated dataset")
+    raw = _replicate(model, seed, s, _estimated(estimator, pvalue), theta_star)
+    pvals, n_failed = _drop_failed(raw)
     pset = PValueSet(pvals, granularity=ref.size if empirical else None)
     verdict = uniformity_test(pset, bins=bins)
     coverage = {
@@ -224,7 +269,7 @@ def run_frequentist_calibration(
         pvalues=pset,
         verdict=verdict,
         interval_coverage=coverage,
-        n_failed=int(failed.sum()),
+        n_failed=n_failed,
         metadata={"theta_star": [float(v) for v in theta_star]},
     )
 
@@ -253,7 +298,6 @@ def power_analysis(
     alpha: float,
     s: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> PowerResult:
     """Rejection rate of a test over datasets simulated at theta_star.
 
@@ -263,17 +307,11 @@ def power_analysis(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    prior_mode = theta_star is None
-    if not prior_mode:
-        theta_star = np.asarray(theta_star, dtype=float).reshape(-1)
 
-    def one(i: int) -> bool:
-        rng = substream(seed, 0, i)
-        theta = model.sample_prior(rng, 1)[0] if prior_mode else theta_star
-        y = model.simulate_data(theta, rng)
+    def rejects(theta, y, rng) -> bool:
         return test.pvalue(y, rng) <= alpha
 
-    hits = np.array(map_indexed(one, s, threads), dtype=bool)
+    hits = np.array(_replicate(model, seed, s, rejects, theta_star), dtype=bool)
     power = float(hits.mean())
     return PowerResult(
         kind="power",
@@ -283,7 +321,7 @@ def power_analysis(
         s=int(s),
         seed=int(seed),
         n_rejections=int(hits.sum()),
-        mode="prior" if prior_mode else "fixed",
+        mode="prior" if theta_star is None else "fixed",
     )
 
 
@@ -307,7 +345,6 @@ def sharpness(
     s: int,
     seed: int = 0,
     m: int | None = None,
-    threads: int = 1,
 ) -> SharpnessResult:
     """Average central alpha-interval width of the approximate posterior
     over prior-simulated datasets."""
@@ -315,16 +352,13 @@ def sharpness(
         raise ValueError("alpha must lie in (0, 1)")
     lo_q, hi_q = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
 
-    def one(i: int) -> np.ndarray:
-        rng = substream(seed, 0, i)
-        theta = model.sample_prior(rng, 1)[0]
-        y = model.simulate_data(theta, rng)
+    def width(theta, y, rng) -> np.ndarray:
         draws = approximator.approximate(model, y, rng, m=m)
         return np.quantile(draws.values, hi_q, axis=0) - np.quantile(
             draws.values, lo_q, axis=0
         )
 
-    widths = np.array(map_indexed(one, s, threads))
+    widths = np.array(_replicate(model, seed, s, width))
     mean_by_dim = widths.mean(axis=0)
     return SharpnessResult(
         kind="sharpness",
@@ -368,35 +402,17 @@ def estimator_accuracy(
     s: int = 1000,
     seed: int = 0,
     target: SummaryStatistic | None = None,
-    threads: int = 1,
 ) -> AccuracyResult:
     """Mean distance between estimate and truth over simulated datasets.
 
     theta_star None draws the truth from the prior each iteration (Bayes
     risk); otherwise the truth is fixed (frequentist risk at a point).
     """
-    prior_mode = theta_star is None
-    if not prior_mode:
-        theta_star = np.asarray(theta_star, dtype=float).reshape(-1)
     target = target or param_target(0)
-
-    def one(i: int) -> float:
-        rng = substream(seed, 0, i)
-        theta = model.sample_prior(rng, 1)[0] if prior_mode else theta_star
-        y = model.simulate_data(theta, rng)
-        try:
-            est = float(estimator.point(y))
-        except Exception:
-            return np.nan
-        if not np.isfinite(est):
-            return np.nan
-        return float(distance(est, target.on_params(theta)))
-
-    d = np.array(map_indexed(one, s, threads))
-    failed = ~np.isfinite(d)
-    good = d[~failed]
-    if good.size == 0:
-        raise RuntimeError("estimator failed on every simulated dataset")
+    loss = _estimated(
+        estimator, lambda est, theta, rng: float(distance(est, target.on_params(theta)))
+    )
+    good, n_failed = _drop_failed(_replicate(model, seed, s, loss, theta_star))
     return AccuracyResult(
         kind="accuracy",
         value=float(good.mean()),
@@ -405,6 +421,6 @@ def estimator_accuracy(
         seed=int(seed),
         estimator=estimator.name,
         distance=getattr(distance, "__name__", "distance"),
-        mode="prior" if prior_mode else "fixed",
-        n_failed=int(failed.sum()),
+        mode="prior" if theta_star is None else "fixed",
+        n_failed=n_failed,
     )

@@ -311,19 +311,21 @@ def _vector_csv(filename: str, values) -> dict:
 # Subcommand handlers: each returns (results payload, config echo, csv tables)
 
 
-def _cmd_sbc(args, cfg, seed, threads):
+def _cmd_sbc(args, cfg, seed):
     model, model_echo = _build_model(args, cfg)
     approx, approx_echo = _build_approximator(args, cfg)
     pipe = _section(cfg, "pipeline")
-    run_cfg = SbcConfig(
-        s=int(_pick(args.s, pipe, "s", 1000)),
-        m=int(_pick(args.m, pipe, "m", 99)),
-        seed=seed,
-        targets=_targets(args, model),
-        bins=int(_pick(args.bins, pipe, "bins", 10)),
-        band_coverage=float(_pick(args.band_coverage, pipe, "band_coverage", 0.95)),
-        threads=threads,
-    )
+    try:
+        run_cfg = SbcConfig(
+            s=int(_pick(args.s, pipe, "s", 1000)),
+            m=int(_pick(args.m, pipe, "m", 99)),
+            seed=seed,
+            targets=_targets(args, model),
+            bins=int(_pick(args.bins, pipe, "bins", 10)),
+            band_coverage=float(_pick(args.band_coverage, pipe, "band_coverage", 0.95)),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.command == "post-sbc":
         result = run_posterior_sbc(model, approx, _load_data(args), run_cfg)
     else:
@@ -348,7 +350,7 @@ def _parse_sampling(text: str):
     raise ConfigError(f"unknown sampling distribution {text!r}; use normal:loc,scale or t:df,loc,scale")
 
 
-def _cmd_freq_calibrate(args, cfg, seed, threads):
+def _cmd_freq_calibrate(args, cfg, seed):
     model, model_echo = _build_model(args, cfg)
     pipe = _section(cfg, "pipeline")
     if args.theta_star is None:
@@ -365,7 +367,6 @@ def _cmd_freq_calibrate(args, cfg, seed, threads):
         seed=seed,
         alphas=tuple(_floats(args.alphas)),
         bins=int(_pick(args.bins, pipe, "bins", 10)),
-        threads=threads,
     )
     payload = {
         "kind": result.kind,
@@ -405,9 +406,12 @@ def _build_test(args, model, seed):
     raise ConfigError(f"unknown test {args.test!r}; known: sim, z")
 
 
-def _cmd_power(args, cfg, seed, threads):
+def _cmd_power(args, cfg, seed):
     model, model_echo = _build_model(args, cfg)
     pipe = _section(cfg, "pipeline")
+    alpha = float(_pick(args.alpha, pipe, "alpha", 0.05))
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError("alpha must lie in (0, 1)")
     if args.test == "z":
         args.theta0_scalar = _floats(args.theta0)[0] if args.theta0 else 0.0
     test = _build_test(args, model, seed)
@@ -416,10 +420,9 @@ def _cmd_power(args, cfg, seed, threads):
         model,
         theta_star,
         test,
-        alpha=float(_pick(args.alpha, pipe, "alpha", 0.05)),
+        alpha=alpha,
         s=int(_pick(args.s, pipe, "s", 1000)),
         seed=seed,
-        threads=threads,
     )
     payload = {
         "kind": result.kind,
@@ -440,7 +443,7 @@ def _cmd_power(args, cfg, seed, threads):
     return payload, echo, {}
 
 
-def _cmd_accuracy(args, cfg, seed, threads):
+def _cmd_accuracy(args, cfg, seed):
     model, model_echo = _build_model(args, cfg)
     pipe = _section(cfg, "pipeline")
     estimator = _estimator(args.estimator, model)
@@ -455,7 +458,6 @@ def _cmd_accuracy(args, cfg, seed, threads):
         distance=distance,
         s=int(_pick(args.s, pipe, "s", 1000)),
         seed=seed,
-        threads=threads,
     )
     payload = {
         "kind": result.kind,
@@ -477,7 +479,7 @@ def _cmd_accuracy(args, cfg, seed, threads):
     return payload, echo, {}
 
 
-def _cmd_test(args, cfg, seed, threads):
+def _cmd_test(args, cfg, seed):
     model, model_echo = _build_model(args, cfg)
     pipe = _section(cfg, "pipeline")
     y = _load_data(args)
@@ -516,7 +518,7 @@ def _cmd_test(args, cfg, seed, threads):
     return payload, echo, _vector_csv("null_samples.csv", test.null.values)
 
 
-def _cmd_ppc(args, cfg, seed, threads):
+def _cmd_ppc(args, cfg, seed):
     model, model_echo = _build_model(args, cfg)
     pipe = _section(cfg, "pipeline")
     y = _load_data(args)
@@ -548,7 +550,7 @@ def _cmd_ppc(args, cfg, seed, threads):
     return payload, echo, _vector_csv("replication_stats.csv", result.replication_stats)
 
 
-def _cmd_prior_check(args, cfg, seed, threads):
+def _cmd_prior_check(args, cfg, seed):
     model, model_echo = _build_model(args, cfg)
     pipe = _section(cfg, "pipeline")
     if args.region is None:
@@ -598,7 +600,7 @@ def _read_expert_csv(path: str) -> list[float]:
     return values
 
 
-def _cmd_elicit(args, cfg, seed, threads):
+def _cmd_elicit(args, cfg, seed):
     pipe = _section(cfg, "pipeline")
     if args.expert_csv is not None:
         expert = _read_expert_csv(args.expert_csv)
@@ -642,7 +644,7 @@ def _cmd_elicit(args, cfg, seed, threads):
     return payload, echo, trace
 
 
-def _cmd_abc(args, cfg, seed, threads):
+def _cmd_abc(args, cfg, seed):
     model, model_echo = _build_model(args, cfg)
     pipe = _section(cfg, "pipeline")
     y = _load_data(args)
@@ -710,7 +712,7 @@ def _compare_entries(args, cfg) -> list[ModelEntry]:
     return entries
 
 
-def _cmd_compare(args, cfg, seed, threads):
+def _cmd_compare(args, cfg, seed):
     pipe = _section(cfg, "pipeline")
     y = _load_data(args)
     s = int(_pick(args.s, pipe, "s", 100_000))
@@ -756,13 +758,13 @@ def _cmd_compare(args, cfg, seed, threads):
     return payload, echo, {}
 
 
-def _cmd_sensitivity(args, cfg, seed, threads):
+def _cmd_sensitivity(args, cfg, seed):
     if args.mode == "sweep":
-        return _sensitivity_sweep(args, cfg, seed, threads)
-    return _power_scale(args, cfg, seed, threads)
+        return _sensitivity_sweep(args, cfg, seed)
+    return _power_scale(args, cfg, seed)
 
 
-def _power_scale(args, cfg, seed, threads):
+def _power_scale(args, cfg, seed):
     model, model_echo = _build_model(args, cfg)
     approx, approx_echo = _build_approximator(args, cfg)
     pipe = _section(cfg, "pipeline")
@@ -826,7 +828,7 @@ def _sweep_grid(sweep: dict) -> tuple[list[dict], dict]:
     return grid, vary
 
 
-def _sensitivity_sweep(args, cfg, seed, threads):
+def _sensitivity_sweep(args, cfg, seed):
     sweep = _section(cfg, "sweep")
     if not sweep:
         raise ConfigError("sweep mode needs a [sweep] section in the config")
@@ -851,7 +853,6 @@ def _sensitivity_sweep(args, cfg, seed, threads):
                 s=int(config.get("s", 200)),
                 m=int(config.get("m", 99)),
                 seed=cell_seed,
-                threads=threads,
             )
             r = run_sbc(cell_model(config), approx, run_cfg)
             v = r.verdicts[r.target_names[0]]
@@ -900,7 +901,7 @@ def _sensitivity_sweep(args, cfg, seed, threads):
     return payload, echo, {"sweep.csv": result}
 
 
-def _cmd_render(args, cfg, seed, threads):
+def _cmd_render(args, cfg, seed):
     path = Path(args.report)
     if not path.is_file():
         raise ConfigError(f"report file not found: {path}")
@@ -939,10 +940,12 @@ _SEED_PLANS = {
     "post-sbc": ["posterior draws at observed data: stream (seed, 1)",
                  "replication i: stream (seed, 0, i)"],
     "freq-calibrate": ["dataset i: stream (seed, 0, i)"],
-    "power": ["null sample: stream (seed + 1, 0)",
+    "power": ["sim test null root: drawn from stream (seed + 1, 0)",
+              "null chunk c: stream (root, 0, c); retry a: stream (root, 0, c, a)",
               "dataset i: stream (seed, 0, i)"],
     "accuracy": ["dataset i: stream (seed, 0, i)"],
-    "test": ["null chunk c: stream (seed, 0, c)",
+    "test": ["null root: drawn from stream (seed, 0)",
+             "null chunk c: stream (root, 0, c); retry a: stream (root, 0, c, a)",
              "tie-break coin: stream (seed, 1)"],
     "ppc": ["posterior draws: stream (seed, 1)",
             "replications: stream (seed, 0)"],
@@ -994,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="root seed (default: config, then SIMFLOW_SEED, then 0)")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker cap; results do not depend on it")
+                        help="accepted for old command lines and ignored")
     common.add_argument("--out", default=None, help="output directory (default: out)")
     common.add_argument("--formats", default=None,
                         help="comma list from json,csv,svg (default json,svg)")
@@ -1129,10 +1132,11 @@ def main(argv=None) -> int:
         pipe = _section(cfg, "pipeline")
         out_sect = _section(cfg, "output")
         seed, seed_source = _resolve_seed(args, pipe)
-        threads = int(_pick(args.threads, pipe, "threads",
-                            os.cpu_count() or 1))
-        if threads < 1:
-            raise ConfigError("--threads must be at least 1")
+        # --threads and [pipeline] threads still parse and are checked, but
+        # every pipeline runs its replications in one loop in this process.
+        threads = _pick(args.threads, pipe, "threads", 1)
+        if not isinstance(threads, int) or threads < 1:
+            raise ConfigError(f"--threads must be a positive integer, got {threads!r}")
         outdir = Path(_pick(args.out, out_sect, "dir", "out"))
         formats = {
             f.strip()
@@ -1144,12 +1148,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown output formats: {', '.join(sorted(unknown))}")
         if args.dry_run:
             print(f"seed: {seed} (from {seed_source})")
-            print(f"threads: {threads}")
             for line in _SEED_PLANS[args.command]:
                 print(f"  {line}")
             print("dry run: nothing simulated")
             return 0
-        results, echo, csvs = _HANDLERS[args.command](args, cfg, seed, threads)
+        results, echo, csvs = _HANDLERS[args.command](args, cfg, seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,10 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approximators import Approximator
-from .calibration import SbcConfig, SbcResult, _default_targets, sbc_pvalue
-from .diagnostics import PValueSet, uniformity_test
+from .calibration import (
+    SbcConfig,
+    SbcResult,
+    _default_targets,
+    _replication_stream,
+    _sbc_ranks,
+    _sbc_result,
+)
 from .models import Dataset, Model, ParamDraws, SummaryStatistic, concat_datasets
-from .parallel import map_indexed
 from .rng import as_generator, substream
 from .simtest import simulation_pvalue
 
@@ -222,41 +227,16 @@ def run_posterior_sbc(
         model, y_obs, substream(cfg.seed, 1), m=cfg.s
     ).values
 
-    def one(i: int):
-        rng = substream(cfg.seed, 0, i)
+    # theta' comes from the approximator, not the prior, so this loop is
+    # not _replicate; it shares the replication streams and the SBC tail.
+    ranks = _sbc_ranks(model, approximator, targets, cfg.m)
+    rows = []
+    for i in range(cfg.s):
+        rng = _replication_stream(cfg.seed, i)
         y_rep = model.simulate_data(theta_prime[i], rng, n_obs=n_rep)
-        y_aug = concat_datasets(y_obs, y_rep)
-        draws = approximator.approximate(model, y_aug, rng, m=cfg.m)
-        out = np.empty(len(targets))
-        for j, t in enumerate(targets):
-            out[j] = sbc_pvalue(
-                t.on_params(theta_prime[i]), t.on_param_batch(draws.values), rng
-            )
-        return out
-
-    rows = np.array(map_indexed(one, cfg.s, cfg.threads))
-    pvalues = {}
-    verdicts = {}
-    for j, t in enumerate(targets):
-        pset = PValueSet(rows[:, j], granularity=cfg.m)
-        pvalues[t.name] = pset
-        verdicts[t.name] = uniformity_test(
-            pset, bins=cfg.bins, band_coverage=cfg.band_coverage
-        )
-    return SbcResult(
-        kind="posterior-sbc",
-        model=model.name,
-        approximator=approximator.name,
-        s=cfg.s,
-        m=cfg.m,
-        seed=cfg.seed,
-        target_names=tuple(t.name for t in targets),
-        pvalues=pvalues,
-        verdicts=verdicts,
-        metadata={
-            "approximator_kind": approximator.kind,
-            "theta_prime_source": "approximator under test",
-            "conditioning": "observed and replicated data concatenated",
-            "n_obs": int(y_obs.n_obs),
-        },
-    )
+        rows.append(ranks(theta_prime[i], concat_datasets(y_obs, y_rep), rng))
+    return _sbc_result("posterior-sbc", model, approximator, cfg, targets, rows, {
+        "theta_prime_source": "approximator under test",
+        "conditioning": "observed and replicated data concatenated",
+        "n_obs": int(y_obs.n_obs),
+    })

@@ -2,7 +2,8 @@
 
 Every pipeline derives one independent stream per task from a single root
 seed, keyed by small integer paths. Streams are counter-based (Philox), so
-results are identical no matter how tasks are distributed over threads.
+a task's draws depend only on its seed and path, not on which other tasks
+ran before it or how many there are.
 """
 
 from __future__ import annotations

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from simflow import calibration
 from simflow import (
     EstimatorSpec,
     ExactConjugate,
@@ -21,7 +24,7 @@ from simflow import (
     substream,
 )
 from simflow.calibration import posterior_mean_estimator, squared_error
-from simflow.simtest import pooled_t
+from simflow.simtest import STATISTIC_REGISTRY, SimulationTest, pooled_t
 
 T0 = "theta[0]"
 
@@ -87,6 +90,11 @@ def test_sbc_config_validation():
         SbcConfig(s=5)
     with pytest.raises(ValueError):
         SbcConfig(s=100, m=0)
+    with pytest.raises(ValueError):
+        SbcConfig(s=100, bins=1)
+    for coverage in (0.3, 1.0):
+        with pytest.raises(ValueError):
+            SbcConfig(s=100, band_coverage=coverage)
 
 
 def test_frequentist_exact_pivot_uniform():
@@ -238,3 +246,44 @@ def test_estimator_failures_counted():
 
 def test_squared_error_distance():
     assert squared_error(2.0, 5.0) == 9.0
+
+
+def _loop_output(fn, *args, **kwargs) -> np.ndarray:
+    """Per-replication outputs of the replication loop inside fn(...)."""
+    seen = []
+    real = calibration._replicate
+
+    def spy(*a, **k):
+        seen.append(real(*a, **k))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calibration, "_replicate", spy)
+        fn(*args, **kwargs)
+    (out,) = seen
+    return np.asarray(out)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 14), k=st.integers(1, 4))
+def test_replication_depends_only_on_seed_and_index(seed, n, k):
+    model = NormalNormal(n_obs=5)
+    ref = substream(7, 0).normal(0.0, 0.5, size=200)
+    sim_test = SimulationTest(model, [0.0], STATISTIC_REGISTRY["mean"],
+                              side="upper", s=200, seed=1)
+    runs = {
+        "sbc": lambda s: run_sbc(model, PerturbedConjugate(sd_scale=0.8),
+                                 SbcConfig(s=s, m=9, seed=seed)).pvalues[T0].values,
+        "frequentist": lambda s: run_frequentist_calibration(
+            model, [0.3], sample_mean_estimator, ref, s=s, seed=seed).pvalues.values,
+        "power": lambda s: _loop_output(power_analysis, model, None, sim_test,
+                                        alpha=0.3, s=s, seed=seed),
+        "accuracy": lambda s: _loop_output(estimator_accuracy, model, None,
+                                           sample_mean_estimator, s=s, seed=seed),
+        "sharpness": lambda s: _loop_output(sharpness, ExactConjugate(), model,
+                                            alpha=0.8, s=s, seed=seed, m=20),
+    }
+    for name, run in runs.items():
+        short, long = run(n), run(n + k)
+        assert len(short) == n and len(long) == n + k, name
+        np.testing.assert_array_equal(long[:n], short, err_msg=name)

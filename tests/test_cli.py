@@ -44,6 +44,25 @@ def test_missing_model_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "x" / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sbc", "--model", "normal-normal", "--S", "5"],
+    ["sbc", "--model", "normal-normal", "--M", "0"],
+    ["sbc", "--model", "normal-normal", "--band-coverage", "0.3"],
+    ["power", "--model", "normal-normal", "--theta-star", "0.5", "--theta0", "0",
+     "--alpha", "2"],
+    ["sbc", "--model", "normal-normal", "--threads", "0"],
+    ["sbc", "--model", "normal-normal", "--config", "threads.ini"],
+])
+def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "threads.ini").write_text("[pipeline]\nthreads = abc\n")
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_unknown_format_rejected(tmp_path):
     rc = main(["sbc", "--model", "normal-normal", "--S", "50", "--M", "9",
                "--out", str(tmp_path / "x"), "--formats", "json,exe"])
@@ -71,6 +90,13 @@ def test_dry_run_prints_seed_plan(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "seed: 7 (from flag)" in text
     assert "stream (seed, 0, i)" in text
+    assert not out.exists()
+
+    # the null's chunks are keyed by a root drawn from (seed, 0), not by seed
+    assert main(["test", "--seed", "7", "--out", str(out), "--dry-run"]) == 0
+    text = capsys.readouterr().out
+    assert "null root: drawn from stream (seed, 0)" in text
+    assert "null chunk c: stream (root, 0, c)" in text
     assert not out.exists()
 
 
