@@ -55,7 +55,7 @@ from .compare import (
 from .diagnostics import band_contains, rank_histogram
 from .elicitation import beta_binomial_problem, elicit_prior
 from .errors import BudgetError, CapabilityError, DomainError, RetryError
-from .models import Dataset, make_model, param_target
+from .models import AnalyticPosterior, Dataset, make_model, param_target
 from .predictive import (
     frequentist_predictive_check,
     prior_pushforward_check,
@@ -337,15 +337,22 @@ def _cmd_sbc(args, cfg, seed):
 
 
 def _parse_sampling(text: str):
-    from scipy import stats
-
+    """normal:loc,scale (default 0,1) as a closed form; t:df,loc,scale via scipy."""
     name, _, rest = text.partition(":")
     params = _floats(rest) if rest else []
     if name == "normal":
-        return stats.norm(*(params or [0.0, 1.0]))
+        try:
+            return AnalyticPosterior("normal", params + [0.0, 1.0][len(params):])
+        except DomainError:
+            raise ConfigError(f"normal sampling law needs normal:loc,scale with scale > 0, "
+                              f"got {text!r}") from None
     if name == "t":
-        if not params:
-            raise ConfigError("t sampling distribution needs df, e.g. t:9,0,1")
+        if not 1 <= len(params) <= 3 or not params[0] > 0 or (
+                len(params) == 3 and not params[2] > 0):
+            raise ConfigError(f"t sampling law needs t:df,loc,scale with df > 0 and "
+                              f"scale > 0, e.g. t:9,0,1, got {text!r}")
+        from scipy import stats
+
         return stats.t(*params)
     raise ConfigError(f"unknown sampling distribution {text!r}; use normal:loc,scale or t:df,loc,scale")
 
@@ -358,12 +365,16 @@ def _cmd_freq_calibrate(args, cfg, seed):
     if args.sampling is None:
         raise ConfigError("freq-calibrate needs --sampling, e.g. normal:0.0,0.316")
     estimator = _estimator(args.estimator, model)
+    sampling = _parse_sampling(args.sampling)
+    s = int(_pick(args.s, pipe, "s", 1000))
+    if s < 10:
+        raise ConfigError(f"freq-calibrate needs S >= 10 for its uniformity band, got {s}")
     result = run_frequentist_calibration(
         model,
         _floats(args.theta_star),
         estimator,
-        _parse_sampling(args.sampling),
-        s=int(_pick(args.s, pipe, "s", 1000)),
+        sampling,
+        s=s,
         seed=seed,
         alphas=tuple(_floats(args.alphas)),
         bins=int(_pick(args.bins, pipe, "bins", 10)),
@@ -451,12 +462,15 @@ def _cmd_accuracy(args, cfg, seed):
     if distance is None:
         raise ConfigError(f"unknown distance {args.distance!r}; known: absolute, squared")
     theta_star = None if args.theta_star in (None, "prior") else _floats(args.theta_star)
+    s = int(_pick(args.s, pipe, "s", 1000))
+    if s < 2:
+        raise ConfigError(f"accuracy needs S >= 2 for its Monte Carlo error, got {s}")
     result = estimator_accuracy(
         model,
         theta_star,
         estimator,
         distance=distance,
-        s=int(_pick(args.s, pipe, "s", 1000)),
+        s=s,
         seed=seed,
     )
     payload = {

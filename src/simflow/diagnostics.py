@@ -299,7 +299,7 @@ def uniformity_test(
     counts = rank_histogram(p, bins)
     expected = p.size / bins
     chi2_stat = float(((counts - expected) ** 2 / expected).sum())
-    chi2_pvalue = float(stats.chi2.sf(chi2_stat, bins - 1))
+    chi2_pvalue = float(special.chdtrc(bins - 1, chi2_stat))
 
     ks = stats.kstest(_ks_values(p), "uniform")
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
+from scipy.special import betaincinv
 
 from .rng import substream
 
@@ -41,7 +42,7 @@ class BetaPriorFamily:
         return bool(np.all(np.isfinite(lam)) and np.all(lam > 0.0))
 
     def ppf(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return stats.beta.ppf(u, lam[0], lam[1])
+        return betaincinv(lam[0], lam[1], u)
 
     def to_unconstrained(self, lam) -> np.ndarray:
         return np.log(np.asarray(lam, dtype=float))

@@ -8,12 +8,24 @@ pipelines can fail fast instead of guessing.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
-from scipy.special import betaln, expit, gammaln, xlog1py, xlogy
+from scipy.special import (
+    betainc,
+    betaincinv,
+    betaln,
+    expit,
+    gammainc,
+    gammaincinv,
+    gammaln,
+    ndtr,
+    ndtri,
+    xlog1py,
+    xlogy,
+)
 
 from .errors import CapabilityError, DomainError
 from .rng import as_generator
@@ -38,6 +50,7 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))  # as scipy.stats.norm computes it
 
 
 @dataclass(frozen=True)
@@ -224,31 +237,83 @@ def param_target(index: int = 0, name: str | None = None) -> SummaryStatistic:
 
 
 class AnalyticPosterior:
-    """Closed-form posterior: a named family plus its frozen distribution."""
+    """Closed-form posterior: a family name and its two parameters.
 
-    def __init__(self, family: str, params: tuple, dist):
+    normal (mean, sd), beta (a, b) or gamma (shape, rate). Moments,
+    quantiles, cdf and log density are closed forms over scipy.special, and
+    draws come straight from the numpy Generator. Each repeats the
+    arithmetic of the matching scipy.stats distribution, so draws, means and
+    sds equal scipy's bit for bit, without the cost of freezing one.
+    """
+
+    def __init__(self, family: str, params: tuple):
+        if family not in ("normal", "beta", "gamma"):
+            raise ValueError(f"unknown posterior family {family!r}")
         self.family = family
         self.params = tuple(float(p) for p in params)
-        self.dist = dist
+        positive = self.params[1:] if family == "normal" else self.params
+        if len(self.params) != 2 or not all(p > 0 for p in positive):
+            raise DomainError(f"invalid {family} parameters {self.params}")
 
     def mean(self) -> float:
-        return float(self.dist.mean())
-
-    def sd(self) -> float:
-        return float(self.dist.std())
+        a, b = self.params
+        if self.family == "normal":
+            return a
+        if self.family == "beta":
+            return a / (a + b)
+        return a * (1.0 / b)
 
     def var(self) -> float:
-        return float(self.dist.var())
+        a, b = self.params
+        if self.family == "normal":
+            return b * b
+        if self.family == "beta":
+            s = a + b
+            return a * b / (s * s * (s + 1))
+        scale = 1.0 / b
+        return a * scale * scale
+
+    def sd(self) -> float:
+        return math.sqrt(self.var())
 
     def quantile(self, q) -> np.ndarray | float:
-        return self.dist.ppf(q)
+        a, b = self.params
+        if self.family == "normal":
+            return ndtri(q) * b + a
+        if self.family == "beta":
+            return betaincinv(a, b, q)
+        return gammaincinv(a, q) * (1.0 / b)
 
-    def logpdf(self, x):
-        return self.dist.logpdf(x)
+    def cdf(self, x) -> np.ndarray | float:
+        a, b = self.params
+        if self.family == "normal":
+            return ndtr((x - a) / b)
+        if self.family == "beta":
+            return betainc(a, b, np.clip(x, 0.0, 1.0))
+        return gammainc(a, np.maximum(x, 0.0) / (1.0 / b))
+
+    def logpdf(self, x) -> np.ndarray | float:
+        a, b = self.params
+        x = np.asarray(x, dtype=float)
+        if self.family == "normal":
+            z = (x - a) / b
+            return -(z**2) / 2.0 - _LOG_SQRT_2PI - np.log(b)
+        if self.family == "beta":
+            out = xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
+            return np.where((x < 0.0) | (x > 1.0), -np.inf, out)[()]
+        scale = 1.0 / b
+        z = x / scale
+        out = xlogy(a - 1.0, z) - z - gammaln(a) - np.log(scale)
+        return np.where(z < 0.0, -np.inf, out)[()]
 
     def sample(self, rng, size: int) -> np.ndarray:
         rng = as_generator(rng)
-        return np.asarray(self.dist.rvs(size=size, random_state=rng), dtype=float)
+        a, b = self.params
+        if self.family == "normal":
+            return rng.standard_normal(size) * b + a
+        if self.family == "beta":
+            return rng.beta(a, b, size)
+        return rng.standard_gamma(a, size) * (1.0 / b)
 
     def __repr__(self):
         args = ", ".join(format(p, ".6g") for p in self.params)
@@ -394,7 +459,7 @@ class NormalNormal(Model):
         prec = 1.0 / self.tau0**2 + n / self.sigma**2
         var = 1.0 / prec
         mean = var * (self.mu0 / self.tau0**2 + y.observations[:, 0].sum() / self.sigma**2)
-        return AnalyticPosterior("normal", (mean, np.sqrt(var)), stats.norm(mean, np.sqrt(var)))
+        return AnalyticPosterior("normal", (mean, np.sqrt(var)))
 
     def log_marginal(self, y: Dataset) -> float:
         obs = y.observations[:, 0]
@@ -483,7 +548,7 @@ class BetaBinomial(Model):
         total = y.n_obs * self.n_trials
         a_n = self.a + k
         b_n = self.b + total - k
-        return AnalyticPosterior("beta", (a_n, b_n), stats.beta(a_n, b_n))
+        return AnalyticPosterior("beta", (a_n, b_n))
 
     def log_marginal(self, y: Dataset) -> float:
         k = y.observations[:, 0]
@@ -569,7 +634,7 @@ class PoissonGamma(Model):
     def analytic_posterior(self, y: Dataset) -> AnalyticPosterior:
         shape = self.a + y.observations[:, 0].sum()
         rate = self.b + y.n_obs
-        return AnalyticPosterior("gamma", (shape, rate), stats.gamma(shape, scale=1.0 / rate))
+        return AnalyticPosterior("gamma", (shape, rate))
 
     def log_marginal(self, y: Dataset) -> float:
         k = y.observations[:, 0]

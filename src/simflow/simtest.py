@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import ndtr
 
 from .errors import RetryError
 from .models import Dataset, Model, SummaryStatistic
@@ -365,10 +365,10 @@ class AnalyticZTest:
         n = y.n_obs
         z = (y.observations[:, 0].mean() - self.theta0) * np.sqrt(n) / self.sigma
         if self.side == "upper":
-            return float(sstats.norm.sf(z))
+            return float(ndtr(-z))
         if self.side == "lower":
-            return float(sstats.norm.cdf(z))
-        return float(2.0 * sstats.norm.sf(abs(z)))
+            return float(ndtr(z))
+        return float(2.0 * ndtr(-abs(z)))
 
 
 def run_test(

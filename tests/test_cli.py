@@ -5,9 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from simflow import Dataset, NormalNormal, substream
-from simflow.cli import main
+from simflow.cli import _parse_sampling, main
 
 TIMING = re.compile(rb'"timing_seconds": [^,\n]+')
 
@@ -44,6 +45,9 @@ def test_missing_model_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "x" / "report.json").exists()
 
 
+_FREQ = ["freq-calibrate", "--model", "normal-normal", "--theta-star", "0.3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["sbc", "--model", "normal-normal", "--S", "5"],
     ["sbc", "--model", "normal-normal", "--M", "0"],
@@ -52,6 +56,11 @@ def test_missing_model_is_config_error(tmp_path, capsys):
      "--alpha", "2"],
     ["sbc", "--model", "normal-normal", "--threads", "0"],
     ["sbc", "--model", "normal-normal", "--config", "threads.ini"],
+    *([*_FREQ, "--sampling", law, "--S", "20"]
+      for law in ("normal:0.3,-1", "normal:0.3,0", "normal:0.3,0.3,0.3", "t:0", "t:-2,0,1",
+                  "t:9,0,0")),
+    [*_FREQ, "--sampling", "normal:0.3,0.3", "--S", "5"],
+    ["accuracy", "--model", "normal-normal", "--theta-star", "0.3", "--S", "1"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -61,6 +70,13 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+def test_sampling_law_defaults_to_unit_scale():
+    assert _parse_sampling("normal:0.3").params == (0.3, 1.0)
+    assert _parse_sampling("normal").params == (0.0, 1.0)
+    law = _parse_sampling("normal:0.3,0.5")
+    assert law.cdf(0.3) == 0.5 and law.cdf(0.8) == stats.norm(0.3, 0.5).cdf(0.8)
 
 
 def test_unknown_format_rejected(tmp_path):

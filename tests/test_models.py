@@ -6,9 +6,12 @@ come from independent scipy computations, not from the code under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from simflow import (
+    AnalyticPosterior,
     BetaBinomial,
     Dataset,
     DomainError,
@@ -155,6 +158,44 @@ def test_posterior_gamma_update():
     assert post.params == (6.0, 3.0)
     assert post.mean() == pytest.approx(2.0, abs=1e-12)
 
+
+
+_SCIPY_LAWS = {
+    "normal": lambda mean, sd: stats.norm(mean, sd),
+    "beta": lambda a, b: stats.beta(a, b),
+    "gamma": lambda shape, rate: stats.gamma(shape, scale=1.0 / rate),
+}
+
+
+@settings(max_examples=90, deadline=None)
+@given(family=st.sampled_from(sorted(_SCIPY_LAWS)), loc=st.floats(-1e3, 1e3),
+       a=st.floats(1e-2, 1e3), b=st.floats(1e-2, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_analytic_posterior_matches_scipy(family, loc, a, b, seed):
+    # the closed forms repeat scipy's arithmetic: draws, mean and sd are equal
+    # bit for bit, the rest to 1e-12
+    params = (loc, b) if family == "normal" else (a, b)
+    post = AnalyticPosterior(family, params)
+    dist = _SCIPY_LAWS[family](*params)
+    want = dist.rvs(size=64, random_state=np.random.default_rng(seed))
+    assert np.array_equal(post.sample(np.random.default_rng(seed), 64), want)
+    assert post.mean() == dist.mean()
+    assert post.sd() == dist.std()
+    close = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(post.var(), dist.var(), **close)
+    qs = np.array([0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0])
+    np.testing.assert_allclose(post.quantile(qs), dist.ppf(qs), **close)
+    xs = np.concatenate([dist.ppf([0.01, 0.3, 0.7, 0.99]), [-1.0, 2.0]])
+    np.testing.assert_allclose(post.cdf(xs), dist.cdf(xs), **close)
+    np.testing.assert_allclose(post.logpdf(xs), dist.logpdf(xs), **close)
+
+
+def test_analytic_posterior_rejects_invalid_parameters():
+    for family, params in [("normal", (0.0, 0.0)), ("beta", (2.0, -1.0)),
+                           ("gamma", (0.0, 1.0)), ("normal", (0.0, 1.0, 2.0))]:
+        with pytest.raises(DomainError):
+            AnalyticPosterior(family, params)
+    with pytest.raises(ValueError, match="unknown posterior family"):
+        AnalyticPosterior("cauchy", (0.0, 1.0))
 
 # --- analytic marginals -------------------------------------------------------
 
