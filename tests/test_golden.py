@@ -1,7 +1,8 @@
 """Golden reports: every subcommand at small sizes, hashed.
 
-Each run's report.json (without its timing_seconds line) and each SVG it
-writes is hashed with sha256 and compared with the table in golden.json.
+Each run's report.json (without its timing_seconds line) and each CSV and
+SVG it writes is hashed with sha256 and compared with the table in
+golden.json.
 A refactor must keep every entry. After an intended change to report
 bytes, refresh the table with
 
@@ -35,9 +36,52 @@ m = 9
 vary_model_tau0 = 0.5|2.0
 """
 
+# input files written into the working directory before the runs
+INPUTS = {
+    "sweep.ini": SWEEP_INI,
+    "sweep-evidence.ini": SWEEP_INI.replace("pipeline = sbc\ns = 30\nm = 9\n",
+                                            "pipeline = evidence\ns = 500\n"),
+    "sweep-power-scale.ini": SWEEP_INI.replace("pipeline = sbc\ns = 30\nm = 9\n",
+                                               "pipeline = power-scale\nm = 200\n"
+                                               "alpha_prior = 0.5\n"),
+    "compare.ini": """\
+[compare]
+models = near, far
+[model:near]
+name = normal-normal
+n_obs = 12
+[model:far]
+name = normal-normal
+mu0 = 2.0
+n_obs = 12
+""",
+    "sbc.ini": """\
+[model]
+name = normal-normal
+n_obs = 12
+[approximator]
+name = perturbed
+sd_scale = 0.8
+[pipeline]
+seed = 5
+s = 40
+m = 19
+bins = 5
+band_coverage = 0.9
+[output]
+dir = sbc-config
+formats = json,csv
+""",
+    "expert.csv": "target,probe,value\n" + "".join(
+        f"count,{p},{v}\n" for p, v in zip((0.1, 0.25, 0.5, 0.75, 0.9),
+                                          (3.1, 4.6, 6.3, 8.2, 10.0))),
+}
+
 NN12 = ["--model", "normal-normal", "--model-params", "n_obs=12"]
 
-# label -> argv; runs in order, in one working directory, with relative paths
+# label -> argv; runs in order, in one working directory, with relative paths.
+# Every run but those in CONFIG_ONLY also gets --seed 5 --out LABEL and
+# --formats json,csv,svg.
 RUNS = {
     "sbc": ["sbc", *NN12, "--S", "60", "--M", "19"],
     "sbc-perturbed": ["sbc", "--model", "beta-binomial", "--approximator", "perturbed",
@@ -60,23 +104,46 @@ RUNS = {
     "sensitivity": ["sensitivity", *NN12, "--data", "data.csv", "--M", "400"],
     "sweep": ["sensitivity", "--mode", "sweep", "--config", "sweep.ini"],
     "render": ["render", "--report", "sbc/report.json"],
+    "compare-models": ["compare", "--config", "compare.ini", "--data", "data.csv",
+                       "--S", "2000"],
+    "power-z": ["power", *NN12, "--test", "z", "--sigma", "1", "--theta-star", "0.5",
+                "--theta0", "0.1", "--S", "50"],
+    "ppc-theta-hat": ["ppc", *NN12, "--data", "data.csv", "--theta-hat", "0.4",
+                      "--S", "200"],
+    "sweep-evidence": ["sensitivity", "--mode", "sweep", "--config", "sweep-evidence.ini",
+                       "--data", "data.csv"],
+    "sweep-power-scale": ["sensitivity", "--mode", "sweep",
+                          "--config", "sweep-power-scale.ini", "--data", "data.csv"],
+    "freq-calibrate-t": ["freq-calibrate", *NN12, "--theta-star", "0.3",
+                         "--sampling", "t:9,0.3,0.28", "--S", "100"],
+    "abc-tolerance": ["abc", *NN12, "--data", "data.csv", "--tolerance", "0.2",
+                      "--M", "100"],
+    "elicit-csv": ["elicit", "--expert-csv", "expert.csv", "--sims", "500",
+                   "--max-iter", "20", "--tolerance", "0"],
+    "sbc-config": ["sbc", "--config", "sbc.ini"],
 }
+
+# runs that take seed, output directory and formats from their config
+CONFIG_ONLY = {"sbc-config"}
 
 
 def run_all(workdir: Path) -> dict[str, str]:
     """Run every command in workdir; return {output file: sha256}."""
     y = np.random.default_rng(3).normal(0.4, 1.0, size=12)
     (workdir / "data.csv").write_text("y0\n" + "".join(f"{v:.17g}\n" for v in y))
-    (workdir / "sweep.ini").write_text(SWEEP_INI)
+    for name, text in INPUTS.items():
+        (workdir / name).write_text(text)
     digests = {}
     for label, argv in RUNS.items():
-        rc = main([*argv, "--seed", "5", "--out", label])
+        flags = [] if label in CONFIG_ONLY else [
+            "--seed", "5", "--out", label, "--formats", "json,csv,svg"]
+        rc = main([*argv, *flags])
         assert rc == 0, f"{label} exited {rc}"
         out = workdir / label
         body = TIMING.sub(b"", (out / "report.json").read_bytes())
         digests[f"{label}/report.json"] = hashlib.sha256(body).hexdigest()
-        for svg in sorted(out.glob("*.svg")):
-            digests[f"{label}/{svg.name}"] = hashlib.sha256(svg.read_bytes()).hexdigest()
+        for path in [*out.glob("*.csv"), *out.glob("*.svg")]:
+            digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
 
 
