@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
+import dataclasses
 import itertools
+import json
 import os
 import sys
 import time
@@ -62,6 +65,7 @@ from .predictive import (
     run_posterior_sbc,
     run_ppc,
 )
+from .rng import substream
 from .simtest import (
     SIDES,
     DISTANCE_REGISTRY,
@@ -170,26 +174,25 @@ def _build_model(args, cfg):
     return model, {"name": name, **sect}
 
 
+_APPROXIMATORS = {
+    "abc": lambda distance="mean-distance", **kw: AbcRejection(_distance(distance), **kw),
+    "exact": ExactConjugate,
+    "perturbed": PerturbedConjugate,
+    "rwm": RandomWalkMetropolis,
+}
+
+
 def _build_approximator(args, cfg):
     sect = _section(cfg, "approximator")
     name = getattr(args, "approximator", None) or sect.pop("name", "exact")
     sect.update(_parse_kv(getattr(args, "approximator_params", None)))
-    echo = {"name": name, **sect}
+    if name not in _APPROXIMATORS:
+        known = ", ".join(sorted(_APPROXIMATORS))
+        raise ConfigError(f"unknown approximator {name!r}; known: {known}")
     try:
-        if name == "exact":
-            return ExactConjugate(**sect), echo
-        if name == "perturbed":
-            return PerturbedConjugate(**sect), echo
-        if name == "rwm":
-            return RandomWalkMetropolis(**sect), echo
-        if name == "abc":
-            dist = _distance(sect.pop("distance", "mean-distance"))
-            return AbcRejection(distance=dist, **sect), echo
+        return _APPROXIMATORS[name](**sect), {"name": name, **sect}
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(
-        f"unknown approximator {name!r}; known: abc, exact, perturbed, rwm"
-    )
 
 
 def _statistic(name: str):
@@ -248,50 +251,24 @@ def _targets(args, model):
 # Payload helpers
 
 
+def _payload(result, drop=(), **extra) -> dict:
+    """The result dataclass's fields, minus drop, plus extra."""
+    out = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+           if f.name not in drop}
+    out.update(extra)
+    return out
+
+
 def _histogram_block(values, bins: int = 30) -> dict:
     counts, edges = np.histogram(np.asarray(values, dtype=float), bins=bins)
     return {"edges": edges, "counts": counts}
 
 
 def _pvalue_block(pset, verdict) -> dict:
-    inside, diff = band_contains(verdict.band, pset.values)
-    band = verdict.band
-    return {
-        "pvalues": pset.values,
-        "granularity": pset.granularity,
-        "chi2_stat": verdict.chi2_stat,
-        "chi2_pvalue": verdict.chi2_pvalue,
-        "ks_stat": verdict.ks_stat,
-        "ks_pvalue": verdict.ks_pvalue,
-        "ecdf_inside": verdict.ecdf_inside,
-        "bins": verdict.bins,
-        "histogram": rank_histogram(pset, verdict.bins),
-        "ecdf_diff": diff,
-        "band": {
-            "grid": band.grid,
-            "lower": band.lower,
-            "upper": band.upper,
-            "coverage": band.coverage,
-            "coverage_exact": band.coverage_exact,
-            "pointwise_level": band.pointwise_level,
-        },
-    }
-
-
-def _sbc_payload(result) -> dict:
-    return {
-        "kind": result.kind,
-        "model": result.model,
-        "approximator": result.approximator,
-        "s": result.s,
-        "m": result.m,
-        "seed": result.seed,
-        "targets": {
-            name: _pvalue_block(result.pvalues[name], result.verdicts[name])
-            for name in result.target_names
-        },
-        "metadata": result.metadata,
-    }
+    _, diff = band_contains(verdict.band, pset.values)
+    band = _payload(verdict.band, drop=("count_lower", "count_upper", "s", "granularity"))
+    return _payload(verdict, pvalues=pset.values, granularity=pset.granularity,
+                    histogram=rank_histogram(pset, verdict.bins), ecdf_diff=diff, band=band)
 
 
 def _sbc_csv(result) -> dict:
@@ -308,13 +285,13 @@ def _vector_csv(filename: str, values) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (results payload, config echo, csv tables)
+# Subcommand handlers: each takes (args, config, [pipeline] section, seed)
+# and returns (results payload, config echo, csv tables)
 
 
-def _cmd_sbc(args, cfg, seed):
+def _cmd_sbc(args, cfg, pipe, seed):
     model, model_echo = _build_model(args, cfg)
     approx, approx_echo = _build_approximator(args, cfg)
-    pipe = _section(cfg, "pipeline")
     try:
         run_cfg = SbcConfig(
             s=int(_pick(args.s, pipe, "s", 1000)),
@@ -330,10 +307,13 @@ def _cmd_sbc(args, cfg, seed):
         result = run_posterior_sbc(model, approx, _load_data(args), run_cfg)
     else:
         result = run_sbc(model, approx, run_cfg)
+    targets = {name: _pvalue_block(result.pvalues[name], result.verdicts[name])
+               for name in result.target_names}
     echo = {"model": model_echo, "approximator": approx_echo,
             "pipeline": {"s": run_cfg.s, "m": run_cfg.m, "bins": run_cfg.bins,
                          "band_coverage": run_cfg.band_coverage}}
-    return _sbc_payload(result), echo, _sbc_csv(result)
+    return (_payload(result, drop=("target_names", "pvalues", "verdicts"), targets=targets),
+            echo, _sbc_csv(result))
 
 
 def _parse_sampling(text: str):
@@ -357,9 +337,8 @@ def _parse_sampling(text: str):
     raise ConfigError(f"unknown sampling distribution {text!r}; use normal:loc,scale or t:df,loc,scale")
 
 
-def _cmd_freq_calibrate(args, cfg, seed):
+def _cmd_freq_calibrate(args, cfg, pipe, seed):
     model, model_echo = _build_model(args, cfg)
-    pipe = _section(cfg, "pipeline")
     if args.theta_star is None:
         raise ConfigError("freq-calibrate needs --theta-star")
     if args.sampling is None:
@@ -369,31 +348,24 @@ def _cmd_freq_calibrate(args, cfg, seed):
     s = int(_pick(args.s, pipe, "s", 1000))
     if s < 10:
         raise ConfigError(f"freq-calibrate needs S >= 10 for its uniformity band, got {s}")
+    theta_star = _floats(args.theta_star)
+    alphas = _floats(args.alphas)
     result = run_frequentist_calibration(
         model,
-        _floats(args.theta_star),
+        theta_star,
         estimator,
         sampling,
         s=s,
         seed=seed,
-        alphas=tuple(_floats(args.alphas)),
+        alphas=tuple(alphas),
         bins=int(_pick(args.bins, pipe, "bins", 10)),
     )
-    payload = {
-        "kind": result.kind,
-        "model": result.model,
-        "estimator": result.estimator,
-        "s": result.s,
-        "seed": result.seed,
-        "interval_coverage": {str(k): v for k, v in result.interval_coverage.items()},
-        "n_failed": result.n_failed,
-        "target": _pvalue_block(result.pvalues, result.verdict),
-        "metadata": result.metadata,
-    }
+    payload = _payload(result, drop=("pvalues", "verdict"),
+                       target=_pvalue_block(result.pvalues, result.verdict))
     echo = {"model": model_echo,
             "pipeline": {"s": result.s, "estimator": estimator.name,
-                         "theta_star": _floats(args.theta_star),
-                         "sampling": args.sampling, "alphas": _floats(args.alphas)}}
+                         "theta_star": theta_star, "sampling": args.sampling,
+                         "alphas": alphas}}
     return payload, echo, _vector_csv("pvalues.csv", result.pvalues.values)
 
 
@@ -401,8 +373,8 @@ def _build_test(args, model, seed):
     if args.test == "z":
         if args.sigma is None:
             raise ConfigError("the z test needs --sigma (known sdev of one observation)")
-        return AnalyticZTest(float(args.theta0_scalar), float(args.sigma),
-                             side=args.side)
+        theta0 = _floats(args.theta0)[0] if args.theta0 else 0.0
+        return AnalyticZTest(theta0, float(args.sigma), side=args.side)
     if args.test == "sim":
         if args.theta0 is None:
             raise ConfigError("the simulation test needs --theta0")
@@ -417,46 +389,24 @@ def _build_test(args, model, seed):
     raise ConfigError(f"unknown test {args.test!r}; known: sim, z")
 
 
-def _cmd_power(args, cfg, seed):
+def _cmd_power(args, cfg, pipe, seed):
     model, model_echo = _build_model(args, cfg)
-    pipe = _section(cfg, "pipeline")
     alpha = float(_pick(args.alpha, pipe, "alpha", 0.05))
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
-    if args.test == "z":
-        args.theta0_scalar = _floats(args.theta0)[0] if args.theta0 else 0.0
     test = _build_test(args, model, seed)
     theta_star = None if args.theta_star in (None, "prior") else _floats(args.theta_star)
-    result = power_analysis(
-        model,
-        theta_star,
-        test,
-        alpha=alpha,
-        s=int(_pick(args.s, pipe, "s", 1000)),
-        seed=seed,
-    )
-    payload = {
-        "kind": result.kind,
-        "model": model.name,
-        "power": result.power,
-        "mc_se": result.mc_se,
-        "alpha": result.alpha,
-        "s": result.s,
-        "seed": result.seed,
-        "n_rejections": result.n_rejections,
-        "mode": result.mode,
-        "metadata": result.metadata,
-    }
+    result = power_analysis(model, theta_star, test, alpha=alpha,
+                            s=int(_pick(args.s, pipe, "s", 1000)), seed=seed)
     echo = {"model": model_echo,
             "pipeline": {"s": result.s, "alpha": result.alpha, "test": args.test,
                          "side": args.side,
                          "theta_star": args.theta_star or "prior"}}
-    return payload, echo, {}
+    return _payload(result, model=model.name), echo, {}
 
 
-def _cmd_accuracy(args, cfg, seed):
+def _cmd_accuracy(args, cfg, pipe, seed):
     model, model_echo = _build_model(args, cfg)
-    pipe = _section(cfg, "pipeline")
     estimator = _estimator(args.estimator, model)
     distance = {"squared": squared_error, "absolute": absolute_error}.get(args.distance)
     if distance is None:
@@ -465,44 +415,25 @@ def _cmd_accuracy(args, cfg, seed):
     s = int(_pick(args.s, pipe, "s", 1000))
     if s < 2:
         raise ConfigError(f"accuracy needs S >= 2 for its Monte Carlo error, got {s}")
-    result = estimator_accuracy(
-        model,
-        theta_star,
-        estimator,
-        distance=distance,
-        s=s,
-        seed=seed,
-    )
-    payload = {
-        "kind": result.kind,
-        "model": model.name,
-        "value": result.value,
-        "mc_se": result.mc_se,
-        "s": result.s,
-        "seed": result.seed,
-        "estimator": result.estimator,
-        "distance": result.distance,
-        "mode": result.mode,
-        "n_failed": result.n_failed,
-        "metadata": result.metadata,
-    }
+    result = estimator_accuracy(model, theta_star, estimator, distance=distance, s=s,
+                                seed=seed)
     echo = {"model": model_echo,
             "pipeline": {"s": result.s, "estimator": estimator.name,
                          "distance": args.distance,
                          "theta_star": args.theta_star or "prior"}}
-    return payload, echo, {}
+    return _payload(result, model=model.name), echo, {}
 
 
-def _cmd_test(args, cfg, seed):
+def _cmd_test(args, cfg, pipe, seed):
     model, model_echo = _build_model(args, cfg)
-    pipe = _section(cfg, "pipeline")
     y = _load_data(args)
     if args.theta0 is None:
         raise ConfigError("test needs --theta0 (null parameter value)")
     statistic = _statistic(args.statistic)
+    theta0 = _floats(args.theta0)
     test = SimulationTest(
         model,
-        _floats(args.theta0),
+        theta0,
         statistic,
         side=args.side,
         s=int(_pick(args.s, pipe, "s", 10_000)),
@@ -510,63 +441,34 @@ def _cmd_test(args, cfg, seed):
         n_obs=y.n_obs,
     )
     result = test.report(y)
-    payload = {
-        "kind": "test",
-        "model": model.name,
-        "statistic": result.statistic,
-        "side": result.side,
-        "observed": result.observed,
-        "pvalue": result.pvalue,
-        "s": result.s,
-        "critical_values": {str(k): v for k, v in result.critical_values.items()},
-        "null_mean": result.null_mean,
-        "null_sd": result.null_sd,
-        "null_quantiles": {str(k): v for k, v in result.null_quantiles.items()},
-        "n_resampled": result.n_resampled,
-        "null_histogram": _histogram_block(test.null.values),
-        "metadata": result.metadata,
-    }
+    payload = _payload(result, kind="test", model=model.name,
+                       null_histogram=_histogram_block(test.null.values))
     echo = {"model": model_echo,
             "pipeline": {"s": result.s, "statistic": statistic.name,
-                         "side": args.side, "theta0": _floats(args.theta0)}}
+                         "side": args.side, "theta0": theta0}}
     return payload, echo, _vector_csv("null_samples.csv", test.null.values)
 
 
-def _cmd_ppc(args, cfg, seed):
+def _cmd_ppc(args, cfg, pipe, seed):
     model, model_echo = _build_model(args, cfg)
-    pipe = _section(cfg, "pipeline")
     y = _load_data(args)
     statistic = _statistic(args.statistic)
     s = int(_pick(args.s, pipe, "s", 1000))
+    echo = {"model": model_echo, "pipeline": {"s": s, "statistic": statistic.name}}
     if args.theta_hat is not None:
         result = frequentist_predictive_check(
             model, _floats(args.theta_hat), statistic, y, s, seed=seed
         )
-        approx_echo = None
     else:
-        approx, approx_echo = _build_approximator(args, cfg)
+        approx, echo["approximator"] = _build_approximator(args, cfg)
         result = run_ppc(model, approx, y, statistic, s, seed=seed)
-    payload = {
-        "kind": result.kind,
-        "model": model.name,
-        "statistic": result.statistic,
-        "observed_stat": result.observed_stat,
-        "ppp": result.ppp,
-        "s": result.s,
-        "seed": result.seed,
-        "replication_histogram": _histogram_block(result.replication_stats),
-        "metadata": result.metadata,
-    }
-    echo = {"model": model_echo,
-            "pipeline": {"s": s, "statistic": statistic.name}}
-    if approx_echo is not None:
-        echo["approximator"] = approx_echo
+    payload = _payload(result, drop=("replication_stats",), model=model.name,
+                       replication_histogram=_histogram_block(result.replication_stats))
     return payload, echo, _vector_csv("replication_stats.csv", result.replication_stats)
 
 
-def _cmd_prior_check(args, cfg, seed):
+def _cmd_prior_check(args, cfg, pipe, seed):
     model, model_echo = _build_model(args, cfg)
-    pipe = _section(cfg, "pipeline")
     if args.region is None:
         raise ConfigError("prior-check needs --region lo,hi")
     region = _floats(args.region)
@@ -579,17 +481,8 @@ def _cmd_prior_check(args, cfg, seed):
         s=int(_pick(args.s, pipe, "s", 1000)),
         seed=seed,
     )
-    payload = {
-        "kind": result.kind,
-        "model": model.name,
-        "statistic": result.statistic,
-        "fraction_in_region": result.fraction_in_region,
-        "region": list(result.region),
-        "s": result.s,
-        "seed": result.seed,
-        "histogram": _histogram_block(result.values),
-        "metadata": result.metadata,
-    }
+    payload = _payload(result, drop=("values",), model=model.name,
+                       histogram=_histogram_block(result.values))
     echo = {"model": model_echo,
             "pipeline": {"s": result.s, "statistic": result.statistic,
                          "region": list(result.region)}}
@@ -597,12 +490,10 @@ def _cmd_prior_check(args, cfg, seed):
 
 
 def _read_expert_csv(path: str) -> list[float]:
-    import csv as _csv
-
     if not Path(path).is_file():
         raise ConfigError(f"expert stats file not found: {path}")
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["target", "probe", "value"]:
             raise ConfigError("expert stats CSV needs header: target,probe,value")
@@ -614,8 +505,7 @@ def _read_expert_csv(path: str) -> list[float]:
     return values
 
 
-def _cmd_elicit(args, cfg, seed):
-    pipe = _section(cfg, "pipeline")
+def _cmd_elicit(args, cfg, pipe, seed):
     if args.expert_csv is not None:
         expert = _read_expert_csv(args.expert_csv)
     elif args.expert_stats is not None:
@@ -629,43 +519,22 @@ def _cmd_elicit(args, cfg, seed):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     lam0 = _floats(args.lam0)
-    result = elicit_prior(
-        problem,
-        lam0,
-        seed=seed,
-        tolerance=float(args.tolerance),
-        max_iter=int(args.max_iter),
-    )
-    payload = {
-        "kind": "elicitation",
-        "family": "beta",
-        "lam": result.lam,
-        "loss": result.loss,
-        "converged": result.converged,
-        "n_iterations": result.n_iterations,
-        "n_evaluations": result.n_evaluations,
-        "loss_trace": list(result.loss_trace),
-        "n_expert_stats": result.n_expert_stats,
-        "lam_dim": result.lam_dim,
-        "seed": result.seed,
-        "metadata": result.metadata,
-    }
+    result = elicit_prior(problem, lam0, seed=seed, tolerance=float(args.tolerance),
+                          max_iter=int(args.max_iter))
     echo = {"pipeline": {"n_trials": n_trials, "sims_per_eval": sims,
                          "lam0": lam0, "tolerance": float(args.tolerance),
                          "max_iter": int(args.max_iter)}}
     trace = {"loss_trace.csv": (["improvement", "loss"],
                                 [[i, v] for i, v in enumerate(result.loss_trace)])}
-    return payload, echo, trace
+    return _payload(result, kind="elicitation", family="beta"), echo, trace
 
 
-def _cmd_abc(args, cfg, seed):
+def _cmd_abc(args, cfg, pipe, seed):
     model, model_echo = _build_model(args, cfg)
-    pipe = _section(cfg, "pipeline")
     y = _load_data(args)
     if (args.tolerance is None) == (args.quantile is None):
         raise ConfigError("abc needs exactly one of --tolerance or --quantile")
-    from .rng import substream
-
+    max_proposals = int(_pick(args.max_proposals, pipe, "max_proposals", 100_000))
     result = abc_rejection(
         model,
         y,
@@ -674,7 +543,7 @@ def _cmd_abc(args, cfg, seed):
         m=int(_pick(args.m, pipe, "m", 1000)),
         tolerance=args.tolerance,
         acceptance_quantile=args.quantile,
-        max_proposals=int(_pick(args.max_proposals, pipe, "max_proposals", 100_000)),
+        max_proposals=max_proposals,
     )
     values = result.draws.values
     payload = {
@@ -694,8 +563,7 @@ def _cmd_abc(args, cfg, seed):
     echo = {"model": model_echo,
             "pipeline": {"m": int(values.shape[0]), "distance": args.distance,
                          "tolerance": args.tolerance, "quantile": args.quantile,
-                         "max_proposals": int(_pick(args.max_proposals, pipe,
-                                                    "max_proposals", 100_000))}}
+                         "max_proposals": max_proposals}}
     header = ["index"] + [f"theta{j}" for j in range(values.shape[1])]
     rows = [[i] + [float(v) for v in row] for i, row in enumerate(values)]
     return payload, echo, {"draws.csv": (header, rows)}
@@ -726,66 +594,47 @@ def _compare_entries(args, cfg) -> list[ModelEntry]:
     return entries
 
 
-def _cmd_compare(args, cfg, seed):
-    pipe = _section(cfg, "pipeline")
+def _cmd_compare(args, cfg, pipe, seed):
     y = _load_data(args)
     s = int(_pick(args.s, pipe, "s", 100_000))
-    if cfg.has_section("compare"):
-        entries = _compare_entries(args, cfg)
-        comparison = posterior_model_probs(entries, y, s=s, seed=seed)
-        payload = {
-            "kind": "model-comparison",
-            "s": comparison.s,
-            "seed": comparison.seed,
-            "models": {
-                name: {
-                    "log_evidence": ev.log_evidence,
-                    "mc_se_log": ev.mc_se_log,
-                    "all_zero": ev.all_zero,
-                    "posterior_prob": comparison.posterior_probs[name],
-                }
-                for name, ev in comparison.evidences.items()
-            },
-            "log_bayes_factors": comparison.log_bayes_factors,
-            "metadata": {},
-        }
-        echo = {"pipeline": {"s": s, "models": list(comparison.entries)}}
-        rows = [[name, ev.log_evidence, ev.mc_se_log,
-                 comparison.posterior_probs[name]]
-                for name, ev in comparison.evidences.items()]
-        csvs = {"evidence.csv":
-                (["model", "log_evidence", "mc_se_log", "posterior_prob"], rows)}
-        return payload, echo, csvs
-    model, model_echo = _build_model(args, cfg)
-    ev = marginal_likelihood_mc(model, y, s=s, seed=seed)
+    if not cfg.has_section("compare"):
+        model, model_echo = _build_model(args, cfg)
+        ev = marginal_likelihood_mc(model, y, s=s, seed=seed)
+        return _payload(ev, kind="evidence"), {"model": model_echo, "pipeline": {"s": s}}, {}
+    comparison = posterior_model_probs(_compare_entries(args, cfg), y, s=s, seed=seed)
     payload = {
-        "kind": "evidence",
-        "model": ev.model,
-        "log_evidence": ev.log_evidence,
-        "mc_se_log": ev.mc_se_log,
-        "s": ev.s,
-        "seed": ev.seed,
-        "all_zero": ev.all_zero,
-        "metadata": ev.metadata,
+        "kind": "model-comparison",
+        "s": comparison.s,
+        "seed": comparison.seed,
+        "models": {
+            name: {
+                "log_evidence": ev.log_evidence,
+                "mc_se_log": ev.mc_se_log,
+                "all_zero": ev.all_zero,
+                "posterior_prob": comparison.posterior_probs[name],
+            }
+            for name, ev in comparison.evidences.items()
+        },
+        "log_bayes_factors": comparison.log_bayes_factors,
+        "metadata": {},
     }
-    echo = {"model": model_echo, "pipeline": {"s": s}}
-    return payload, echo, {}
+    echo = {"pipeline": {"s": s, "models": list(comparison.entries)}}
+    rows = [[name, ev.log_evidence, ev.mc_se_log, comparison.posterior_probs[name]]
+            for name, ev in comparison.evidences.items()]
+    csvs = {"evidence.csv": (["model", "log_evidence", "mc_se_log", "posterior_prob"], rows)}
+    return payload, echo, csvs
 
 
-def _cmd_sensitivity(args, cfg, seed):
-    if args.mode == "sweep":
-        return _sensitivity_sweep(args, cfg, seed)
-    return _power_scale(args, cfg, seed)
+def _cmd_sensitivity(args, cfg, pipe, seed):
+    handler = _sensitivity_sweep if args.mode == "sweep" else _power_scale
+    return handler(args, cfg, pipe, seed)
 
 
-def _power_scale(args, cfg, seed):
+def _power_scale(args, cfg, pipe, seed):
     model, model_echo = _build_model(args, cfg)
     approx, approx_echo = _build_approximator(args, cfg)
-    pipe = _section(cfg, "pipeline")
     y = _load_data(args)
     m = int(_pick(args.m, pipe, "m", 2000))
-    from .rng import substream
-
     draws = approx.approximate(model, y, substream(seed, 0), m=m)
     alphas = _floats(args.alphas)
     qs = (0.05, 0.5, 0.95)
@@ -795,17 +644,11 @@ def _power_scale(args, cfg, seed):
         for alpha in alphas:
             kw = {"alpha_prior": alpha} if axis == "prior" else {"alpha_lik": alpha}
             wd = power_scale_weights(draws, **kw)
-            entry = {
-                "alpha": alpha,
-                "ess": wd.ess,
-                "mean": [weighted_mean(wd, d) for d in range(draws.values.shape[1])],
-                "quantiles": {str(q): float(v)
-                              for q, v in zip(qs, weighted_quantile(wd, qs))},
-            }
-            results[axis].append(entry)
-            rows.append([axis, alpha, wd.ess, entry["mean"][0],
-                         entry["quantiles"]["0.05"], entry["quantiles"]["0.5"],
-                         entry["quantiles"]["0.95"]])
+            mean = [weighted_mean(wd, d) for d in range(draws.values.shape[1])]
+            quantiles = dict(zip(qs, weighted_quantile(wd, qs).tolist()))
+            results[axis].append({"alpha": alpha, "ess": wd.ess, "mean": mean,
+                                  "quantiles": quantiles})
+            rows.append([axis, alpha, wd.ess, mean[0], *quantiles.values()])
     payload = {
         "kind": "power-scaling",
         "model": model.name,
@@ -842,7 +685,7 @@ def _sweep_grid(sweep: dict) -> tuple[list[dict], dict]:
     return grid, vary
 
 
-def _sensitivity_sweep(args, cfg, seed):
+def _sensitivity_sweep(args, cfg, pipe, seed):
     sweep = _section(cfg, "sweep")
     if not sweep:
         raise ConfigError("sweep mode needs a [sweep] section in the config")
@@ -882,7 +725,6 @@ def _sensitivity_sweep(args, cfg, seed):
             return {"log_evidence": ev.log_evidence, "mc_se_log": ev.mc_se_log}
     elif pipeline_name == "power-scale":
         y = _load_data(args)
-        from .rng import substream
 
         def cell(config: dict, cell_seed: int) -> dict:
             draws = approx.approximate(cell_model(config), y,
@@ -907,7 +749,7 @@ def _sensitivity_sweep(args, cfg, seed):
         "n_failed": result.n_failed,
         "seed": result.seed,
         "rows": [dict(r) for r in result.rows],
-        "metadata": {"varied": {k: v for k, v in vary.items()}},
+        "metadata": {"varied": vary},
     }
     echo = {"model": model_echo, "approximator": approx_echo,
             "pipeline": {"mode": "sweep", "pipeline": pipeline_name}}
@@ -915,12 +757,10 @@ def _sensitivity_sweep(args, cfg, seed):
     return payload, echo, {"sweep.csv": result}
 
 
-def _cmd_render(args, cfg, seed):
+def _cmd_render(args, cfg, pipe, seed):
     path = Path(args.report)
     if not path.is_file():
         raise ConfigError(f"report file not found: {path}")
-    import json
-
     with open(path) as fh:
         payload = json.load(fh)
     results = payload.get("results", payload)
@@ -933,42 +773,28 @@ def _cmd_render(args, cfg, seed):
             "rendered": sorted(files)}, {}, {"__svg__": files}
 
 
-_HANDLERS = {
-    "sbc": _cmd_sbc,
-    "post-sbc": _cmd_sbc,
-    "freq-calibrate": _cmd_freq_calibrate,
-    "power": _cmd_power,
-    "accuracy": _cmd_accuracy,
-    "test": _cmd_test,
-    "ppc": _cmd_ppc,
-    "prior-check": _cmd_prior_check,
-    "elicit": _cmd_elicit,
-    "abc": _cmd_abc,
-    "compare": _cmd_compare,
-    "sensitivity": _cmd_sensitivity,
-    "render": _cmd_render,
-}
+_NULL_CHUNKS = "null chunk c: stream (root, 0, c); retry a: stream (root, 0, c, a)"
 
-_SEED_PLANS = {
-    "sbc": ["replication i: stream (seed, 0, i)"],
-    "post-sbc": ["posterior draws at observed data: stream (seed, 1)",
-                 "replication i: stream (seed, 0, i)"],
-    "freq-calibrate": ["dataset i: stream (seed, 0, i)"],
-    "power": ["sim test null root: drawn from stream (seed + 1, 0)",
-              "null chunk c: stream (root, 0, c); retry a: stream (root, 0, c, a)",
-              "dataset i: stream (seed, 0, i)"],
-    "accuracy": ["dataset i: stream (seed, 0, i)"],
-    "test": ["null root: drawn from stream (seed, 0)",
-             "null chunk c: stream (root, 0, c); retry a: stream (root, 0, c, a)",
-             "tie-break coin: stream (seed, 1)"],
-    "ppc": ["posterior draws: stream (seed, 1)",
-            "replications: stream (seed, 0)"],
-    "prior-check": ["prior draws and simulation: stream (seed, 0)"],
-    "elicit": ["common random numbers: stream (seed, 0), reused every evaluation"],
-    "abc": ["proposals: stream (seed, 0)"],
-    "compare": ["model k, chunk c: stream (model seed, 0, c)"],
-    "sensitivity": ["cell i: derived seed from (seed, 9, i)"],
-    "render": ["no randomness"],
+# subcommand -> (handler, seed plan)
+_COMMANDS = {
+    "sbc": (_cmd_sbc, ["replication i: stream (seed, 0, i)"]),
+    "post-sbc": (_cmd_sbc, ["posterior draws at observed data: stream (seed, 1)",
+                            "replication i: stream (seed, 0, i)"]),
+    "freq-calibrate": (_cmd_freq_calibrate, ["dataset i: stream (seed, 0, i)"]),
+    "power": (_cmd_power, ["sim test null root: drawn from stream (seed + 1, 0)",
+                           _NULL_CHUNKS, "dataset i: stream (seed, 0, i)"]),
+    "accuracy": (_cmd_accuracy, ["dataset i: stream (seed, 0, i)"]),
+    "test": (_cmd_test, ["null root: drawn from stream (seed, 0)", _NULL_CHUNKS,
+                         "tie-break coin: stream (seed, 1)"]),
+    "ppc": (_cmd_ppc, ["posterior draws: stream (seed, 1)",
+                       "replications: stream (seed, 0)"]),
+    "prior-check": (_cmd_prior_check, ["prior draws and simulation: stream (seed, 0)"]),
+    "elicit": (_cmd_elicit,
+               ["common random numbers: stream (seed, 0), reused every evaluation"]),
+    "abc": (_cmd_abc, ["proposals: stream (seed, 0)"]),
+    "compare": (_cmd_compare, ["model k, chunk c: stream (model seed, 0, c)"]),
+    "sensitivity": (_cmd_sensitivity, ["cell i: derived seed from (seed, 9, i)"]),
+    "render": (_cmd_render, ["no randomness"]),
 }
 
 
@@ -1028,22 +854,18 @@ def build_parser() -> argparse.ArgumentParser:
                            help="abc, exact, perturbed, or rwm")
     approxish.add_argument("--approximator-params", help="k=v,k=v")
 
-    p = sub.add_parser("sbc", parents=[common, modelish, approxish],
-                       help="prior-predictive calibration of an approximator")
-    p.add_argument("--S", dest="s", type=int, default=None, help="outer simulations")
-    p.add_argument("--M", dest="m", type=int, default=None, help="draws per posterior")
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--band-coverage", type=float, default=None)
-    p.add_argument("--targets", help="comma list of parameter indices")
+    sbcish = argparse.ArgumentParser(add_help=False)
+    sbcish.add_argument("--S", dest="s", type=int, default=None, help="outer simulations")
+    sbcish.add_argument("--M", dest="m", type=int, default=None, help="draws per posterior")
+    sbcish.add_argument("--bins", type=int, default=None)
+    sbcish.add_argument("--band-coverage", type=float, default=None)
+    sbcish.add_argument("--targets", help="comma list of parameter indices")
 
-    p = sub.add_parser("post-sbc", parents=[common, modelish, approxish],
+    sub.add_parser("sbc", parents=[common, modelish, approxish, sbcish],
+                   help="prior-predictive calibration of an approximator")
+    p = sub.add_parser("post-sbc", parents=[common, modelish, approxish, sbcish],
                        help="calibration conditional on an observed dataset")
     p.add_argument("--data", help="observed dataset CSV")
-    p.add_argument("--S", dest="s", type=int, default=None)
-    p.add_argument("--M", dest="m", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--band-coverage", type=float, default=None)
-    p.add_argument("--targets", help="comma list of parameter indices")
 
     p = sub.add_parser("freq-calibrate", parents=[common, modelish],
                        help="sampling-distribution calibration of an estimator")
@@ -1138,8 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, plan = _COMMANDS[args.command]
     t0 = time.perf_counter()
     try:
         cfg = _load_config(args.config)
@@ -1162,11 +984,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown output formats: {', '.join(sorted(unknown))}")
         if args.dry_run:
             print(f"seed: {seed} (from {seed_source})")
-            for line in _SEED_PLANS[args.command]:
+            for line in plan:
                 print(f"  {line}")
             print("dry run: nothing simulated")
             return 0
-        results, echo, csvs = _HANDLERS[args.command](args, cfg, seed)
+        results, echo, csvs = handler(args, cfg, pipe, seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1194,8 +1016,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "status": "ok",
         "config": echo,
-        "seed_provenance": {"seed": seed, "source": seed_source,
-                            "plan": _SEED_PLANS[args.command]},
+        "seed_provenance": {"seed": seed, "source": seed_source, "plan": plan},
         "results": results,
         "timing_seconds": time.perf_counter() - t0,
     }

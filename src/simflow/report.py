@@ -43,7 +43,7 @@ def _key(k) -> str:
     if isinstance(k, str):
         return k
     if isinstance(k, (float, np.floating)):
-        return _float_repr(float(k))
+        return repr(float(k))
     return str(k)
 
 
