@@ -792,8 +792,18 @@ _COMMANDS = {
     "elicit": (_cmd_elicit,
                ["common random numbers: stream (seed, 0), reused every evaluation"]),
     "abc": (_cmd_abc, ["proposals: stream (seed, 0)"]),
-    "compare": (_cmd_compare, ["model k, chunk c: stream (model seed, 0, c)"]),
-    "sensitivity": (_cmd_sensitivity, ["cell i: derived seed from (seed, 9, i)"]),
+    "compare": (_cmd_compare, [
+        "one model (no [compare] section), chunk c: stream (seed, 0, c)",
+        "[compare] models: model k seed: SeedSequence(seed, spawn_key=(9, k))"
+        ".generate_state(1, uint64)[0] mod 2**63",
+        "[compare] models: model k, chunk c: stream (model k seed, 0, c)"]),
+    "sensitivity": (_cmd_sensitivity, [
+        "power-scale mode: posterior draws: stream (seed, 0)",
+        "sweep mode: cell i seed: SeedSequence(seed, spawn_key=(9, i))"
+        ".generate_state(1, uint64)[0] mod 2**63",
+        "sweep mode, pipeline sbc: cell i, replication j: stream (cell i seed, 0, j)",
+        "sweep mode, pipeline evidence: cell i, chunk c: stream (cell i seed, 0, c)",
+        "sweep mode, pipeline power-scale: cell i draws: stream (cell i seed, 0)"]),
     "render": (_cmd_render, ["no randomness"]),
 }
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from simflow import Dataset, NormalNormal, substream
+from simflow import Dataset, NormalNormal, marginal_likelihood_mc, substream
 from simflow.cli import _parse_sampling, main
 
 TIMING = re.compile(rb'"timing_seconds": [^,\n]+')
@@ -114,6 +114,45 @@ def test_dry_run_prints_seed_plan(tmp_path, capsys):
     assert "null root: drawn from stream (seed, 0)" in text
     assert "null chunk c: stream (root, 0, c)" in text
     assert not out.exists()
+
+    # every mode of compare and sensitivity names its own streams
+    assert main(["compare", "--seed", "7", "--out", str(out), "--dry-run"]) == 0
+    text = capsys.readouterr().out
+    assert "one model (no [compare] section), chunk c: stream (seed, 0, c)" in text
+    assert "model k seed: SeedSequence(seed, spawn_key=(9, k))" in text
+    assert "model k, chunk c: stream (model k seed, 0, c)" in text
+    assert main(["sensitivity", "--seed", "7", "--out", str(out), "--dry-run"]) == 0
+    text = capsys.readouterr().out
+    assert "power-scale mode: posterior draws: stream (seed, 0)" in text
+    assert "cell i seed: SeedSequence(seed, spawn_key=(9, i))" in text
+    for line in ("pipeline sbc: cell i, replication j: stream (cell i seed, 0, j)",
+                 "pipeline evidence: cell i, chunk c: stream (cell i seed, 0, c)",
+                 "pipeline power-scale: cell i draws: stream (cell i seed, 0)"):
+        assert line in text
+    assert not out.exists()
+
+
+def test_compare_seed_plan_matches_streams(tmp_path):
+    data = _write_data(tmp_path / "data.csv", n=4)
+    y = Dataset.from_csv(data)
+    cfg = tmp_path / "cmp.ini"
+    cfg.write_text("[compare]\nmodels = a, b\n"
+                   "[model:a]\nname = normal-normal\nn_obs = 4\n"
+                   "[model:b]\nname = normal-normal\nmu0 = 1.0\nn_obs = 4\n")
+    assert main(["compare", "--config", str(cfg), "--data", str(data), "--S", "500",
+                 "--seed", "7", "--out", str(tmp_path / "two")]) == 0
+    models = json.loads((tmp_path / "two" / "report.json").read_text())["results"]["models"]
+    for k, (label, mu0) in enumerate((("a", 0.0), ("b", 1.0))):
+        state = np.random.SeedSequence(7, spawn_key=(9, k)).generate_state(1, np.uint64)
+        ev = marginal_likelihood_mc(NormalNormal(mu0=mu0, n_obs=4), y, s=500,
+                                    seed=int(state[0] % 2**63))
+        assert models[label]["log_evidence"] == ev.log_evidence
+    assert main(["compare", "--model", "normal-normal", "--model-params", "n_obs=4",
+                 "--data", str(data), "--S", "500", "--seed", "7",
+                 "--out", str(tmp_path / "one")]) == 0
+    one = json.loads((tmp_path / "one" / "report.json").read_text())["results"]
+    assert one["log_evidence"] == marginal_likelihood_mc(NormalNormal(n_obs=4), y, s=500,
+                                                         seed=7).log_evidence
 
 
 def test_seed_resolution_order(tmp_path, capsys, monkeypatch):
