@@ -147,6 +147,23 @@ def _pick(flag_value, section: dict, key: str, default):
     return section.get(key, default)
 
 
+def _count(flag_value, pipe: dict, key: str, default: int, low: int = 1) -> int:
+    """An integer setting from its flag, else [pipeline], that must be >= low."""
+    n = int(_pick(flag_value, pipe, key, default))
+    if n < low:
+        raise ConfigError(f"{key} must be at least {low}, got {n}")
+    return n
+
+
+def _theta(text: str, flag: str, model) -> list[float]:
+    """A parameter vector flag, one number per model parameter."""
+    theta = _floats(text)
+    if len(theta) != model.param_dim:
+        raise ConfigError(f"{flag} needs {model.param_dim} number(s) for {model.name}, "
+                          f"got {text!r}")
+    return theta
+
+
 def _resolve_seed(args, pipeline: dict) -> tuple[int, str]:
     if args.seed is not None:
         return int(args.seed), "flag"
@@ -195,11 +212,19 @@ def _build_approximator(args, cfg):
         raise ConfigError(str(exc)) from exc
 
 
-def _statistic(name: str):
+def _statistic(name: str, model):
     if name not in STATISTIC_REGISTRY:
         known = ", ".join(sorted(STATISTIC_REGISTRY))
         raise ConfigError(f"unknown statistic {name!r}; known: {known}")
-    return STATISTIC_REGISTRY[name]
+    statistic = STATISTIC_REGISTRY[name]
+    # one all-zero dataset of the model's shape shows whether the statistic applies
+    shape = model.data_shape
+    try:
+        statistic.on_data_batch(np.zeros((1, shape.n_obs, shape.obs_dim)),
+                                model.group_labels(shape.n_obs))
+    except ValueError as exc:
+        raise ConfigError(f"statistic {name!r} does not apply to {model.name}: {exc}") from None
+    return statistic
 
 
 def _distance(name: str):
@@ -345,11 +370,11 @@ def _cmd_freq_calibrate(args, cfg, pipe, seed):
         raise ConfigError("freq-calibrate needs --sampling, e.g. normal:0.0,0.316")
     estimator = _estimator(args.estimator, model)
     sampling = _parse_sampling(args.sampling)
-    s = int(_pick(args.s, pipe, "s", 1000))
-    if s < 10:
-        raise ConfigError(f"freq-calibrate needs S >= 10 for its uniformity band, got {s}")
-    theta_star = _floats(args.theta_star)
+    s = _count(args.s, pipe, "s", 1000, low=10)
+    theta_star = _theta(args.theta_star, "--theta-star", model)
     alphas = _floats(args.alphas)
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise ConfigError(f"--alphas must lie in (0, 1), got {args.alphas!r}")
     result = run_frequentist_calibration(
         model,
         theta_star,
@@ -373,15 +398,17 @@ def _build_test(args, model, seed):
     if args.test == "z":
         if args.sigma is None:
             raise ConfigError("the z test needs --sigma (known sdev of one observation)")
-        theta0 = _floats(args.theta0)[0] if args.theta0 else 0.0
+        theta0 = _theta(args.theta0, "--theta0", model)[0] if args.theta0 else 0.0
         return AnalyticZTest(theta0, float(args.sigma), side=args.side)
     if args.test == "sim":
         if args.theta0 is None:
             raise ConfigError("the simulation test needs --theta0")
+        if args.null_s < 1:
+            raise ConfigError(f"--null-s must be at least 1, got {args.null_s}")
         return SimulationTest(
             model,
-            _floats(args.theta0),
-            _statistic(args.statistic),
+            _theta(args.theta0, "--theta0", model),
+            _statistic(args.statistic, model),
             side=args.side,
             s=int(args.null_s),
             seed=seed + 1,
@@ -394,10 +421,11 @@ def _cmd_power(args, cfg, pipe, seed):
     alpha = float(_pick(args.alpha, pipe, "alpha", 0.05))
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
+    s = _count(args.s, pipe, "s", 1000)
+    theta_star = (None if args.theta_star in (None, "prior")
+                  else _theta(args.theta_star, "--theta-star", model))
     test = _build_test(args, model, seed)
-    theta_star = None if args.theta_star in (None, "prior") else _floats(args.theta_star)
-    result = power_analysis(model, theta_star, test, alpha=alpha,
-                            s=int(_pick(args.s, pipe, "s", 1000)), seed=seed)
+    result = power_analysis(model, theta_star, test, alpha=alpha, s=s, seed=seed)
     echo = {"model": model_echo,
             "pipeline": {"s": result.s, "alpha": result.alpha, "test": args.test,
                          "side": args.side,
@@ -411,10 +439,9 @@ def _cmd_accuracy(args, cfg, pipe, seed):
     distance = {"squared": squared_error, "absolute": absolute_error}.get(args.distance)
     if distance is None:
         raise ConfigError(f"unknown distance {args.distance!r}; known: absolute, squared")
-    theta_star = None if args.theta_star in (None, "prior") else _floats(args.theta_star)
-    s = int(_pick(args.s, pipe, "s", 1000))
-    if s < 2:
-        raise ConfigError(f"accuracy needs S >= 2 for its Monte Carlo error, got {s}")
+    theta_star = (None if args.theta_star in (None, "prior")
+                  else _theta(args.theta_star, "--theta-star", model))
+    s = _count(args.s, pipe, "s", 1000, low=2)
     result = estimator_accuracy(model, theta_star, estimator, distance=distance, s=s,
                                 seed=seed)
     echo = {"model": model_echo,
@@ -429,14 +456,14 @@ def _cmd_test(args, cfg, pipe, seed):
     y = _load_data(args)
     if args.theta0 is None:
         raise ConfigError("test needs --theta0 (null parameter value)")
-    statistic = _statistic(args.statistic)
-    theta0 = _floats(args.theta0)
+    statistic = _statistic(args.statistic, model)
+    theta0 = _theta(args.theta0, "--theta0", model)
     test = SimulationTest(
         model,
         theta0,
         statistic,
         side=args.side,
-        s=int(_pick(args.s, pipe, "s", 10_000)),
+        s=_count(args.s, pipe, "s", 10_000, low=2),
         seed=seed,
         n_obs=y.n_obs,
     )
@@ -452,12 +479,12 @@ def _cmd_test(args, cfg, pipe, seed):
 def _cmd_ppc(args, cfg, pipe, seed):
     model, model_echo = _build_model(args, cfg)
     y = _load_data(args)
-    statistic = _statistic(args.statistic)
-    s = int(_pick(args.s, pipe, "s", 1000))
+    statistic = _statistic(args.statistic, model)
+    s = _count(args.s, pipe, "s", 1000)
     echo = {"model": model_echo, "pipeline": {"s": s, "statistic": statistic.name}}
     if args.theta_hat is not None:
         result = frequentist_predictive_check(
-            model, _floats(args.theta_hat), statistic, y, s, seed=seed
+            model, _theta(args.theta_hat, "--theta-hat", model), statistic, y, s, seed=seed
         )
     else:
         approx, echo["approximator"] = _build_approximator(args, cfg)
@@ -472,13 +499,13 @@ def _cmd_prior_check(args, cfg, pipe, seed):
     if args.region is None:
         raise ConfigError("prior-check needs --region lo,hi")
     region = _floats(args.region)
-    if len(region) != 2:
-        raise ConfigError("--region must be two numbers lo,hi")
+    if len(region) != 2 or not region[0] <= region[1]:
+        raise ConfigError(f"--region must be two numbers lo,hi with lo <= hi, got {args.region!r}")
     result = prior_pushforward_check(
         model,
-        _statistic(args.statistic),
+        _statistic(args.statistic, model),
         (region[0], region[1]),
-        s=int(_pick(args.s, pipe, "s", 1000)),
+        s=_count(args.s, pipe, "s", 1000),
         seed=seed,
     )
     payload = _payload(result, drop=("values",), model=model.name,
@@ -534,13 +561,15 @@ def _cmd_abc(args, cfg, pipe, seed):
     y = _load_data(args)
     if (args.tolerance is None) == (args.quantile is None):
         raise ConfigError("abc needs exactly one of --tolerance or --quantile")
-    max_proposals = int(_pick(args.max_proposals, pipe, "max_proposals", 100_000))
+    if args.quantile is not None and not 0.0 < args.quantile <= 1.0:
+        raise ConfigError(f"--quantile must lie in (0, 1], got {args.quantile}")
+    max_proposals = _count(args.max_proposals, pipe, "max_proposals", 100_000)
     result = abc_rejection(
         model,
         y,
         _distance(args.distance),
         substream(seed, 0),
-        m=int(_pick(args.m, pipe, "m", 1000)),
+        m=_count(args.m, pipe, "m", 1000),
         tolerance=args.tolerance,
         acceptance_quantile=args.quantile,
         max_proposals=max_proposals,
@@ -596,7 +625,7 @@ def _compare_entries(args, cfg) -> list[ModelEntry]:
 
 def _cmd_compare(args, cfg, pipe, seed):
     y = _load_data(args)
-    s = int(_pick(args.s, pipe, "s", 100_000))
+    s = _count(args.s, pipe, "s", 100_000, low=2)
     if not cfg.has_section("compare"):
         model, model_echo = _build_model(args, cfg)
         ev = marginal_likelihood_mc(model, y, s=s, seed=seed)
@@ -634,9 +663,11 @@ def _power_scale(args, cfg, pipe, seed):
     model, model_echo = _build_model(args, cfg)
     approx, approx_echo = _build_approximator(args, cfg)
     y = _load_data(args)
-    m = int(_pick(args.m, pipe, "m", 2000))
-    draws = approx.approximate(model, y, substream(seed, 0), m=m)
+    m = _count(args.m, pipe, "m", 2000)
     alphas = _floats(args.alphas)
+    if not all(a > 0 for a in alphas):
+        raise ConfigError(f"--alphas must be positive, got {args.alphas!r}")
+    draws = approx.approximate(model, y, substream(seed, 0), m=m)
     qs = (0.05, 0.5, 0.95)
     rows = []
     results = {"prior": [], "likelihood": []}

@@ -46,6 +46,8 @@ def test_missing_model_is_config_error(tmp_path, capsys):
 
 
 _FREQ = ["freq-calibrate", "--model", "normal-normal", "--theta-star", "0.3"]
+_NN12 = ["--model", "normal-normal", "--model-params", "n_obs=12"]
+_DATA = [*_NN12, "--data", "data.csv"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -61,10 +63,32 @@ _FREQ = ["freq-calibrate", "--model", "normal-normal", "--theta-star", "0.3"]
                   "t:9,0,0")),
     [*_FREQ, "--sampling", "normal:0.3,0.3", "--S", "5"],
     ["accuracy", "--model", "normal-normal", "--theta-star", "0.3", "--S", "1"],
+    # library ValueErrors that used to escape as tracebacks
+    ["prior-check", *_NN12, "--region=1,-1"],
+    ["compare", *_DATA, "--S", "1"],
+    ["abc", *_DATA, "--quantile", "2"],
+    ["abc", *_DATA, "--quantile", "0.1", "--M", "0"],
+    ["ppc", *_DATA, "--S", "0"],
+    ["sensitivity", *_DATA, "--M", "0"],
+    ["sensitivity", *_DATA, "--alphas=-1"],
+    ["prior-check", *_NN12, "--region=-1,1", "--statistic", "mean-diff"],
+    # divisions by zero that used to escape as tracebacks
+    ["power", *_NN12, "--theta-star", "0.5", "--theta0", "0", "--S", "0"],
+    ["power", *_NN12, "--theta-star", "0.5", "--theta0", "0", "--null-s", "0"],
+    ["test", *_DATA, "--theta0", "0", "--S", "0"],
+    ["abc", *_DATA, "--quantile", "0.1", "--max-proposals", "0"],
+    # nonsense that used to run
+    ["prior-check", *_NN12, "--region=-1,1", "--S", "0"],
+    [*_FREQ, "--sampling", "normal:0.3,0.3", "--alphas", "1.5", "--S", "20"],
+    ["test", *_DATA, "--theta0", "0,1"],
+    ["accuracy", *_NN12, "--theta-star", "0.3,0.2", "--S", "20"],
+    ["freq-calibrate", *_NN12, "--theta-star", "0.3,0.2", "--sampling", "normal:0.3,0.3",
+     "--S", "20"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "threads.ini").write_text("[pipeline]\nthreads = abc\n")
+    _write_data(tmp_path / "data.csv")
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
