@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,27 @@ def test_seed_resolution_order(tmp_path, capsys, monkeypatch):
     assert seed_line(base) == "seed: 0 (from default)"
     monkeypatch.setenv("SIMFLOW_SEED", "ten")
     assert main(base) == 2
+
+
+def test_readme_config_example(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    ini = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert "[pipeline]" in ini and "seed = 7" in ini
+    (tmp_path / "sbc.ini").write_text(ini)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SIMFLOW_SEED", raising=False)
+    small = ["sbc", "--config", "sbc.ini", "--S", "20", "--M", "9"]
+    assert main(small + ["--dry-run"]) == 0
+    assert capsys.readouterr().out.startswith("seed: 7 (from config)\n")
+    assert main(small) == 0
+    payload = json.loads((tmp_path / "results" / "report.json").read_text())
+    provenance = payload["seed_provenance"]
+    assert (provenance["seed"], provenance["source"]) == (7, "config")
+    assert payload["config"]["model"] == {"name": "normal-normal", "mu0": 0, "tau0": 1,
+                                          "sigma": 1, "n_obs": 5}
+    assert payload["config"]["approximator"] == {"name": "perturbed", "sd_scale": 0.5}
+    assert payload["results"]["approximator"].startswith("perturbed")
+    assert (payload["results"]["s"], payload["results"]["m"]) == (20, 9)
 
 
 def test_reports_byte_identical_across_runs_and_threads(tmp_path):
