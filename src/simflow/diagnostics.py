@@ -5,6 +5,10 @@ bins, a Kolmogorov-Smirnov test, and containment of the ECDF difference
 trajectory in a simultaneous confidence band. None of them is designated
 the single arbiter; callers decide how to combine them.
 
+The KS p-value is the exact law of the two-sided statistic, computed here in
+numpy rather than through scipy.stats, whose import would dominate the
+start-up of every command.
+
 The band's coverage is exact, not simulated: it comes from a forward
 recursion over the binomial increments of the ECDF counts between grid
 points, so building a band draws no random numbers.
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .rng import substream
 
@@ -284,6 +288,272 @@ def _ks_values(p: PValueSet) -> np.ndarray:
     return (ranks + rng.random(p.size)) / (m + 1)
 
 
+# The exact law of the two-sided KS statistic D_n, as chosen per (n, d) by
+# Simard & L'Ecuyer (2011, J. Stat. Softw. 39(11)): Ruben-Gambino closed forms
+# at the ends, 2 * smirnov where the one-sided tails cannot both be crossed,
+# the Durbin matrix (Marsaglia, Tsang & Wang 2003) or the Pomeranz (1974)
+# recursion for n <= 140, and the Pelz-Good (1976) series beyond. The
+# arithmetic is scipy.stats.kstwo.sf's (scipy 1.17), operation for operation,
+# so p-values equal scipy.stats.kstest's bit for bit.
+_E128 = 128
+_EP128 = np.ldexp(np.longdouble(1), _E128)
+_EM128 = np.ldexp(np.longdouble(1), -_E128)
+_SQRT2PI = np.sqrt(2 * np.pi)
+_LOG_2PI = np.log(2 * np.pi)
+_MIN_LOG = -708
+_SQRT3 = np.sqrt(3)
+_PI_SQUARED = np.pi ** 2
+_PI_FOUR = np.pi ** 4
+_PI_SIX = np.pi ** 6
+# B_{2j} / (2j) / (2j - 1) for j = 8, ..., 1, B_m the Bernoulli numbers
+_STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
+                    -1.9175269175269175269e-3, 8.4175084175084175084e-4,
+                    -5.952380952380952381e-4, 7.9365079365079365079e-4,
+                    -2.7777777777777777778e-3, 8.3333333333333333333e-2]
+
+
+def _log_nfactorial_div_n_pow_n(n: int):
+    # log(n! / n**n) by Stirling's series with n log n removed up front, so
+    # nothing cancels
+    rn = 1.0 / n
+    return np.log(n) / 2 - n + _LOG_2PI / 2 + rn * np.polyval(_STIRLING_COEFFS, rn / n)
+
+
+def _ks_cdf_durbin(n: int, d):
+    """P(D_n <= d) from the k-th row of (n!/n^n) H^n, for d = (k - h)/n."""
+    nd = n * d
+    k = int(np.ceil(nd))
+    h = k - nd
+    m = 2 * k - 1
+    H = np.zeros([m, m])
+    # v: first column and, reversed, last row of H; w[j] = 1/j!
+    intm = np.arange(1, m + 1)
+    v = 1.0 - h ** intm
+    w = np.empty(m)
+    fac = 1.0
+    for j in intm:
+        w[j - 1] = fac
+        fac /= j  # may underflow harmlessly
+        v[j - 1] *= fac
+    tt = max(2 * h - 1.0, 0) ** m - 2 * h ** m
+    v[-1] = (1.0 + tt) * fac
+    for i in range(1, m):
+        H[i - 1:, i] = w[:m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = np.flip(v, axis=0)
+
+    # H^n by repeated squaring, rescaled by 2^128 whenever it grows past it
+    Hpwr = np.eye(np.shape(H)[0])
+    nn = n
+    expnt = 0
+    Hexpnt = 0
+    while nn > 0:
+        if nn % 2:
+            Hpwr = np.matmul(Hpwr, H)
+            expnt += Hexpnt
+        H = np.matmul(H, H)
+        Hexpnt *= 2
+        if np.abs(H[k - 1, k - 1]) > _EP128:
+            H /= _EP128
+            Hexpnt += _E128
+        nn = nn // 2
+    p = Hpwr[k - 1, k - 1]
+    for i in range(1, n + 1):  # times n!/n^n
+        p = i * p / n
+        if np.abs(p) < _EM128:
+            p *= _EP128
+            expnt -= _E128
+    if expnt != 0:
+        p = np.ldexp(p, expnt)
+    return p
+
+
+def _pomeranz_j1j2(i: int, n: int, ll: int, ceilf: int, roundf: int) -> tuple[int, int]:
+    """Endpoints of the nonzero entries of row i of the Pomeranz recursion."""
+    if i == 0:
+        j1, j2 = -ll - ceilf - 1, ll + ceilf - 1
+    else:
+        ip1div2, ip1mod2 = divmod(i + 1, 2)
+        if ip1mod2 == 0:  # i is odd
+            if ip1div2 == n + 1:
+                j1, j2 = n - ll - ceilf - 1, n + ll + ceilf - 1
+            else:
+                j1, j2 = ip1div2 - 1 - ll - roundf - 1, ip1div2 + ll - 1 + ceilf - 1
+        else:
+            j1, j2 = ip1div2 - 1 - ll - 1, ip1div2 + ll + roundf - 1
+    return max(j1 + 2, 0), min(j2, n)
+
+
+def _ks_cdf_pomeranz(n: int, d):
+    """P(D_n <= d) as n! times the last entry of 2n + 1 Poisson convolutions.
+
+    Only two rows, and of each only the entries j1..j2, are ever nonzero;
+    rows are rescaled by 2^128 before they underflow.
+    """
+    t = n * d
+    ll = int(np.floor(t))
+    f = 1.0 * (t - ll)
+    g = min(f, 1.0 - f)
+    ceilf = 1 if f > 0 else 0
+    roundf = 1 if f > 0.5 else 0
+    npwrs = 2 * (ll + 1)
+    # (g/n)^m/m!, (2g/n)^m/m! and ((1-2g)/n)^m/m!: Poisson terms, unnormalized
+    gpower = np.empty(npwrs)
+    twogpower = np.empty(npwrs)
+    onem2gpower = np.empty(npwrs)
+    gpower[0] = twogpower[0] = onem2gpower[0] = 1.0
+    expnt = 0
+    g_over_n, two_g_over_n, one_minus_two_g_over_n = g / n, 2 * g / n, (1 - 2 * g) / n
+    for m in range(1, npwrs):
+        gpower[m] = gpower[m - 1] * g_over_n / m
+        twogpower[m] = twogpower[m - 1] * two_g_over_n / m
+        onem2gpower[m] = onem2gpower[m - 1] * one_minus_two_g_over_n / m
+
+    V0 = np.zeros([npwrs])
+    V1 = np.zeros([npwrs])
+    V1[0] = 1
+    V0s, V1s = 0, 0  # column of each row's first stored entry
+    j1, j2 = _pomeranz_j1j2(0, n, ll, ceilf, roundf)
+    for i in range(1, 2 * n + 2):
+        k1 = j1
+        V0, V1 = V1, V0
+        V0s, V1s = V1s, V0s
+        V1.fill(0.0)
+        j1, j2 = _pomeranz_j1j2(i, n, ll, ceilf, roundf)
+        if i == 1 or i == 2 * n + 1:
+            pwrs = gpower
+        else:
+            pwrs = twogpower if i % 2 else onem2gpower
+        ln2 = j2 - k1 + 1
+        if ln2 > 0:
+            conv = np.convolve(V0[k1 - V0s:k1 - V0s + ln2], pwrs[:ln2])
+            conv_start = j1 - k1
+            conv_len = j2 - j1 + 1
+            V1[:conv_len] = conv[conv_start:conv_start + conv_len]
+            if 0 < np.max(V1) < _EM128:
+                V1 *= _EP128
+                expnt -= _E128
+            V1s = V0s + j1 - k1
+
+    ans = V1[n - V1s]
+    for m in range(1, n + 1):  # times n!
+        if np.abs(ans) > _EP128:
+            ans *= _EM128
+            expnt += _E128
+        ans *= m
+    if expnt != 0:
+        ans = np.ldexp(ans, expnt)
+    return ans
+
+
+def _ks_cdf_pelz_good(n: int, d):
+    """Pelz-Good series for P(D_n <= d), accurate for small d sqrt(n).
+
+    It recasts each term of the Li-Chien/Korolyuk expansion
+    K0(z) + K1(z)/sqrt(n) + K2(z)/n + K3(z)/n^1.5, z = d sqrt(n), through
+    Jacobi theta functions.
+    """
+    z = np.sqrt(n) * d
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+    qlog = -_PI_SQUARED / 8 / zsquared
+    if qlog < _MIN_LOG:  # z below about 0.0417
+        return 0.0
+    q = np.exp(qlog)
+
+    k1a = -zsquared
+    k1b = _PI_SQUARED / 4
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * _PI_SQUARED / 4
+    k2c = _PI_FOUR * (1 - 2 * zsquared) / 16
+    k3d = _PI_SIX * (5 - 30 * zsquared) / 64
+    k3c = _PI_FOUR * (-60 * zsquared + 212 * zfour) / 16
+    k3b = _PI_SQUARED * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+
+    # Horner scheme over the odd integers for sum c_i q^(i^2)
+    K0to3 = np.zeros(4)
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        msquared, mfour, msix = m**2, m**4, m**6
+        qpower = np.power(q, 8 * k)
+        coeffs = np.array([1.0,
+                           k1a + k1b * msquared,
+                           k2a + k2b * msquared + k2c * mfour,
+                           k3a + k3b * msquared + k3c * mfour + k3d * msix])
+        K0to3 *= qpower
+        K0to3 += coeffs
+    K0to3 *= q
+    K0to3 *= _SQRT2PI
+    K0to3 /= np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+
+    # the terms over all integers k in K2 and K3, summed directly
+    q = np.exp(-_PI_SQUARED / 2 / zsquared)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks ** 2
+    sqrt3z = _SQRT3 * z
+    kspi = np.pi * ks
+    qpwers = q ** ksquared
+    k2extra = np.sum(ksquared * qpwers)
+    k2extra *= _PI_SQUARED * _SQRT2PI / (-36 * zthree)
+    K0to3[2] += k2extra
+    k3extra = np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpwers)
+    k3extra *= _PI_SQUARED * _SQRT2PI / (216 * zsix)
+    K0to3[3] += k3extra
+    K0to3 /= np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
+    return sum(K0to3)
+
+
+def _ks_sf(n: int, d) -> float:
+    """P(D_n >= d) for the two-sided KS statistic of n Uniform(0, 1) values."""
+    d = np.float64(d)
+    if d <= 0.5 / n:
+        return 1.0
+    if d >= 1.0:
+        return 0.0
+    t = n * d
+    if t <= 1.0:  # Ruben-Gambino: 1/(2n) < d <= 1/n
+        if t <= 0.5:
+            return 1.0
+        if n <= 140:
+            cdf = np.prod(np.arange(1, n + 1) * (1.0 / n) * (2 * t - 1))
+        else:
+            cdf = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2 * t - 1))
+        sf = 1.0 - cdf
+    elif t >= n - 1:  # Ruben-Gambino
+        sf = 2 * (1.0 - d) ** n
+    elif d >= 0.5:  # D+ and D- cannot both reach d
+        sf = 2 * special.smirnov(n, d)
+    else:
+        nd2 = t * d
+        if n <= 140:
+            if nd2 <= 0.754693:
+                sf = 1.0 - _ks_cdf_durbin(n, d)
+            elif nd2 <= 4:
+                sf = 1.0 - _ks_cdf_pomeranz(n, d)
+            else:  # Miller's approximation
+                sf = 2 * special.smirnov(n, d)
+        elif nd2 >= 370.0:
+            sf = 0.0
+        elif nd2 >= 2.2:
+            sf = 2 * special.smirnov(n, d)
+        elif n <= 100000 and n * d**1.5 <= 1.4:
+            sf = 1.0 - _ks_cdf_durbin(n, d)
+        else:
+            sf = 1.0 - _ks_cdf_pelz_good(n, d)
+    return min(max(float(sf), 0.0), 1.0)
+
+
+def _ks_uniform(values: np.ndarray) -> tuple[float, float]:
+    """Two-sided one-sample KS test against Uniform(0, 1): (D, exact p-value)."""
+    cdf = np.clip(np.sort(values), 0.0, 1.0)
+    n = cdf.size
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    d = d_plus if d_plus > d_minus else d_minus
+    return float(d), _ks_sf(n, d)
+
+
 def uniformity_test(
     p: PValueSet | np.ndarray,
     bins: int = 10,
@@ -301,7 +571,7 @@ def uniformity_test(
     chi2_stat = float(((counts - expected) ** 2 / expected).sum())
     chi2_pvalue = float(special.chdtrc(bins - 1, chi2_stat))
 
-    ks = stats.kstest(_ks_values(p), "uniform")
+    ks_stat, ks_pvalue = _ks_uniform(_ks_values(p))
 
     band = ecdf_band(p.size, granularity=p.granularity, coverage=band_coverage)
     inside, _ = band_contains(band, p.values)
@@ -309,8 +579,8 @@ def uniformity_test(
     return UniformityVerdict(
         chi2_stat=chi2_stat,
         chi2_pvalue=chi2_pvalue,
-        ks_stat=float(ks.statistic),
-        ks_pvalue=float(ks.pvalue),
+        ks_stat=ks_stat,
+        ks_pvalue=ks_pvalue,
         ecdf_inside=inside,
         bins=int(bins),
         band=band,
