@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 from scipy.special import betaincinv
 
 from .rng import substream
@@ -145,6 +144,9 @@ def elicit_prior(
         raise ValueError(f"lam0 must have {family.lam_dim} entries")
     if not family.valid(lam0):
         raise ValueError("lam0 is not a valid hyperparameter vector")
+    # Imported here, as only this search needs it: at module level it would
+    # add about 0.3 s to the start-up of every command.
+    from scipy import optimize
 
     trace: list[float] = []
     evals = 0
