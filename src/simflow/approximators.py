@@ -32,11 +32,16 @@ __all__ = [
 
 
 class Approximator:
-    """Base class: a named posterior-draw producer with a default draw count."""
+    """Base class: a named posterior-draw producer with a default draw count.
+
+    attaches_log_densities says whether its draws carry per-draw log prior
+    and log likelihood values, which power-scaling reweights by.
+    """
 
     name: str = "approximator"
     kind: str = "abstract"
     draw_count: int = 1000
+    attaches_log_densities: bool = False
 
     def approximate(
         self, model: Model, y: Dataset, rng, m: int | None = None
@@ -65,6 +70,8 @@ def _attach_logs(model: Model, values: np.ndarray, y: Dataset):
 
 class ExactConjugate(Approximator):
     """Independent draws from the model's closed-form posterior."""
+
+    attaches_log_densities = True
 
     def __init__(self, draw_count: int = 1000):
         self.draw_count = int(draw_count)
@@ -211,6 +218,8 @@ def rwm_sample(
 
 
 class RandomWalkMetropolis(Approximator):
+    attaches_log_densities = True
+
     def __init__(self, chains: int = 4, warmup: int = 500, step_sd: float = 0.5,
                  draw_count: int = 1000):
         self.chains = int(chains)

@@ -398,6 +398,8 @@ def _build_test(args, model, seed):
     if args.test == "z":
         if args.sigma is None:
             raise ConfigError("the z test needs --sigma (known sdev of one observation)")
+        if not args.sigma > 0:
+            raise ConfigError(f"--sigma must be positive, got {args.sigma}")
         theta0 = _theta(args.theta0, "--theta0", model)[0] if args.theta0 else 0.0
         return AnalyticZTest(theta0, float(args.sigma), side=args.side)
     if args.test == "sim":
@@ -546,6 +548,10 @@ def _cmd_elicit(args, cfg, pipe, seed):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     lam0 = _floats(args.lam0)
+    family = problem.prior_family
+    if len(lam0) != family.lam_dim or not family.valid(lam0):
+        raise ConfigError(f"--lam0 needs {family.lam_dim} positive numbers for the "
+                          f"{family.name} prior, got {args.lam0!r}")
     result = elicit_prior(problem, lam0, seed=seed, tolerance=float(args.tolerance),
                           max_iter=int(args.max_iter))
     echo = {"pipeline": {"n_trials": n_trials, "sims_per_eval": sims,
@@ -667,6 +673,10 @@ def _power_scale(args, cfg, pipe, seed):
     alphas = _floats(args.alphas)
     if not all(a > 0 for a in alphas):
         raise ConfigError(f"--alphas must be positive, got {args.alphas!r}")
+    if not approx.attaches_log_densities and any(a != 1.0 for a in alphas):
+        raise ConfigError(f"power-scaling reweights draws by their log prior and log "
+                          f"likelihood, which the {approx.name} approximator does not "
+                          f"attach; use exact or rwm")
     draws = approx.approximate(model, y, substream(seed, 0), m=m)
     qs = (0.05, 0.5, 0.95)
     rows = []

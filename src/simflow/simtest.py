@@ -357,6 +357,8 @@ class AnalyticZTest:
     def __init__(self, theta0: float, sigma: float, side: str = "upper"):
         if side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
+        if not sigma > 0:
+            raise ValueError(f"sigma must be positive, got {sigma}")
         self.theta0 = float(theta0)
         self.sigma = float(sigma)
         self.side = side
