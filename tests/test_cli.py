@@ -1,13 +1,17 @@
 """Command line behavior: exit codes, seeds, and byte-stable outputs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import simflow
 from simflow import Dataset, NormalNormal, marginal_likelihood_mc, substream
 from simflow.cli import _parse_sampling, main
 
@@ -85,6 +89,16 @@ _DATA = [*_NN12, "--data", "data.csv"]
     ["accuracy", *_NN12, "--theta-star", "0.3,0.2", "--S", "20"],
     ["freq-calibrate", *_NN12, "--theta-star", "0.3,0.2", "--sampling", "normal:0.3,0.3",
      "--S", "20"],
+    # power-scaling with draws that carry no log densities (drew, then exit 1)
+    ["sensitivity", *_DATA, "--M", "100", "--approximator", "perturbed"],
+    ["sensitivity", *_DATA, "--M", "100", "--approximator", "abc",
+     "--approximator-params", "acceptance_quantile=0.5"],
+    # a starting point of the wrong length or outside the family (exit 1)
+    ["elicit", "--expert-stats", "3,4,6,8,10", "--lam0", "1"],
+    ["elicit", "--expert-stats", "3,4,6,8,10", "--lam0=-1,1"],
+    # a z test with no spread (exit 0 with a division warning)
+    ["power", *_NN12, "--theta-star", "0.5", "--test", "z", "--sigma", "0"],
+    ["power", *_NN12, "--theta-star", "0.5", "--test", "z", "--sigma=-1"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -348,3 +362,14 @@ def test_power_scale_pipeline(tmp_path):
     axes = payload["results"]["axes"]
     unit = [e for e in axes["likelihood"] if e["alpha"] == 1.0][0]
     assert unit["ess"] == 800.0
+
+
+@pytest.mark.parametrize("module", ["simflow", "simflow.cli"])
+def test_import_leaves_scipy_stats_and_optimize_unloaded(module):
+    # A fresh interpreter: this process has imported both modules already.
+    env = {**os.environ, "PYTHONPATH": str(Path(simflow.__file__).parents[1])}
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

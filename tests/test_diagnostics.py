@@ -225,3 +225,55 @@ def test_band_diff_bounded(seed):
     band = ecdf_band(50)
     _ok, diff = band_contains(band, np.random.default_rng(seed).random(50))
     assert np.all(np.abs(diff) <= 1.0)
+
+
+# The KS p-value is computed in numpy; scipy.stats is the reference here only.
+@st.composite
+def _ks_sf_point(draw):
+    n = draw(st.integers(min_value=1, max_value=20_000))
+    # d anywhere in (0, 1], or n*d in (0, 3] where the closed forms and the
+    # Durbin and Pomeranz recursions take over from one another
+    d = draw(st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        st.floats(min_value=0.0, max_value=3.0, exclude_min=True).map(lambda t: min(t / n, 1.0)),
+    ))
+    return n, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ks_sf_point())
+def test_ks_sf_matches_scipy_kstwo_bit_for_bit(point):
+    n, d = point
+    assert diagnostics._ks_sf(n, d) == stats.kstwo.sf(d, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 50, 140, 141, 400, 1000, 2000, 20_000])
+def test_ks_sf_edges_match_scipy(n):
+    half = 0.5 / n
+    for d in (half / 2, half, np.nextafter(half, 1.0), 1.0 / n, 0.5, 1.0):
+        assert diagnostics._ks_sf(n, d) == stats.kstwo.sf(d, n), d
+    assert diagnostics._ks_sf(n, half) == 1.0
+    assert diagnostics._ks_sf(n, 1.0) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3000),
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=0.25, max_value=4.0))
+def test_ks_test_matches_scipy_kstest(n, seed, power):
+    # powers of uniforms are off-uniform, so small p-values are reached too
+    x = np.random.default_rng(seed).random(n) ** power
+    ref = stats.kstest(x, "uniform")
+    assert diagnostics._ks_uniform(x) == (ref.statistic, ref.pvalue)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=10, max_value=1000),
+       st.integers(min_value=1, max_value=999),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_ks_on_jittered_ranks_matches_scipy_kstest(s, m, seed):
+    ranks = np.random.default_rng(seed).integers(0, m + 1, size=s)
+    p = PValueSet(ranks / m, granularity=m)
+    ref = stats.kstest(diagnostics._ks_values(p), "uniform")
+    v = uniformity_test(p)
+    assert (v.ks_stat, v.ks_pvalue) == (ref.statistic, ref.pvalue)

@@ -199,6 +199,9 @@ def test_analytic_z_test_sides():
     assert two == pytest.approx(2 * stats.norm.sf(abs(z)))
     with pytest.raises(ValueError):
         AnalyticZTest(0.0, 1.0, side="diagonal")
+    for sigma in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            AnalyticZTest(0.0, sigma)
 
 
 def test_registries_complete():
