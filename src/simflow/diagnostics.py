@@ -507,7 +507,7 @@ def _ks_cdf_pelz_good(n: int, d):
 def _ks_sf(n: int, d) -> float:
     """P(D_n >= d) for the two-sided KS statistic of n Uniform(0, 1) values."""
     d = np.float64(d)
-    if d <= 0.5 / n:
+    if d <= 0.5 / n:  # at or below the lower end of the support
         return 1.0
     if d >= 1.0:
         return 0.0
