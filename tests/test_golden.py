@@ -102,6 +102,9 @@ RUNS = {
     "abc": ["abc", *NN12, "--data", "data.csv", "--quantile", "0.05", "--M", "100"],
     "compare": ["compare", *NN12, "--data", "data.csv", "--S", "2000"],
     "sensitivity": ["sensitivity", *NN12, "--data", "data.csv", "--M", "400"],
+    # M = 401 is not a multiple of the 4 chains, so RWM's draws are cut short
+    "sensitivity-rwm": ["sensitivity", *NN12, "--data", "data.csv", "--M", "401",
+                        "--approximator", "rwm"],
     "sweep": ["sensitivity", "--mode", "sweep", "--config", "sweep.ini"],
     "render": ["render", "--report", "sbc/report.json"],
     "compare-models": ["compare", "--config", "compare.ini", "--data", "data.csv",
