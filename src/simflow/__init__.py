@@ -85,7 +85,6 @@ from .models import (
     concat_datasets,
     make_model,
     param_target,
-    sample_prior,
 )
 from .predictive import (
     PredictiveResult,

@@ -32,16 +32,11 @@ __all__ = [
 
 
 class Approximator:
-    """Base class: a named posterior-draw producer with a default draw count.
-
-    attaches_log_densities says whether its draws carry per-draw log prior
-    and log likelihood values, which power-scaling reweights by.
-    """
+    """Base class: a named posterior-draw producer with a default draw count."""
 
     name: str = "approximator"
     kind: str = "abstract"
     draw_count: int = 1000
-    attaches_log_densities: bool = False
 
     def approximate(
         self, model: Model, y: Dataset, rng, m: int | None = None
@@ -58,20 +53,8 @@ class Approximator:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def _attach_logs(model: Model, values: np.ndarray, y: Dataset):
-    lp = ll = None
-    caps = model.capabilities
-    if caps.can_log_prior:
-        lp = model.log_prior_batch(values)
-    if caps.can_log_likelihood:
-        ll = model.log_likelihood_batch(values, y)
-    return lp, ll
-
-
 class ExactConjugate(Approximator):
     """Independent draws from the model's closed-form posterior."""
-
-    attaches_log_densities = True
 
     def __init__(self, draw_count: int = 1000):
         self.draw_count = int(draw_count)
@@ -82,13 +65,9 @@ class ExactConjugate(Approximator):
         m = self._m(m)
         rng = as_generator(rng)
         post = model.analytic_posterior(y)
-        values = post.sample(rng, m).reshape(m, 1)
-        lp, ll = _attach_logs(model, values, y)
         return ParamDraws(
-            values,
+            post.sample(rng, m).reshape(m, 1),
             source="exact_conjugate",
-            log_prior=lp,
-            log_likelihood=ll,
             info={"posterior_family": post.family, "posterior_params": post.params},
         )
 
@@ -203,14 +182,9 @@ def rwm_sample(
             RuntimeWarning,
             stacklevel=2,
         )
-    values = kept.reshape(-1, d)
-    lp = model.log_prior_batch(values)
-    ll = model.log_likelihood_batch(values, y)
     draws = ParamDraws(
-        values,
+        kept.reshape(-1, d),
         source="random_walk_metropolis",
-        log_prior=lp,
-        log_likelihood=ll,
         info={"acceptance_rate": rate, "chains": chains, "iterations": iterations,
               "warmup": warmup, "step_sd": step_sd},
     )
@@ -218,13 +192,17 @@ def rwm_sample(
 
 
 class RandomWalkMetropolis(Approximator):
-    attaches_log_densities = True
-
     def __init__(self, chains: int = 4, warmup: int = 500, step_sd: float = 0.5,
                  draw_count: int = 1000):
         self.chains = int(chains)
         self.warmup = int(warmup)
         self.step_sd = float(step_sd)
+        if self.chains < 1:
+            raise ValueError("chains must be at least 1")
+        if self.warmup < 0:
+            raise ValueError("warmup must be non-negative")
+        if not self.step_sd > 0:
+            raise ValueError("step_sd must be positive")
         self.draw_count = int(draw_count)
         self.name = "rwm"
         self.kind = "random_walk_metropolis"
@@ -242,15 +220,7 @@ class RandomWalkMetropolis(Approximator):
             step_sd=self.step_sd,
         )
         full = result.draws
-        return ParamDraws(
-            full.values[:m],
-            source=full.source,
-            log_prior=None if full.log_prior is None else full.log_prior[:m],
-            log_likelihood=None
-            if full.log_likelihood is None
-            else full.log_likelihood[:m],
-            info=full.info,
-        )
+        return ParamDraws(full.values[:m], source=full.source, info=full.info)
 
 
 @dataclass(frozen=True)

@@ -383,7 +383,7 @@ def _cmd_freq_calibrate(args, cfg, pipe, seed):
         s=s,
         seed=seed,
         alphas=tuple(alphas),
-        bins=int(_pick(args.bins, pipe, "bins", 10)),
+        bins=_count(args.bins, pipe, "bins", 10, low=2),
     )
     payload = _payload(result, drop=("pvalues", "verdict"),
                        target=_pvalue_block(result.pvalues, result.verdict))
@@ -541,8 +541,8 @@ def _cmd_elicit(args, cfg, pipe, seed):
         expert = _floats(args.expert_stats)
     else:
         raise ConfigError("elicit needs --expert-csv or --expert-stats")
-    n_trials = int(_pick(args.n_trials, pipe, "n_trials", 20))
-    sims = int(_pick(args.sims, pipe, "sims_per_eval", 10_000))
+    n_trials = _count(args.n_trials, pipe, "n_trials", 20)
+    sims = _count(args.sims, pipe, "sims_per_eval", 10_000)
     try:
         problem = beta_binomial_problem(expert, n_trials=n_trials, sims_per_eval=sims)
     except ValueError as exc:
@@ -673,10 +673,6 @@ def _power_scale(args, cfg, pipe, seed):
     alphas = _floats(args.alphas)
     if not all(a > 0 for a in alphas):
         raise ConfigError(f"--alphas must be positive, got {args.alphas!r}")
-    if not approx.attaches_log_densities and any(a != 1.0 for a in alphas):
-        raise ConfigError(f"power-scaling reweights draws by their log prior and log "
-                          f"likelihood, which the {approx.name} approximator does not "
-                          f"attach; use exact or rwm")
     draws = approx.approximate(model, y, substream(seed, 0), m=m)
     qs = (0.05, 0.5, 0.95)
     rows = []
@@ -684,7 +680,7 @@ def _power_scale(args, cfg, pipe, seed):
     for axis in ("prior", "likelihood"):
         for alpha in alphas:
             kw = {"alpha_prior": alpha} if axis == "prior" else {"alpha_lik": alpha}
-            wd = power_scale_weights(draws, **kw)
+            wd = power_scale_weights(model, y, draws, **kw)
             mean = [weighted_mean(wd, d) for d in range(draws.values.shape[1])]
             quantiles = dict(zip(qs, weighted_quantile(wd, qs).tolist()))
             results[axis].append({"alpha": alpha, "ess": wd.ess, "mean": mean,
@@ -768,10 +764,12 @@ def _sensitivity_sweep(args, cfg, pipe, seed):
         y = _load_data(args)
 
         def cell(config: dict, cell_seed: int) -> dict:
-            draws = approx.approximate(cell_model(config), y,
-                                       substream(cell_seed, 0),
+            model = cell_model(config)
+            draws = approx.approximate(model, y, substream(cell_seed, 0),
                                        m=int(config.get("m", 2000)))
             wd = power_scale_weights(
+                model,
+                y,
                 draws,
                 alpha_prior=float(config.get("alpha_prior", 1.0)),
                 alpha_lik=float(config.get("alpha_lik", 1.0)),

@@ -162,27 +162,28 @@ class WeightedDraws:
 
 
 def power_scale_weights(
-    draws: ParamDraws, alpha_prior: float = 1.0, alpha_lik: float = 1.0
+    model: Model,
+    y: Dataset,
+    draws: ParamDraws,
+    alpha_prior: float = 1.0,
+    alpha_lik: float = 1.0,
 ) -> WeightedDraws:
     """Importance weights moving draws to a power-scaled posterior.
 
     The target raises the prior to alpha_prior and the likelihood to
     alpha_lik, so log w = (alpha_prior - 1) log p(theta) +
-    (alpha_lik - 1) log p(y | theta). ESS is the standard inverse sum of
-    squared normalized weights and equals the draw count exactly when both
-    exponents are 1.
+    (alpha_lik - 1) log p(y | theta). Each log density is evaluated at the
+    draws only when its exponent is not 1. ESS is the standard inverse sum
+    of squared normalized weights and equals the draw count exactly when
+    both exponents are 1.
     """
     if alpha_prior <= 0 or alpha_lik <= 0:
         raise ValueError("scaling exponents must be positive")
     logw = np.zeros(draws.m)
     if alpha_prior != 1.0:
-        if draws.log_prior is None:
-            raise ValueError("draws carry no per-draw log-prior values")
-        logw = logw + (alpha_prior - 1.0) * draws.log_prior
+        logw = logw + (alpha_prior - 1.0) * model.log_prior_batch(draws.values)
     if alpha_lik != 1.0:
-        if draws.log_likelihood is None:
-            raise ValueError("draws carry no per-draw log-likelihood values")
-        logw = logw + (alpha_lik - 1.0) * draws.log_likelihood
+        logw = logw + (alpha_lik - 1.0) * model.log_likelihood_batch(draws.values, y)
     u = np.exp(logw - logw.max())
     total = u.sum()
     weights = u / total

@@ -215,8 +215,14 @@ def beta_binomial_problem(
     drawn probability, which keeps the CRN surface smooth in lam. Raw
     integer counts would make the probe quantiles integer too, turning the
     loss into a unit-step staircase the optimizer cannot descend, so one
-    extra shared uniform dithers each count within its unit cell.
+    extra shared uniform dithers each count within its unit cell. Dithered
+    counts lie in [0, n_trials + 1], and so must the expert values.
     """
+    n_trials = int(n_trials)
+    stats_arr = np.asarray(expert_stats, dtype=float)
+    if not np.all((stats_arr >= 0) & (stats_arr <= n_trials + 1)):
+        raise ValueError(f"expert counts must lie in [0, {n_trials + 1}], the range of "
+                         f"a dithered count in {n_trials} trials")
 
     def pushforward(thetas: np.ndarray, noise: np.ndarray) -> np.ndarray:
         counts = (noise[:, :-1] <= thetas[:, None]).sum(axis=1)
@@ -229,5 +235,5 @@ def beta_binomial_problem(
         expert_stats=expert_stats,
         sims_per_eval=sims_per_eval,
         probes=probes,
-        noise_dim=int(n_trials) + 1,
+        noise_dim=n_trials + 1,
     )

@@ -43,7 +43,6 @@ __all__ = [
     "BetaBinomial",
     "PoissonGamma",
     "LogNormalTwoGroup",
-    "sample_prior",
     "concat_datasets",
     "MODEL_REGISTRY",
     "make_model",
@@ -142,16 +141,10 @@ def concat_datasets(a: Dataset, b: Dataset) -> Dataset:
 
 @dataclass(frozen=True)
 class ParamDraws:
-    """A batch of parameter draws with provenance.
-
-    log_prior / log_likelihood are per-draw values recorded by samplers that
-    can evaluate them; power-scaling requires both.
-    """
+    """A batch of parameter draws with provenance."""
 
     values: np.ndarray
     source: str
-    log_prior: np.ndarray | None = None
-    log_likelihood: np.ndarray | None = None
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -712,16 +705,6 @@ class LogNormalTwoGroup(Model):
                 - sq / (2.0 * self.sigma**2)
             )
         return out
-
-
-def sample_prior(model: Model, seed, size: int) -> ParamDraws:
-    """Draw from the model prior and record per-draw log densities."""
-    rng = as_generator(seed)
-    values = model.sample_prior(rng, size)
-    lp = None
-    if model.capabilities.can_log_prior:
-        lp = model.log_prior_batch(values)
-    return ParamDraws(values, source="prior", log_prior=lp)
 
 
 MODEL_REGISTRY: dict[str, type] = {

@@ -271,12 +271,12 @@ def test_criterion_11_power_scaled_prior():
     model = NormalNormal(mu0=0.3, tau0=1.0, sigma=1.0, n_obs=20)
     y = model.simulate_data(np.array([0.9]), substream(62, 0))
     draws = ExactConjugate().approximate(model, y, substream(62, 1), m=10_000)
-    wd = power_scale_weights(draws, alpha_prior=2.0)
+    wd = power_scale_weights(model, y, draws, alpha_prior=2.0)
     prec = 2.0 / 1.0**2 + 20 / 1.0**2
     want = (2.0 * 0.3 / 1.0**2 + y.observations[:, 0].sum() / 1.0**2) / prec
     got = weighted_mean(wd)
     part_a = abs(got - want) <= 0.02
-    ess = power_scale_weights(draws, 1.0, 1.0).ess
+    ess = power_scale_weights(model, y, draws, 1.0, 1.0).ess
     part_b = ess == float(draws.m)
     ok = part_a and part_b
     _report(11, ok,

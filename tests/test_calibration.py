@@ -97,6 +97,16 @@ def test_sbc_config_validation():
             SbcConfig(s=100, band_coverage=coverage)
 
 
+def test_sbc_exact_evaluates_no_log_densities(monkeypatch):
+    # ranking reads only the draws; log densities are for power-scaling
+    model = NormalNormal()
+    calls = []
+    for name in ("log_prior_batch", "log_likelihood_batch"):
+        monkeypatch.setattr(model, name, lambda *args, name=name: calls.append(name))
+    run_sbc(model, ExactConjugate(), SbcConfig(s=20, m=9, seed=3))
+    assert calls == []
+
+
 def test_frequentist_exact_pivot_uniform():
     model = NormalNormal(mu0=0.0, tau0=1.0, sigma=1.0, n_obs=25)
     dist = stats.norm(loc=0.4, scale=1.0 / np.sqrt(25))

@@ -12,7 +12,17 @@ import pytest
 from scipy import stats
 
 import simflow
-from simflow import Dataset, NormalNormal, marginal_likelihood_mc, substream
+from simflow import (
+    DISTANCE_REGISTRY,
+    AbcRejection,
+    Dataset,
+    NormalNormal,
+    PerturbedConjugate,
+    marginal_likelihood_mc,
+    power_scale_weights,
+    substream,
+    weighted_mean,
+)
 from simflow.cli import _parse_sampling, main
 
 TIMING = re.compile(rb'"timing_seconds": [^,\n]+')
@@ -89,16 +99,26 @@ _DATA = [*_NN12, "--data", "data.csv"]
     ["accuracy", *_NN12, "--theta-star", "0.3,0.2", "--S", "20"],
     ["freq-calibrate", *_NN12, "--theta-star", "0.3,0.2", "--sampling", "normal:0.3,0.3",
      "--S", "20"],
-    # power-scaling with draws that carry no log densities (drew, then exit 1)
-    ["sensitivity", *_DATA, "--M", "100", "--approximator", "perturbed"],
-    ["sensitivity", *_DATA, "--M", "100", "--approximator", "abc",
-     "--approximator-params", "acceptance_quantile=0.5"],
+    # RWM settings its constructor rejects (tracebacks once sampling started)
+    ["sensitivity", *_DATA, "--M", "100", "--approximator", "rwm",
+     "--approximator-params", "chains=0"],
+    ["sbc", *_NN12, "--S", "20", "--M", "9", "--approximator", "rwm",
+     "--approximator-params", "warmup=-1"],
     # a starting point of the wrong length or outside the family (exit 1)
     ["elicit", "--expert-stats", "3,4,6,8,10", "--lam0", "1"],
     ["elicit", "--expert-stats", "3,4,6,8,10", "--lam0=-1,1"],
     # a z test with no spread (exit 0 with a division warning)
     ["power", *_NN12, "--theta-star", "0.5", "--test", "z", "--sigma", "0"],
     ["power", *_NN12, "--theta-star", "0.5", "--test", "z", "--sigma=-1"],
+    # an RWM step size that is not positive (traceback once sampling started)
+    ["sbc", *_NN12, "--S", "20", "--M", "9", "--approximator", "rwm",
+     "--approximator-params", "step_sd=0"],
+    # elicitation sizes and expert counts a dithered count cannot take
+    ["elicit", "--expert-stats", "3,4,6,8,10", "--sims", "0"],
+    ["elicit", "--expert-stats", "3,4,6,8,10", "--n-trials", "0"],
+    ["elicit", "--expert-stats", "3,4,6,8,10", "--n-trials", "5"],
+    # one bin (ran every replication, then exit 1)
+    [*_FREQ, "--sampling", "normal:0.3,0.3", "--S", "20", "--bins", "1"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -109,6 +129,30 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("approx, params", [
+    (PerturbedConjugate(mean_shift=0.5), "mean_shift=0.5"),
+    (AbcRejection(DISTANCE_REGISTRY["mean-distance"], acceptance_quantile=0.5),
+     "acceptance_quantile=0.5"),
+], ids=["perturbed", "abc"])
+def test_power_scaling_reweights_any_approximator(tmp_path, approx, params):
+    data = _write_data(tmp_path / "data.csv")
+    out = tmp_path / approx.name
+    rc = main(["sensitivity", *_NN12, "--data", str(data), "--M", "100",
+               "--approximator", approx.name, "--approximator-params", params,
+               "--seed", "4", "--out", str(out), "--formats", "json"])
+    assert rc == 0
+    axes = json.loads((out / "report.json").read_text())["results"]["axes"]
+    model, y = NormalNormal(n_obs=12), Dataset.from_csv(data)
+    draws = approx.approximate(model, y, substream(4, 0), m=100)
+    for axis, key in (("prior", "alpha_prior"), ("likelihood", "alpha_lik")):
+        for row in axes[axis]:
+            wd = power_scale_weights(model, y, draws, **{key: row["alpha"]})
+            assert row["ess"] == wd.ess
+            assert row["mean"] == [weighted_mean(wd)]
+            if row["alpha"] == 1:
+                assert row["ess"] == 100
 
 
 def test_sampling_law_defaults_to_unit_scale():

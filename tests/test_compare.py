@@ -132,7 +132,7 @@ def test_unit_exponents_keep_ess_exact():
     model = NormalNormal(n_obs=5)
     y = model.simulate_data(np.array([0.2]), substream(61, 0))
     draws = _posterior_draws(model, y, 4000, 61)
-    wd = power_scale_weights(draws, 1.0, 1.0)
+    wd = power_scale_weights(model, y, draws, 1.0, 1.0)
     assert wd.ess == float(draws.m)
     assert np.allclose(wd.weights, 1.0 / draws.m)
 
@@ -143,7 +143,7 @@ def test_prior_scaling_matches_analytic_target():
     model = NormalNormal(mu0=0.3, tau0=1.0, sigma=1.0, n_obs=20)
     y = model.simulate_data(np.array([0.9]), substream(62, 0))
     draws = _posterior_draws(model, y, 10_000, 62)
-    wd = power_scale_weights(draws, alpha_prior=2.0)
+    wd = power_scale_weights(model, y, draws, alpha_prior=2.0)
     n = y.n_obs
     prec = 2.0 / 1.0**2 + n / 1.0**2
     mean = (2.0 * 0.3 / 1.0**2 + y.observations[:, 0].sum() / 1.0**2) / prec
@@ -158,27 +158,49 @@ def test_ess_peaks_at_unit_exponent():
     y = model.simulate_data(np.array([0.4]), substream(63, 0))
     draws = _posterior_draws(model, y, 2000, 63)
     grid = [0.5, 0.8, 1.0, 1.25, 2.0]
-    ess = [power_scale_weights(draws, alpha_lik=a).ess for a in grid]
+    ess = [power_scale_weights(model, y, draws, alpha_lik=a).ess for a in grid]
     assert ess[0] < ess[1] < ess[2]
     assert ess[2] > ess[3] > ess[4]
 
 
-def test_power_scaling_requires_recorded_logs():
-    draws = ParamDraws(np.zeros((10, 1)), source="test")
-    with pytest.raises(ValueError):
-        power_scale_weights(draws, alpha_prior=2.0)
-    with pytest.raises(ValueError):
-        power_scale_weights(draws, alpha_lik=0.5)
+def test_power_scaling_evaluates_only_scaled_densities(monkeypatch):
     model = NormalNormal(n_obs=5)
     y = model.simulate_data(np.array([0.0]), substream(0, 0))
-    full = _posterior_draws(model, y, 100, 0)
+    draws = ParamDraws(np.linspace(-1.0, 1.0, 10).reshape(-1, 1), source="test")
+    lp = model.log_prior_batch(draws.values)
+    ll = model.log_likelihood_batch(draws.values, y)
+    calls = []
+
+    def spy(name):
+        real = getattr(model, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(model, name, counted)
+
+    spy("log_prior_batch")
+    spy("log_likelihood_batch")
+
+    wd = power_scale_weights(model, y, draws, alpha_prior=2.0)
+    assert calls == ["log_prior_batch"]
+    assert np.allclose(wd.weights, np.exp(lp) / np.exp(lp).sum())
+    calls.clear()
+    wd = power_scale_weights(model, y, draws, alpha_lik=0.5)
+    assert calls == ["log_likelihood_batch"]
+    assert np.allclose(wd.weights, np.exp(-0.5 * ll) / np.exp(-0.5 * ll).sum())
+    calls.clear()
+    power_scale_weights(model, y, draws, 1.0, 1.0)
+    assert calls == []
     with pytest.raises(ValueError):
-        power_scale_weights(full, alpha_prior=0.0)
+        power_scale_weights(model, y, draws, alpha_prior=0.0)
 
 
 def test_weighted_quantile_uniform_weights():
     values = np.arange(1.0, 6.0).reshape(-1, 1)
-    wd = power_scale_weights(ParamDraws(values, source="test"), 1.0, 1.0)
+    wd = power_scale_weights(NormalNormal(), _obs(0.0), ParamDraws(values, source="test"),
+                             1.0, 1.0)
     assert weighted_quantile(wd, 0.5) == pytest.approx(3.0)
     qs = weighted_quantile(wd, [0.1, 0.5, 0.9])
     assert np.all(np.diff(qs) > 0)
