@@ -166,16 +166,20 @@ def _theta(text: str, flag: str, model) -> list[float]:
 
 def _resolve_seed(args, pipeline: dict) -> tuple[int, str]:
     if args.seed is not None:
-        return int(args.seed), "flag"
-    if "seed" in pipeline:
-        return int(pipeline["seed"]), "config"
-    env = os.environ.get("SIMFLOW_SEED")
-    if env is not None:
-        try:
-            return int(env), "env"
-        except ValueError:
-            raise ConfigError(f"SIMFLOW_SEED must be an integer, got {env!r}") from None
-    return 0, "default"
+        seed, source, name = args.seed, "flag", "--seed"
+    elif "seed" in pipeline:
+        seed, source, name = pipeline["seed"], "config", "[pipeline] seed"
+    elif "SIMFLOW_SEED" in os.environ:
+        seed, source, name = os.environ["SIMFLOW_SEED"], "env", "SIMFLOW_SEED"
+    else:
+        return 0, "default"
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{name} must not be negative, got {seed}")
+    return seed, source
 
 
 def _build_model(args, cfg):
@@ -296,17 +300,22 @@ def _pvalue_block(pset, verdict) -> dict:
                     histogram=rank_histogram(pset, verdict.bins), ecdf_diff=diff, band=band)
 
 
+# A CSV table is (header, columns): one sequence or 1-D array per column.
+# report.write_csv builds and formats the rows only if csv output is asked for.
+
+
 def _sbc_csv(result) -> dict:
-    rows = []
-    for name in result.target_names:
-        for i, p in enumerate(result.pvalues[name].values):
-            rows.append([name, i, float(p)])
-    return {"pvalues.csv": (["target", "index", "pvalue"], rows)}
+    pvalues = [np.asarray(result.pvalues[name].values, dtype=float)
+               for name in result.target_names]
+    sizes = [p.size for p in pvalues]
+    columns = [np.repeat(result.target_names, sizes),
+               np.concatenate([np.arange(n) for n in sizes]), np.concatenate(pvalues)]
+    return {"pvalues.csv": (["target", "index", "pvalue"], columns)}
 
 
 def _vector_csv(filename: str, values) -> dict:
-    rows = [[i, float(v)] for i, v in enumerate(np.asarray(values).reshape(-1))]
-    return {filename: (["index", "value"], rows)}
+    values = np.asarray(values, dtype=float).reshape(-1)
+    return {filename: (["index", "value"], [range(values.size), values])}
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +561,15 @@ def _cmd_elicit(args, cfg, pipe, seed):
     if len(lam0) != family.lam_dim or not family.valid(lam0):
         raise ConfigError(f"--lam0 needs {family.lam_dim} positive numbers for the "
                           f"{family.name} prior, got {args.lam0!r}")
-    result = elicit_prior(problem, lam0, seed=seed, tolerance=float(args.tolerance),
-                          max_iter=int(args.max_iter))
+    if not args.tolerance >= 0.0:
+        raise ConfigError(f"--tolerance must be a number >= 0, got {args.tolerance}")
+    max_iter = _count(args.max_iter, {}, "max_iter", 500)
+    result = elicit_prior(problem, lam0, seed=seed, tolerance=args.tolerance,
+                          max_iter=max_iter)
     echo = {"pipeline": {"n_trials": n_trials, "sims_per_eval": sims,
-                         "lam0": lam0, "tolerance": float(args.tolerance),
-                         "max_iter": int(args.max_iter)}}
+                         "lam0": lam0, "tolerance": args.tolerance, "max_iter": max_iter}}
     trace = {"loss_trace.csv": (["improvement", "loss"],
-                                [[i, v] for i, v in enumerate(result.loss_trace)])}
+                                [range(len(result.loss_trace)), result.loss_trace])}
     return _payload(result, kind="elicitation", family="beta"), echo, trace
 
 
@@ -569,6 +580,8 @@ def _cmd_abc(args, cfg, pipe, seed):
         raise ConfigError("abc needs exactly one of --tolerance or --quantile")
     if args.quantile is not None and not 0.0 < args.quantile <= 1.0:
         raise ConfigError(f"--quantile must lie in (0, 1], got {args.quantile}")
+    if args.tolerance is not None and not args.tolerance >= 0.0:
+        raise ConfigError(f"--tolerance must be a number >= 0, got {args.tolerance}")
     max_proposals = _count(args.max_proposals, pipe, "max_proposals", 100_000)
     result = abc_rejection(
         model,
@@ -600,8 +613,8 @@ def _cmd_abc(args, cfg, pipe, seed):
                          "tolerance": args.tolerance, "quantile": args.quantile,
                          "max_proposals": max_proposals}}
     header = ["index"] + [f"theta{j}" for j in range(values.shape[1])]
-    rows = [[i] + [float(v) for v in row] for i, row in enumerate(values)]
-    return payload, echo, {"draws.csv": (header, rows)}
+    columns = [range(values.shape[0]), *np.asarray(values, dtype=float).T]
+    return payload, echo, {"draws.csv": (header, columns)}
 
 
 def _compare_entries(args, cfg) -> list[ModelEntry]:
@@ -654,9 +667,12 @@ def _cmd_compare(args, cfg, pipe, seed):
         "metadata": {},
     }
     echo = {"pipeline": {"s": s, "models": list(comparison.entries)}}
-    rows = [[name, ev.log_evidence, ev.mc_se_log, comparison.posterior_probs[name]]
-            for name, ev in comparison.evidences.items()]
-    csvs = {"evidence.csv": (["model", "log_evidence", "mc_se_log", "posterior_prob"], rows)}
+    evidences = comparison.evidences
+    columns = [list(evidences), [ev.log_evidence for ev in evidences.values()],
+               [ev.mc_se_log for ev in evidences.values()],
+               [comparison.posterior_probs[name] for name in evidences]]
+    csvs = {"evidence.csv": (["model", "log_evidence", "mc_se_log", "posterior_prob"],
+                             columns)}
     return payload, echo, csvs
 
 
@@ -675,7 +691,7 @@ def _power_scale(args, cfg, pipe, seed):
         raise ConfigError(f"--alphas must be positive, got {args.alphas!r}")
     draws = approx.approximate(model, y, substream(seed, 0), m=m)
     qs = (0.05, 0.5, 0.95)
-    rows = []
+    table = {k: [] for k in ("axis", "alpha", "ess", "mean0", "q05", "q50", "q95")}
     results = {"prior": [], "likelihood": []}
     for axis in ("prior", "likelihood"):
         for alpha in alphas:
@@ -685,7 +701,9 @@ def _power_scale(args, cfg, pipe, seed):
             quantiles = dict(zip(qs, weighted_quantile(wd, qs).tolist()))
             results[axis].append({"alpha": alpha, "ess": wd.ess, "mean": mean,
                                   "quantiles": quantiles})
-            rows.append([axis, alpha, wd.ess, mean[0], *quantiles.values()])
+            for column, v in zip(table.values(),
+                                 [axis, alpha, wd.ess, mean[0], *quantiles.values()]):
+                column.append(v)
     payload = {
         "kind": "power-scaling",
         "model": model.name,
@@ -697,9 +715,7 @@ def _power_scale(args, cfg, pipe, seed):
     }
     echo = {"model": model_echo, "approximator": approx_echo,
             "pipeline": {"m": m, "alphas": alphas, "mode": "power-scale"}}
-    csvs = {"powerscale.csv": (["axis", "alpha", "ess", "mean0",
-                                "q05", "q50", "q95"], rows)}
-    return payload, echo, csvs
+    return payload, echo, {"powerscale.csv": (list(table), list(table.values()))}
 
 
 def _sweep_grid(sweep: dict) -> tuple[list[dict], dict]:
@@ -792,8 +808,7 @@ def _sensitivity_sweep(args, cfg, pipe, seed):
     }
     echo = {"model": model_echo, "approximator": approx_echo,
             "pipeline": {"mode": "sweep", "pipeline": pipeline_name}}
-    # reuse the sweep's own csv writer to keep one column convention
-    return payload, echo, {"sweep.csv": result}
+    return payload, echo, {"sweep.csv": result.table()}
 
 
 def _cmd_render(args, cfg, pipe, seed):
@@ -856,12 +871,8 @@ def _write_outputs(outdir: Path, payload: dict, formats: set[str], csvs: dict) -
     svg_files = csvs.pop("__svg__", None)
     report.write_report(payload, outdir / "report.json")
     if "csv" in formats:
-        for filename, table in csvs.items():
-            if hasattr(table, "to_csv"):
-                table.to_csv(outdir / filename)
-            else:
-                header, rows = table
-                report.write_csv(outdir / filename, header, rows)
+        for filename, (header, columns) in csvs.items():
+            report.write_csv(outdir / filename, header, columns)
     if svg_files is None and "svg" in formats:
         svg_files = figures.render_figures(payload["results"])
     if svg_files:

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .models import Dataset, Model, ParamDraws
+from .report import write_csv
 from .rng import substream
 
 __all__ = [
@@ -220,25 +221,13 @@ class SweepResult:
     n_failed: int
     seed: int
 
-    def to_csv(self, path) -> None:
-        import csv
+    def table(self) -> tuple[list[str], list[list]]:
+        """(header, columns): every key in first-seen order, blank where a row lacks it."""
+        keys = list(dict.fromkeys(k for row in self.rows for k in row))
+        return keys, [[row.get(k, "") for row in self.rows] for k in keys]
 
-        keys: list[str] = []
-        for row in self.rows:
-            for k in row:
-                if k not in keys:
-                    keys.append(k)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(keys)
-            for row in self.rows:
-                out = []
-                for k in keys:
-                    v = row.get(k, "")
-                    if isinstance(v, float):
-                        v = format(v, ".17g")
-                    out.append(v)
-                writer.writerow(out)
+    def to_csv(self, path) -> None:
+        write_csv(path, *self.table())
 
 
 def _cell_seed(seed: int, index: int) -> int:

@@ -107,12 +107,19 @@ def write_report(payload, path) -> None:
         fh.write(dumps(payload))
 
 
-def write_csv(path, header, rows) -> None:
-    """CSV with the same fixed float format as the JSON reports."""
+def write_csv(path, header, columns) -> None:
+    """CSV with the same fixed float format as the JSON reports.
+
+    A table is one sequence (or 1-D array) per header entry. Rows are built
+    and formatted here only, so a table nobody writes costs nothing.
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+        raise ValueError("a CSV table needs one column per header entry, all of one length")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
+        for row in zip(*columns):
             writer.writerow(
                 [format(v, ".17g") if isinstance(v, float) else v for v in row]
             )

@@ -272,18 +272,35 @@ def simulation_pvalue(observed: float, null_values: np.ndarray, side: str, rng) 
     return min(1.0, 2.0 * min(p_lower, 1.0 - p_lower))
 
 
-def critical_value(null_values: np.ndarray, alpha: float, side: str):
-    """Empirical critical values (type-7 quantiles of the null sample)."""
+def _critical_probs(alpha: float, side: str) -> tuple[float, ...]:
+    """The null quantile probabilities of the critical value(s) at level alpha."""
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    v = np.asarray(null_values, dtype=float)
     if side == "lower":
-        return float(np.quantile(v, alpha))
+        return (alpha,)
     if side == "upper":
-        return float(np.quantile(v, 1.0 - alpha))
-    return (float(np.quantile(v, alpha / 2.0)), float(np.quantile(v, 1.0 - alpha / 2.0)))
+        return (1.0 - alpha,)
+    return (alpha / 2.0, 1.0 - alpha / 2.0)
+
+
+def _critical(quantile_at: dict, alpha: float, side: str):
+    """The critical value(s) at level alpha, from a probability -> quantile map."""
+    values = tuple(quantile_at[p] for p in _critical_probs(alpha, side))
+    return values if side == "two_sided" else values[0]
+
+
+def _quantiles(null_values: np.ndarray, probs) -> dict:
+    """Type-7 quantiles of the null sample at every probability, in one pass."""
+    probs = list(probs)
+    values = np.quantile(np.asarray(null_values, dtype=float), probs)
+    return dict(zip(probs, values.tolist()))
+
+
+def critical_value(null_values: np.ndarray, alpha: float, side: str):
+    """Empirical critical values (type-7 quantiles of the null sample)."""
+    return _critical(_quantiles(null_values, _critical_probs(alpha, side)), alpha, side)
 
 
 @dataclass(frozen=True)
@@ -333,19 +350,20 @@ class SimulationTest:
         observed = self.statistic.on_data(y)
         rng = as_generator(rng) if rng is not None else substream(self.seed, 1)
         p = simulation_pvalue(observed, self.null.values, self.side, rng)
-        crit = {alpha: critical_value(self.null.values, alpha, self.side)
-                for alpha in alphas}
         qs = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
+        probs = [prob for alpha in alphas for prob in _critical_probs(alpha, self.side)]
+        quantile_at = _quantiles(self.null.values, [*probs, *qs])
         return TestReport(
             statistic=self.statistic.name,
             side=self.side,
             observed=float(observed),
             pvalue=float(p),
             s=self.null.s,
-            critical_values=crit,
+            critical_values={alpha: _critical(quantile_at, alpha, self.side)
+                             for alpha in alphas},
             null_mean=float(self.null.values.mean()),
             null_sd=float(self.null.values.std(ddof=1)),
-            null_quantiles={q: float(np.quantile(self.null.values, q)) for q in qs},
+            null_quantiles={q: quantile_at[q] for q in qs},
             n_resampled=self.null.n_resampled,
             metadata={"two_sided_rule": "2*min(one-sided), capped at 1 (extension)"},
         )

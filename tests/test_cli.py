@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -119,10 +120,22 @@ _DATA = [*_NN12, "--data", "data.csv"]
     ["elicit", "--expert-stats", "3,4,6,8,10", "--n-trials", "5"],
     # one bin (ran every replication, then exit 1)
     [*_FREQ, "--sampling", "normal:0.3,0.3", "--S", "20", "--bins", "1"],
+    # a negative seed (numpy ValueError traceback; a dry run printed a plan)
+    ["sbc", *_NN12, "--S", "20", "--M", "9", "--seed=-1"],
+    ["sbc", *_NN12, "--seed=-1", "--dry-run"],
+    ["sbc", *_NN12, "--S", "20", "--M", "9", "--config", "seed.ini"],
+    # an ABC tolerance no distance can meet (spent the budget, then exit 3)
+    ["abc", *_DATA, "--tolerance=-1"],
+    ["abc", *_DATA, "--tolerance", "nan"],
+    # an elicitation stopping rule that cannot stop or never starts (ran)
+    ["elicit", "--expert-stats", "3,4,6,8,10", "--sims", "200", "--tolerance", "nan"],
+    ["elicit", "--expert-stats", "3,4,6,8,10", "--sims", "200", "--tolerance=-1"],
+    ["elicit", "--expert-stats", "3,4,6,8,10", "--sims", "200", "--max-iter", "0"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "threads.ini").write_text("[pipeline]\nthreads = abc\n")
+    (tmp_path / "seed.ini").write_text("[pipeline]\nseed = -3\n")
     _write_data(tmp_path / "data.csv")
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
@@ -255,8 +268,10 @@ def test_seed_resolution_order(tmp_path, capsys, monkeypatch):
     assert seed_line(base) == "seed: 5 (from env)"
     monkeypatch.delenv("SIMFLOW_SEED")
     assert seed_line(base) == "seed: 0 (from default)"
-    monkeypatch.setenv("SIMFLOW_SEED", "ten")
-    assert main(base) == 2
+    for bad in ("ten", "-1"):
+        monkeypatch.setenv("SIMFLOW_SEED", bad)
+        assert main(base) == 2
+        assert capsys.readouterr().err.startswith("error: SIMFLOW_SEED")
 
 
 def test_readme_config_example(tmp_path, capsys, monkeypatch):
@@ -307,6 +322,31 @@ def test_csv_format_writes_pvalues(tmp_path):
     assert lines[0] == "target,index,pvalue"
     assert len(lines) == 61
     assert not list(out.glob("*.svg"))
+
+
+def test_csv_tables_are_built_only_when_written(tmp_path, monkeypatch):
+    data = _write_data(tmp_path / "data.csv")
+    argv = ["test", *_NN12, "--data", str(data), "--theta0", "0.4", "--S", "200000"]
+    written = []
+    write_csv = simflow.report.write_csv
+    monkeypatch.setattr(simflow.report, "write_csv",
+                        lambda path, *table: written.append(path.name) or write_csv(path, *table))
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 200 000-value null is 1.6 MB; a row list of it took about 27 MiB
+    assert peak < 12 * 2**20
+    assert written == []
+    assert not list((tmp_path / "default").glob("*.csv"))
+    out = tmp_path / "csv"
+    assert main(argv + ["--out", str(out), "--formats", "json,csv"]) == 0
+    assert written == ["null_samples.csv"]
+    lines = (out / "null_samples.csv").read_text().splitlines()
+    assert lines[0] == "index,value" and len(lines) == 200_001
+    assert lines[-1].startswith("199999,")
 
 
 def test_render_unknown_kind_warns(tmp_path, capsys):

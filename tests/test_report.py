@@ -77,8 +77,18 @@ def test_unknown_objects_fall_back_to_str():
 
 def test_write_csv_fixed_format(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, ["name", "value"], [["pi", math.pi], ["n", 3]])
+    write_csv(path, ["name", "value"], [["pi", "n"], [math.pi, 3]])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "name,value"
     assert lines[1] == "pi," + format(math.pi, ".17g")
     assert lines[2] == "n,3"
+
+
+def test_write_csv_takes_array_and_range_columns(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["index", "value"], [range(2), np.array([0.1 + 0.2, 2.0])])
+    assert path.read_text().splitlines() == ["index,value", "0,0.30000000000000004", "1,2"]
+    with pytest.raises(ValueError):
+        write_csv(path, ["index", "value"], [range(3), np.array([0.5, 2.0])])
+    with pytest.raises(ValueError):
+        write_csv(path, ["index", "value"], [range(2)])

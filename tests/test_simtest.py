@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from simflow import (
@@ -10,6 +12,7 @@ from simflow import (
     AnalyticZTest,
     LogNormalTwoGroup,
     NormalNormal,
+    PoissonGamma,
     PValueSet,
     SimulationTest,
     SummaryStatistic,
@@ -21,7 +24,7 @@ from simflow import (
     uniformity_test,
 )
 from simflow.errors import RetryError
-from simflow.simtest import mean_stat, pooled_t
+from simflow.simtest import SIDES, mean_stat, pooled_t
 
 
 def test_constant_statistic_null():
@@ -175,6 +178,36 @@ def test_run_test_report_shape():
     assert isinstance(report.critical_values[0.05], tuple)
     assert "2*min" in report.metadata["two_sided_rule"]
     assert set(report.null_quantiles) == {0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.integers(2, 5000), side=st.sampled_from(SIDES),
+       discrete=st.booleans(),
+       alphas=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4, unique=True))
+def test_report_quantiles_equal_one_call_per_probability(seed, s, side, discrete, alphas):
+    # poisson-gamma with two observations gives a null with many ties
+    model, theta0 = (PoissonGamma(n_obs=2), [1.5]) if discrete else (NormalNormal(n_obs=5), [0.2])
+    y = model.simulate_data(np.array(theta0), substream(seed, 1))
+    test = SimulationTest(model, theta0, mean_stat, side=side, s=s, seed=seed)
+    report = test.report(y, alphas=alphas)
+    v = test.null.values
+
+    def q(p):
+        return float(np.quantile(v, p))
+
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    qs = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
+    assert list(report.null_quantiles) == list(qs)
+    assert bits(list(report.null_quantiles.values())) == bits([q(p) for p in qs])
+    assert list(report.critical_values) == alphas
+    for alpha, crit in report.critical_values.items():
+        want = {"lower": q(alpha), "upper": q(1.0 - alpha),
+                "two_sided": (q(alpha / 2.0), q(1.0 - alpha / 2.0))}[side]
+        assert type(crit) is type(want)
+        assert bits(crit) == bits(want)
+        assert bits(critical_value(v, alpha, side)) == bits(want)
 
 
 def test_simulation_test_default_rng_reproducible():
