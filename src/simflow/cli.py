@@ -174,7 +174,8 @@ def _resolve_seed(args, pipeline: dict) -> tuple[int, str]:
     else:
         return 0, "default"
     try:
-        seed = int(seed)
+        # via str, so a config seed parsed as 3.5 or true is refused, not truncated
+        seed = int(str(seed))
     except ValueError:
         raise ConfigError(f"{name} must be an integer, got {seed!r}") from None
     if seed < 0:

@@ -272,6 +272,10 @@ def test_seed_resolution_order(tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SIMFLOW_SEED", bad)
         assert main(base) == 2
         assert capsys.readouterr().err.startswith("error: SIMFLOW_SEED")
+    for bad in ("3.5", "true"):
+        cfg.write_text(f"[pipeline]\nseed = {bad}\n")
+        assert main(base + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: [pipeline] seed")
 
 
 def test_readme_config_example(tmp_path, capsys, monkeypatch):
