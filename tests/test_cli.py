@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, seeds, and byte-stable outputs."""
 
+import argparse
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 from scipy import stats
 
 import simflow
+import simflow.cli
 from simflow import (
     DISTANCE_REGISTRY,
     AbcRejection,
@@ -461,3 +463,20 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _parser_snapshot() -> dict:
+    parser = simflow.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sorted([list(a.option_strings), a.dest, a.default,
+                          getattr(a.type, "__name__", a.type),
+                          list(a.choices) if a.choices else None, a.required,
+                          type(a).__name__] for a in p._actions)
+            for name, p in sub.choices.items()}
+
+
+def test_parser_matches_snapshot():
+    # Every subcommand's options: strings, dest, default, type, choices,
+    # whether required, and action. A flag added, dropped or renamed shows here.
+    snapshot = json.loads((Path(__file__).with_name("parser_snapshot.json")).read_text())
+    assert _parser_snapshot() == {name: sorted(opts) for name, opts in snapshot.items()}
