@@ -4,8 +4,11 @@ Every pipeline is reachable as a subcommand driven by an INI-style config
 file, command line flags, or both, with flags taking precedence. Runs write
 a JSON report (and optional CSV / SVG files) into the output directory.
 
-Seed resolution order: --seed flag, then [pipeline] seed in the config,
-then the SIMFLOW_SEED environment variable, then 0.
+One table, _COMMANDS, holds each subcommand's flags with their defaults and
+bounds, its handler and its seed plan; FLAGS declares each flag once. main
+resolves every setting before the handler runs: the flag, else its config
+key, else (for the seed) SIMFLOW_SEED, else the default. The report's config
+block echoes the resolved settings and the config sections the run read.
 
 Exit codes: 0 success, 2 configuration or validation error (nothing was
 simulated), 3 runtime or budget error (a partial report is still written).
@@ -19,10 +22,13 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,6 +90,181 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Setting kinds: each converts a flag's or config value's text and raises
+# ValueError when the text is not of its kind (3.5 is not an integer).
+
+
+def _floats(text: str) -> list[float]:
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ValueError(text)
+    return values
+
+
+def _truth(text: str):
+    """The word prior (a fresh prior draw per dataset), or a parameter vector."""
+    return "prior" if text.strip() == "prior" else _floats(text)
+
+
+def _indices(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+def _formats(text: str) -> set[str]:
+    formats = {f.strip() for f in text.split(",") if f.strip()}
+    if not formats <= {"json", "csv", "svg"}:
+        raise ValueError(text)
+    return formats
+
+
+_KINDS = {
+    int: "an integer",
+    float: "a finite number",
+    _floats: "a comma list of finite numbers",
+    _truth: "prior or a comma list of finite numbers",
+    _indices: "a comma list of parameter indices",
+    _formats: "a comma list from json, csv, svg",
+}
+
+
+def _convert(name: str, value, kind: Callable, bound: str | None = None):
+    """value (text or a number) as kind, via its text, inside bound.
+
+    A number must be finite. bound is an interval such as "[10, inf)" or
+    "(0, 1]"; a list value must lie inside it element by element.
+    """
+    try:
+        out = kind(str(value))
+        values = out if isinstance(out, list) else [out]
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            raise ValueError(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}") from None
+    if bound is not None:
+        lo, hi = (float(v) for v in bound[1:-1].split(","))
+        for v in values:
+            if not ((lo <= v if bound[0] == "[" else lo < v)
+                    and (v <= hi if bound[-1] == "]" else v < hi)):
+                raise ConfigError(f"{name} must lie in {bound}, got {value!r}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Flags, each declared once
+
+
+class Flag(NamedTuple):
+    help: str
+    kind: Callable = str      # bool for an on/off switch
+    key: str | None = None    # "[section] key" of the config file it falls back to
+    env: str | None = None    # environment variable after the config key
+    choices: tuple | None = None
+    # False for input paths, so reports do not depend on the working
+    # directory, and for the model and approximator flags, which are
+    # echoed as their config sections
+    echo: bool = True
+
+
+FLAGS = {
+    # common to every subcommand, never echoed
+    "--config": Flag("INI config file; flags override it"),
+    "--seed": Flag("root seed (default: config, then SIMFLOW_SEED, then 0)", int,
+                   "[pipeline] seed", "SIMFLOW_SEED"),
+    "--threads": Flag("accepted for old command lines and ignored", int,
+                      "[pipeline] threads"),
+    "--out": Flag("output directory", key="[output] dir"),
+    "--formats": Flag("comma list from json,csv,svg", _formats, "[output] formats"),
+    "--dry-run": Flag("validate the settings, print the seed plan, and exit", bool),
+    # echoed as the model and approximator sections
+    "--model": Flag("model name, e.g. normal-normal", echo=False),
+    "--model-params": Flag("model hyperparameters as k=v,k=v", echo=False),
+    "--approximator": Flag("abc, exact, perturbed, or rwm", echo=False),
+    "--approximator-params": Flag("approximator settings as k=v,k=v", echo=False),
+    # input paths
+    "--data": Flag("observed dataset CSV", echo=False),
+    "--expert-csv": Flag("CSV with header target,probe,value", echo=False),
+    "--report": Flag("path to a report.json", echo=False),
+    # settings
+    "--S": Flag("simulations: replications, datasets, null or prior draws", int,
+                "[pipeline] s"),
+    "--M": Flag("draws per posterior, or ABC draws wanted", int, "[pipeline] m"),
+    "--bins": Flag("histogram bins of the uniformity test", int, "[pipeline] bins"),
+    "--band-coverage": Flag("coverage of the ECDF band", float,
+                            "[pipeline] band_coverage"),
+    "--targets": Flag("comma list of parameter indices (default: all)", _indices),
+    "--theta-star": Flag("true parameter, comma separated, or the word prior", _truth),
+    "--theta0": Flag("null parameter, comma separated", _floats),
+    "--theta-hat": Flag("fixed parameter: frequentist check instead of posterior", _floats),
+    "--estimator": Flag("sample-mean or posterior-mean"),
+    "--sampling": Flag("approximate sampling law: normal:loc,scale or t:df,loc,scale"),
+    "--alphas": Flag("interval levels (freq-calibrate) or scaling exponents "
+                     "(sensitivity), comma separated", _floats),
+    "--test": Flag("sim or z"),
+    "--statistic": Flag("test statistic of a dataset, e.g. mean"),
+    "--side": Flag("rejection side of the test", choices=SIDES),
+    "--sigma": Flag("known sdev of one observation, for the z test", float),
+    "--alpha": Flag("test level", float, "[pipeline] alpha"),
+    "--null-s": Flag("null sample size for the sim test", int),
+    "--distance": Flag("accuracy: squared or absolute; abc: a data distance"),
+    "--region": Flag("plausible region of the statistic: lo,hi", _floats),
+    "--expert-stats": Flag("inline comma list of expert values", _floats),
+    "--n-trials": Flag("binomial trials per count", int, "[pipeline] n_trials"),
+    "--lam0": Flag("starting hyperparameters", _floats),
+    "--sims": Flag("simulations per evaluation", int, "[pipeline] sims_per_eval"),
+    "--tolerance": Flag("elicit: loss change that stops; abc: distance threshold",
+                        float),
+    "--max-iter": Flag("optimizer iterations", int),
+    "--quantile": Flag("acceptance quantile instead of a fixed tolerance", float),
+    "--max-proposals": Flag("proposal budget", int, "[pipeline] max_proposals"),
+    "--mode": Flag("power-scale or sweep", choices=("power-scale", "sweep")),
+}
+
+
+def _dest(option: str) -> str:
+    return option.lstrip("-").replace("-", "_").lower()
+
+
+class Use(NamedTuple):
+    """How one subcommand uses a flag: its default and the bound it must meet."""
+
+    default: object = None
+    bound: str | None = None
+    required: bool = False
+
+
+_COMMON = {"--config": Use(), "--seed": Use(0, "[0, inf)"),
+           "--threads": Use(1, "[1, inf)"), "--out": Use("out"),
+           "--formats": Use("json,svg"), "--dry-run": Use(False)}
+_MODEL = {"--model": Use(), "--model-params": Use()}
+_APPROX = {"--approximator": Use(), "--approximator-params": Use()}
+_AT_LEAST_1 = "[1, inf)"
+
+
+def _resolve(flags: dict, args, cfg) -> tuple[dict, dict]:
+    """Every setting of flags by dest, and where each came from.
+
+    The flag, else its config key, else its environment variable, else the
+    default, converted and bounded by _convert.
+    """
+    settings, sources = {}, {}
+    for option, use in flags.items():
+        flag, dest = FLAGS[option], _dest(option)
+        value, name, source = getattr(args, dest), option, "flag"
+        if value is None and flag.key:
+            section, key = flag.key[1:].split("] ")
+            if cfg.has_option(section, key):
+                value, name, source = cfg.get(section, key), flag.key, "config"
+        if value is None and flag.env and flag.env in os.environ:
+            value, name, source = os.environ[flag.env], flag.env, "env"
+        if value is None:
+            value, source = use.default, "default"
+        if value is not None and flag.kind is not bool:
+            value = _convert(name, value, flag.kind, use.bound)
+        settings[dest], sources[dest] = value, source
+    return settings, sources
+
+
+# ---------------------------------------------------------------------------
 # Config plumbing
 
 
@@ -134,94 +315,65 @@ def _parse_kv(pairs: str | None) -> dict:
     return out
 
 
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _pick(flag_value, section: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return section.get(key, default)
-
-
-def _count(flag_value, pipe: dict, key: str, default: int, low: int = 1) -> int:
-    """An integer setting from its flag, else [pipeline], that must be >= low."""
-    n = int(_pick(flag_value, pipe, key, default))
-    if n < low:
-        raise ConfigError(f"{key} must be at least {low}, got {n}")
-    return n
-
-
-def _theta(text: str, flag: str, model) -> list[float]:
-    """A parameter vector flag, one number per model parameter."""
-    theta = _floats(text)
-    if len(theta) != model.param_dim:
+def _theta(values, flag: str, model, prior: bool = False) -> list[float] | None:
+    """A parameter vector setting, one number per model parameter. With prior,
+    an unset setting or the word prior is None: a fresh prior draw each time."""
+    if prior and values in (None, "prior"):
+        return None
+    if not isinstance(values, list) or len(values) != model.param_dim:
         raise ConfigError(f"{flag} needs {model.param_dim} number(s) for {model.name}, "
-                          f"got {text!r}")
-    return theta
+                          f"got {values!r}")
+    return values
 
 
-def _resolve_seed(args, pipeline: dict) -> tuple[int, str]:
-    if args.seed is not None:
-        seed, source, name = args.seed, "flag", "--seed"
-    elif "seed" in pipeline:
-        seed, source, name = pipeline["seed"], "config", "[pipeline] seed"
-    elif "SIMFLOW_SEED" in os.environ:
-        seed, source, name = os.environ["SIMFLOW_SEED"], "env", "SIMFLOW_SEED"
-    else:
-        return 0, "default"
-    try:
-        # via str, so a config seed parsed as 3.5 or true is refused, not truncated
-        seed = int(str(seed))
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise ConfigError(f"{name} must not be negative, got {seed}")
-    return seed, source
+# Builders: each records the config section it resolved in run.sections,
+# which the report's config block echoes.
 
 
-def _build_model(args, cfg):
-    sect = _section(cfg, "model")
-    name = getattr(args, "model", None) or sect.pop("name", None)
+def _named(what: str, name: str, table: dict):
+    if name not in table:
+        raise ConfigError(f"unknown {what} {name!r}; known: {', '.join(sorted(table))}")
+    return table[name]
+
+
+def _build(run, section: str, make, default=None):
+    """make(name, **params) from the --<section> flags over the [<section>]
+    config section."""
+    params = _section(run.cfg, section)
+    name = params.pop("name", default)
+    name = getattr(run, section) or name
     if name is None:
-        raise ConfigError("no model selected; pass --model or set [model] name")
-    sect.update(_parse_kv(getattr(args, "model_params", None)))
+        raise ConfigError(f"no {section} selected; pass --{section} or set [{section}] name")
+    params.update(_parse_kv(getattr(run, f"{section}_params")))
     try:
-        model = make_model(name, **sect)
+        built = make(name, **params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return model, {"name": name, **sect}
+    run.sections[section] = {"name": name, **params}
+    return built
+
+
+def _build_model(run):
+    return _build(run, "model", make_model)
 
 
 _APPROXIMATORS = {
-    "abc": lambda distance="mean-distance", **kw: AbcRejection(_distance(distance), **kw),
+    "abc": lambda distance="mean-distance", **kw: AbcRejection(
+        _named("distance", distance, DISTANCE_REGISTRY), **kw),
     "exact": ExactConjugate,
     "perturbed": PerturbedConjugate,
     "rwm": RandomWalkMetropolis,
 }
 
 
-def _build_approximator(args, cfg):
-    sect = _section(cfg, "approximator")
-    name = getattr(args, "approximator", None) or sect.pop("name", "exact")
-    sect.update(_parse_kv(getattr(args, "approximator_params", None)))
-    if name not in _APPROXIMATORS:
-        known = ", ".join(sorted(_APPROXIMATORS))
-        raise ConfigError(f"unknown approximator {name!r}; known: {known}")
-    try:
-        return _APPROXIMATORS[name](**sect), {"name": name, **sect}
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+def _build_approximator(run):
+    return _build(run, "approximator",
+                  lambda name, **kw: _named("approximator", name, _APPROXIMATORS)(**kw),
+                  "exact")
 
 
 def _statistic(name: str, model):
-    if name not in STATISTIC_REGISTRY:
-        known = ", ".join(sorted(STATISTIC_REGISTRY))
-        raise ConfigError(f"unknown statistic {name!r}; known: {known}")
-    statistic = STATISTIC_REGISTRY[name]
+    statistic = _named("statistic", name, STATISTIC_REGISTRY)
     # one all-zero dataset of the model's shape shows whether the statistic applies
     shape = model.data_shape
     try:
@@ -232,25 +384,14 @@ def _statistic(name: str, model):
     return statistic
 
 
-def _distance(name: str):
-    if name not in DISTANCE_REGISTRY:
-        known = ", ".join(sorted(DISTANCE_REGISTRY))
-        raise ConfigError(f"unknown distance {name!r}; known: {known}")
-    return DISTANCE_REGISTRY[name]
-
-
 def _estimator(name: str, model) -> EstimatorSpec:
-    if name == "sample-mean":
-        return sample_mean_estimator
-    if name == "posterior-mean":
-        return posterior_mean_estimator(model)
-    raise ConfigError(
-        f"unknown estimator {name!r}; known: posterior-mean, sample-mean"
-    )
+    estimators = {"sample-mean": lambda model: sample_mean_estimator,
+                  "posterior-mean": posterior_mean_estimator}
+    return _named("estimator", name, estimators)(model)
 
 
-def _load_data(args) -> Dataset:
-    path = getattr(args, "data", None)
+def _load_data(run) -> Dataset:
+    path = run.data
     if path is None:
         raise ConfigError("this subcommand needs --data pointing at a CSV file")
     if not Path(path).is_file():
@@ -261,20 +402,13 @@ def _load_data(args) -> Dataset:
         raise ConfigError(f"cannot read dataset from {path}: {exc}") from exc
 
 
-def _targets(args, model):
-    text = getattr(args, "targets", None)
-    if not text:
+def _targets(indices, model):
+    if indices is None:
         return None
-    out = []
-    for part in text.split(","):
-        try:
-            idx = int(part)
-        except ValueError:
-            raise ConfigError(f"targets must be parameter indices, got {part!r}") from None
+    for idx in indices:
         if not 0 <= idx < model.param_dim:
             raise ConfigError(f"target index {idx} outside 0..{model.param_dim - 1}")
-        out.append(param_target(idx))
-    return tuple(out)
+    return tuple(param_target(idx) for idx in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +435,10 @@ def _pvalue_block(pset, verdict) -> dict:
                     histogram=rank_histogram(pset, verdict.bins), ecdf_diff=diff, band=band)
 
 
-# A CSV table is (header, columns): one sequence or 1-D array per column.
-# report.write_csv builds and formats the rows only if csv output is asked for.
+# An output file other than report.json is a CSV table, (header, columns)
+# with one sequence or 1-D array per column, or the text of an SVG figure.
+# report.write_csv builds and formats a table's rows only if csv output is
+# asked for.
 
 
 def _sbc_csv(result) -> dict:
@@ -320,41 +456,33 @@ def _vector_csv(filename: str, values) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each takes (args, config, [pipeline] section, seed)
-# and returns (results payload, config echo, csv tables)
+# Subcommand handlers: each takes the run (its resolved settings as
+# attributes, plus command, cfg, seed and sections) and returns
+# (results payload, output files)
 
 
-def _cmd_sbc(args, cfg, pipe, seed):
-    model, model_echo = _build_model(args, cfg)
-    approx, approx_echo = _build_approximator(args, cfg)
-    try:
-        run_cfg = SbcConfig(
-            s=int(_pick(args.s, pipe, "s", 1000)),
-            m=int(_pick(args.m, pipe, "m", 99)),
-            seed=seed,
-            targets=_targets(args, model),
-            bins=int(_pick(args.bins, pipe, "bins", 10)),
-            band_coverage=float(_pick(args.band_coverage, pipe, "band_coverage", 0.95)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if args.command == "post-sbc":
-        result = run_posterior_sbc(model, approx, _load_data(args), run_cfg)
+def _cmd_sbc(run):
+    model = _build_model(run)
+    approx = _build_approximator(run)
+    run_cfg = SbcConfig(s=run.s, m=run.m, seed=run.seed, targets=_targets(run.targets, model),
+                        bins=run.bins, band_coverage=run.band_coverage)
+    if run.command == "post-sbc":
+        result = run_posterior_sbc(model, approx, _load_data(run), run_cfg)
     else:
         result = run_sbc(model, approx, run_cfg)
     targets = {name: _pvalue_block(result.pvalues[name], result.verdicts[name])
                for name in result.target_names}
-    echo = {"model": model_echo, "approximator": approx_echo,
-            "pipeline": {"s": run_cfg.s, "m": run_cfg.m, "bins": run_cfg.bins,
-                         "band_coverage": run_cfg.band_coverage}}
     return (_payload(result, drop=("target_names", "pvalues", "verdicts"), targets=targets),
-            echo, _sbc_csv(result))
+            _sbc_csv(result))
 
 
 def _parse_sampling(text: str):
     """normal:loc,scale (default 0,1) as a closed form; t:df,loc,scale via scipy."""
     name, _, rest = text.partition(":")
-    params = _floats(rest) if rest else []
+    try:
+        params = _floats(rest) if rest else []
+    except ValueError:
+        raise ConfigError(f"sampling law parameters must be numbers, got {text!r}") from None
     if name == "normal":
         try:
             return AnalyticPosterior("normal", params + [0.0, 1.0][len(params):])
@@ -372,160 +500,107 @@ def _parse_sampling(text: str):
     raise ConfigError(f"unknown sampling distribution {text!r}; use normal:loc,scale or t:df,loc,scale")
 
 
-def _cmd_freq_calibrate(args, cfg, pipe, seed):
-    model, model_echo = _build_model(args, cfg)
-    if args.theta_star is None:
-        raise ConfigError("freq-calibrate needs --theta-star")
-    if args.sampling is None:
+def _cmd_freq_calibrate(run):
+    model = _build_model(run)
+    theta_star = _theta(run.theta_star, "--theta-star", model)
+    if run.sampling is None:
         raise ConfigError("freq-calibrate needs --sampling, e.g. normal:0.0,0.316")
-    estimator = _estimator(args.estimator, model)
-    sampling = _parse_sampling(args.sampling)
-    s = _count(args.s, pipe, "s", 1000, low=10)
-    theta_star = _theta(args.theta_star, "--theta-star", model)
-    alphas = _floats(args.alphas)
-    if not all(0.0 < a < 1.0 for a in alphas):
-        raise ConfigError(f"--alphas must lie in (0, 1), got {args.alphas!r}")
-    result = run_frequentist_calibration(
-        model,
-        theta_star,
-        estimator,
-        sampling,
-        s=s,
-        seed=seed,
-        alphas=tuple(alphas),
-        bins=_count(args.bins, pipe, "bins", 10, low=2),
-    )
+    estimator = _estimator(run.estimator, model)
+    result = run_frequentist_calibration(model, theta_star, estimator,
+                                         _parse_sampling(run.sampling), s=run.s,
+                                         seed=run.seed, alphas=tuple(run.alphas),
+                                         bins=run.bins)
     payload = _payload(result, drop=("pvalues", "verdict"),
                        target=_pvalue_block(result.pvalues, result.verdict))
-    echo = {"model": model_echo,
-            "pipeline": {"s": result.s, "estimator": estimator.name,
-                         "theta_star": theta_star, "sampling": args.sampling,
-                         "alphas": alphas}}
-    return payload, echo, _vector_csv("pvalues.csv", result.pvalues.values)
+    return payload, _vector_csv("pvalues.csv", result.pvalues.values)
 
 
-def _build_test(args, model, seed):
-    if args.test == "z":
-        if args.sigma is None:
+def _build_test(run, model):
+    if run.test == "z":
+        if run.sigma is None:
             raise ConfigError("the z test needs --sigma (known sdev of one observation)")
-        if not args.sigma > 0:
-            raise ConfigError(f"--sigma must be positive, got {args.sigma}")
-        theta0 = _theta(args.theta0, "--theta0", model)[0] if args.theta0 else 0.0
-        return AnalyticZTest(theta0, float(args.sigma), side=args.side)
-    if args.test == "sim":
-        if args.theta0 is None:
-            raise ConfigError("the simulation test needs --theta0")
-        if args.null_s < 1:
-            raise ConfigError(f"--null-s must be at least 1, got {args.null_s}")
+        theta0 = _theta(run.theta0, "--theta0", model)[0] if run.theta0 else 0.0
+        return AnalyticZTest(theta0, run.sigma, side=run.side)
+    if run.test == "sim":
         return SimulationTest(
             model,
-            _theta(args.theta0, "--theta0", model),
-            _statistic(args.statistic, model),
-            side=args.side,
-            s=int(args.null_s),
-            seed=seed + 1,
+            _theta(run.theta0, "--theta0", model),
+            _statistic(run.statistic, model),
+            side=run.side,
+            s=run.null_s,
+            seed=run.seed + 1,
         )
-    raise ConfigError(f"unknown test {args.test!r}; known: sim, z")
+    raise ConfigError(f"unknown test {run.test!r}; known: sim, z")
 
 
-def _cmd_power(args, cfg, pipe, seed):
-    model, model_echo = _build_model(args, cfg)
-    alpha = float(_pick(args.alpha, pipe, "alpha", 0.05))
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
-    s = _count(args.s, pipe, "s", 1000)
-    theta_star = (None if args.theta_star in (None, "prior")
-                  else _theta(args.theta_star, "--theta-star", model))
-    test = _build_test(args, model, seed)
-    result = power_analysis(model, theta_star, test, alpha=alpha, s=s, seed=seed)
-    echo = {"model": model_echo,
-            "pipeline": {"s": result.s, "alpha": result.alpha, "test": args.test,
-                         "side": args.side,
-                         "theta_star": args.theta_star or "prior"}}
-    return _payload(result, model=model.name), echo, {}
+def _cmd_power(run):
+    model = _build_model(run)
+    theta_star = _theta(run.theta_star, "--theta-star", model, prior=True)
+    test = _build_test(run, model)
+    result = power_analysis(model, theta_star, test, alpha=run.alpha, s=run.s, seed=run.seed)
+    return _payload(result, model=model.name), {}
 
 
-def _cmd_accuracy(args, cfg, pipe, seed):
-    model, model_echo = _build_model(args, cfg)
-    estimator = _estimator(args.estimator, model)
-    distance = {"squared": squared_error, "absolute": absolute_error}.get(args.distance)
-    if distance is None:
-        raise ConfigError(f"unknown distance {args.distance!r}; known: absolute, squared")
-    theta_star = (None if args.theta_star in (None, "prior")
-                  else _theta(args.theta_star, "--theta-star", model))
-    s = _count(args.s, pipe, "s", 1000, low=2)
-    result = estimator_accuracy(model, theta_star, estimator, distance=distance, s=s,
-                                seed=seed)
-    echo = {"model": model_echo,
-            "pipeline": {"s": result.s, "estimator": estimator.name,
-                         "distance": args.distance,
-                         "theta_star": args.theta_star or "prior"}}
-    return _payload(result, model=model.name), echo, {}
+def _cmd_accuracy(run):
+    model = _build_model(run)
+    estimator = _estimator(run.estimator, model)
+    distance = _named("distance", run.distance,
+                      {"squared": squared_error, "absolute": absolute_error})
+    theta_star = _theta(run.theta_star, "--theta-star", model, prior=True)
+    result = estimator_accuracy(model, theta_star, estimator, distance=distance, s=run.s,
+                                seed=run.seed)
+    return _payload(result, model=model.name), {}
 
 
-def _cmd_test(args, cfg, pipe, seed):
-    model, model_echo = _build_model(args, cfg)
-    y = _load_data(args)
-    if args.theta0 is None:
-        raise ConfigError("test needs --theta0 (null parameter value)")
-    statistic = _statistic(args.statistic, model)
-    theta0 = _theta(args.theta0, "--theta0", model)
+def _cmd_test(run):
+    model = _build_model(run)
+    y = _load_data(run)
     test = SimulationTest(
         model,
-        theta0,
-        statistic,
-        side=args.side,
-        s=_count(args.s, pipe, "s", 10_000, low=2),
-        seed=seed,
+        _theta(run.theta0, "--theta0", model),
+        _statistic(run.statistic, model),
+        side=run.side,
+        s=run.s,
+        seed=run.seed,
         n_obs=y.n_obs,
     )
     result = test.report(y)
     payload = _payload(result, kind="test", model=model.name,
                        null_histogram=_histogram_block(test.null.values))
-    echo = {"model": model_echo,
-            "pipeline": {"s": result.s, "statistic": statistic.name,
-                         "side": args.side, "theta0": theta0}}
-    return payload, echo, _vector_csv("null_samples.csv", test.null.values)
+    return payload, _vector_csv("null_samples.csv", test.null.values)
 
 
-def _cmd_ppc(args, cfg, pipe, seed):
-    model, model_echo = _build_model(args, cfg)
-    y = _load_data(args)
-    statistic = _statistic(args.statistic, model)
-    s = _count(args.s, pipe, "s", 1000)
-    echo = {"model": model_echo, "pipeline": {"s": s, "statistic": statistic.name}}
-    if args.theta_hat is not None:
+def _cmd_ppc(run):
+    model = _build_model(run)
+    y = _load_data(run)
+    statistic = _statistic(run.statistic, model)
+    if run.theta_hat is not None:
         result = frequentist_predictive_check(
-            model, _theta(args.theta_hat, "--theta-hat", model), statistic, y, s, seed=seed
+            model, _theta(run.theta_hat, "--theta-hat", model), statistic, y, run.s,
+            seed=run.seed
         )
     else:
-        approx, echo["approximator"] = _build_approximator(args, cfg)
-        result = run_ppc(model, approx, y, statistic, s, seed=seed)
+        result = run_ppc(model, _build_approximator(run), y, statistic, run.s, seed=run.seed)
     payload = _payload(result, drop=("replication_stats",), model=model.name,
                        replication_histogram=_histogram_block(result.replication_stats))
-    return payload, echo, _vector_csv("replication_stats.csv", result.replication_stats)
+    return payload, _vector_csv("replication_stats.csv", result.replication_stats)
 
 
-def _cmd_prior_check(args, cfg, pipe, seed):
-    model, model_echo = _build_model(args, cfg)
-    if args.region is None:
-        raise ConfigError("prior-check needs --region lo,hi")
-    region = _floats(args.region)
-    if len(region) != 2 or not region[0] <= region[1]:
-        raise ConfigError(f"--region must be two numbers lo,hi with lo <= hi, got {args.region!r}")
+def _cmd_prior_check(run):
+    model = _build_model(run)
+    region = run.region
+    if region is None or len(region) != 2 or not region[0] <= region[1]:
+        raise ConfigError(f"prior-check needs --region lo,hi with lo <= hi, got {region!r}")
     result = prior_pushforward_check(
         model,
-        _statistic(args.statistic, model),
+        _statistic(run.statistic, model),
         (region[0], region[1]),
-        s=_count(args.s, pipe, "s", 1000),
-        seed=seed,
+        s=run.s,
+        seed=run.seed,
     )
     payload = _payload(result, drop=("values",), model=model.name,
                        histogram=_histogram_block(result.values))
-    echo = {"model": model_echo,
-            "pipeline": {"s": result.s, "statistic": result.statistic,
-                         "region": list(result.region)}}
-    return payload, echo, _vector_csv("statistic_values.csv", result.values)
+    return payload, _vector_csv("statistic_values.csv", result.values)
 
 
 def _read_expert_csv(path: str) -> list[float]:
@@ -544,158 +619,120 @@ def _read_expert_csv(path: str) -> list[float]:
     return values
 
 
-def _cmd_elicit(args, cfg, pipe, seed):
-    if args.expert_csv is not None:
-        expert = _read_expert_csv(args.expert_csv)
-    elif args.expert_stats is not None:
-        expert = _floats(args.expert_stats)
+def _cmd_elicit(run):
+    if run.expert_csv is not None:
+        expert = _read_expert_csv(run.expert_csv)
+    elif run.expert_stats is not None:
+        expert = run.expert_stats
     else:
         raise ConfigError("elicit needs --expert-csv or --expert-stats")
-    n_trials = _count(args.n_trials, pipe, "n_trials", 20)
-    sims = _count(args.sims, pipe, "sims_per_eval", 10_000)
     try:
-        problem = beta_binomial_problem(expert, n_trials=n_trials, sims_per_eval=sims)
+        problem = beta_binomial_problem(expert, n_trials=run.n_trials, sims_per_eval=run.sims)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    lam0 = _floats(args.lam0)
     family = problem.prior_family
-    if len(lam0) != family.lam_dim or not family.valid(lam0):
+    if len(run.lam0) != family.lam_dim or not family.valid(run.lam0):
         raise ConfigError(f"--lam0 needs {family.lam_dim} positive numbers for the "
-                          f"{family.name} prior, got {args.lam0!r}")
-    if not args.tolerance >= 0.0:
-        raise ConfigError(f"--tolerance must be a number >= 0, got {args.tolerance}")
-    max_iter = _count(args.max_iter, {}, "max_iter", 500)
-    result = elicit_prior(problem, lam0, seed=seed, tolerance=args.tolerance,
-                          max_iter=max_iter)
-    echo = {"pipeline": {"n_trials": n_trials, "sims_per_eval": sims,
-                         "lam0": lam0, "tolerance": args.tolerance, "max_iter": max_iter}}
+                          f"{family.name} prior, got {run.lam0!r}")
+    result = elicit_prior(problem, run.lam0, seed=run.seed, tolerance=run.tolerance,
+                          max_iter=run.max_iter)
     trace = {"loss_trace.csv": (["improvement", "loss"],
                                 [range(len(result.loss_trace)), result.loss_trace])}
-    return _payload(result, kind="elicitation", family="beta"), echo, trace
+    return _payload(result, kind="elicitation", family="beta"), trace
 
 
-def _cmd_abc(args, cfg, pipe, seed):
-    model, model_echo = _build_model(args, cfg)
-    y = _load_data(args)
-    if (args.tolerance is None) == (args.quantile is None):
+def _cmd_abc(run):
+    model = _build_model(run)
+    y = _load_data(run)
+    if (run.tolerance is None) == (run.quantile is None):
         raise ConfigError("abc needs exactly one of --tolerance or --quantile")
-    if args.quantile is not None and not 0.0 < args.quantile <= 1.0:
-        raise ConfigError(f"--quantile must lie in (0, 1], got {args.quantile}")
-    if args.tolerance is not None and not args.tolerance >= 0.0:
-        raise ConfigError(f"--tolerance must be a number >= 0, got {args.tolerance}")
-    max_proposals = _count(args.max_proposals, pipe, "max_proposals", 100_000)
     result = abc_rejection(
         model,
         y,
-        _distance(args.distance),
-        substream(seed, 0),
-        m=_count(args.m, pipe, "m", 1000),
-        tolerance=args.tolerance,
-        acceptance_quantile=args.quantile,
-        max_proposals=max_proposals,
+        _named("distance", run.distance, DISTANCE_REGISTRY),
+        substream(run.seed, 0),
+        m=run.m,
+        tolerance=run.tolerance,
+        acceptance_quantile=run.quantile,
+        max_proposals=run.max_proposals,
     )
     values = result.draws.values
-    payload = {
-        "kind": "abc",
-        "model": model.name,
-        "distance": args.distance,
-        "m": int(values.shape[0]),
-        "acceptance_rate": result.acceptance_rate,
-        "proposals_used": result.proposals_used,
-        "threshold": result.threshold,
-        "posterior_mean": values.mean(axis=0),
-        "posterior_sd": values.std(axis=0, ddof=1) if values.shape[0] > 1 else
-            np.zeros(values.shape[1]),
-        "seed": seed,
-        "metadata": result.draws.info,
-    }
-    echo = {"model": model_echo,
-            "pipeline": {"m": int(values.shape[0]), "distance": args.distance,
-                         "tolerance": args.tolerance, "quantile": args.quantile,
-                         "max_proposals": max_proposals}}
+    sd = values.std(axis=0, ddof=1) if values.shape[0] > 1 else np.zeros(values.shape[1])
+    payload = _payload(result, drop=("draws",), kind="abc", model=model.name,
+                       distance=run.distance, m=int(values.shape[0]),
+                       posterior_mean=values.mean(axis=0), posterior_sd=sd, seed=run.seed,
+                       metadata=result.draws.info)
     header = ["index"] + [f"theta{j}" for j in range(values.shape[1])]
     columns = [range(values.shape[0]), *np.asarray(values, dtype=float).T]
-    return payload, echo, {"draws.csv": (header, columns)}
+    return payload, {"draws.csv": (header, columns)}
 
 
-def _compare_entries(args, cfg) -> list[ModelEntry]:
-    comp = _section(cfg, "compare")
+def _compare_entries(run) -> list[ModelEntry]:
+    comp = _section(run.cfg, "compare")
     names = [n.strip() for n in str(comp.get("models", "")).split(",") if n.strip()]
     if not names:
         raise ConfigError(
             "compare needs a [compare] section listing models = A, B with "
             "one [model:NAME] section per candidate"
         )
+    run.sections["compare"] = comp
     entries = []
     for label in names:
-        sect = _section(cfg, f"model:{label}")
+        sect = _section(run.cfg, f"model:{label}")
         if not sect:
             raise ConfigError(f"missing [model:{label}] section")
         name = sect.pop("name", None)
         if name is None:
             raise ConfigError(f"[model:{label}] needs a name key")
-        prior_prob = float(sect.pop("prior_prob", 1.0 / len(names)))
+        prior_prob = _convert(f"[model:{label}] prior_prob",
+                              sect.pop("prior_prob", 1.0 / len(names)), float, "[0, 1]")
         try:
             model = make_model(name, **sect)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"[model:{label}]: {exc}") from exc
+        run.sections[f"model:{label}"] = {"name": name, "prior_prob": prior_prob, **sect}
         entries.append(ModelEntry(name=label, model=model, prior_prob=prior_prob))
+    # the check posterior_model_probs makes, before anything is simulated
+    if not np.isclose(sum(e.prior_prob for e in entries), 1.0):
+        raise ConfigError("the [model:NAME] prior_prob values must sum to 1, got "
+                          + ", ".join(str(e.prior_prob) for e in entries))
     return entries
 
 
-def _cmd_compare(args, cfg, pipe, seed):
-    y = _load_data(args)
-    s = _count(args.s, pipe, "s", 100_000, low=2)
-    if not cfg.has_section("compare"):
-        model, model_echo = _build_model(args, cfg)
-        ev = marginal_likelihood_mc(model, y, s=s, seed=seed)
-        return _payload(ev, kind="evidence"), {"model": model_echo, "pipeline": {"s": s}}, {}
-    comparison = posterior_model_probs(_compare_entries(args, cfg), y, s=s, seed=seed)
-    payload = {
-        "kind": "model-comparison",
-        "s": comparison.s,
-        "seed": comparison.seed,
-        "models": {
-            name: {
-                "log_evidence": ev.log_evidence,
-                "mc_se_log": ev.mc_se_log,
-                "all_zero": ev.all_zero,
-                "posterior_prob": comparison.posterior_probs[name],
-            }
-            for name, ev in comparison.evidences.items()
-        },
-        "log_bayes_factors": comparison.log_bayes_factors,
-        "metadata": {},
-    }
-    echo = {"pipeline": {"s": s, "models": list(comparison.entries)}}
+def _cmd_compare(run):
+    y = _load_data(run)
+    if not run.cfg.has_section("compare"):
+        ev = marginal_likelihood_mc(_build_model(run), y, s=run.s, seed=run.seed)
+        return _payload(ev, kind="evidence"), {}
+    comparison = posterior_model_probs(_compare_entries(run), y, s=run.s, seed=run.seed)
     evidences = comparison.evidences
+    models = {name: {"log_evidence": ev.log_evidence, "mc_se_log": ev.mc_se_log,
+                     "all_zero": ev.all_zero, "posterior_prob": comparison.posterior_probs[name]}
+              for name, ev in evidences.items()}
+    payload = _payload(comparison, drop=("entries", "evidences", "posterior_probs"),
+                       kind="model-comparison", models=models, metadata={})
     columns = [list(evidences), [ev.log_evidence for ev in evidences.values()],
                [ev.mc_se_log for ev in evidences.values()],
                [comparison.posterior_probs[name] for name in evidences]]
     csvs = {"evidence.csv": (["model", "log_evidence", "mc_se_log", "posterior_prob"],
                              columns)}
-    return payload, echo, csvs
+    return payload, csvs
 
 
-def _cmd_sensitivity(args, cfg, pipe, seed):
-    handler = _sensitivity_sweep if args.mode == "sweep" else _power_scale
-    return handler(args, cfg, pipe, seed)
+def _cmd_sensitivity(run):
+    return (_sensitivity_sweep if run.mode == "sweep" else _power_scale)(run)
 
 
-def _power_scale(args, cfg, pipe, seed):
-    model, model_echo = _build_model(args, cfg)
-    approx, approx_echo = _build_approximator(args, cfg)
-    y = _load_data(args)
-    m = _count(args.m, pipe, "m", 2000)
-    alphas = _floats(args.alphas)
-    if not all(a > 0 for a in alphas):
-        raise ConfigError(f"--alphas must be positive, got {args.alphas!r}")
-    draws = approx.approximate(model, y, substream(seed, 0), m=m)
+def _power_scale(run):
+    model = _build_model(run)
+    approx = _build_approximator(run)
+    y = _load_data(run)
+    draws = approx.approximate(model, y, substream(run.seed, 0), m=run.m)
     qs = (0.05, 0.5, 0.95)
     table = {k: [] for k in ("axis", "alpha", "ess", "mean0", "q05", "q50", "q95")}
     results = {"prior": [], "likelihood": []}
     for axis in ("prior", "likelihood"):
-        for alpha in alphas:
+        for alpha in run.alphas:
             kw = {"alpha_prior": alpha} if axis == "prior" else {"alpha_lik": alpha}
             wd = power_scale_weights(model, y, draws, **kw)
             mean = [weighted_mean(wd, d) for d in range(draws.values.shape[1])]
@@ -709,14 +746,12 @@ def _power_scale(args, cfg, pipe, seed):
         "kind": "power-scaling",
         "model": model.name,
         "approximator": approx.name,
-        "m": m,
-        "seed": seed,
+        "m": run.m,
+        "seed": run.seed,
         "axes": results,
-        "metadata": {"alphas": alphas},
+        "metadata": {"alphas": run.alphas},
     }
-    echo = {"model": model_echo, "approximator": approx_echo,
-            "pipeline": {"m": m, "alphas": alphas, "mode": "power-scale"}}
-    return payload, echo, {"powerscale.csv": (list(table), list(table.values()))}
+    return payload, {"powerscale.csv": (list(table), list(table.values()))}
 
 
 def _sweep_grid(sweep: dict) -> tuple[list[dict], dict]:
@@ -739,13 +774,14 @@ def _sweep_grid(sweep: dict) -> tuple[list[dict], dict]:
     return grid, vary
 
 
-def _sensitivity_sweep(args, cfg, pipe, seed):
-    sweep = _section(cfg, "sweep")
+def _sensitivity_sweep(run):
+    sweep = _section(run.cfg, "sweep")
     if not sweep:
         raise ConfigError("sweep mode needs a [sweep] section in the config")
+    run.sections["sweep"] = sweep
     pipeline_name = sweep.get("pipeline")
-    model, model_echo = _build_model(args, cfg)
-    approx, approx_echo = _build_approximator(args, cfg)
+    model = _build_model(run)
+    approx = _build_approximator(run)
     grid, vary = _sweep_grid(sweep)
 
     def cell_model(config: dict):
@@ -754,9 +790,10 @@ def _sensitivity_sweep(args, cfg, pipe, seed):
                      if k.startswith("model_")}
         if not overrides:
             return model
-        params = {k: v for k, v in model_echo.items() if k != "name"}
+        params = dict(run.sections["model"])
+        name = params.pop("name")
         params.update(overrides)
-        return make_model(model_echo["name"], **params)
+        return make_model(name, **params)
 
     if pipeline_name == "sbc":
         def cell(config: dict, cell_seed: int) -> dict:
@@ -770,7 +807,7 @@ def _sensitivity_sweep(args, cfg, pipe, seed):
             return {"chi2_pvalue": v.chi2_pvalue, "ks_pvalue": v.ks_pvalue,
                     "ecdf_inside": v.ecdf_inside}
     elif pipeline_name == "evidence":
-        y = _load_data(args)
+        y = _load_data(run)
 
         def cell(config: dict, cell_seed: int) -> dict:
             ev = marginal_likelihood_mc(cell_model(config), y,
@@ -778,7 +815,7 @@ def _sensitivity_sweep(args, cfg, pipe, seed):
                                         seed=cell_seed)
             return {"log_evidence": ev.log_evidence, "mc_se_log": ev.mc_se_log}
     elif pipeline_name == "power-scale":
-        y = _load_data(args)
+        y = _load_data(run)
 
         def cell(config: dict, cell_seed: int) -> dict:
             model = cell_model(config)
@@ -797,23 +834,15 @@ def _sensitivity_sweep(args, cfg, pipe, seed):
             "[sweep] pipeline must be one of: evidence, power-scale, sbc"
         )
 
-    result = sensitivity_sweep(cell, grid, seed=seed)
-    payload = {
-        "kind": "sensitivity-sweep",
-        "pipeline": pipeline_name,
-        "n_cells": len(result.rows),
-        "n_failed": result.n_failed,
-        "seed": result.seed,
-        "rows": [dict(r) for r in result.rows],
-        "metadata": {"varied": vary},
-    }
-    echo = {"model": model_echo, "approximator": approx_echo,
-            "pipeline": {"mode": "sweep", "pipeline": pipeline_name}}
-    return payload, echo, {"sweep.csv": result.table()}
+    result = sensitivity_sweep(cell, grid, seed=run.seed)
+    payload = _payload(result, kind="sensitivity-sweep", pipeline=pipeline_name,
+                       n_cells=len(result.rows), rows=[dict(r) for r in result.rows],
+                       metadata={"varied": vary})
+    return payload, {"sweep.csv": result.table()}
 
 
-def _cmd_render(args, cfg, pipe, seed):
-    path = Path(args.report)
+def _cmd_render(run):
+    path = Path(run.report)
     if not path.is_file():
         raise ConfigError(f"report file not found: {path}")
     with open(path) as fh:
@@ -824,240 +853,173 @@ def _cmd_render(args, cfg, pipe, seed):
         print(f"warning: no figure renderer for report kind "
               f"{results.get('kind')!r}; known: {', '.join(figures.renderable_kinds())}",
               file=sys.stderr)
-    return {"kind": "render", "source": str(path),
-            "rendered": sorted(files)}, {}, {"__svg__": files}
+    return {"kind": "render", "source": str(path), "rendered": sorted(files)}, files
+
+
+# ---------------------------------------------------------------------------
+# The subcommand table
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable
+    plan: list[str]       # the seed plan a dry run prints
+    flags: dict           # flag -> Use, besides the common flags
 
 
 _NULL_CHUNKS = "null chunk c: stream (root, 0, c); retry a: stream (root, 0, c, a)"
+_SBC_FLAGS = {**_MODEL, **_APPROX, "--S": Use(1000, "[10, inf)"), "--M": Use(99, _AT_LEAST_1),
+              "--bins": Use(10, "[2, inf)"), "--band-coverage": Use(0.95, "[0.5, 1)"),
+              "--targets": Use()}
+_ESTIMATOR = {"--estimator": Use("sample-mean")}
 
-# subcommand -> (handler, seed plan)
 _COMMANDS = {
-    "sbc": (_cmd_sbc, ["replication i: stream (seed, 0, i)"]),
-    "post-sbc": (_cmd_sbc, ["posterior draws at observed data: stream (seed, 1)",
-                            "replication i: stream (seed, 0, i)"]),
-    "freq-calibrate": (_cmd_freq_calibrate, ["dataset i: stream (seed, 0, i)"]),
-    "power": (_cmd_power, ["sim test null root: drawn from stream (seed + 1, 0)",
-                           _NULL_CHUNKS, "dataset i: stream (seed, 0, i)"]),
-    "accuracy": (_cmd_accuracy, ["dataset i: stream (seed, 0, i)"]),
-    "test": (_cmd_test, ["null root: drawn from stream (seed, 0)", _NULL_CHUNKS,
-                         "tie-break coin: stream (seed, 1)"]),
-    "ppc": (_cmd_ppc, ["posterior draws: stream (seed, 1)",
-                       "replications: stream (seed, 0)"]),
-    "prior-check": (_cmd_prior_check, ["prior draws and simulation: stream (seed, 0)"]),
-    "elicit": (_cmd_elicit,
-               ["common random numbers: stream (seed, 0), reused every evaluation"]),
-    "abc": (_cmd_abc, ["proposals: stream (seed, 0)"]),
-    "compare": (_cmd_compare, [
-        "one model (no [compare] section), chunk c: stream (seed, 0, c)",
-        "[compare] models: model k seed: SeedSequence(seed, spawn_key=(9, k))"
-        ".generate_state(1, uint64)[0] mod 2**63",
-        "[compare] models: model k, chunk c: stream (model k seed, 0, c)"]),
-    "sensitivity": (_cmd_sensitivity, [
-        "power-scale mode: posterior draws: stream (seed, 0)",
-        "sweep mode: cell i seed: SeedSequence(seed, spawn_key=(9, i))"
-        ".generate_state(1, uint64)[0] mod 2**63",
-        "sweep mode, pipeline sbc: cell i, replication j: stream (cell i seed, 0, j)",
-        "sweep mode, pipeline evidence: cell i, chunk c: stream (cell i seed, 0, c)",
-        "sweep mode, pipeline power-scale: cell i draws: stream (cell i seed, 0)"]),
-    "render": (_cmd_render, ["no randomness"]),
+    "sbc": Command("prior-predictive calibration of an approximator", _cmd_sbc,
+                   ["replication i: stream (seed, 0, i)"], _SBC_FLAGS),
+    "post-sbc": Command(
+        "calibration conditional on an observed dataset", _cmd_sbc,
+        ["posterior draws at observed data: stream (seed, 1)",
+         "replication i: stream (seed, 0, i)"],
+        {**_SBC_FLAGS, "--data": Use()}),
+    "freq-calibrate": Command(
+        "sampling-distribution calibration of an estimator", _cmd_freq_calibrate,
+        ["dataset i: stream (seed, 0, i)"],
+        {**_MODEL, "--theta-star": Use(), **_ESTIMATOR, "--sampling": Use(),
+         "--alphas": Use("0.9", "(0, 1)"), "--S": Use(1000, "[10, inf)"),
+         "--bins": Use(10, "[2, inf)")}),
+    "power": Command(
+        "rejection rate of a test at a fixed or prior truth", _cmd_power,
+        ["sim test null root: drawn from stream (seed + 1, 0)", _NULL_CHUNKS,
+         "dataset i: stream (seed, 0, i)"],
+        {**_MODEL, "--test": Use("sim"), "--theta-star": Use(), "--theta0": Use(),
+         "--statistic": Use("mean"), "--side": Use("upper"), "--sigma": Use(None, "(0, inf)"),
+         "--alpha": Use(0.05, "(0, 1)"), "--S": Use(1000, _AT_LEAST_1),
+         "--null-s": Use(10_000, _AT_LEAST_1)}),
+    "accuracy": Command(
+        "mean estimator error over simulated datasets", _cmd_accuracy,
+        ["dataset i: stream (seed, 0, i)"],
+        {**_MODEL, "--theta-star": Use(), **_ESTIMATOR, "--distance": Use("squared"),
+         "--S": Use(1000, "[2, inf)")}),
+    "test": Command(
+        "simulation-based hypothesis test on one dataset", _cmd_test,
+        ["null root: drawn from stream (seed, 0)", _NULL_CHUNKS,
+         "tie-break coin: stream (seed, 1)"],
+        {**_MODEL, "--data": Use(), "--theta0": Use(), "--statistic": Use("mean"),
+         "--side": Use("two_sided"), "--S": Use(10_000, "[2, inf)")}),
+    "ppc": Command(
+        "predictive check against replicated datasets", _cmd_ppc,
+        ["posterior draws: stream (seed, 1)", "replications: stream (seed, 0)"],
+        {**_MODEL, **_APPROX, "--data": Use(), "--statistic": Use("mean"),
+         "--theta-hat": Use(), "--S": Use(1000, _AT_LEAST_1)}),
+    "prior-check": Command(
+        "prior pushforward mass inside a plausible region", _cmd_prior_check,
+        ["prior draws and simulation: stream (seed, 0)"],
+        {**_MODEL, "--statistic": Use("mean"), "--region": Use(),
+         "--S": Use(1000, _AT_LEAST_1)}),
+    "elicit": Command(
+        "fit prior hyperparameters to expert statistics", _cmd_elicit,
+        ["common random numbers: stream (seed, 0), reused every evaluation"],
+        {"--expert-csv": Use(), "--expert-stats": Use(), "--n-trials": Use(20, _AT_LEAST_1),
+         "--lam0": Use("1,1"), "--sims": Use(10_000, _AT_LEAST_1),
+         "--tolerance": Use(1e-4, "[0, inf)"), "--max-iter": Use(500, _AT_LEAST_1)}),
+    "abc": Command(
+        "rejection sampling against a simulator", _cmd_abc,
+        ["proposals: stream (seed, 0)"],
+        {**_MODEL, "--data": Use(), "--distance": Use("mean-distance"),
+         "--M": Use(1000, _AT_LEAST_1), "--tolerance": Use(None, "[0, inf)"),
+         "--quantile": Use(None, "(0, 1]"), "--max-proposals": Use(100_000, _AT_LEAST_1)}),
+    "compare": Command(
+        "Monte Carlo evidence and model probabilities", _cmd_compare,
+        ["one model (no [compare] section), chunk c: stream (seed, 0, c)",
+         "[compare] models: model k seed: SeedSequence(seed, spawn_key=(9, k))"
+         ".generate_state(1, uint64)[0] mod 2**63",
+         "[compare] models: model k, chunk c: stream (model k seed, 0, c)"],
+        {**_MODEL, "--data": Use(), "--S": Use(100_000, "[2, inf)")}),
+    "sensitivity": Command(
+        "power-scaling diagnostics or a hyperparameter sweep", _cmd_sensitivity,
+        ["power-scale mode: posterior draws: stream (seed, 0)",
+         "sweep mode: cell i seed: SeedSequence(seed, spawn_key=(9, i))"
+         ".generate_state(1, uint64)[0] mod 2**63",
+         "sweep mode, pipeline sbc: cell i, replication j: stream (cell i seed, 0, j)",
+         "sweep mode, pipeline evidence: cell i, chunk c: stream (cell i seed, 0, c)",
+         "sweep mode, pipeline power-scale: cell i draws: stream (cell i seed, 0)"],
+        {**_MODEL, **_APPROX, "--mode": Use("power-scale"), "--data": Use(),
+         "--M": Use(2000, _AT_LEAST_1), "--alphas": Use("0.5,0.8,1.0,1.25,2.0", "(0, inf)")}),
+    "render": Command("regenerate SVG figures from a stored report", _cmd_render,
+                      ["no randomness"], {"--report": Use(required=True)}),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """argparse for every subcommand, built from _COMMANDS and FLAGS.
+
+    A flag with a config key has no argparse default, so an unset flag
+    falls back to the config file; main applies the table's default.
+    """
+    parser = argparse.ArgumentParser(
+        prog="simflow",
+        description="Simulation-based calibration, testing, and checking pipelines.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option, use in {**_COMMON, **command.flags}.items():
+            flag = FLAGS[option]
+            if flag.kind is bool:
+                p.add_argument(option, action="store_true", help=flag.help)
+                continue
+            p.add_argument(option, dest=_dest(option), help=flag.help, required=use.required,
+                           type=flag.kind if flag.kind in (int, float) else None,
+                           default=None if flag.key else use.default, choices=flag.choices)
+    return parser
 
 
 # ---------------------------------------------------------------------------
 # Output
 
 
-def _write_outputs(outdir: Path, payload: dict, formats: set[str], csvs: dict) -> None:
+def _write_outputs(outdir: Path, payload: dict, formats: set[str], files: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    svg_files = csvs.pop("__svg__", None)
     report.write_report(payload, outdir / "report.json")
-    if "csv" in formats:
-        for filename, (header, columns) in csvs.items():
-            report.write_csv(outdir / filename, header, columns)
-    if svg_files is None and "svg" in formats:
-        svg_files = figures.render_figures(payload["results"])
-    if svg_files:
-        for filename, text in svg_files.items():
+    if "svg" in formats:
+        files = {**files, **figures.render_figures(payload["results"])}
+    for filename, content in files.items():
+        if isinstance(content, str):
             with open(outdir / filename, "w", newline="\n") as fh:
-                fh.write(text)
+                fh.write(content)
+        elif "csv" in formats:
+            report.write_csv(outdir / filename, *content)
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="simflow",
-        description="Simulation-based calibration, testing, and checking pipelines.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI config file; flags override it")
-    common.add_argument("--seed", type=int, default=None,
-                        help="root seed (default: config, then SIMFLOW_SEED, then 0)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="accepted for old command lines and ignored")
-    common.add_argument("--out", default=None, help="output directory (default: out)")
-    common.add_argument("--formats", default=None,
-                        help="comma list from json,csv,svg (default json,svg)")
-    common.add_argument("--dry-run", action="store_true",
-                        help="validate config, print the seed plan, and exit")
-
-    modelish = argparse.ArgumentParser(add_help=False)
-    modelish.add_argument("--model", help="model name, e.g. normal-normal")
-    modelish.add_argument("--model-params",
-                          help="model hyperparameters as k=v,k=v")
-
-    approxish = argparse.ArgumentParser(add_help=False)
-    approxish.add_argument("--approximator",
-                           help="abc, exact, perturbed, or rwm")
-    approxish.add_argument("--approximator-params", help="k=v,k=v")
-
-    sbcish = argparse.ArgumentParser(add_help=False)
-    sbcish.add_argument("--S", dest="s", type=int, default=None, help="outer simulations")
-    sbcish.add_argument("--M", dest="m", type=int, default=None, help="draws per posterior")
-    sbcish.add_argument("--bins", type=int, default=None)
-    sbcish.add_argument("--band-coverage", type=float, default=None)
-    sbcish.add_argument("--targets", help="comma list of parameter indices")
-
-    sub.add_parser("sbc", parents=[common, modelish, approxish, sbcish],
-                   help="prior-predictive calibration of an approximator")
-    p = sub.add_parser("post-sbc", parents=[common, modelish, approxish, sbcish],
-                       help="calibration conditional on an observed dataset")
-    p.add_argument("--data", help="observed dataset CSV")
-
-    p = sub.add_parser("freq-calibrate", parents=[common, modelish],
-                       help="sampling-distribution calibration of an estimator")
-    p.add_argument("--theta-star", help="true parameter, comma separated")
-    p.add_argument("--estimator", default="sample-mean")
-    p.add_argument("--sampling",
-                   help="approximate sampling law: normal:loc,scale or t:df,loc,scale")
-    p.add_argument("--alphas", default="0.9", help="interval levels, comma separated")
-    p.add_argument("--S", dest="s", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
-
-    p = sub.add_parser("power", parents=[common, modelish],
-                       help="rejection rate of a test at a fixed or prior truth")
-    p.add_argument("--test", default="sim", help="sim or z")
-    p.add_argument("--theta-star", help="comma list, or the word prior")
-    p.add_argument("--theta0", help="null parameter for the test")
-    p.add_argument("--statistic", default="mean")
-    p.add_argument("--side", default="upper", choices=SIDES)
-    p.add_argument("--sigma", type=float, help="known sdev for the z test")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--S", dest="s", type=int, default=None)
-    p.add_argument("--null-s", type=int, default=10_000,
-                   help="null sample size for the sim test")
-
-    p = sub.add_parser("accuracy", parents=[common, modelish],
-                       help="mean estimator error over simulated datasets")
-    p.add_argument("--theta-star", help="comma list, or the word prior")
-    p.add_argument("--estimator", default="sample-mean")
-    p.add_argument("--distance", default="squared", help="squared or absolute")
-    p.add_argument("--S", dest="s", type=int, default=None)
-
-    p = sub.add_parser("test", parents=[common, modelish],
-                       help="simulation-based hypothesis test on one dataset")
-    p.add_argument("--data", help="observed dataset CSV")
-    p.add_argument("--theta0", help="null parameter, comma separated")
-    p.add_argument("--statistic", default="mean")
-    p.add_argument("--side", default="two_sided", choices=SIDES)
-    p.add_argument("--S", dest="s", type=int, default=None, help="null sample size")
-
-    p = sub.add_parser("ppc", parents=[common, modelish, approxish],
-                       help="predictive check against replicated datasets")
-    p.add_argument("--data", help="observed dataset CSV")
-    p.add_argument("--statistic", default="mean")
-    p.add_argument("--theta-hat",
-                   help="fixed parameter: frequentist check instead of posterior")
-    p.add_argument("--S", dest="s", type=int, default=None, help="replications")
-
-    p = sub.add_parser("prior-check", parents=[common, modelish],
-                       help="prior pushforward mass inside a plausible region")
-    p.add_argument("--statistic", default="mean")
-    p.add_argument("--region", help="lo,hi")
-    p.add_argument("--S", dest="s", type=int, default=None)
-
-    p = sub.add_parser("elicit", parents=[common],
-                       help="fit prior hyperparameters to expert statistics")
-    p.add_argument("--expert-csv", help="CSV with header target,probe,value")
-    p.add_argument("--expert-stats", help="inline comma list of expert values")
-    p.add_argument("--n-trials", type=int, default=None)
-    p.add_argument("--lam0", default="1,1", help="starting hyperparameters")
-    p.add_argument("--sims", type=int, default=None, help="simulations per evaluation")
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=500)
-
-    p = sub.add_parser("abc", parents=[common, modelish],
-                       help="rejection sampling against a simulator")
-    p.add_argument("--data", help="observed dataset CSV")
-    p.add_argument("--distance", default="mean-distance")
-    p.add_argument("--M", dest="m", type=int, default=None, help="draws wanted")
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--quantile", type=float, default=None,
-                   help="acceptance quantile instead of a fixed tolerance")
-    p.add_argument("--max-proposals", type=int, default=None)
-
-    p = sub.add_parser("compare", parents=[common, modelish],
-                       help="Monte Carlo evidence and model probabilities")
-    p.add_argument("--data", help="observed dataset CSV")
-    p.add_argument("--S", dest="s", type=int, default=None, help="prior draws")
-
-    p = sub.add_parser("sensitivity", parents=[common, modelish, approxish],
-                       help="power-scaling diagnostics or a hyperparameter sweep")
-    p.add_argument("--mode", default="power-scale", choices=["power-scale", "sweep"])
-    p.add_argument("--data", help="observed dataset CSV")
-    p.add_argument("--M", dest="m", type=int, default=None, help="posterior draws")
-    p.add_argument("--alphas", default="0.5,0.8,1.0,1.25,2.0",
-                   help="scaling exponents, comma separated")
-
-    p = sub.add_parser("render", parents=[common],
-                       help="regenerate SVG figures from a stored report")
-    p.add_argument("--report", required=True, help="path to a report.json")
-
-    return parser
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, plan = _COMMANDS[args.command]
+    command = _COMMANDS[args.command]
+    head = {"schema_version": SCHEMA_VERSION, "command": args.command}
     t0 = time.perf_counter()
     try:
         cfg = _load_config(args.config)
-        pipe = _section(cfg, "pipeline")
-        out_sect = _section(cfg, "output")
-        seed, seed_source = _resolve_seed(args, pipe)
-        # --threads and [pipeline] threads still parse and are checked, but
-        # every pipeline runs its replications in one loop in this process.
-        threads = _pick(args.threads, pipe, "threads", 1)
-        if not isinstance(threads, int) or threads < 1:
-            raise ConfigError(f"--threads must be a positive integer, got {threads!r}")
-        outdir = Path(_pick(args.out, out_sect, "dir", "out"))
-        formats = {
-            f.strip()
-            for f in str(_pick(args.formats, out_sect, "formats", "json,svg")).split(",")
-            if f.strip()
-        }
-        unknown = formats - {"json", "csv", "svg"}
-        if unknown:
-            raise ConfigError(f"unknown output formats: {', '.join(sorted(unknown))}")
-        if args.dry_run:
-            print(f"seed: {seed} (from {seed_source})")
-            for line in plan:
+        settings, sources = _resolve({**_COMMON, **command.flags}, args, cfg)
+        seed = settings["seed"]
+        outdir = Path(settings["out"])
+        if settings["dry_run"]:
+            print(f"seed: {seed} (from {sources['seed']})")
+            for line in command.plan:
                 print(f"  {line}")
             print("dry run: nothing simulated")
             return 0
-        results, echo, csvs = handler(args, cfg, pipe, seed)
+        run = SimpleNamespace(**settings, command=args.command, cfg=cfg, sections={})
+        results, files = command.handler(run)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetError, RetryError, CapabilityError, DomainError, RuntimeError) as exc:
         diagnostics = getattr(exc, "diagnostics", {})
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
+            **head,
             "status": "error",
             "error": {"type": type(exc).__name__, "message": str(exc),
                       "diagnostics": diagnostics},
@@ -1072,17 +1034,19 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
         return 3
 
+    # each setting under its config key, or its dest when it has none
+    pipeline = {FLAGS[o].key.split()[-1] if FLAGS[o].key else _dest(o): settings[_dest(o)]
+                for o in command.flags if FLAGS[o].echo}
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
+        **head,
         "status": "ok",
-        "config": echo,
-        "seed_provenance": {"seed": seed, "source": seed_source, "plan": plan},
+        "config": {**run.sections, "pipeline": pipeline},
+        "seed_provenance": {"seed": seed, "source": sources["seed"], "plan": command.plan},
         "results": results,
         "timing_seconds": time.perf_counter() - t0,
     }
     try:
-        _write_outputs(outdir, payload, formats, csvs)
+        _write_outputs(outdir, payload, formats=settings["formats"], files=files)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 3

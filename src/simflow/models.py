@@ -52,6 +52,13 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))  # as scipy.stats.norm computes it
 
 
+def _whole(name: str, value) -> int:
+    """A count hyperparameter as an int; 2.5 is refused, not truncated to 2."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DataShape:
     """Default shape of one simulated dataset."""
@@ -420,7 +427,7 @@ class NormalNormal(Model):
         self.sigma = float(sigma)
         self.name = "normal-normal"
         self.param_dim = 1
-        self.data_shape = DataShape(n_obs=int(n_obs))
+        self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
         self.capabilities = Capabilities(True, True, True, True, True)
 
     def sample_prior(self, rng, size: int) -> np.ndarray:
@@ -481,14 +488,15 @@ class BetaBinomial(Model):
                  n_obs: int = 1):
         if a <= 0 or b <= 0:
             raise DomainError("Beta prior parameters must be positive")
+        n_trials = _whole("n_trials", n_trials)
         if n_trials < 1:
             raise DomainError("n_trials must be at least 1")
         self.a = float(a)
         self.b = float(b)
-        self.n_trials = int(n_trials)
+        self.n_trials = n_trials
         self.name = "beta-binomial"
         self.param_dim = 1
-        self.data_shape = DataShape(n_obs=int(n_obs))
+        self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
         self.capabilities = Capabilities(True, True, True, True, True)
 
     def in_support(self, theta) -> bool:
@@ -578,7 +586,7 @@ class PoissonGamma(Model):
         self.b = float(b)
         self.name = "poisson-gamma"
         self.param_dim = 1
-        self.data_shape = DataShape(n_obs=int(n_obs))
+        self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
         self.capabilities = Capabilities(True, True, True, True, True)
 
     def in_support(self, theta) -> bool:
@@ -662,10 +670,11 @@ class LogNormalTwoGroup(Model):
     def __init__(self, sigma: float = 2.0, n_per_group: int = 40):
         if sigma <= 0:
             raise DomainError("sigma must be positive")
+        n_per_group = _whole("n_per_group", n_per_group)
         if n_per_group < 2:
             raise DomainError("n_per_group must be at least 2")
         self.sigma = float(sigma)
-        self.n_per_group = int(n_per_group)
+        self.n_per_group = n_per_group
         self.name = "lognormal-two-group"
         self.param_dim = 2
         self.data_shape = DataShape(n_obs=2 * self.n_per_group)

@@ -133,11 +133,40 @@ _DATA = [*_NN12, "--data", "data.csv"]
     ["elicit", "--expert-stats", "3,4,6,8,10", "--sims", "200", "--tolerance", "nan"],
     ["elicit", "--expert-stats", "3,4,6,8,10", "--sims", "200", "--tolerance=-1"],
     ["elicit", "--expert-stats", "3,4,6,8,10", "--sims", "200", "--max-iter", "0"],
+    ["elicit", "--expert-stats", "3,4,6,8,10", "--sims", "200", "--tolerance", "inf"],
+    # [pipeline] values that are not of their setting's kind (a traceback or
+    # silently truncated)
+    ["accuracy", *_NN12, "--theta-star", "0.3", "--config", "s-abc.ini"],
+    ["power", *_NN12, "--theta-star", "0.5", "--theta0", "0", "--config", "alpha-abc.ini"],
+    ["sbc", *_NN12, "--S", "20", "--M", "9", "--config", "bins.ini"],
+    ["power", *_NN12, "--theta-star", "0.5", "--theta0", "0", "--null-s", "50",
+     "--config", "s-frac.ini"],
+    ["elicit", "--expert-stats", "3,4,6,8,10", "--sims", "200", "--config", "n-trials.ini"],
+    # count hyperparameters that are not integers (truncated by the model)
+    ["sbc", "--model", "normal-normal", "--model-params", "n_obs=2.5", "--S", "20", "--M", "9"],
+    ["sbc", "--model", "beta-binomial", "--model-params", "n_trials=2.7", "--S", "20",
+     "--M", "9"],
+    # compare priors that are not numbers or do not sum to 1 (tracebacks)
+    ["compare", "--config", "prior-abc.ini", "--data", "data.csv", "--S", "100"],
+    ["compare", "--config", "prior-sum.ini", "--data", "data.csv", "--S", "100"],
+    # empty lists (ran with no exponents or no coverage levels)
+    ["sensitivity", *_DATA, "--alphas=,"],
+    [*_FREQ, "--sampling", "normal:0.3,0.3", "--S", "20", "--alphas=,"],
+    # a dry run resolves and checks every setting (printed a plan)
+    ["sbc", *_NN12, "--S", "5", "--dry-run"],
+    ["power", "--config", "alpha-abc.ini", "--dry-run"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "threads.ini").write_text("[pipeline]\nthreads = abc\n")
-    (tmp_path / "seed.ini").write_text("[pipeline]\nseed = -3\n")
+    for name, line in {"threads": "threads = abc", "seed": "seed = -3", "s-abc": "s = abc",
+                       "alpha-abc": "alpha = abc", "bins": "bins = 3.5", "s-frac": "s = 20.9",
+                       "n-trials": "n_trials = 20.5"}.items():
+        (tmp_path / f"{name}.ini").write_text(f"[pipeline]\n{line}\n")
+    for name, (a, b) in {"prior-abc": ("abc", "0.5"), "prior-sum": ("0.9", "0.9")}.items():
+        (tmp_path / f"{name}.ini").write_text(
+            "[compare]\nmodels = a, b\n"
+            f"[model:a]\nname = normal-normal\nn_obs = 12\nprior_prob = {a}\n"
+            f"[model:b]\nname = normal-normal\nmu0 = 1\nn_obs = 12\nprior_prob = {b}\n")
     _write_data(tmp_path / "data.csv")
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
@@ -299,6 +328,10 @@ def test_readme_config_example(tmp_path, capsys, monkeypatch):
     assert payload["config"]["approximator"] == {"name": "perturbed", "sd_scale": 0.5}
     assert payload["results"]["approximator"].startswith("perturbed")
     assert (payload["results"]["s"], payload["results"]["m"]) == (20, 9)
+    # a flag naming the model the config names too (a TypeError once)
+    assert main(small + ["--model", "normal-normal", "--model-params", "n_obs=6"]) == 0
+    payload = json.loads((tmp_path / "results" / "report.json").read_text())
+    assert payload["config"]["model"]["n_obs"] == 6
 
 
 def test_reports_byte_identical_across_runs_and_threads(tmp_path):

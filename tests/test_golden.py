@@ -11,6 +11,7 @@ bytes, refresh the table with
 and list each changed entry in CHANGES.md.
 """
 
+import configparser
 import hashlib
 import json
 import re
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from simflow import cli
 from simflow.cli import main
 
 TABLE = Path(__file__).with_name("golden.json")
@@ -151,11 +153,16 @@ def run_all(workdir: Path) -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
+def golden_run(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("golden")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(workdir)
-        return run_all(workdir)
+        return workdir, run_all(workdir)
+
+
+@pytest.fixture(scope="module")
+def digests(golden_run):
+    return golden_run[1]
 
 
 def test_golden_files_present(digests):
@@ -165,6 +172,52 @@ def test_golden_files_present(digests):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(digests, name):
     assert digests.get(name) == GOLDEN[name]
+
+
+def _parts(value) -> list:
+    """A setting as its comma-separated parts, numbers as floats."""
+    out = []
+    for part in value if isinstance(value, list) else str(value).split(","):
+        try:
+            out.append(float(part))
+        except ValueError:
+            out.append(part)
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_config_echoes_every_setting(golden_run, label):
+    # every setting of the subcommand but the common flags and input paths,
+    # with its value: the flag, else its config key, else the default
+    workdir, _ = golden_run
+    argv = RUNS[label]
+    args = cli.build_parser().parse_args(argv)
+    ini = configparser.ConfigParser()
+    if args.config:
+        ini.read(workdir / args.config)
+    config = json.loads((workdir / label / "report.json").read_text())["config"]
+    expected = {}
+    for option, use in cli._COMMANDS[argv[0]].flags.items():
+        flag, dest = cli.FLAGS[option], option.lstrip("-").replace("-", "_").lower()
+        if not flag.echo:
+            continue
+        value, key = getattr(args, dest), dest
+        if flag.key:
+            section, key = flag.key[1:].split("] ")
+            if value is None:
+                value = ini.get(section, key, fallback=use.default)
+        expected[key] = value
+    assert sorted(config["pipeline"]) == sorted(expected)
+    for key, value in expected.items():
+        assert _parts(config["pipeline"][key]) == _parts(value), key
+    # the model and approximator flags show in their sections
+    for section in ("model", "approximator"):
+        name, params = getattr(args, section, None), getattr(args, f"{section}_params", None)
+        if name:
+            assert config[section]["name"] == name
+        for item in params.split(",") if params else []:
+            key, value = item.split("=")
+            assert _parts(config[section][key]) == _parts(value)
 
 
 if __name__ == "__main__":
