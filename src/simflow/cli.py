@@ -326,20 +326,21 @@ def _theta(values, flag: str, model, prior: bool = False) -> list[float] | None:
     return values
 
 
-# Builders: each records the config section it resolved in run.sections,
-# which the report's config block echoes.
-
-
 def _named(what: str, name: str, table: dict):
     if name not in table:
         raise ConfigError(f"unknown {what} {name!r}; known: {', '.join(sorted(table))}")
     return table[name]
 
 
+# Builders: each records the config section it resolved in run.sections,
+# which the report's config block echoes.
+
+
 def _build(run, section: str, make, default=None):
     """make(name, **params) from the --<section> flags over the [<section>]
     config section."""
     params = _section(run.cfg, section)
+    # popped even when the flag names it, so it never reaches make twice
     name = params.pop("name", default)
     name = getattr(run, section) or name
     if name is None:
