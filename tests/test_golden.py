@@ -77,9 +77,15 @@ formats = json,csv
     "expert.csv": "target,probe,value\n" + "".join(
         f"count,{p},{v}\n" for p, v in zip((0.1, 0.25, 0.5, 0.75, 0.9),
                                           (3.1, 4.6, 6.3, 8.2, 10.0))),
+    # two groups of ten positive values, for the two-group statistics
+    "grouped.csv": "y0,group\n" + "".join(
+        f"{v:.17g},{i // 10}\n"
+        for i, v in enumerate(np.exp(np.random.default_rng(4).normal(size=20)))),
 }
 
 NN12 = ["--model", "normal-normal", "--model-params", "n_obs=12"]
+TWO_GROUP = ["test", "--model", "lognormal-two-group", "--data", "grouped.csv",
+             "--theta0", "0,0", "--S", "2000", "--statistic"]
 
 # label -> argv; runs in order, in one working directory, with relative paths.
 # Every run but those in CONFIG_ONLY also gets --seed 5 --out LABEL and
@@ -126,6 +132,16 @@ RUNS = {
     "elicit-csv": ["elicit", "--expert-csv", "expert.csv", "--sims", "500",
                    "--max-iter", "20", "--tolerance", "0"],
     "sbc-config": ["sbc", "--config", "sbc.ini"],
+    # one run for each built-in statistic and distance the runs above leave out
+    "test-max": ["test", *NN12, "--data", "data.csv", "--theta0", "0", "--statistic", "max",
+                 "--S", "2000"],
+    "ppc-lag1": ["ppc", *NN12, "--data", "data.csv", "--statistic", "lag1-autocorr",
+                 "--S", "200"],
+    "test-mean-diff": [*TWO_GROUP, "mean-diff"],
+    "test-pooled-t": [*TWO_GROUP, "pooled-t"],
+    "test-variance-ratio": [*TWO_GROUP, "variance-ratio"],
+    "abc-count": ["abc", *NN12, "--data", "data.csv", "--distance", "count-distance",
+                  "--quantile", "0.05", "--M", "100"],
 }
 
 # runs that take seed, output directory and formats from their config
