@@ -231,10 +231,19 @@ class AbcResult:
     threshold: float
 
 
+def _abc_proposals(model: Model, y_obs: Dataset, statistic: SummaryStatistic,
+                   count: int, rng):
+    """count prior draws and their distances |T(y_sim) - T(y_obs)|."""
+    thetas = model.sample_prior(rng, count)
+    sims = model.simulate_batch(thetas, rng, n_obs=y_obs.n_obs)
+    t_sim = statistic.fn(sims, model.group_labels(y_obs.n_obs))
+    return thetas, np.abs(t_sim - statistic.on_data(y_obs))
+
+
 def abc_rejection(
     model: Model,
     y_obs: Dataset,
-    distance: SummaryStatistic,
+    statistic: SummaryStatistic,
     rng,
     m: int,
     tolerance: float | None = None,
@@ -242,7 +251,8 @@ def abc_rejection(
     max_proposals: int = 100_000,
     batch_size: int = 10_000,
 ) -> AbcResult:
-    """ABC rejection sampling against a data-pair distance.
+    """ABC rejection sampling with the distance |T(y_sim) - T(y_obs)| for a
+    data statistic T.
 
     Exactly one of tolerance / acceptance_quantile selects the mode. Fixed
     tolerance proposes in batches until m draws satisfy distance <= tolerance
@@ -254,18 +264,11 @@ def abc_rejection(
     """
     if (tolerance is None) == (acceptance_quantile is None):
         raise ValueError("set exactly one of tolerance or acceptance_quantile")
-    if distance.arity != "data_pair":
-        raise ValueError("ABC distance must be a data_pair statistic")
+    if statistic.arity != "data":
+        raise ValueError("ABC needs a data statistic")
     if m < 1:
         raise ValueError("m must be positive")
     rng = as_generator(rng)
-    labels = model.group_labels(y_obs.n_obs)
-
-    def propose(count: int):
-        thetas = model.sample_prior(rng, count)
-        sims = model.simulate_batch(thetas, rng, n_obs=y_obs.n_obs)
-        dists = distance.on_pair_batch(y_obs, sims, labels)
-        return thetas, dists
 
     if tolerance is not None:
         eps = float(tolerance)
@@ -274,7 +277,7 @@ def abc_rejection(
         n_accepted = 0
         while n_accepted < m and proposed < max_proposals:
             count = min(batch_size, max_proposals - proposed)
-            thetas, dists = propose(count)
+            thetas, dists = _abc_proposals(model, y_obs, statistic, count, rng)
             proposed += count
             hit = thetas[dists <= eps]
             if hit.size:
@@ -300,7 +303,7 @@ def abc_rejection(
     q = float(acceptance_quantile)
     if not 0.0 < q <= 1.0:
         raise ValueError("acceptance_quantile must lie in (0, 1]")
-    thetas, dists = propose(max_proposals)
+    thetas, dists = _abc_proposals(model, y_obs, statistic, max_proposals, rng)
     n_keep = max(1, int(round(q * max_proposals)))
     if n_keep < m:
         raise BudgetError(
@@ -327,33 +330,30 @@ def abc_rejection(
 def acceptance_curve(
     model: Model,
     y_obs: Dataset,
-    distance: SummaryStatistic,
+    statistic: SummaryStatistic,
     epsilons: np.ndarray,
     pool_size: int,
     rng,
 ) -> np.ndarray:
     """Acceptance rate per tolerance over one shared proposal pool."""
-    rng = as_generator(rng)
-    thetas = model.sample_prior(rng, pool_size)
-    sims = model.simulate_batch(thetas, rng, n_obs=y_obs.n_obs)
-    dists = distance.on_pair_batch(y_obs, sims, model.group_labels(y_obs.n_obs))
+    _, dists = _abc_proposals(model, y_obs, statistic, pool_size, as_generator(rng))
     eps = np.asarray(epsilons, dtype=float)
     return (dists[None, :] <= eps[:, None]).mean(axis=1)
 
 
 class AbcRejection(Approximator):
-    """Approximator wrapper around abc_rejection."""
+    """Approximator wrapper around abc_rejection; statistic is its T."""
 
     def __init__(
         self,
-        distance: SummaryStatistic,
+        statistic: SummaryStatistic,
         tolerance: float | None = None,
         acceptance_quantile: float | None = None,
         max_proposals: int = 100_000,
         batch_size: int = 10_000,
         draw_count: int = 1000,
     ):
-        self.distance = distance
+        self.statistic = statistic
         self.tolerance = tolerance
         self.acceptance_quantile = acceptance_quantile
         self.max_proposals = int(max_proposals)
@@ -366,7 +366,7 @@ class AbcRejection(Approximator):
         result = abc_rejection(
             model,
             y,
-            self.distance,
+            self.statistic,
             rng,
             m=self._m(m),
             tolerance=self.tolerance,

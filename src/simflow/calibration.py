@@ -113,7 +113,7 @@ def _sbc_ranks(model, approximator, targets, m: int):
 
     def ranks(theta, y, rng) -> list[float]:
         draws = approximator.approximate(model, y, rng, m=m)
-        return [sbc_pvalue(t.on_params(theta), t.on_param_batch(draws.values), rng)
+        return [sbc_pvalue(t.on_params(theta), t.fn(draws.values), rng)
                 for t in targets]
 
     return ranks

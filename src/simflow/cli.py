@@ -378,8 +378,7 @@ def _statistic(name: str, model):
     # one all-zero dataset of the model's shape shows whether the statistic applies
     shape = model.data_shape
     try:
-        statistic.on_data_batch(np.zeros((1, shape.n_obs, shape.obs_dim)),
-                                model.group_labels(shape.n_obs))
+        statistic.fn(np.zeros((1, shape.n_obs, shape.obs_dim)), model.group_labels(shape.n_obs))
     except ValueError as exc:
         raise ConfigError(f"statistic {name!r} does not apply to {model.name}: {exc}") from None
     return statistic

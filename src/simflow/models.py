@@ -171,69 +171,36 @@ class ParamDraws:
 
 @dataclass(frozen=True)
 class SummaryStatistic:
-    """A named scalar summary with declared arity.
+    """A named summary with declared arity and one vectorized function.
 
     arity:
-      "data"      fn(Dataset) -> float
-      "params"    fn(theta vector) -> float
-      "data_pair" fn(Dataset observed, Dataset simulated) -> float
+      "data"    fn(obs (s, n, d), labels) -> (s,), one value per dataset
+      "params"  fn(values (m, d)) -> (m,), one value per parameter draw
 
-    batch_fn, when given, evaluates many simulations at once:
-      "data"      batch_fn(obs (s, n, d), labels) -> (s,)
-      "params"    batch_fn(values (m, d)) -> (m,)
-      "data_pair" batch_fn(Dataset observed, obs (s, n, d), labels) -> (s,)
+    labels are the group labels shared by the s datasets, or None.
+    on_data and on_params evaluate a batch of one. An ABC distance is
+    |T(y_sim) - T(y_obs)| for a data statistic T (see abc_rejection).
     """
 
     name: str
     arity: str
     fn: Callable
-    batch_fn: Callable | None = None
 
     def __post_init__(self):
-        if self.arity not in ("data", "params", "data_pair"):
+        if self.arity not in ("data", "params"):
             raise ValueError(f"unknown arity: {self.arity}")
 
     def on_data(self, y: Dataset) -> float:
-        return float(self.fn(y))
+        return float(self.fn(y.observations[None], y.group_labels)[0])
 
     def on_params(self, theta: np.ndarray) -> float:
-        return float(self.fn(np.asarray(theta, dtype=float).reshape(-1)))
-
-    def on_pair(self, y_obs: Dataset, y_sim: Dataset) -> float:
-        return float(self.fn(y_obs, y_sim))
-
-    def on_data_batch(self, obs: np.ndarray, labels: np.ndarray | None) -> np.ndarray:
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(obs, labels), dtype=float)
-        return np.array(
-            [self.fn(Dataset(obs[i], labels)) for i in range(obs.shape[0])], dtype=float
-        )
-
-    def on_param_batch(self, values: np.ndarray) -> np.ndarray:
-        values = np.atleast_2d(values)
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(values), dtype=float)
-        return np.array([self.fn(values[i]) for i in range(values.shape[0])], dtype=float)
-
-    def on_pair_batch(
-        self, y_obs: Dataset, obs: np.ndarray, labels: np.ndarray | None
-    ) -> np.ndarray:
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(y_obs, obs, labels), dtype=float)
-        return np.array(
-            [self.fn(y_obs, Dataset(obs[i], labels)) for i in range(obs.shape[0])],
-            dtype=float,
-        )
+        return float(self.fn(np.asarray(theta, dtype=float).reshape(1, -1))[0])
 
 
 def param_target(index: int = 0, name: str | None = None) -> SummaryStatistic:
     """Identity target for one parameter coordinate."""
-    return SummaryStatistic(
-        name=name or f"theta[{index}]",
-        arity="params",
-        fn=lambda theta: float(np.asarray(theta).reshape(-1)[index]),
-        batch_fn=lambda values: np.atleast_2d(values)[:, index],
-    )
+    return SummaryStatistic(name or f"theta[{index}]", "params",
+                            lambda values: values[:, index])
 
 
 class AnalyticPosterior:

@@ -62,8 +62,7 @@ def prior_pushforward_check(
     rng = substream(seed, 0)
     thetas = model.sample_prior(rng, s)
     obs = model.simulate_batch(thetas, rng)
-    labels = model.group_labels(obs.shape[1])
-    values = statistic.on_data_batch(obs, labels)
+    values = statistic.fn(obs, model.group_labels(obs.shape[1]))
     frac = float(((values >= lo) & (values <= hi)).mean())
     return PushforwardResult(
         kind="prior-pushforward",
@@ -81,7 +80,7 @@ class PredictiveResult:
     kind: str
     statistic: str
     replication_stats: np.ndarray
-    observed_stat: float | None
+    observed_stat: float
     ppp: float | None
     s: int
     seed: int
@@ -107,24 +106,18 @@ def _replication_result(
     rng,
     metadata: dict,
 ) -> PredictiveResult:
-    labels = model.group_labels(obs.shape[1])
+    if statistic.arity != "data":
+        raise ValueError("predictive checks need a data statistic")
     s = obs.shape[0]
-    if statistic.arity == "data":
-        reps = statistic.on_data_batch(obs, labels)
-        observed = statistic.on_data(y_obs)
-        ppp = posterior_predictive_pvalue(observed, reps, rng) if s >= 2 else None
-    elif statistic.arity == "data_pair":
-        reps = statistic.on_pair_batch(y_obs, obs, labels)
-        observed = None
-        ppp = None
-    else:
-        raise ValueError("predictive checks need a data or data_pair statistic")
+    reps = statistic.fn(obs, model.group_labels(obs.shape[1]))
+    observed = statistic.on_data(y_obs)
+    ppp = posterior_predictive_pvalue(observed, reps, rng) if s >= 2 else None
     return PredictiveResult(
         kind=kind,
         statistic=statistic.name,
         replication_stats=reps,
-        observed_stat=None if observed is None else float(observed),
-        ppp=None if ppp is None else float(ppp),
+        observed_stat=observed,
+        ppp=ppp,
         s=int(s),
         seed=int(seed),
         metadata=metadata,

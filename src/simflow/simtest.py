@@ -26,8 +26,7 @@ __all__ = [
     "variance_ratio",
     "sample_max",
     "lag1_autocorr",
-    "mean_distance",
-    "count_distance",
+    "sample_sum",
     "STATISTIC_REGISTRY",
     "DISTANCE_REGISTRY",
     "NullSamples",
@@ -47,10 +46,10 @@ SIDES = ("lower", "upper", "two_sided")
 
 
 # ---------------------------------------------------------------------------
-# Built-in statistics
+# Built-in statistics: each fn maps obs (s, n, d) and the group labels to (s,)
 
 
-def _group_masks(labels: np.ndarray | None, n: int):
+def _group_masks(labels: np.ndarray | None):
     if labels is None:
         raise ValueError("this statistic needs two-group data (group labels)")
     groups = np.unique(labels)
@@ -59,37 +58,20 @@ def _group_masks(labels: np.ndarray | None, n: int):
     return labels == groups[0], labels == groups[1]
 
 
-def _series(y: Dataset) -> np.ndarray:
-    return y.observations[:, 0]
+mean_stat = SummaryStatistic("mean", "data", lambda obs, labels: obs[:, :, 0].mean(axis=1))
 
 
-mean_stat = SummaryStatistic(
-    name="mean",
-    arity="data",
-    fn=lambda y: float(_series(y).mean()),
-    batch_fn=lambda obs, labels: obs[:, :, 0].mean(axis=1),
-)
-
-
-def _mean_diff_fn(y: Dataset) -> float:
-    g0, g1 = _group_masks(y.group_labels, y.n_obs)
-    s = _series(y)
-    return float(s[g0].mean() - s[g1].mean())
-
-
-def _mean_diff_batch(obs: np.ndarray, labels):
-    g0, g1 = _group_masks(labels, obs.shape[1])
+def _mean_diff(obs: np.ndarray, labels):
+    g0, g1 = _group_masks(labels)
     s = obs[:, :, 0]
     return s[:, g0].mean(axis=1) - s[:, g1].mean(axis=1)
 
 
-mean_difference = SummaryStatistic(
-    "mean-diff", "data", _mean_diff_fn, _mean_diff_batch
-)
+mean_difference = SummaryStatistic("mean-diff", "data", _mean_diff)
 
 
-def _pooled_t_batch(obs: np.ndarray, labels):
-    g0, g1 = _group_masks(labels, obs.shape[1])
+def _pooled_t(obs: np.ndarray, labels):
+    g0, g1 = _group_masks(labels)
     s = obs[:, :, 0]
     n0, n1 = int(g0.sum()), int(g1.sum())
     m0 = s[:, g0].mean(axis=1)
@@ -101,38 +83,22 @@ def _pooled_t_batch(obs: np.ndarray, labels):
         return (m0 - m1) / np.sqrt(sp2 * (1.0 / n0 + 1.0 / n1))
 
 
-pooled_t = SummaryStatistic(
-    "pooled-t",
-    "data",
-    lambda y: float(_pooled_t_batch(y.observations[None], y.group_labels)[0]),
-    _pooled_t_batch,
-)
+pooled_t = SummaryStatistic("pooled-t", "data", _pooled_t)
 
 
-def _variance_ratio_batch(obs: np.ndarray, labels):
-    g0, g1 = _group_masks(labels, obs.shape[1])
+def _variance_ratio(obs: np.ndarray, labels):
+    g0, g1 = _group_masks(labels)
     s = obs[:, :, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return s[:, g0].var(axis=1, ddof=1) / s[:, g1].var(axis=1, ddof=1)
 
 
-variance_ratio = SummaryStatistic(
-    "variance-ratio",
-    "data",
-    lambda y: float(_variance_ratio_batch(y.observations[None], y.group_labels)[0]),
-    _variance_ratio_batch,
-)
+variance_ratio = SummaryStatistic("variance-ratio", "data", _variance_ratio)
+
+sample_max = SummaryStatistic("max", "data", lambda obs, labels: obs.max(axis=(1, 2)))
 
 
-sample_max = SummaryStatistic(
-    name="max",
-    arity="data",
-    fn=lambda y: float(y.observations.max()),
-    batch_fn=lambda obs, labels: obs.max(axis=(1, 2)),
-)
-
-
-def _lag1_batch(obs: np.ndarray, labels):
+def _lag1(obs: np.ndarray, labels):
     s = obs[:, :, 0]
     centered = s - s.mean(axis=1, keepdims=True)
     num = (centered[:, :-1] * centered[:, 1:]).sum(axis=1)
@@ -141,31 +107,9 @@ def _lag1_batch(obs: np.ndarray, labels):
         return num / den
 
 
-lag1_autocorr = SummaryStatistic(
-    "lag1-autocorr",
-    "data",
-    lambda y: float(_lag1_batch(y.observations[None], y.group_labels)[0]),
-    _lag1_batch,
-)
+lag1_autocorr = SummaryStatistic("lag1-autocorr", "data", _lag1)
 
-
-mean_distance = SummaryStatistic(
-    name="mean-distance",
-    arity="data_pair",
-    fn=lambda y_obs, y_sim: float(abs(_series(y_obs).mean() - _series(y_sim).mean())),
-    batch_fn=lambda y_obs, obs, labels: np.abs(
-        _series(y_obs).mean() - obs[:, :, 0].mean(axis=1)
-    ),
-)
-
-count_distance = SummaryStatistic(
-    name="count-distance",
-    arity="data_pair",
-    fn=lambda y_obs, y_sim: float(abs(_series(y_obs).sum() - _series(y_sim).sum())),
-    batch_fn=lambda y_obs, obs, labels: np.abs(
-        _series(y_obs).sum() - obs[:, :, 0].sum(axis=1)
-    ),
-)
+sample_sum = SummaryStatistic("sum", "data", lambda obs, labels: obs[:, :, 0].sum(axis=1))
 
 STATISTIC_REGISTRY = {
     s.name: s
@@ -173,7 +117,8 @@ STATISTIC_REGISTRY = {
               lag1_autocorr)
 }
 
-DISTANCE_REGISTRY = {s.name: s for s in (mean_distance, count_distance)}
+# ABC distances by name: each is |T(y_sim) - T(y_obs)| for the data statistic T
+DISTANCE_REGISTRY = {"mean-distance": mean_stat, "count-distance": sample_sum}
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +166,7 @@ def simulate_null(
         thetas = np.broadcast_to(theta0, (count, theta0.size))
         rng = substream(root, 0, ci)
         obs = model.simulate_batch(thetas, rng, n_obs=n)
-        vals = statistic.on_data_batch(obs, labels)
+        vals = statistic.fn(obs, labels)
         bad = ~np.isfinite(vals)
         for attempt in range(1, _RETRY_CAP + 1):
             if not bad.any():
@@ -232,7 +177,7 @@ def simulate_null(
             redo = model.simulate_batch(
                 np.broadcast_to(theta0, (n_bad, theta0.size)), retry_rng, n_obs=n
             )
-            vals[bad] = statistic.on_data_batch(redo, labels)
+            vals[bad] = statistic.fn(redo, labels)
             bad = ~np.isfinite(vals)
         if bad.any():
             raise RetryError(

@@ -41,7 +41,7 @@ from simflow import (
     uniformity_test,
     weighted_mean,
 )
-from simflow.simtest import count_distance, pooled_t
+from simflow.simtest import pooled_t, sample_sum
 
 T0 = "theta[0]"
 
@@ -124,7 +124,7 @@ def test_criterion_03_lognormal_pooled_t():
     for i in range(1000):
         rng = substream(300, 0, i)
         y = model.simulate_data(theta0, rng)
-        t_val = pooled_t.fn(y)
+        t_val = pooled_t.on_data(y)
         analytic[i] = 2.0 * ref.sf(abs(t_val))
         per_data = SimulationTest(model, theta0, pooled_t, side="two_sided",
                                   s=10_000, seed=1000 + i)
@@ -190,7 +190,7 @@ def test_criterion_06_estimator_risk_and_mc_error():
 def test_criterion_07_abc_exact_match_posterior_moments():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
     y = Dataset(np.array([[3.0]]))
-    result = abc_rejection(model, y, count_distance, substream(700, 0),
+    result = abc_rejection(model, y, sample_sum, substream(700, 0),
                            m=10_000, tolerance=0.0, max_proposals=400_000)
     vals = result.draws.values[:, 0]
     post = stats.beta(4, 8)

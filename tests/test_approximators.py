@@ -20,7 +20,7 @@ from simflow import (
     rwm_sample,
     substream,
 )
-from simflow.simtest import count_distance, mean_distance
+from simflow.simtest import mean_stat, sample_sum
 
 
 def _one_obs(model, value):
@@ -134,7 +134,7 @@ def test_rwm_validation():
 def test_abc_zero_tolerance_recovers_beta_posterior():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
     y = _one_obs(model, 3.0)
-    result = abc_rejection(model, y, count_distance, substream(50, 0), m=2000,
+    result = abc_rejection(model, y, sample_sum, substream(50, 0), m=2000,
                            tolerance=0.0, max_proposals=100_000)
     vals = result.draws.values[:, 0]
     se = vals.std(ddof=1) / np.sqrt(vals.size)
@@ -145,7 +145,7 @@ def test_abc_zero_tolerance_recovers_beta_posterior():
 def test_abc_infinite_tolerance_recovers_prior():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
     y = _one_obs(model, 3.0)
-    result = abc_rejection(model, y, count_distance, substream(51, 0), m=20_000,
+    result = abc_rejection(model, y, sample_sum, substream(51, 0), m=20_000,
                            tolerance=np.inf, max_proposals=50_000)
     vals = result.draws.values[:, 0]
     se = vals.std(ddof=1) / np.sqrt(vals.size)
@@ -156,7 +156,7 @@ def test_abc_small_tolerance_near_conjugate_posterior():
     model = NormalNormal(mu0=0.0, tau0=1.0, sigma=1.0, n_obs=10)
     y = model.simulate_data(np.array([0.8]), substream(52, 0))
     eps = 0.01 * 1.0 / np.sqrt(10)
-    result = abc_rejection(model, y, mean_distance, substream(52, 1), m=300,
+    result = abc_rejection(model, y, mean_stat, substream(52, 1), m=300,
                            tolerance=eps, max_proposals=600_000, batch_size=50_000)
     post_mean = model.analytic_posterior(y).mean()
     assert abs(result.draws.values[:, 0].mean() - post_mean) < 0.05
@@ -166,7 +166,7 @@ def test_abc_budget_error_diagnostics():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
     y = _one_obs(model, 3.0)
     with pytest.raises(BudgetError) as exc:
-        abc_rejection(model, y, count_distance, substream(53, 0), m=5000,
+        abc_rejection(model, y, sample_sum, substream(53, 0), m=5000,
                       tolerance=0.0, max_proposals=2000, batch_size=1000)
     diag = exc.value.diagnostics
     assert diag["proposals_used"] == 2000
@@ -176,12 +176,12 @@ def test_abc_budget_error_diagnostics():
 def test_abc_quantile_mode():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
     y = _one_obs(model, 3.0)
-    result = abc_rejection(model, y, count_distance, substream(54, 0), m=50,
+    result = abc_rejection(model, y, sample_sum, substream(54, 0), m=50,
                            acceptance_quantile=0.01, max_proposals=10_000)
     assert result.draws.m == 50
     assert result.threshold >= 0.0
     with pytest.raises(BudgetError):
-        abc_rejection(model, y, count_distance, substream(54, 1), m=200,
+        abc_rejection(model, y, sample_sum, substream(54, 1), m=200,
                       acceptance_quantile=0.01, max_proposals=10_000)
 
 
@@ -189,19 +189,19 @@ def test_abc_mode_selection_validation():
     model = BetaBinomial()
     y = _one_obs(model, 3.0)
     with pytest.raises(ValueError):
-        abc_rejection(model, y, count_distance, substream(0, 0), m=10)
+        abc_rejection(model, y, sample_sum, substream(0, 0), m=10)
     with pytest.raises(ValueError):
-        abc_rejection(model, y, count_distance, substream(0, 0), m=10,
+        abc_rejection(model, y, sample_sum, substream(0, 0), m=10,
                       tolerance=0.0, acceptance_quantile=0.1)
     with pytest.raises(ValueError):
-        abc_rejection(model, y, mean_distance, substream(0, 0), m=0, tolerance=1.0)
+        abc_rejection(model, y, mean_stat, substream(0, 0), m=0, tolerance=1.0)
 
 
 def test_acceptance_rate_monotone_in_tolerance():
     model = NormalNormal(n_obs=10)
     y = model.simulate_data(np.array([0.0]), substream(55, 0))
     eps = np.array([0.01, 0.05, 0.1, 0.5, 1.0, 2.0])
-    rates = acceptance_curve(model, y, mean_distance, eps, 20_000, substream(55, 1))
+    rates = acceptance_curve(model, y, mean_stat, eps, 20_000, substream(55, 1))
     assert np.all(np.diff(rates) >= 0)
     assert rates[-1] <= 1.0
 
@@ -209,7 +209,7 @@ def test_acceptance_rate_monotone_in_tolerance():
 def test_abc_approximator_wrapper():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
     y = _one_obs(model, 3.0)
-    approx = AbcRejection(count_distance, tolerance=0.0, max_proposals=100_000)
+    approx = AbcRejection(sample_sum, tolerance=0.0, max_proposals=100_000)
     draws = approx.approximate(model, y, substream(56, 0), m=500)
     assert draws.m == 500
     assert draws.info["mode"] == "tolerance"

@@ -121,7 +121,7 @@ def test_frequentist_exact_pivot_uniform():
 def test_frequentist_detects_wrong_reference():
     # pooled t on lognormal data is far from t with 78 df
     model = LogNormalTwoGroup(sigma=2.0, n_per_group=40)
-    est = EstimatorSpec("pooled-t", pooled_t.fn)
+    est = EstimatorSpec("pooled-t", pooled_t.on_data)
     result = run_frequentist_calibration(model, np.array([2.0, 2.0]), est,
                                          stats.t(df=78), s=2000, seed=5)
     assert result.verdict.chi2_pvalue < 0.001

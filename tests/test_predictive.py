@@ -28,11 +28,8 @@ from simflow.simtest import mean_stat, sample_max
 
 T0 = "theta[0]"
 
-variance_stat = SummaryStatistic(
-    "variance", "data",
-    lambda y: float(y.observations[:, 0].var(ddof=1)),
-    lambda obs, labels: obs[:, :, 0].var(axis=1, ddof=1),
-)
+variance_stat = SummaryStatistic("variance", "data",
+                                 lambda obs, labels: obs[:, :, 0].var(axis=1, ddof=1))
 
 
 class PointMass(Approximator):

@@ -17,6 +17,7 @@ from simflow import (
     SimulationTest,
     SummaryStatistic,
     critical_value,
+    param_target,
     run_test,
     simulate_null,
     simulation_pvalue,
@@ -28,8 +29,7 @@ from simflow.simtest import SIDES, mean_stat, pooled_t
 
 
 def test_constant_statistic_null():
-    const = SummaryStatistic("const", "data", lambda y: 1.0,
-                             lambda obs, labels: np.ones(obs.shape[0]))
+    const = SummaryStatistic("const", "data", lambda obs, labels: np.ones(obs.shape[0]))
     model = NormalNormal(n_obs=5)
     null = simulate_null(model, [0.0], const, s=500, seed=1)
     assert np.all(null.values == 1.0)
@@ -44,10 +44,8 @@ def test_null_sd_matches_sampling_theory():
 
 
 def test_simulate_null_requires_data_statistic():
-    from simflow.simtest import count_distance
-
     with pytest.raises(ValueError):
-        simulate_null(NormalNormal(n_obs=5), [0.0], count_distance, s=10, seed=0)
+        simulate_null(NormalNormal(n_obs=5), [0.0], param_target(0), s=10, seed=0)
 
 
 def test_simulate_null_deterministic():
@@ -151,8 +149,7 @@ def test_simulate_null_resamples_undefined_draws():
         m = obs[:, :, 0].mean(axis=1)
         return np.where(m < 0.52, m, np.nan)
 
-    flaky = SummaryStatistic("flaky-mean", "data",
-                             lambda y: float(y.observations[:, 0].mean()), batch)
+    flaky = SummaryStatistic("flaky-mean", "data", batch)
     model = NormalNormal(n_obs=10)
     with pytest.warns(RuntimeWarning, match="resampled"):
         null = simulate_null(model, [0.0], flaky, s=400, seed=2)
@@ -161,7 +158,7 @@ def test_simulate_null_resamples_undefined_draws():
 
 
 def test_simulate_null_retry_cap():
-    broken = SummaryStatistic("never", "data", lambda y: np.nan,
+    broken = SummaryStatistic("never", "data",
                               lambda obs, labels: np.full(obs.shape[0], np.nan))
     with pytest.raises(RetryError):
         simulate_null(NormalNormal(n_obs=5), [0.0], broken, s=50, seed=0)
