@@ -32,19 +32,17 @@ __all__ = [
 
 
 class Approximator:
-    """Base class: a named posterior-draw producer with a default draw count."""
+    """Base class: a named producer of m posterior draws given a dataset."""
 
     name: str = "approximator"
     kind: str = "abstract"
-    draw_count: int = 1000
 
-    def approximate(
-        self, model: Model, y: Dataset, rng, m: int | None = None
-    ) -> ParamDraws:
+    def approximate(self, model: Model, y: Dataset, rng, m: int) -> ParamDraws:
         raise NotImplementedError
 
-    def _m(self, m: int | None) -> int:
-        m = int(self.draw_count if m is None else m)
+    @staticmethod
+    def _m(m: int) -> int:
+        m = int(m)
         if m < 1:
             raise ValueError("draw count must be positive")
         return m
@@ -56,12 +54,11 @@ class Approximator:
 class ExactConjugate(Approximator):
     """Independent draws from the model's closed-form posterior."""
 
-    def __init__(self, draw_count: int = 1000):
-        self.draw_count = int(draw_count)
+    def __init__(self):
         self.name = "exact"
         self.kind = "exact_conjugate"
 
-    def approximate(self, model, y, rng, m=None) -> ParamDraws:
+    def approximate(self, model, y, rng, m) -> ParamDraws:
         m = self._m(m)
         rng = as_generator(rng)
         post = model.analytic_posterior(y)
@@ -81,17 +78,15 @@ class PerturbedConjugate(Approximator):
     overconfident, > 1 underconfident.
     """
 
-    def __init__(self, mean_shift: float = 0.0, sd_scale: float = 1.0,
-                 draw_count: int = 1000):
+    def __init__(self, mean_shift: float = 0.0, sd_scale: float = 1.0):
         if sd_scale <= 0:
             raise ValueError("sd_scale must be positive")
         self.mean_shift = float(mean_shift)
         self.sd_scale = float(sd_scale)
-        self.draw_count = int(draw_count)
         self.name = "perturbed"
         self.kind = "perturbed_conjugate"
 
-    def approximate(self, model, y, rng, m=None) -> ParamDraws:
+    def approximate(self, model, y, rng, m) -> ParamDraws:
         m = self._m(m)
         rng = as_generator(rng)
         post = model.analytic_posterior(y)
@@ -192,8 +187,7 @@ def rwm_sample(
 
 
 class RandomWalkMetropolis(Approximator):
-    def __init__(self, chains: int = 4, warmup: int = 500, step_sd: float = 0.5,
-                 draw_count: int = 1000):
+    def __init__(self, chains: int = 4, warmup: int = 500, step_sd: float = 0.5):
         self.chains = int(chains)
         self.warmup = int(warmup)
         self.step_sd = float(step_sd)
@@ -203,11 +197,10 @@ class RandomWalkMetropolis(Approximator):
             raise ValueError("warmup must be non-negative")
         if not self.step_sd > 0:
             raise ValueError("step_sd must be positive")
-        self.draw_count = int(draw_count)
         self.name = "rwm"
         self.kind = "random_walk_metropolis"
 
-    def approximate(self, model, y, rng, m=None) -> ParamDraws:
+    def approximate(self, model, y, rng, m) -> ParamDraws:
         m = self._m(m)
         per_chain = -(-m // self.chains)
         result = rwm_sample(
@@ -351,24 +344,22 @@ class AbcRejection(Approximator):
         acceptance_quantile: float | None = None,
         max_proposals: int = 100_000,
         batch_size: int = 10_000,
-        draw_count: int = 1000,
     ):
         self.statistic = statistic
         self.tolerance = tolerance
         self.acceptance_quantile = acceptance_quantile
         self.max_proposals = int(max_proposals)
         self.batch_size = int(batch_size)
-        self.draw_count = int(draw_count)
         self.name = "abc"
         self.kind = "abc_rejection"
 
-    def approximate(self, model, y, rng, m=None) -> ParamDraws:
+    def approximate(self, model, y, rng, m) -> ParamDraws:
         result = abc_rejection(
             model,
             y,
             self.statistic,
             rng,
-            m=self._m(m),
+            m=m,
             tolerance=self.tolerance,
             acceptance_quantile=self.acceptance_quantile,
             max_proposals=self.max_proposals,

@@ -343,8 +343,8 @@ def sharpness(
     model: Model,
     alpha: float,
     s: int,
+    m: int,
     seed: int = 0,
-    m: int | None = None,
 ) -> SharpnessResult:
     """Average central alpha-interval width of the approximate posterior
     over prior-simulated datasets."""
@@ -364,7 +364,7 @@ def sharpness(
         kind="sharpness",
         alpha=float(alpha),
         s=int(s),
-        m=int(m or approximator.draw_count),
+        m=int(m),
         seed=int(seed),
         mean_width=float(mean_by_dim[0]),
         mc_se=float(widths[:, 0].std(ddof=1) / np.sqrt(s)),

@@ -155,6 +155,8 @@ _DATA = [*_NN12, "--data", "data.csv"]
     # a dry run resolves and checks every setting (printed a plan)
     ["sbc", *_NN12, "--S", "5", "--dry-run"],
     ["power", "--config", "alpha-abc.ini", "--dry-run"],
+    # a draw count the run ignored for --M, while the report echoed it
+    ["sbc", *_NN12, "--S", "20", "--M", "9", "--approximator-params", "draw_count=5"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

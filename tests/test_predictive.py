@@ -41,7 +41,7 @@ class PointMass(Approximator):
     def __init__(self, theta):
         self.theta = np.asarray(theta, dtype=float).reshape(-1)
 
-    def approximate(self, model, y, rng, m=None):
+    def approximate(self, model, y, rng, m):
         m = self._m(m)
         return ParamDraws(np.tile(self.theta, (m, 1)), source=self.name)
 
