@@ -612,8 +612,11 @@ def _read_expert_csv(path: str) -> list[float]:
         if header is None or [h.strip() for h in header] != ["target", "probe", "value"]:
             raise ConfigError("expert stats CSV needs header: target,probe,value")
         rows = [row for row in reader if row]
+    for row in rows:
+        if len(row) != 3:
+            raise ConfigError(f"expert stats CSV rows need target,probe,value, got {row!r}")
     # target-major, probe order as given per target
-    values = [float(row[2]) for row in rows]
+    values = [_convert("expert stats CSV value", row[2], float) for row in rows]
     if not values:
         raise ConfigError("expert stats CSV has no rows")
     return values
@@ -754,15 +757,36 @@ def _power_scale(run):
     return payload, {"powerscale.csv": (list(table), list(table.values()))}
 
 
-def _sweep_grid(sweep: dict) -> tuple[list[dict], dict]:
+# [sweep] settings of each pipeline: key -> (subcommand, flag) whose kind
+# and bound the value must meet
+_SWEEP_SETTINGS = {
+    "sbc": {"s": ("sbc", "--S"), "m": ("sbc", "--M")},
+    "evidence": {"s": ("compare", "--S")},
+    "power-scale": {"m": ("sensitivity", "--M"), "alpha_prior": ("sensitivity", "--alphas"),
+                    "alpha_lik": ("sensitivity", "--alphas")},
+}
+
+
+def _sweep_grid(sweep: dict, settings: dict) -> tuple[list[dict], dict]:
+    """The cells of a [sweep] section and its vary_ lists, with each value of
+    a key in settings converted and bounded as its flag."""
+
+    def setting(key: str, name: str, value):
+        if name not in settings:
+            return value
+        command, option = settings[name]
+        kind = FLAGS[option].kind
+        return _convert(f"[sweep] {key}", value, float if kind is _floats else kind,
+                        _COMMANDS[command].flags[option].bound)
+
     base = {}
     vary = {}
     for key, value in sweep.items():
         if key.startswith("vary_"):
-            vary[key[len("vary_"):]] = [_parse_scalar(v)
-                                        for v in str(value).split("|")]
+            name = key[len("vary_"):]
+            vary[name] = [setting(key, name, _parse_scalar(v)) for v in str(value).split("|")]
         elif key != "pipeline":
-            base[key] = value
+            base[key] = setting(key, key, value)
     if not vary:
         raise ConfigError("[sweep] needs at least one vary_<param> = v1|v2|... key")
     keys = sorted(vary)
@@ -780,9 +804,11 @@ def _sensitivity_sweep(run):
         raise ConfigError("sweep mode needs a [sweep] section in the config")
     run.sections["sweep"] = sweep
     pipeline_name = sweep.get("pipeline")
+    if pipeline_name not in _SWEEP_SETTINGS:
+        raise ConfigError("[sweep] pipeline must be one of: evidence, power-scale, sbc")
     model = _build_model(run)
     approx = _build_approximator(run)
-    grid, vary = _sweep_grid(sweep)
+    grid, vary = _sweep_grid(sweep, _SWEEP_SETTINGS[pipeline_name])
 
     def cell_model(config: dict):
         # grid keys prefixed model_ override the base model hyperparameters
@@ -797,11 +823,7 @@ def _sensitivity_sweep(run):
 
     if pipeline_name == "sbc":
         def cell(config: dict, cell_seed: int) -> dict:
-            run_cfg = SbcConfig(
-                s=int(config.get("s", 200)),
-                m=int(config.get("m", 99)),
-                seed=cell_seed,
-            )
+            run_cfg = SbcConfig(s=config.get("s", 200), m=config.get("m", 99), seed=cell_seed)
             r = run_sbc(cell_model(config), approx, run_cfg)
             v = r.verdicts[r.target_names[0]]
             return {"chi2_pvalue": v.chi2_pvalue, "ks_pvalue": v.ks_pvalue,
@@ -810,29 +832,20 @@ def _sensitivity_sweep(run):
         y = _load_data(run)
 
         def cell(config: dict, cell_seed: int) -> dict:
-            ev = marginal_likelihood_mc(cell_model(config), y,
-                                        s=int(config.get("s", 10_000)),
+            ev = marginal_likelihood_mc(cell_model(config), y, s=config.get("s", 10_000),
                                         seed=cell_seed)
             return {"log_evidence": ev.log_evidence, "mc_se_log": ev.mc_se_log}
-    elif pipeline_name == "power-scale":
+    else:
         y = _load_data(run)
 
         def cell(config: dict, cell_seed: int) -> dict:
             model = cell_model(config)
             draws = approx.approximate(model, y, substream(cell_seed, 0),
-                                       m=int(config.get("m", 2000)))
-            wd = power_scale_weights(
-                model,
-                y,
-                draws,
-                alpha_prior=float(config.get("alpha_prior", 1.0)),
-                alpha_lik=float(config.get("alpha_lik", 1.0)),
-            )
+                                       m=config.get("m", 2000))
+            wd = power_scale_weights(model, y, draws,
+                                     alpha_prior=config.get("alpha_prior", 1.0),
+                                     alpha_lik=config.get("alpha_lik", 1.0))
             return {"ess": wd.ess, "mean0": weighted_mean(wd, 0)}
-    else:
-        raise ConfigError(
-            "[sweep] pipeline must be one of: evidence, power-scale, sbc"
-        )
 
     result = sensitivity_sweep(cell, grid, seed=run.seed)
     payload = _payload(result, kind="sensitivity-sweep", pipeline=pipeline_name,

@@ -157,6 +157,14 @@ _DATA = [*_NN12, "--data", "data.csv"]
     ["power", "--config", "alpha-abc.ini", "--dry-run"],
     # a draw count the run ignored for --M, while the report echoed it
     ["sbc", *_NN12, "--S", "20", "--M", "9", "--approximator-params", "draw_count=5"],
+    # [sweep] counts that are not integers (truncated, or a failed row)
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-s-frac.ini"],
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-m-abc.ini"],
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-vary-s-frac.ini"],
+    # expert CSV rows with a value that is not a number or too few fields
+    # (tracebacks)
+    ["elicit", "--expert-csv", "expert-abc.csv", "--sims", "200"],
+    ["elicit", "--expert-csv", "expert-short.csv", "--sims", "200"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -169,6 +177,14 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
             "[compare]\nmodels = a, b\n"
             f"[model:a]\nname = normal-normal\nn_obs = 12\nprior_prob = {a}\n"
             f"[model:b]\nname = normal-normal\nmu0 = 1\nn_obs = 12\nprior_prob = {b}\n")
+    sweep = "[model]\nname = normal-normal\nn_obs = 5\n[sweep]\npipeline = sbc\n"
+    expert = "target,probe,value\ncount,0.1,3.1\n"
+    for name, text in {"sweep-s-frac.ini": "s = 30.9\nvary_m = 9|19\n",
+                       "sweep-m-abc.ini": "m = abc\nvary_model_tau0 = 0.5|2.0\n",
+                       "sweep-vary-s-frac.ini": "vary_s = 30|30.9\n",
+                       "expert-abc.csv": "count,0.25,abc\n",
+                       "expert-short.csv": "count,0.25\n"}.items():
+        (tmp_path / name).write_text((sweep if name.endswith(".ini") else expert) + text)
     _write_data(tmp_path / "data.csv")
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
