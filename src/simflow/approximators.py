@@ -54,9 +54,8 @@ class Approximator:
 class ExactConjugate(Approximator):
     """Independent draws from the model's closed-form posterior."""
 
-    def __init__(self):
-        self.name = "exact"
-        self.kind = "exact_conjugate"
+    name = "exact"
+    kind = "exact_conjugate"
 
     def approximate(self, model, y, rng, m) -> ParamDraws:
         m = self._m(m)
