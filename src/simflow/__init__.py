@@ -85,6 +85,7 @@ from .models import (
     concat_datasets,
     make_model,
     param_target,
+    simulate_statistic,
 )
 from .predictive import (
     PredictiveResult,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, CapabilityError
-from .models import Dataset, Model, ParamDraws, SummaryStatistic
+from .models import Dataset, Model, ParamDraws, SummaryStatistic, simulate_statistic
 from .rng import as_generator
 
 __all__ = [
@@ -36,6 +36,7 @@ class Approximator:
 
     name: str = "approximator"
     kind: str = "abstract"
+    needs: tuple[str, ...] = ()   # the Capabilities a model must declare
 
     def approximate(self, model: Model, y: Dataset, rng, m: int) -> ParamDraws:
         raise NotImplementedError
@@ -56,6 +57,7 @@ class ExactConjugate(Approximator):
 
     name = "exact"
     kind = "exact_conjugate"
+    needs = ("has_analytic_posterior",)
 
     def approximate(self, model, y, rng, m) -> ParamDraws:
         m = self._m(m)
@@ -76,6 +78,8 @@ class PerturbedConjugate(Approximator):
     classic deficient-left-tail calibration pattern. sd_scale < 1 makes it
     overconfident, > 1 underconfident.
     """
+
+    needs = ("has_analytic_posterior",)
 
     def __init__(self, mean_shift: float = 0.0, sd_scale: float = 1.0):
         if sd_scale <= 0:
@@ -186,6 +190,8 @@ def rwm_sample(
 
 
 class RandomWalkMetropolis(Approximator):
+    needs = ("can_sample_prior", "can_log_prior", "can_log_likelihood")
+
     def __init__(self, chains: int = 4, warmup: int = 500, step_sd: float = 0.5):
         self.chains = int(chains)
         self.warmup = int(warmup)
@@ -227,8 +233,7 @@ def _abc_proposals(model: Model, y_obs: Dataset, statistic: SummaryStatistic,
                    count: int, rng):
     """count prior draws and their distances |T(y_sim) - T(y_obs)|."""
     thetas = model.sample_prior(rng, count)
-    sims = model.simulate_batch(thetas, rng, n_obs=y_obs.n_obs)
-    t_sim = statistic.fn(sims, model.group_labels(y_obs.n_obs))
+    t_sim = simulate_statistic(model, thetas, rng, statistic, n_obs=y_obs.n_obs)
     return thetas, np.abs(t_sim - statistic.on_data(y_obs))
 
 
@@ -335,6 +340,8 @@ def acceptance_curve(
 
 class AbcRejection(Approximator):
     """Approximator wrapper around abc_rejection; statistic is its T."""
+
+    needs = ("can_sample_prior",)
 
     def __init__(
         self,

@@ -162,12 +162,10 @@ def run_sbc(model: Model, approximator: Approximator, cfg: SbcConfig) -> SbcResu
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """A point estimator of a scalar quantity, with an optional interval
-    constructor interval(dataset, alpha) -> (lo, hi)."""
+    """A named point estimator of a scalar quantity."""
 
     name: str
     point: Callable[[Dataset], float]
-    interval: Callable | None = None
 
 
 sample_mean_estimator = EstimatorSpec(

@@ -358,6 +358,14 @@ def _build_model(run):
     return _build(run, "model", make_model)
 
 
+def _require(model, what: str, *needs: str) -> None:
+    """ConfigError unless model declares every capability in needs (fields
+    of models.Capabilities), so a run it cannot finish never starts."""
+    missing = [need for need in needs if not getattr(model.capabilities, need)]
+    if missing:
+        raise ConfigError(f"{what} needs {' and '.join(missing)}, which {model.name} lacks")
+
+
 _APPROXIMATORS = {
     "abc": lambda distance="mean-distance", **kw: AbcRejection(
         _named("distance", distance, DISTANCE_REGISTRY), **kw),
@@ -367,10 +375,12 @@ _APPROXIMATORS = {
 }
 
 
-def _build_approximator(run):
-    return _build(run, "approximator",
-                  lambda name, **kw: _named("approximator", name, _APPROXIMATORS)(**kw),
-                  "exact")
+def _build_approximator(run, model):
+    approx = _build(run, "approximator",
+                    lambda name, **kw: _named("approximator", name, _APPROXIMATORS)(**kw),
+                    "exact")
+    _require(model, f"the {approx.name} approximator", *approx.needs)
+    return approx
 
 
 def _statistic(name: str, model):
@@ -387,6 +397,8 @@ def _statistic(name: str, model):
 def _estimator(name: str, model) -> EstimatorSpec:
     estimators = {"sample-mean": lambda model: sample_mean_estimator,
                   "posterior-mean": posterior_mean_estimator}
+    if name == "posterior-mean":
+        _require(model, "the posterior-mean estimator", "has_analytic_posterior")
     return _named("estimator", name, estimators)(model)
 
 
@@ -463,7 +475,9 @@ def _vector_csv(filename: str, values) -> dict:
 
 def _cmd_sbc(run):
     model = _build_model(run)
-    approx = _build_approximator(run)
+    if run.command == "sbc":
+        _require(model, "sbc", "can_sample_prior")
+    approx = _build_approximator(run, model)
     run_cfg = SbcConfig(s=run.s, m=run.m, seed=run.seed, targets=_targets(run.targets, model),
                         bins=run.bins, band_coverage=run.band_coverage)
     if run.command == "post-sbc":
@@ -536,6 +550,8 @@ def _build_test(run, model):
 def _cmd_power(run):
     model = _build_model(run)
     theta_star = _theta(run.theta_star, "--theta-star", model, prior=True)
+    if theta_star is None:
+        _require(model, "power at a prior truth", "can_sample_prior")
     test = _build_test(run, model)
     result = power_analysis(model, theta_star, test, alpha=run.alpha, s=run.s, seed=run.seed)
     return _payload(result, model=model.name), {}
@@ -547,6 +563,8 @@ def _cmd_accuracy(run):
     distance = _named("distance", run.distance,
                       {"squared": squared_error, "absolute": absolute_error})
     theta_star = _theta(run.theta_star, "--theta-star", model, prior=True)
+    if theta_star is None:
+        _require(model, "accuracy at a prior truth", "can_sample_prior")
     result = estimator_accuracy(model, theta_star, estimator, distance=distance, s=run.s,
                                 seed=run.seed)
     return _payload(result, model=model.name), {}
@@ -580,7 +598,8 @@ def _cmd_ppc(run):
             seed=run.seed
         )
     else:
-        result = run_ppc(model, _build_approximator(run), y, statistic, run.s, seed=run.seed)
+        result = run_ppc(model, _build_approximator(run, model), y, statistic, run.s,
+                         seed=run.seed)
     payload = _payload(result, drop=("replication_stats",), model=model.name,
                        replication_histogram=_histogram_block(result.replication_stats))
     return payload, _vector_csv("replication_stats.csv", result.replication_stats)
@@ -588,6 +607,7 @@ def _cmd_ppc(run):
 
 def _cmd_prior_check(run):
     model = _build_model(run)
+    _require(model, "prior-check", "can_sample_prior")
     region = run.region
     if region is None or len(region) != 2 or not region[0] <= region[1]:
         raise ConfigError(f"prior-check needs --region lo,hi with lo <= hi, got {region!r}")
@@ -646,6 +666,7 @@ def _cmd_elicit(run):
 
 def _cmd_abc(run):
     model = _build_model(run)
+    _require(model, "abc", *AbcRejection.needs)
     y = _load_data(run)
     if (run.tolerance is None) == (run.quantile is None):
         raise ConfigError("abc needs exactly one of --tolerance or --quantile")
@@ -668,6 +689,10 @@ def _cmd_abc(run):
     header = ["index"] + [f"theta{j}" for j in range(values.shape[1])]
     columns = [range(values.shape[0]), *np.asarray(values, dtype=float).T]
     return payload, {"draws.csv": (header, columns)}
+
+
+# marginal_likelihood_mc averages the likelihood over prior draws
+_EVIDENCE_NEEDS = ("can_sample_prior", "can_log_likelihood")
 
 
 def _compare_entries(run) -> list[ModelEntry]:
@@ -693,6 +718,7 @@ def _compare_entries(run) -> list[ModelEntry]:
             model = make_model(name, **sect)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"[model:{label}]: {exc}") from exc
+        _require(model, f"compare of [model:{label}]", *_EVIDENCE_NEEDS)
         run.sections[f"model:{label}"] = {"name": name, "prior_prob": prior_prob, **sect}
         entries.append(ModelEntry(name=label, model=model, prior_prob=prior_prob))
     # the check posterior_model_probs makes, before anything is simulated
@@ -705,7 +731,9 @@ def _compare_entries(run) -> list[ModelEntry]:
 def _cmd_compare(run):
     y = _load_data(run)
     if not run.cfg.has_section("compare"):
-        ev = marginal_likelihood_mc(_build_model(run), y, s=run.s, seed=run.seed)
+        model = _build_model(run)
+        _require(model, "compare", *_EVIDENCE_NEEDS)
+        ev = marginal_likelihood_mc(model, y, s=run.s, seed=run.seed)
         return _payload(ev, kind="evidence"), {}
     comparison = posterior_model_probs(_compare_entries(run), y, s=run.s, seed=run.seed)
     evidences = comparison.evidences
@@ -728,7 +756,7 @@ def _cmd_sensitivity(run):
 
 def _power_scale(run):
     model = _build_model(run)
-    approx = _build_approximator(run)
+    approx = _build_approximator(run, model)
     y = _load_data(run)
     draws = approx.approximate(model, y, substream(run.seed, 0), m=run.m)
     qs = (0.05, 0.5, 0.95)
@@ -807,7 +835,11 @@ def _sensitivity_sweep(run):
     if pipeline_name not in _SWEEP_SETTINGS:
         raise ConfigError("[sweep] pipeline must be one of: evidence, power-scale, sbc")
     model = _build_model(run)
-    approx = _build_approximator(run)
+    if pipeline_name == "sbc":
+        _require(model, "the sbc sweep", "can_sample_prior")
+    elif pipeline_name == "evidence":
+        _require(model, "the evidence sweep", *_EVIDENCE_NEEDS)
+    approx = _build_approximator(run, model)
     grid, vary = _sweep_grid(sweep, _SWEEP_SETTINGS[pipeline_name])
 
     def cell_model(config: dict):

@@ -9,6 +9,7 @@ optimization run), so the search sees a deterministic surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -81,14 +82,24 @@ class ElicitationProblem:
             )
 
 
+@lru_cache(maxsize=1)
+def _crn_draws(seed: int, sims: int, noise_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The common random numbers of a search: u (sims,) and noise (sims,
+    noise_dim) from stream (seed, 0), drawn once and shared read-only by
+    every evaluation."""
+    rng = substream(seed, 0)
+    u = rng.random(sims)
+    noise = rng.random((sims, noise_dim))
+    u.flags.writeable = noise.flags.writeable = False
+    return u, noise
+
+
 def model_implied_stats(
     problem: ElicitationProblem, lam, seed: int, sims: int | None = None
 ) -> np.ndarray:
     """Probe quantiles of the pushforward at lam, under the CRN stream."""
     sims = int(sims or problem.sims_per_eval)
-    rng = substream(seed, 0)
-    u = rng.random(sims)
-    noise = rng.random((sims, problem.noise_dim))
+    u, noise = _crn_draws(seed, sims, problem.noise_dim)
     thetas = problem.prior_family.ppf(np.asarray(lam, dtype=float), u)
     values = np.asarray(problem.pushforward(thetas, noise), dtype=float)
     if values.shape != (sims, len(problem.target_names)):

@@ -44,9 +44,14 @@ __all__ = [
     "PoissonGamma",
     "LogNormalTwoGroup",
     "concat_datasets",
+    "simulate_statistic",
     "MODEL_REGISTRY",
     "make_model",
 ]
+
+# Rows simulated per block by simulate_statistic and per null chunk by
+# simtest.simulate_null: a (16384, n) block of floats is 128 KiB per observation.
+_SIM_CHUNK = 16384
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))  # as scipy.stats.norm computes it
@@ -293,7 +298,6 @@ class Capabilities:
     can_log_prior: bool
     can_log_likelihood: bool
     has_analytic_posterior: bool
-    has_analytic_marginal: bool
 
 
 class Model:
@@ -306,7 +310,7 @@ class Model:
     name: str = "model"
     param_dim: int = 1
     data_shape: DataShape = DataShape(n_obs=1)
-    capabilities: Capabilities = Capabilities(False, False, False, False, False)
+    capabilities: Capabilities = Capabilities(False, False, False, False)
 
     # Parameter domain -------------------------------------------------
 
@@ -379,6 +383,29 @@ class Model:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def simulate_statistic(model: Model, thetas: np.ndarray, rng, statistic: SummaryStatistic,
+                       n_obs: int | None = None) -> np.ndarray:
+    """statistic of one simulated dataset per parameter row; returns (s,).
+
+    The rows are simulated in blocks of _SIM_CHUNK, one after another from
+    the same rng. simulate_batch reads its generator in row order, so the
+    draws, and rng's state afterwards, are those of one call on all rows,
+    while memory holds one block of datasets instead of s of them.
+    """
+    if statistic.arity != "data":
+        raise ValueError(f"statistic {statistic.name!r} is not a data statistic")
+    rng = as_generator(rng)
+    thetas = np.atleast_2d(thetas)
+    n = int(n_obs or model.data_shape.n_obs)
+    labels = model.group_labels(n)
+    out = np.empty(thetas.shape[0])
+    for lo in range(0, thetas.shape[0], _SIM_CHUNK):
+        block = thetas[lo:lo + _SIM_CHUNK]
+        out[lo:lo + block.shape[0]] = statistic.fn(model.simulate_batch(block, rng, n_obs=n),
+                                                   labels)
+    return out
+
+
 class NormalNormal(Model):
     """Normal observations with known sigma and a Normal prior on the mean.
 
@@ -395,7 +422,7 @@ class NormalNormal(Model):
         self.name = "normal-normal"
         self.param_dim = 1
         self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
-        self.capabilities = Capabilities(True, True, True, True, True)
+        self.capabilities = Capabilities(True, True, True, True)
 
     def sample_prior(self, rng, size: int) -> np.ndarray:
         rng = as_generator(rng)
@@ -411,7 +438,11 @@ class NormalNormal(Model):
         rng = as_generator(rng)
         n = int(n_obs or self.data_shape.n_obs)
         loc = np.atleast_2d(thetas)[:, 0][:, None]
-        return rng.normal(loc, self.sigma, size=(loc.shape[0], n))[:, :, None]
+        # rng.normal(loc, sigma) bit for bit, without its per-element broadcast
+        obs = rng.standard_normal((loc.shape[0], n))
+        obs *= self.sigma
+        obs += loc
+        return obs[:, :, None]
 
     def log_likelihood_batch(self, thetas, y: Dataset) -> np.ndarray:
         t = np.atleast_2d(thetas)[:, 0]
@@ -464,7 +495,7 @@ class BetaBinomial(Model):
         self.name = "beta-binomial"
         self.param_dim = 1
         self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
-        self.capabilities = Capabilities(True, True, True, True, True)
+        self.capabilities = Capabilities(True, True, True, True)
 
     def in_support(self, theta) -> bool:
         t = np.asarray(theta, dtype=float).reshape(-1)
@@ -554,7 +585,7 @@ class PoissonGamma(Model):
         self.name = "poisson-gamma"
         self.param_dim = 1
         self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
-        self.capabilities = Capabilities(True, True, True, True, True)
+        self.capabilities = Capabilities(True, True, True, True)
 
     def in_support(self, theta) -> bool:
         t = np.asarray(theta, dtype=float).reshape(-1)
@@ -645,7 +676,7 @@ class LogNormalTwoGroup(Model):
         self.name = "lognormal-two-group"
         self.param_dim = 2
         self.data_shape = DataShape(n_obs=2 * self.n_per_group)
-        self.capabilities = Capabilities(False, False, True, False, False)
+        self.capabilities = Capabilities(False, False, True, False)
 
     def group_labels(self, n_obs: int) -> np.ndarray:
         half = n_obs // 2

@@ -20,7 +20,14 @@ from .calibration import (
     _sbc_ranks,
     _sbc_result,
 )
-from .models import Dataset, Model, ParamDraws, SummaryStatistic, concat_datasets
+from .models import (
+    Dataset,
+    Model,
+    ParamDraws,
+    SummaryStatistic,
+    concat_datasets,
+    simulate_statistic,
+)
 from .rng import as_generator, substream
 from .simtest import simulation_pvalue
 
@@ -60,9 +67,7 @@ def prior_pushforward_check(
     if not lo <= hi:
         raise ValueError("region must be ordered (lo, hi)")
     rng = substream(seed, 0)
-    thetas = model.sample_prior(rng, s)
-    obs = model.simulate_batch(thetas, rng)
-    values = statistic.fn(obs, model.group_labels(obs.shape[1]))
+    values = simulate_statistic(model, model.sample_prior(rng, s), rng, statistic)
     frac = float(((values >= lo) & (values <= hi)).mean())
     return PushforwardResult(
         kind="prior-pushforward",
@@ -101,15 +106,14 @@ def _replication_result(
     model: Model,
     statistic: SummaryStatistic,
     y_obs: Dataset,
-    obs: np.ndarray,
+    thetas: np.ndarray,
     seed: int,
     rng,
     metadata: dict,
 ) -> PredictiveResult:
-    if statistic.arity != "data":
-        raise ValueError("predictive checks need a data statistic")
-    s = obs.shape[0]
-    reps = statistic.fn(obs, model.group_labels(obs.shape[1]))
+    """Replicate one dataset per row of thetas from rng, then rank y_obs."""
+    s = thetas.shape[0]
+    reps = simulate_statistic(model, thetas, rng, statistic, n_obs=y_obs.n_obs)
     observed = statistic.on_data(y_obs)
     ppp = posterior_predictive_pvalue(observed, reps, rng) if s >= 2 else None
     return PredictiveResult(
@@ -134,17 +138,14 @@ def frequentist_predictive_check(
 ) -> PredictiveResult:
     """Replicate datasets at a fixed fitted parameter and compare."""
     theta_hat = np.asarray(theta_hat, dtype=float).reshape(-1)
-    rng = substream(seed, 0)
-    thetas = np.broadcast_to(theta_hat, (s, theta_hat.size))
-    obs = model.simulate_batch(thetas, rng, n_obs=y_obs.n_obs)
     return _replication_result(
         "frequentist-predictive",
         model,
         statistic,
         y_obs,
-        obs,
+        np.broadcast_to(theta_hat, (s, theta_hat.size)),
         seed,
-        rng,
+        substream(seed, 0),
         {"theta_hat": [float(v) for v in theta_hat]},
     )
 
@@ -187,16 +188,14 @@ def run_ppc(
 ) -> PredictiveResult:
     """Posterior predictive check through an approximator."""
     draws = approximator.approximate(model, y_obs, substream(seed, 1), m=s)
-    rng = substream(seed, 0)
-    obs = model.simulate_batch(draws.values, rng, n_obs=y_obs.n_obs)
     return _replication_result(
         "posterior-predictive",
         model,
         statistic,
         y_obs,
-        obs,
+        draws.values,
         seed,
-        rng,
+        substream(seed, 0),
         {"approximator": approximator.name},
     )
 

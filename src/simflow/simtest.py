@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import RetryError
-from .models import Dataset, Model, SummaryStatistic
+from .models import _SIM_CHUNK, Dataset, Model, SummaryStatistic
 from .rng import as_generator, substream
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "run_test",
 ]
 
-_SIM_CHUNK = 16384
 _RETRY_CAP = 5
 
 SIDES = ("lower", "upper", "two_sided")

@@ -1,5 +1,7 @@
 """Posterior approximators against conjugate oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -213,3 +215,19 @@ def test_abc_approximator_wrapper():
     draws = approx.approximate(model, y, substream(56, 0), m=500)
     assert draws.m == 500
     assert draws.info["mode"] == "tolerance"
+
+
+def test_abc_quantile_proposals_hold_no_dataset_matrix():
+    # 2e5 proposals of 20 observations are 30.5 MiB as one (S, n) matrix;
+    # only the proposals and their distances need to be held
+    model = NormalNormal(n_obs=20)
+    y = model.simulate_data(np.array([0.3]), substream(56, 0))
+    tracemalloc.start()
+    try:
+        result = abc_rejection(model, y, mean_stat, substream(57, 0), m=100,
+                               acceptance_quantile=0.001, max_proposals=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.draws.m == 100 and result.proposals_used == 200_000
+    assert peak < 16 * 2**20

@@ -193,6 +193,50 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     assert not (out / "report.json").exists()
 
 
+_LN = ["--model", "lognormal-two-group"]
+_LN_DATA = [*_LN, "--data", "grouped.csv"]
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["sbc", *_LN, "--S", "20", "--M", "9"], "can_sample_prior"),
+    (["sbc", *_LN, "--S", "20", "--M", "9", "--approximator", "abc"], "can_sample_prior"),
+    (["post-sbc", *_LN_DATA, "--S", "20", "--M", "9"], "has_analytic_posterior"),
+    (["post-sbc", *_LN_DATA, "--S", "20", "--M", "9", "--approximator", "perturbed"],
+     "has_analytic_posterior"),
+    (["post-sbc", *_LN_DATA, "--S", "20", "--M", "9", "--approximator", "rwm"],
+     "can_sample_prior"),
+    (["ppc", *_LN_DATA, "--statistic", "mean-diff"], "has_analytic_posterior"),
+    (["sensitivity", *_LN_DATA, "--approximator", "perturbed"], "has_analytic_posterior"),
+    (["prior-check", *_LN, "--region=0,1"], "can_sample_prior"),
+    (["abc", *_LN_DATA, "--quantile", "0.1"], "can_sample_prior"),
+    (["compare", *_LN_DATA], "can_sample_prior"),
+    (["compare", "--config", "compare-ln.ini", "--data", "grouped.csv"], "can_sample_prior"),
+    (["power", *_LN, "--theta0", "0,0", "--statistic", "mean-diff"], "can_sample_prior"),
+    (["accuracy", *_LN], "can_sample_prior"),
+    (["freq-calibrate", *_LN, "--theta-star", "0,0", "--estimator", "posterior-mean",
+      "--sampling", "normal:0,1", "--S", "20"], "has_analytic_posterior"),
+    (["sensitivity", "--mode", "sweep", "--config", "sweep-ln.ini"], "can_sample_prior"),
+])
+def test_missing_capability_is_config_error(tmp_path, capsys, monkeypatch, argv, missing):
+    # each started work, then exited 3 with a partial report on a
+    # CapabilityError or an estimator that failed every replication; the sbc
+    # sweep exited 0 with every row failed
+    monkeypatch.chdir(tmp_path)
+    Dataset(np.arange(1.0, 9.0).reshape(-1, 1), np.repeat([0, 1], 4)).to_csv("grouped.csv")
+    (tmp_path / "compare-ln.ini").write_text(
+        "[compare]\nmodels = a, b\n[model:a]\nname = normal-normal\n"
+        "[model:b]\nname = lognormal-two-group\n")
+    (tmp_path / "sweep-ln.ini").write_text(
+        "[model]\nname = lognormal-two-group\n[sweep]\npipeline = sbc\nm = 9\n"
+        "vary_s = 10|20\n")
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert missing in err and "lognormal-two-group lacks" in err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("approx, params", [
     (PerturbedConjugate(mean_shift=0.5), "mean_shift=0.5"),
     (AbcRejection(DISTANCE_REGISTRY["mean-distance"], acceptance_quantile=0.5),

@@ -20,8 +20,12 @@ from simflow import (
     PoissonGamma,
     concat_datasets,
     make_model,
+    param_target,
+    simulate_statistic,
     substream,
 )
+from simflow.models import _SIM_CHUNK
+from simflow.simtest import STATISTIC_REGISTRY
 
 # independent oracle computations, frozen
 NN_LOG_MARGINAL_3OBS = -4.5337127801739623  # y=[0.3,-1.2,0.8], mu0=0, tau0=1, sigma=1
@@ -234,6 +238,55 @@ def test_prior_predictive_mean_consistency():
         obs = model.simulate_batch(thetas, rng, n_obs=1)[:, 0, 0]
         se = obs.std(ddof=1) / np.sqrt(obs.size)
         assert abs(obs.mean() - want) < 3 * se, model.name
+
+
+# --- statistics of simulated datasets, block by block --------------------------
+
+_B = _SIM_CHUNK
+_ONE_GROUP = ("mean", "max", "lag1-autocorr")
+_TWO_GROUP = ("mean-diff", "pooled-t", "variance-ratio")
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=st.sampled_from([NormalNormal(n_obs=3), BetaBinomial(a=2.0, b=3.0, n_obs=4),
+                              PoissonGamma(n_obs=3), LogNormalTwoGroup(n_per_group=2)]),
+       s=st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 3]),
+       seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 2))
+def test_simulate_statistic_equals_one_batch(model, s, seed, pick):
+    # blocks drawn one after another from one stream are the rows of one
+    # simulate_batch call on all of them, bit for bit, and leave the stream
+    # where that call leaves it
+    if model.capabilities.can_sample_prior:
+        thetas = model.sample_prior(substream(seed, 0), s)
+        statistic = STATISTIC_REGISTRY[_ONE_GROUP[pick]]
+    else:
+        thetas = np.broadcast_to([0.3, -0.2], (s, 2))
+        statistic = STATISTIC_REGISTRY[_TWO_GROUP[pick]]
+    n = model.data_shape.n_obs
+    whole_rng, block_rng = substream(seed, 1), substream(seed, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whole = statistic.fn(model.simulate_batch(thetas, whole_rng), model.group_labels(n))
+        blocks = simulate_statistic(model, thetas, block_rng, statistic)
+    assert blocks.shape == (s,)
+    assert np.array_equal(blocks, whole, equal_nan=True)
+    assert whole_rng.random() == block_rng.random()
+
+
+@settings(max_examples=30, deadline=None)
+@given(loc=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+       sigma=st.floats(1e-3, 1e3), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_normal_kernel_equals_rng_normal(loc, sigma, n, seed):
+    model = NormalNormal(sigma=sigma, n_obs=n)
+    thetas = np.asarray(loc).reshape(-1, 1)
+    got = model.simulate_batch(thetas, substream(seed, 0))[:, :, 0]
+    want = substream(seed, 0).normal(thetas, sigma, size=(thetas.shape[0], n))
+    assert np.array_equal(got, want)
+
+
+def test_simulate_statistic_needs_a_data_statistic():
+    with pytest.raises(ValueError, match="not a data statistic"):
+        simulate_statistic(NormalNormal(), np.zeros((2, 1)), substream(0, 0),
+                           param_target(0))
 
 
 # --- domain and registry ------------------------------------------------------

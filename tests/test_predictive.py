@@ -1,5 +1,7 @@
 """Predictive checks and posterior calibration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -212,3 +214,17 @@ def test_posterior_sbc_empty_data_reduces_to_prior_sbc():
     plain = run_sbc(model, ExactConjugate(), SbcConfig(s=500, m=19, seed=7))
     ks = stats.ks_2samp(cond.pvalues[T0].values, plain.pvalues[T0].values)
     assert ks.pvalue > 0.01
+
+
+def test_prior_pushforward_holds_no_dataset_matrix():
+    # the 2e5 datasets of 20 observations are 30.5 MiB as one (S, n) matrix;
+    # simulated block by block, the check holds one block at a time
+    tracemalloc.start()
+    try:
+        result = prior_pushforward_check(NormalNormal(n_obs=20), mean_stat, (-1.0, 1.0),
+                                         s=200_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.values.shape == (200_000,)
+    assert peak < 16 * 2**20
