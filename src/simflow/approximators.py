@@ -132,8 +132,7 @@ def rwm_sample(
     steps with scalar step_sd; the Jacobian of the reparameterization is part
     of the target, so bounded parameters mix without rejections at the edge.
     """
-    caps = model.capabilities
-    if not (caps.can_sample_prior and caps.can_log_prior and caps.can_log_likelihood):
+    if not all(getattr(model.capabilities, need) for need in RandomWalkMetropolis.needs):
         raise CapabilityError(
             f"{model.name} must expose prior sampling and both log densities"
         )
