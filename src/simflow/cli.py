@@ -420,6 +420,8 @@ def _targets(indices, model):
     for idx in indices:
         if not 0 <= idx < model.param_dim:
             raise ConfigError(f"target index {idx} outside 0..{model.param_dim - 1}")
+    if len(set(indices)) < len(indices):
+        raise ConfigError(f"--targets repeats an index: {indices}")
     return tuple(param_target(idx) for idx in indices)
 
 
@@ -785,102 +787,100 @@ def _power_scale(run):
     return payload, {"powerscale.csv": (list(table), list(table.values()))}
 
 
-# [sweep] settings of each pipeline: key -> (subcommand, flag) whose kind
-# and bound the value must meet
-_SWEEP_SETTINGS = {
-    "sbc": {"s": ("sbc", "--S"), "m": ("sbc", "--M")},
-    "evidence": {"s": ("compare", "--S")},
-    "power-scale": {"m": ("sensitivity", "--M"), "alpha_prior": ("sensitivity", "--alphas"),
-                    "alpha_lik": ("sensitivity", "--alphas")},
+def _sbc_cell(model, approx, y, seed, s, m) -> dict:
+    result = run_sbc(model, approx, SbcConfig(s=s, m=m, seed=seed))
+    v = result.verdicts[result.target_names[0]]
+    return {"chi2_pvalue": v.chi2_pvalue, "ks_pvalue": v.ks_pvalue, "ecdf_inside": v.ecdf_inside}
+
+
+def _evidence_cell(model, approx, y, seed, s) -> dict:
+    ev = marginal_likelihood_mc(model, y, s=s, seed=seed)
+    return {"log_evidence": ev.log_evidence, "mc_se_log": ev.mc_se_log}
+
+
+def _power_scale_cell(model, approx, y, seed, m, alpha_prior, alpha_lik) -> dict:
+    draws = approx.approximate(model, y, substream(seed, 0), m=m)
+    wd = power_scale_weights(model, y, draws, alpha_prior=alpha_prior, alpha_lik=alpha_lik)
+    return {"ess": wd.ess, "mean0": weighted_mean(wd, 0)}
+
+
+class Sweep(NamedTuple):  # one [sweep] pipeline
+    cell: Callable       # (model, approximator, data, seed, **settings) -> row columns
+    needs: tuple         # model capabilities (fields of models.Capabilities)
+    approximator: bool   # whether a cell reads the approximator
+    data: bool           # whether a cell reads --data
+    # [sweep] key -> (default, subcommand, flag whose kind and bound it must meet)
+    settings: dict
+
+
+_SWEEPS = {
+    "sbc": Sweep(_sbc_cell, ("can_sample_prior",), True, False,
+                 {"s": (200, "sbc", "--S"), "m": (99, "sbc", "--M")}),
+    "evidence": Sweep(_evidence_cell, _EVIDENCE_NEEDS, False, True,
+                      {"s": (10_000, "compare", "--S")}),
+    "power-scale": Sweep(_power_scale_cell, (), True, True,
+                         {"m": (2000, "sensitivity", "--M"),
+                          "alpha_prior": (1.0, "sensitivity", "--alphas"),
+                          "alpha_lik": (1.0, "sensitivity", "--alphas")}),
 }
 
 
-def _sweep_grid(sweep: dict, settings: dict) -> tuple[list[dict], dict]:
-    """The cells of a [sweep] section and its vary_ lists, with each value of
-    a key in settings converted and bounded as its flag."""
+def _sensitivity_sweep(run):
+    """Every [sweep] cell resolved and its model built before any cell runs."""
+    section = _section(run.cfg, "sweep")
+    if not section:
+        raise ConfigError("sweep mode needs a [sweep] section in the config")
+    run.sections["sweep"] = section
+    pipeline = section.get("pipeline")
+    sweep = _named("[sweep] pipeline", pipeline, _SWEEPS)
+    model = _build_model(run)
+    _require(model, f"the {pipeline} sweep", *sweep.needs)
+    approx = _build_approximator(run, model) if sweep.approximator else None
+    y = _load_data(run) if sweep.data else None
 
-    def setting(key: str, name: str, value):
-        if name not in settings:
+    def setting(key: str, value):
+        # a pipeline setting, read as its flag, or a model_<hyperparameter>
+        # that overrides the base model's
+        name = key.removeprefix("vary_")
+        if name.startswith("model_"):
             return value
-        command, option = settings[name]
+        if name not in sweep.settings:
+            raise ConfigError(f"unknown [sweep] key {key!r}; the {pipeline} sweep takes "
+                              f"{', '.join(sweep.settings)} and model_<hyperparameter>, "
+                              "each also as vary_<key>")
+        _, command, option = sweep.settings[name]
         kind = FLAGS[option].kind
         return _convert(f"[sweep] {key}", value, float if kind is _floats else kind,
                         _COMMANDS[command].flags[option].bound)
 
-    base = {}
-    vary = {}
-    for key, value in sweep.items():
-        if key.startswith("vary_"):
-            name = key[len("vary_"):]
-            vary[name] = [setting(key, name, _parse_scalar(v)) for v in str(value).split("|")]
-        elif key != "pipeline":
-            base[key] = setting(key, key, value)
+    base = {k: setting(k, v) for k, v in section.items()
+            if k != "pipeline" and not k.startswith("vary_")}
+    vary = {k.removeprefix("vary_"): [setting(k, _parse_scalar(v)) for v in str(text).split("|")]
+            for k, text in section.items() if k.startswith("vary_")}
     if not vary:
         raise ConfigError("[sweep] needs at least one vary_<param> = v1|v2|... key")
     keys = sorted(vary)
-    grid = []
-    for combo in itertools.product(*(vary[k] for k in keys)):
-        cell = dict(base)
-        cell.update(dict(zip(keys, combo)))
-        grid.append(cell)
-    return grid, vary
-
-
-def _sensitivity_sweep(run):
-    sweep = _section(run.cfg, "sweep")
-    if not sweep:
-        raise ConfigError("sweep mode needs a [sweep] section in the config")
-    run.sections["sweep"] = sweep
-    pipeline_name = sweep.get("pipeline")
-    if pipeline_name not in _SWEEP_SETTINGS:
-        raise ConfigError("[sweep] pipeline must be one of: evidence, power-scale, sbc")
-    model = _build_model(run)
-    if pipeline_name == "sbc":
-        _require(model, "the sbc sweep", "can_sample_prior")
-    elif pipeline_name == "evidence":
-        _require(model, "the evidence sweep", *_EVIDENCE_NEEDS)
-    approx = _build_approximator(run, model)
-    grid, vary = _sweep_grid(sweep, _SWEEP_SETTINGS[pipeline_name])
-
-    def cell_model(config: dict):
-        # grid keys prefixed model_ override the base model hyperparameters
-        overrides = {k[len("model_"):]: v for k, v in config.items()
+    grid = [{**base, **dict(zip(keys, combo))}
+            for combo in itertools.product(*(vary[k] for k in keys))]
+    params = dict(run.sections["model"])
+    name = params.pop("name")
+    cells = {}
+    for config in grid:
+        overrides = {k.removeprefix("model_"): v for k, v in config.items()
                      if k.startswith("model_")}
-        if not overrides:
-            return model
-        params = dict(run.sections["model"])
-        name = params.pop("name")
-        params.update(overrides)
-        return make_model(name, **params)
+        try:
+            built = make_model(name, **{**params, **overrides})
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"[sweep] cell {config}: {exc}") from exc
+        values = {k: config.get(k, default) for k, (default, *_) in sweep.settings.items()}
+        cells[tuple(config.items())] = (built, values)
 
-    if pipeline_name == "sbc":
-        def cell(config: dict, cell_seed: int) -> dict:
-            run_cfg = SbcConfig(s=config.get("s", 200), m=config.get("m", 99), seed=cell_seed)
-            r = run_sbc(cell_model(config), approx, run_cfg)
-            v = r.verdicts[r.target_names[0]]
-            return {"chi2_pvalue": v.chi2_pvalue, "ks_pvalue": v.ks_pvalue,
-                    "ecdf_inside": v.ecdf_inside}
-    elif pipeline_name == "evidence":
-        y = _load_data(run)
-
-        def cell(config: dict, cell_seed: int) -> dict:
-            ev = marginal_likelihood_mc(cell_model(config), y, s=config.get("s", 10_000),
-                                        seed=cell_seed)
-            return {"log_evidence": ev.log_evidence, "mc_se_log": ev.mc_se_log}
-    else:
-        y = _load_data(run)
-
-        def cell(config: dict, cell_seed: int) -> dict:
-            model = cell_model(config)
-            draws = approx.approximate(model, y, substream(cell_seed, 0),
-                                       m=config.get("m", 2000))
-            wd = power_scale_weights(model, y, draws,
-                                     alpha_prior=config.get("alpha_prior", 1.0),
-                                     alpha_lik=config.get("alpha_lik", 1.0))
-            return {"ess": wd.ess, "mean0": weighted_mean(wd, 0)}
+    def cell(config: dict, cell_seed: int) -> dict:
+        built, values = cells[tuple(config.items())]
+        return sweep.cell(built, approx, y, cell_seed, **values)
 
     result = sensitivity_sweep(cell, grid, seed=run.seed)
-    payload = _payload(result, kind="sensitivity-sweep", pipeline=pipeline_name,
+    payload = _payload(result, kind="sensitivity-sweep", pipeline=pipeline,
                        n_cells=len(result.rows), rows=[dict(r) for r in result.rows],
                        metadata={"varied": vary})
     return payload, {"sweep.csv": result.table()}

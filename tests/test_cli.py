@@ -19,10 +19,13 @@ from simflow import (
     DISTANCE_REGISTRY,
     AbcRejection,
     Dataset,
+    ExactConjugate,
     NormalNormal,
     PerturbedConjugate,
+    SbcConfig,
     marginal_likelihood_mc,
     power_scale_weights,
+    run_sbc,
     substream,
     weighted_mean,
 )
@@ -165,6 +168,16 @@ _DATA = [*_NN12, "--data", "data.csv"]
     # (tracebacks)
     ["elicit", "--expert-csv", "expert-abc.csv", "--sims", "200"],
     ["elicit", "--expert-csv", "expert-short.csv", "--sims", "200"],
+    # [sweep] keys no pipeline setting names (ignored, or overwritten by the
+    # row's status column)
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-ss.ini"],
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-status.ini"],
+    # cell hyperparameters the model refuses (failed rows after the other
+    # cells had run)
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-n-obs-frac.ini"],
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-bogus.ini"],
+    # a repeated target (reported once, its pvalues.csv rows written twice)
+    ["sbc", *_NN12, "--S", "20", "--M", "9", "--targets", "0,0"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -182,6 +195,10 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     for name, text in {"sweep-s-frac.ini": "s = 30.9\nvary_m = 9|19\n",
                        "sweep-m-abc.ini": "m = abc\nvary_model_tau0 = 0.5|2.0\n",
                        "sweep-vary-s-frac.ini": "vary_s = 30|30.9\n",
+                       "sweep-ss.ini": "ss = 20\nm = 9\nvary_model_tau0 = 0.5|2.0\n",
+                       "sweep-status.ini": "s = 20\nm = 9\nstatus = x\nvary_model_tau0 = 1\n",
+                       "sweep-n-obs-frac.ini": "s = 20\nm = 9\nvary_model_n_obs = 5|2.5\n",
+                       "sweep-bogus.ini": "s = 20\nm = 9\nvary_model_bogus = 1|2\n",
                        "expert-abc.csv": "count,0.25,abc\n",
                        "expert-short.csv": "count,0.25\n"}.items():
         (tmp_path / name).write_text((sweep if name.endswith(".ini") else expert) + text)
@@ -534,6 +551,38 @@ def test_sensitivity_sweep_via_config(tmp_path):
     assert [r["model_tau0"] for r in rows] == [0.5, 2.0]
     sweep_lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(sweep_lines) == 3
+
+
+@pytest.mark.parametrize("pipeline", ["sbc", "evidence", "power-scale"])
+def test_sweep_defaults(tmp_path, pipeline):
+    # a sweep that sets none of its pipeline's settings runs the library call
+    # at the sweep's defaults
+    data = _write_data(tmp_path / "data.csv", n=5)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[model]\nname = normal-normal\nn_obs = 5\n"
+                   f"[sweep]\npipeline = {pipeline}\nvary_model_tau0 = 2.0\n")
+    out = tmp_path / "sw"
+    assert main(["sensitivity", "--mode", "sweep", "--config", str(cfg), "--data", str(data),
+                 "--seed", "3", "--out", str(out), "--formats", "json"]) == 0
+    (row,) = json.loads((out / "report.json").read_text())["results"]["rows"]
+    model, y, seed = NormalNormal(tau0=2.0, n_obs=5), Dataset.from_csv(data), row["cell_seed"]
+    if pipeline == "sbc":
+        result = run_sbc(model, ExactConjugate(), SbcConfig(s=200, m=99, seed=seed))
+        want = {"chi2_pvalue": result.verdicts["theta[0]"].chi2_pvalue}
+    elif pipeline == "evidence":
+        want = {"log_evidence": marginal_likelihood_mc(model, y, s=10_000, seed=seed).log_evidence}
+    else:
+        draws = ExactConjugate().approximate(model, y, substream(seed, 0), m=2000)
+        wd = power_scale_weights(model, y, draws, alpha_prior=1.0, alpha_lik=1.0)
+        want = {"ess": wd.ess, "mean0": weighted_mean(wd, 0)}
+    assert {k: row[k] for k in want} == want
+
+
+def test_sweep_settings_name_subcommand_flags():
+    # a renamed flag fails here, not in a user's sweep
+    for sweep in simflow.cli._SWEEPS.values():
+        for _, command, option in sweep.settings.values():
+            assert option in simflow.cli._COMMANDS[command].flags
 
 
 def test_power_scale_pipeline(tmp_path):
