@@ -3,8 +3,10 @@ approximators, frequentist calibration of estimators, power analysis,
 sharpness, and estimator accuracy.
 
 All pipelines share one replication loop, `_replicate`: for i < S, open
-stream (seed, 0, i), draw theta from the prior (or use a fixed truth),
-simulate a dataset, and compute the pipeline's statistic on it.
+stream (seed, 0, i) through `rng.chunks`, draw theta from the prior (or
+use a fixed truth, or row i of given parameters), simulate a dataset, and
+compute the pipeline's statistic on it. Posterior SBC in `predictive` runs
+through it too, with the approximator's draws as the rows.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .approximators import Approximator
 from .diagnostics import PValueSet, UniformityVerdict, uniformity_test
 from .models import Dataset, Model, SummaryStatistic, param_target
-from .rng import substream
+from .rng import chunks
 from .simtest import simulation_pvalue
 
 __all__ = [
@@ -81,25 +83,24 @@ class SbcResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _replication_stream(seed: int, i: int) -> np.random.Generator:
-    """The stream of replication i; it depends on (seed, i) only."""
-    return substream(seed, 0, i)
-
-
-def _replicate(model: Model, seed: int, s: int, statistic, theta_star=None) -> list:
+def _replicate(model: Model, seed: int, s: int, statistic, thetas=None,
+               n_obs: int | None = None) -> list:
     """statistic(theta, y, rng) for replications i = 0..s-1, in order.
 
-    Replication i draws theta from the prior (unless theta_star fixes it),
-    then the dataset y, then whatever the statistic draws, all from its own
-    stream, so its output does not depend on s or on other replications.
+    Replication i draws theta from the prior (unless thetas gives it: a
+    (d,) truth for every row, or row i of an (s, d) matrix), then the
+    dataset y of n_obs observations, then whatever the statistic draws, all
+    from its own stream, so its output does not depend on s or on other
+    replications.
     """
-    if theta_star is not None:
-        theta_star = np.asarray(theta_star, dtype=float).reshape(-1)
+    if thetas is not None:
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim < 2:
+            thetas = np.broadcast_to(thetas.reshape(-1), (s, thetas.size))
     out = []
-    for i in range(s):
-        rng = _replication_stream(seed, i)
-        theta = model.sample_prior(rng, 1)[0] if theta_star is None else theta_star
-        out.append(statistic(theta, model.simulate_data(theta, rng), rng))
+    for i, _, _, rng in chunks(seed, s, 1):
+        theta = model.sample_prior(rng, 1)[0] if thetas is None else thetas[i]
+        out.append(statistic(theta, model.simulate_data(theta, rng, n_obs=n_obs), rng))
     return out
 
 

@@ -833,6 +833,13 @@ def _sensitivity_sweep(run):
     run.sections["sweep"] = section
     pipeline = section.get("pipeline")
     sweep = _named("[sweep] pipeline", pipeline, _SWEEPS)
+    unread = [what for what, given, read in (
+        ("--approximator", run.approximator is not None, sweep.approximator),
+        ("--approximator-params", run.approximator_params is not None, sweep.approximator),
+        ("an [approximator] section", run.cfg.has_section("approximator"), sweep.approximator),
+        ("--data", run.data is not None, sweep.data)) if given and not read]
+    if unread:
+        raise ConfigError(f"the {pipeline} sweep does not read {', '.join(unread)}")
     model = _build_model(run)
     _require(model, f"the {pipeline} sweep", *sweep.needs)
     approx = _build_approximator(run, model) if sweep.approximator else None

@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 
 from .models import Dataset, Model, ParamDraws
 from .report import write_csv
-from .rng import substream
+from .rng import cell_seed, chunks
 
 __all__ = [
     "EvidenceResult",
@@ -53,16 +53,8 @@ def marginal_likelihood_mc(model: Model, y: Dataset, s: int, seed: int = 0) -> E
     if s < 2:
         raise ValueError("evidence estimation needs at least 2 draws")
     ll = np.empty(s)
-    done = 0
-    chunk_idx = 0
-    while done < s:
-        count = min(_EVIDENCE_CHUNK, s - done)
-        rng = substream(seed, 0, chunk_idx)
-        thetas = model.sample_prior(rng, count)
-        ll[done : done + count] = model.log_likelihood_batch(thetas, y)
-        done += count
-        chunk_idx += 1
-
+    for _, lo, hi, rng in chunks(seed, s, _EVIDENCE_CHUNK):
+        ll[lo:hi] = model.log_likelihood_batch(model.sample_prior(rng, hi - lo), y)
     mx = np.max(ll)
     if not np.isfinite(mx):
         return EvidenceResult(model.name, -np.inf, np.nan, int(s), int(seed), True)
@@ -114,7 +106,7 @@ def posterior_model_probs(
     evidences = {}
     logz = np.empty(len(entries))
     for i, e in enumerate(entries):
-        ev = marginal_likelihood_mc(e.model, y, s, seed=_cell_seed(seed, i))
+        ev = marginal_likelihood_mc(e.model, y, s, seed=cell_seed(seed, i))
         evidences[e.name] = ev
         logz[i] = ev.log_evidence
 
@@ -230,11 +222,6 @@ class SweepResult:
         write_csv(path, *self.table())
 
 
-def _cell_seed(seed: int, index: int) -> int:
-    ss = np.random.SeedSequence(int(seed), spawn_key=(9, int(index)))
-    return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63))
-
-
 def sensitivity_sweep(
     pipeline: Callable[[dict, int], dict],
     grid: list[dict],
@@ -249,10 +236,9 @@ def sensitivity_sweep(
     rows = []
     n_failed = 0
     for i, config in enumerate(grid):
-        cell_seed = _cell_seed(seed, i)
-        row = {**config, "cell_seed": cell_seed}
+        row = {**config, "cell_seed": cell_seed(seed, i)}
         try:
-            out = pipeline(dict(config), cell_seed)
+            out = pipeline(dict(config), row["cell_seed"])
             row.update(out)
             row["status"] = "ok"
         except Exception as exc:  # noqa: BLE001 - sweep must survive cell failures

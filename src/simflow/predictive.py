@@ -16,7 +16,7 @@ from .calibration import (
     SbcConfig,
     SbcResult,
     _default_targets,
-    _replication_stream,
+    _replicate,
     _sbc_ranks,
     _sbc_result,
 )
@@ -218,15 +218,12 @@ def run_posterior_sbc(
     theta_prime = approximator.approximate(
         model, y_obs, substream(cfg.seed, 1), m=cfg.s
     ).values
-
-    # theta' comes from the approximator, not the prior, so this loop is
-    # not _replicate; it shares the replication streams and the SBC tail.
     ranks = _sbc_ranks(model, approximator, targets, cfg.m)
-    rows = []
-    for i in range(cfg.s):
-        rng = _replication_stream(cfg.seed, i)
-        y_rep = model.simulate_data(theta_prime[i], rng, n_obs=n_rep)
-        rows.append(ranks(theta_prime[i], concat_datasets(y_obs, y_rep), rng))
+
+    def ranks_given_obs(theta, y_rep, rng) -> list[float]:
+        return ranks(theta, concat_datasets(y_obs, y_rep), rng)
+
+    rows = _replicate(model, cfg.seed, cfg.s, ranks_given_obs, theta_prime, n_obs=n_rep)
     return _sbc_result("posterior-sbc", model, approximator, cfg, targets, rows, {
         "theta_prime_source": "approximator under test",
         "conditioning": "observed and replicated data concatenated",

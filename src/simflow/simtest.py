@@ -16,8 +16,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import RetryError
-from .models import _SIM_CHUNK, Dataset, Model, SummaryStatistic
-from .rng import as_generator, substream
+from .models import _SIM_CHUNK, Dataset, Model, SummaryStatistic, simulate_statistic
+from .rng import as_generator, chunks, substream
 
 __all__ = [
     "mean_stat",
@@ -144,39 +144,29 @@ def simulate_null(
 
     Draws on which the statistic is undefined (non-finite) are resampled
     from a fresh derived stream, up to a retry cap. Work proceeds in
-    fixed-size chunks with per-chunk streams, so results do not depend on
-    how chunks are scheduled.
+    fixed-size chunks: chunk c draws from (root, 0, c) and its retry a from
+    (root, 0, c, a), so results do not depend on how chunks are scheduled.
     """
     if statistic.arity != "data":
         raise ValueError("null simulation needs a data statistic")
     theta0 = np.asarray(theta0, dtype=float).reshape(-1)
-    n = int(n_obs or model.data_shape.n_obs)
-    labels = model.group_labels(n)
-    base = as_generator(seed)
-    root = int(base.integers(0, 2**63 - 1))
+    root = int(as_generator(seed).integers(0, 2**63 - 1))
+
+    def at_theta0(count: int, rng) -> np.ndarray:
+        thetas = np.broadcast_to(theta0, (count, theta0.size))
+        return simulate_statistic(model, thetas, rng, statistic, n_obs=n_obs)
 
     out = np.empty(s)
     n_resampled = 0
-    n_chunks = -(-s // _SIM_CHUNK)
-    for ci in range(n_chunks):
-        lo = ci * _SIM_CHUNK
-        hi = min(lo + _SIM_CHUNK, s)
-        count = hi - lo
-        thetas = np.broadcast_to(theta0, (count, theta0.size))
-        rng = substream(root, 0, ci)
-        obs = model.simulate_batch(thetas, rng, n_obs=n)
-        vals = statistic.fn(obs, labels)
+    for c, lo, hi, rng in chunks(root, s, _SIM_CHUNK):
+        vals = at_theta0(hi - lo, rng)
         bad = ~np.isfinite(vals)
         for attempt in range(1, _RETRY_CAP + 1):
             if not bad.any():
                 break
             n_bad = int(bad.sum())
             n_resampled += n_bad
-            retry_rng = substream(root, 0, ci, attempt)
-            redo = model.simulate_batch(
-                np.broadcast_to(theta0, (n_bad, theta0.size)), retry_rng, n_obs=n
-            )
-            vals[bad] = statistic.fn(redo, labels)
+            vals[bad] = at_theta0(n_bad, substream(root, 0, c, attempt))
             bad = ~np.isfinite(vals)
         if bad.any():
             raise RetryError(
@@ -292,8 +282,7 @@ class SimulationTest:
 
     def report(self, y: Dataset, alphas=(0.01, 0.05, 0.1), rng=None) -> TestReport:
         observed = self.statistic.on_data(y)
-        rng = as_generator(rng) if rng is not None else substream(self.seed, 1)
-        p = simulation_pvalue(observed, self.null.values, self.side, rng)
+        p = self.pvalue(y, rng)
         qs = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
         probs = [prob for alpha in alphas for prob in _critical_probs(alpha, self.side)]
         quantile_at = _quantiles(self.null.values, [*probs, *qs])

@@ -17,6 +17,7 @@ from simflow import (
     estimator_accuracy,
     power_analysis,
     run_frequentist_calibration,
+    run_posterior_sbc,
     run_sbc,
     sample_mean_estimator,
     sbc_pvalue,
@@ -279,11 +280,15 @@ def _loop_output(fn, *args, **kwargs) -> np.ndarray:
 def test_replication_depends_only_on_seed_and_index(seed, n, k):
     model = NormalNormal(n_obs=5)
     ref = substream(7, 0).normal(0.0, 0.5, size=200)
+    y_obs = model.simulate_data([0.2], substream(7, 1))
     sim_test = SimulationTest(model, [0.0], STATISTIC_REGISTRY["mean"],
                               side="upper", s=200, seed=1)
     runs = {
         "sbc": lambda s: run_sbc(model, PerturbedConjugate(sd_scale=0.8),
                                  SbcConfig(s=s, m=9, seed=seed)).pvalues[T0].values,
+        "posterior-sbc": lambda s: run_posterior_sbc(
+            model, PerturbedConjugate(sd_scale=0.8), y_obs,
+            SbcConfig(s=s, m=9, seed=seed)).pvalues[T0].values,
         "frequentist": lambda s: run_frequentist_calibration(
             model, [0.3], sample_mean_estimator, ref, s=s, seed=seed).pvalues.values,
         "power": lambda s: _loop_output(power_analysis, model, None, sim_test,

@@ -178,6 +178,16 @@ _DATA = [*_NN12, "--data", "data.csv"]
     ["sensitivity", "--mode", "sweep", "--config", "sweep-bogus.ini"],
     # a repeated target (reported once, its pvalues.csv rows written twice)
     ["sbc", *_NN12, "--S", "20", "--M", "9", "--targets", "0,0"],
+    # inputs the sweep's pipeline never reads (ignored, even a name that
+    # names nothing)
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-evidence.ini", "--data", "data.csv",
+     "--approximator", "bogus"],
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-evidence.ini", "--data", "data.csv",
+     "--approximator-params", "bogus=1"],
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-evidence-approx.ini",
+     "--data", "data.csv"],
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-sbc.ini",
+     "--data", "nonexistent.csv"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -199,9 +209,14 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
                        "sweep-status.ini": "s = 20\nm = 9\nstatus = x\nvary_model_tau0 = 1\n",
                        "sweep-n-obs-frac.ini": "s = 20\nm = 9\nvary_model_n_obs = 5|2.5\n",
                        "sweep-bogus.ini": "s = 20\nm = 9\nvary_model_bogus = 1|2\n",
+                       "sweep-sbc.ini": "s = 20\nm = 9\nvary_model_tau0 = 0.5|2.0\n",
                        "expert-abc.csv": "count,0.25,abc\n",
                        "expert-short.csv": "count,0.25\n"}.items():
         (tmp_path / name).write_text((sweep if name.endswith(".ini") else expert) + text)
+    evidence = sweep.replace("= sbc", "= evidence") + "s = 20\nvary_model_tau0 = 1\n"
+    (tmp_path / "sweep-evidence.ini").write_text(evidence)
+    (tmp_path / "sweep-evidence-approx.ini").write_text(
+        evidence + "[approximator]\nname = exact\n")
     _write_data(tmp_path / "data.csv")
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
@@ -562,7 +577,9 @@ def test_sweep_defaults(tmp_path, pipeline):
     cfg.write_text("[model]\nname = normal-normal\nn_obs = 5\n"
                    f"[sweep]\npipeline = {pipeline}\nvary_model_tau0 = 2.0\n")
     out = tmp_path / "sw"
-    assert main(["sensitivity", "--mode", "sweep", "--config", str(cfg), "--data", str(data),
+    # an sbc sweep reads no data, and refuses --data
+    reads = [] if pipeline == "sbc" else ["--data", str(data)]
+    assert main(["sensitivity", "--mode", "sweep", "--config", str(cfg), *reads,
                  "--seed", "3", "--out", str(out), "--formats", "json"]) == 0
     (row,) = json.loads((out / "report.json").read_text())["results"]["rows"]
     model, y, seed = NormalNormal(tau0=2.0, n_obs=5), Dataset.from_csv(data), row["cell_seed"]

@@ -67,6 +67,20 @@ def test_impossible_data_flagged():
         marginal_likelihood_mc(model, _obs(3.0), s=1)
 
 
+def test_evidence_chunk_streams():
+    # S = 100 007 spans two chunks: 100 000 prior draws from (seed, 0, 0),
+    # then 7 from (seed, 0, 1)
+    model = NormalNormal(n_obs=3)
+    y = _obs(0.4, -0.2, 1.1)
+    result = marginal_likelihood_mc(model, y, s=100_007, seed=5)
+    thetas = np.concatenate([substream(5, 0, 0).normal(0.0, 1.0, size=(100_000, 1)),
+                             substream(5, 0, 1).normal(0.0, 1.0, size=(7, 1))])
+    ll = model.log_likelihood_batch(thetas, y)
+    w = np.exp(ll - ll.max())
+    assert result.log_evidence == ll.max() + np.log(w.mean())
+    assert result.mc_se_log == w.std(ddof=1) / (w.mean() * np.sqrt(100_007))
+
+
 def test_evidence_mc_se_scaling():
     model = NormalNormal(n_obs=3)
     y = _obs(0.3, -1.2, 0.8)

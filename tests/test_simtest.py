@@ -142,19 +142,48 @@ def test_shared_null_gives_uniform_pvalues():
     assert verdict.chi2_pvalue > 0.001
 
 
-def test_simulate_null_resamples_undefined_draws():
-    # statistic undefined whenever the sample mean is large; rare enough
-    # that retries clear it, common enough to trigger at s=400
-    def batch(obs, labels):
-        m = obs[:, :, 0].mean(axis=1)
-        return np.where(m < 0.52, m, np.nan)
+def _flaky_mean(obs, labels):
+    # undefined whenever the sample mean is large; rare enough that retries
+    # clear it, common enough to trigger at s=400
+    m = obs[:, :, 0].mean(axis=1)
+    return np.where(m < 0.52, m, np.nan)
 
-    flaky = SummaryStatistic("flaky-mean", "data", batch)
+
+flaky = SummaryStatistic("flaky-mean", "data", _flaky_mean)
+
+
+def test_simulate_null_resamples_undefined_draws():
     model = NormalNormal(n_obs=10)
     with pytest.warns(RuntimeWarning, match="resampled"):
         null = simulate_null(model, [0.0], flaky, s=400, seed=2)
     assert null.n_resampled > 0
     assert np.all(np.isfinite(null.values))
+
+
+def test_simulate_null_chunk_and_retry_streams():
+    # three chunks, the last one short; chunk c draws from (root, 0, c) and
+    # its retry a from (root, 0, c, a), where root comes from the seed's stream
+    chunk, n = 16_384, 10
+    s = 2 * chunk + 3
+    with pytest.warns(RuntimeWarning, match="resampled"):
+        null = simulate_null(NormalNormal(n_obs=n), [0.0], flaky, s=s, seed=2)
+    root = int(substream(2).integers(0, 2**63 - 1))
+    ref, n_resampled, max_attempt = [], 0, 0
+    for c, lo in enumerate(range(0, s, chunk)):
+        vals = _flaky_mean(substream(root, 0, c).standard_normal((min(chunk, s - lo), n, 1)),
+                           None)
+        attempt = 0
+        while not np.isfinite(vals).all():
+            attempt += 1
+            bad = ~np.isfinite(vals)
+            n_resampled += int(bad.sum())
+            redo = substream(root, 0, c, attempt).standard_normal((int(bad.sum()), n, 1))
+            vals[bad] = _flaky_mean(redo, None)
+        max_attempt = max(max_attempt, attempt)
+        ref.append(vals)
+    assert max_attempt >= 2
+    assert null.n_resampled == n_resampled
+    np.testing.assert_array_equal(null.values, np.concatenate(ref))
 
 
 def test_simulate_null_retry_cap():
