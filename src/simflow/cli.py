@@ -1068,7 +1068,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetError, RetryError, CapabilityError, DomainError, RuntimeError) as exc:
+    except (BudgetError, RetryError, CapabilityError, DomainError, RuntimeError,
+            MemoryError) as exc:
         diagnostics = getattr(exc, "diagnostics", {})
         payload = {
             **head,

@@ -9,7 +9,8 @@ optimization run), so the search sees a deterministic surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from math import isqrt
 from typing import Callable
 
 import numpy as np
@@ -71,6 +72,10 @@ class ElicitationProblem:
     noise_dim: int = 1
 
     def __post_init__(self):
+        sims = self.sims_per_eval
+        if isinstance(sims, bool) or not float(sims).is_integer() or sims < 1:
+            raise ValueError(f"sims_per_eval must be a whole number >= 1, got {sims!r}")
+        object.__setattr__(self, "sims_per_eval", int(sims))
         stats_arr = np.asarray(self.expert_stats, dtype=float).reshape(-1)
         object.__setattr__(self, "expert_stats", stats_arr)
         expected = len(self.target_names) * len(self.probes)
@@ -83,15 +88,26 @@ class ElicitationProblem:
 
 
 @lru_cache(maxsize=1)
-def _crn_draws(seed: int, sims: int, noise_dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _crn_draws(seed: int, sims: int, noise_dim: int) -> tuple[np.ndarray, ...]:
     """The common random numbers of a search: u (sims,) and noise (sims,
     noise_dim) from stream (seed, 0), drawn once and shared read-only by
-    every evaluation."""
+    every evaluation.
+
+    With them come the u-grid of `_Counts.bracketed`, the k + 1 points j / k
+    for k = isqrt(sims * (noise_dim - 1)) (sims times the number of trials
+    of a count pushforward; sims when noise_dim < 2), and the cell of each u
+    on it: grid[cell] <= u < grid[cell + 1], found by searchsorted on the
+    very floats the grid is evaluated at.
+    """
     rng = substream(seed, 0)
     u = rng.random(sims)
     noise = rng.random((sims, noise_dim))
-    u.flags.writeable = noise.flags.writeable = False
-    return u, noise
+    k = isqrt(sims * max(noise_dim - 1, 1))
+    grid = np.arange(k + 1) / k
+    cell = np.searchsorted(grid, u, side="right") - 1
+    for a in (u, noise, grid, cell):
+        a.flags.writeable = False
+    return u, noise, grid, cell
 
 
 def model_implied_stats(
@@ -99,9 +115,12 @@ def model_implied_stats(
 ) -> np.ndarray:
     """Probe quantiles of the pushforward at lam, under the CRN stream."""
     sims = int(sims or problem.sims_per_eval)
-    u, noise = _crn_draws(seed, sims, problem.noise_dim)
-    thetas = problem.prior_family.ppf(np.asarray(lam, dtype=float), u)
-    values = np.asarray(problem.pushforward(thetas, noise), dtype=float)
+    u, noise, grid, cell = _crn_draws(seed, sims, problem.noise_dim)
+    ppf = partial(problem.prior_family.ppf, np.asarray(lam, dtype=float))
+    if isinstance(problem.pushforward, _Counts):
+        values = problem.pushforward.bracketed(ppf, u, noise, grid, cell)
+    else:
+        values = np.asarray(problem.pushforward(ppf(u), noise), dtype=float)
     if values.shape != (sims, len(problem.target_names)):
         raise ValueError("pushforward returned the wrong shape")
     qs = np.quantile(values, problem.probes, axis=0)
@@ -214,6 +233,47 @@ def elicit_prior(
     )
 
 
+# Relative widening of each bracket of `_Counts.bracketed`. Computed
+# betaincinv is monotone in u only up to its rounding: at adjacent u it was
+# seen to step down by up to about 2000 ulps (2**-41 of the value, at a near
+# 5e-4), so a bracket widened by one ulp could miss its own theta. 2**-30 is
+# 2000 times that wiggle and still far narrower than any bracket.
+_BRACKET_SLACK = 2.0**-30
+
+
+class _Counts:
+    """The dithered-count pushforward of `beta_binomial_problem`: row i counts
+    its noise values at or below theta_i, all but the last, and adds the last
+    as the dither."""
+
+    def __call__(self, thetas: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        counts = (noise[:, :-1] <= thetas[:, None]).sum(axis=1)
+        return (counts + noise[:, -1])[:, None]
+
+    def bracketed(self, ppf, u, noise, grid, cell) -> np.ndarray:
+        """self(ppf(u), noise), bit for bit, with ppf evaluated only at the
+        grid and at the rows whose count the grid leaves open.
+
+        A quantile function is nondecreasing, so theta_i = ppf(u_i) lies
+        between ppf at the grid points around u_i. Where no noise value of
+        row i falls inside that (widened) bracket, the count is the same
+        anywhere in it and ppf(u_i) is never needed. Grid values that are
+        not finite or step down (betaincinv(0.002, 10, .) underflows from
+        2.2e-308 to 0 around u = 0.24) fall back to ppf at every u.
+        """
+        q = ppf(grid)
+        if not (np.all(np.isfinite(q)) and np.all(q[1:] >= q[:-1])):
+            return self(ppf(u), noise)
+        lo = np.nextafter(q[cell] * (1.0 - _BRACKET_SLACK), -np.inf)
+        hi = np.nextafter(q[cell + 1] * (1.0 + _BRACKET_SLACK), np.inf)
+        trials = noise[:, :-1]
+        counts = (trials <= lo[:, None]).sum(axis=1)
+        open_rows = np.flatnonzero(counts != (trials <= hi[:, None]).sum(axis=1))
+        thetas = ppf(u[open_rows])
+        counts[open_rows] = (trials[open_rows] <= thetas[:, None]).sum(axis=1)
+        return (counts + noise[:, -1])[:, None]
+
+
 def beta_binomial_problem(
     expert_stats,
     n_trials: int = 20,
@@ -235,13 +295,9 @@ def beta_binomial_problem(
         raise ValueError(f"expert counts must lie in [0, {n_trials + 1}], the range of "
                          f"a dithered count in {n_trials} trials")
 
-    def pushforward(thetas: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        counts = (noise[:, :-1] <= thetas[:, None]).sum(axis=1)
-        return (counts + noise[:, -1])[:, None]
-
     return ElicitationProblem(
         prior_family=BetaPriorFamily(),
-        pushforward=pushforward,
+        pushforward=_Counts(),
         target_names=("count",),
         expert_stats=expert_stats,
         sims_per_eval=sims_per_eval,

@@ -319,6 +319,24 @@ def test_abc_budget_failure_writes_partial_report(tmp_path):
     assert "acceptance_rate" in payload["error"]["diagnostics"]
 
 
+@pytest.mark.parametrize("command", [
+    ["prior-check", "--model", "normal-normal", "--region=-1,1"],
+    ["test", "--model", "normal-normal", "--theta0=0", "--data"],
+    ["compare", "--model", "normal-normal", "--data"],
+])
+def test_out_of_memory_writes_partial_report(tmp_path, command):
+    # 10**15 draws ask for a 7 PiB array, which is refused at once: nothing is
+    # allocated, and the run reports the failure as a runtime error
+    if command[-1] == "--data":
+        command = [*command, str(_write_data(tmp_path / "data.csv"))]
+    out = tmp_path / "oom"
+    rc = main([*command, "--S", str(10**15), "--out", str(out)])
+    assert rc == 3
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["status"] == "error"
+    assert payload["error"]["type"].endswith("MemoryError")
+
+
 def test_dry_run_prints_seed_plan(tmp_path, capsys):
     out = tmp_path / "dry"
     rc = main(["sbc", "--model", "normal-normal", "--seed", "7",

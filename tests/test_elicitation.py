@@ -1,7 +1,12 @@
 """Prior elicitation via pushforward quantile matching."""
 
+import dataclasses
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simflow import (
     BetaPriorFamily,
@@ -11,7 +16,7 @@ from simflow import (
     elicitation_loss,
     model_implied_stats,
 )
-from simflow.elicitation import INVALID_PENALTY
+from simflow.elicitation import INVALID_PENALTY, _crn_draws
 
 
 def _expert_stats(lam, n_trials=20, sims=100_000, seed=77):
@@ -126,3 +131,70 @@ def test_pushforward_shape_checked():
     problem = ElicitationProblem(family, bad_push, ("a",), np.zeros(5))
     with pytest.raises(ValueError):
         model_implied_stats(problem, [1.0, 1.0], seed=0)
+
+
+class _CountingBeta(BetaPriorFamily):
+    """A Beta family that counts the points its quantile function is asked for."""
+
+    def __init__(self):
+        self.points = 0
+
+    def ppf(self, lam, u):
+        self.points += np.size(u)
+        return super().ppf(lam, u)
+
+
+def _bracketed_and_reference(lam, sims, n_trials, seed):
+    problem = beta_binomial_problem(np.zeros(5), n_trials=n_trials, sims_per_eval=sims)
+    u, noise, grid, cell = _crn_draws(seed, sims, problem.noise_dim)
+    ppf = partial(problem.prior_family.ppf, np.asarray(lam, dtype=float))
+    return (problem.pushforward.bracketed(ppf, u, noise, grid, cell),
+            problem.pushforward(ppf(u), noise))
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_lam=st.tuples(st.floats(-9, 9), st.floats(-9, 9)),
+       sims=st.integers(1, 3000), n_trials=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(log_lam=(np.log(0.002), np.log(10.0)), sims=10_000, n_trials=20, seed=0)
+def test_bracketed_counts_equal_full_inversion(log_lam, sims, n_trials, seed):
+    got, want = _bracketed_and_reference(np.exp(log_lam), sims, n_trials, seed)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_decreasing_grid_falls_back_to_full_inversion():
+    # betaincinv(0.002, 10, u) underflows from 2.2e-308 at u = 108/447 to 0.0 at
+    # 109/447, two points of the grid at sims = 10 000 and n_trials = 20
+    lam = np.array([0.002, 10.0])
+    problem = beta_binomial_problem(np.zeros(5), n_trials=20)
+    grid = _crn_draws(0, 10_000, problem.noise_dim)[2]
+    assert grid.size == 448
+    assert np.any(np.diff(problem.prior_family.ppf(lam, grid)) < 0)
+    family = _CountingBeta()
+    counting = dataclasses.replace(problem, prior_family=family)
+    stats = model_implied_stats(counting, lam, seed=0)
+    assert family.points == 448 + 10_000
+    got, want = _bracketed_and_reference(lam, 10_000, 20, seed=0)
+    assert np.array_equal(got, want)
+    assert np.array_equal(stats, np.quantile(want, problem.probes, axis=0).T.reshape(-1))
+
+
+def test_one_loss_inverts_the_prior_at_few_points():
+    lam = np.array([2.0, 3.0])
+    problem = beta_binomial_problem(_expert_stats(lam), n_trials=20, sims_per_eval=10_000)
+    family = _CountingBeta()
+    counting = dataclasses.replace(problem, prior_family=family)
+    loss = elicitation_loss(counting, lam, seed=0)
+    assert family.points < 1500
+    # the same loss as a pushforward that is not the count callable, which
+    # takes the full inversion
+    full = dataclasses.replace(problem, pushforward=lambda t, n: problem.pushforward(t, n))
+    assert loss == elicitation_loss(full, lam, seed=0)
+
+
+@pytest.mark.parametrize("sims", [0, -5, 2.7, True])
+def test_sims_per_eval_must_be_a_whole_number(sims):
+    with pytest.raises(ValueError, match="sims_per_eval"):
+        ElicitationProblem(BetaPriorFamily(), lambda t, n: t[:, None], ("a",),
+                           np.zeros(5), sims_per_eval=sims)
