@@ -236,6 +236,21 @@ def _abc_proposals(model: Model, y_obs: Dataset, statistic: SummaryStatistic,
     return thetas, np.abs(t_sim - statistic.on_data(y_obs))
 
 
+def _nearest(dists: np.ndarray, n_keep: int) -> np.ndarray:
+    """np.argsort(dists, kind="stable")[:n_keep], without sorting it all.
+
+    Every kept distance is at most the n_keep-th smallest, kth, so only the
+    indices at or below it are sorted; they are in index order, so ties keep
+    the stable order. A NaN kth (fewer than n_keep distances are not NaN)
+    leaves NaNs to keep, which only the full sort places.
+    """
+    kth = np.partition(dists, n_keep - 1)[n_keep - 1]
+    if np.isnan(kth):
+        return np.argsort(dists, kind="stable")[:n_keep]
+    near = np.flatnonzero(dists <= kth)
+    return near[np.argsort(dists[near], kind="stable")][:n_keep]
+
+
 def abc_rejection(
     model: Model,
     y_obs: Dataset,
@@ -311,7 +326,7 @@ def abc_rejection(
             mode="quantile",
             acceptance_quantile=q,
         )
-    order = np.argsort(dists, kind="stable")[:n_keep]
+    order = _nearest(dists, n_keep)
     threshold = float(dists[order[-1]])
     if n_keep > m:
         pick = rng.choice(n_keep, size=m, replace=False)

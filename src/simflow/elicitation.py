@@ -72,10 +72,8 @@ class ElicitationProblem:
     noise_dim: int = 1
 
     def __post_init__(self):
-        sims = self.sims_per_eval
-        if isinstance(sims, bool) or not float(sims).is_integer() or sims < 1:
-            raise ValueError(f"sims_per_eval must be a whole number >= 1, got {sims!r}")
-        object.__setattr__(self, "sims_per_eval", int(sims))
+        object.__setattr__(self, "sims_per_eval", _whole_sims("sims_per_eval",
+                                                              self.sims_per_eval))
         stats_arr = np.asarray(self.expert_stats, dtype=float).reshape(-1)
         object.__setattr__(self, "expert_stats", stats_arr)
         expected = len(self.target_names) * len(self.probes)
@@ -85,6 +83,12 @@ class ElicitationProblem:
                 f"({len(self.target_names)} targets x {len(self.probes)} probes), "
                 f"got {stats_arr.size}"
             )
+
+
+def _whole_sims(name: str, sims) -> int:
+    if isinstance(sims, bool) or not float(sims).is_integer() or sims < 1:
+        raise ValueError(f"{name} must be a whole number >= 1, got {sims!r}")
+    return int(sims)
 
 
 @lru_cache(maxsize=1)
@@ -114,7 +118,7 @@ def model_implied_stats(
     problem: ElicitationProblem, lam, seed: int, sims: int | None = None
 ) -> np.ndarray:
     """Probe quantiles of the pushforward at lam, under the CRN stream."""
-    sims = int(sims or problem.sims_per_eval)
+    sims = problem.sims_per_eval if sims is None else _whole_sims("sims", sims)
     u, noise, grid, cell = _crn_draws(seed, sims, problem.noise_dim)
     ppf = partial(problem.prior_family.ppf, np.asarray(lam, dtype=float))
     if isinstance(problem.pushforward, _Counts):
@@ -174,9 +178,6 @@ def elicit_prior(
         raise ValueError(f"lam0 must have {family.lam_dim} entries")
     if not family.valid(lam0):
         raise ValueError("lam0 is not a valid hyperparameter vector")
-    # Imported here, as only this search needs it: at module level it would
-    # add about 0.3 s to the start-up of every command.
-    from scipy import optimize
 
     trace: list[float] = []
     evals = 0
@@ -202,24 +203,14 @@ def elicit_prior(
     simplex = np.tile(z0, (z0.size + 1, 1))
     for k in range(z0.size):
         simplex[k + 1, k] += 0.25
-    res = optimize.minimize(
-        objective,
-        z0,
-        method="Nelder-Mead",
-        options={
-            "xatol": tolerance,
-            "fatol": tolerance**2,
-            "maxiter": max_iter,
-            "disp": False,
-            "initial_simplex": simplex,
-        },
-    )
-    lam_best = family.from_unconstrained(res.x)
+    x, fun, nit, message = _nelder_mead(objective, simplex, xatol=tolerance,
+                                        fatol=tolerance**2, maxiter=max_iter)
+    lam_best = family.from_unconstrained(x)
     return ElicitationResult(
         lam=np.asarray(lam_best, dtype=float),
-        loss=float(res.fun),
-        converged=bool(res.success),
-        n_iterations=int(res.nit),
+        loss=float(fun),
+        converged=message == _NM_SUCCESS,
+        n_iterations=int(nit),
         n_evaluations=evals,
         loss_trace=tuple(trace),
         n_expert_stats=int(problem.expert_stats.size),
@@ -228,9 +219,96 @@ def elicit_prior(
         metadata={
             "probes": list(problem.probes),
             "sims_per_eval": problem.sims_per_eval,
-            "message": str(res.message),
+            "message": message,
         },
     )
+
+
+_NM_SUCCESS = "Optimization terminated successfully."
+_NM_MAXITER = "Maximum number of iterations has been exceeded."
+
+
+def _nelder_mead(objective, simplex, xatol: float, fatol: float, maxiter: int):
+    """Minimize objective from an (N + 1, N) initial simplex; returns
+    (x, fun, nit, message).
+
+    A step-for-step port of scipy 1.17's `_minimize_neldermead` for the
+    options `elicit_prior` uses (given simplex, no bounds, not adaptive, no
+    evaluation limit), so it evaluates the same points in the same order and
+    ends on the same x, fun, iteration count and message. Importing
+    `scipy.optimize` for it would cost about 0.27 s of every `elicit` run.
+    The CRN loss has flat stretches and ties, so the vertices are ordered by
+    `np.argsort` with its default kind, as scipy does: a stable sort could
+    order tied vertices differently and change the path.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+
+    def func(x):
+        # A copy, as scipy passes: the vertices are overwritten in place.
+        return objective(np.copy(x))
+
+    for k in range(n + 1):
+        fsim[k] = func(sim[k])
+    # scipy sorts twice here (once in a `finally`, once after it).
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        shrink = False
+
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(xc)
+                if fxc <= fxr:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+                else:
+                    shrink = True
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = func(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    message = _NM_MAXITER if iterations >= maxiter else _NM_SUCCESS
+    return sim[0], np.min(fsim), iterations, message
 
 
 # Relative widening of each bracket of `_Counts.bracketed`. Computed

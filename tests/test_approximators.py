@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from simflow import (
@@ -22,6 +24,7 @@ from simflow import (
     rwm_sample,
     substream,
 )
+from simflow.approximators import _nearest
 from simflow.simtest import mean_stat, sample_sum
 
 
@@ -185,6 +188,26 @@ def test_abc_quantile_mode():
     with pytest.raises(BudgetError):
         abc_rejection(model, y, sample_sum, substream(54, 1), m=200,
                       acceptance_quantile=0.01, max_proposals=10_000)
+
+
+# Distances as count-distance gives them (small integers, many ties), any
+# float, or NaN, which sorts last.
+_distances = st.lists(st.one_of(st.integers(0, 5).map(float),
+                                st.floats(allow_nan=False, width=32),
+                                st.just(np.nan)), min_size=1, max_size=300)
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=_distances, data=st.data())
+@example(d=[2.0, np.nan, np.nan, 1.0, np.nan], data=None)  # more NaNs than len - n_keep
+@example(d=[3.0, 1.0, 1.0, 0.0, 1.0], data=None)
+def test_nearest_equals_stable_argsort_prefix(d, data):
+    d = np.array(d)
+    keeps = [1, d.size, max(1, d.size - 1), (d.size + 1) // 2]
+    if data is not None:
+        keeps.append(data.draw(st.integers(1, d.size)))
+    for n_keep in keeps:
+        assert np.array_equal(_nearest(d, n_keep), np.argsort(d, kind="stable")[:n_keep])
 
 
 def test_abc_mode_selection_validation():

@@ -644,6 +644,19 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded(module):
     assert out.strip() == "[]"
 
 
+def test_elicit_run_leaves_scipy_optimize_unloaded(tmp_path):
+    # elicit searches with simflow's own Nelder-Mead, so no command imports
+    # scipy.optimize; a fresh interpreter, as this one may have loaded it.
+    env = {**os.environ, "PYTHONPATH": str(Path(simflow.__file__).parents[1])}
+    code = ("import sys; from simflow.cli import main; "
+            "rc = main(['elicit', '--expert-stats', '3,4,6,8,10', '--sims', '200', "
+            f"'--max-iter', '5', '--out', {str(tmp_path / 'e')!r}]); "
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split()[-2:] == ["0", "False"]
+
+
 def _parser_snapshot() -> dict:
     parser = simflow.cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -16,7 +16,7 @@ from simflow import (
     elicitation_loss,
     model_implied_stats,
 )
-from simflow.elicitation import INVALID_PENALTY, _crn_draws
+from simflow.elicitation import _NM_SUCCESS, INVALID_PENALTY, _crn_draws, _nelder_mead
 
 
 def _expert_stats(lam, n_trials=20, sims=100_000, seed=77):
@@ -198,3 +198,86 @@ def test_sims_per_eval_must_be_a_whole_number(sims):
     with pytest.raises(ValueError, match="sims_per_eval"):
         ElicitationProblem(BetaPriorFamily(), lambda t, n: t[:, None], ("a",),
                            np.zeros(5), sims_per_eval=sims)
+    problem = beta_binomial_problem(np.zeros(5), n_trials=20, sims_per_eval=100)
+    with pytest.raises(ValueError, match="sims"):
+        model_implied_stats(problem, [2.0, 3.0], seed=0, sims=sims)
+
+
+def _objective(kind, center, scale):
+    """A test surface for Nelder-Mead: a quadratic, the same rounded down to
+    steps of 1/scale (flat stretches and tied vertices), or the quadratic
+    inside |x - center| <= scale and INVALID_PENALTY outside (a plateau)."""
+    def f(x):
+        q = float(((x - center) ** 2).sum())
+        if kind == "step":
+            return float(np.floor(q * scale) / scale)
+        if kind == "plateau" and np.any(np.abs(x - center) > scale):
+            return INVALID_PENALTY
+        return q
+    return f
+
+
+def _recorded(f):
+    # Records each point, then writes into it: scipy passes a copy, so an
+    # objective that scribbles on its argument must not move the simplex.
+    points = []
+
+    def g(x):
+        points.append(x.copy())
+        fx = f(x)
+        x.fill(np.nan)
+        return fx
+    return g, points
+
+
+# Half-integer coordinates with unit spreads make the step surface tie often.
+_coords = st.lists(st.one_of(st.integers(-6, 6).map(lambda k: k / 2),
+                             st.floats(-3, 3, width=32)), min_size=3, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["quadratic", "step", "plateau"]), n=st.integers(1, 3),
+       center=_coords, z0=_coords, spread=st.sampled_from([0.25, 1.0, 1e-3, 2.0]),
+       scale=st.sampled_from([0.5, 1.0, 4.0]),
+       tol=st.sampled_from([0.0, 1e-8, 1e-4, 1e-2, 0.3]), maxiter=st.integers(1, 400))
+# the first sort sees tied losses (2, 2, 1, 1), which np.argsort's default
+# kind orders differently from a stable sort on some hosts
+@example(kind="step", n=3, center=[0.5, 1.0, 1.0], z0=[0.0, 0.0, 0.0], spread=1.0,
+         scale=1.0, tol=1e-4, maxiter=500)
+@example(kind="quadratic", n=2, center=[1.0, 1.0, 0.0], z0=[0.0, 0.0, 0.0], spread=0.25,
+         scale=1.0, tol=0.0, maxiter=30)
+@example(kind="plateau", n=3, center=[1.0, 1.0, 1.0], z0=[0.0, 0.0, 0.0], spread=0.25,
+         scale=0.5, tol=1e-4, maxiter=500)
+def test_nelder_mead_follows_scipy_step_for_step(kind, n, center, z0, spread, scale, tol,
+                                                 maxiter):
+    from scipy import optimize
+
+    center, z0 = np.array(center[:n]), np.array(z0[:n])
+    simplex = np.tile(z0, (n + 1, 1))
+    simplex[1:] += spread * np.eye(n)
+    f = _objective(kind, center, scale)
+    ours, our_points = _recorded(f)
+    theirs, their_points = _recorded(f)
+
+    x, fun, nit, message = _nelder_mead(ours, simplex, xatol=tol, fatol=tol**2,
+                                        maxiter=maxiter)
+    res = optimize.minimize(theirs, z0, method="Nelder-Mead",
+                            options={"xatol": tol, "fatol": tol**2, "maxiter": maxiter,
+                                     "initial_simplex": simplex})
+    assert len(our_points) == len(their_points) == res.nfev
+    assert all(np.array_equal(a, b) for a, b in zip(our_points, their_points))
+    assert np.array_equal(x, res.x)
+    assert fun == res.fun
+    assert nit == res.nit
+    assert (message == _NM_SUCCESS) == res.success
+    assert message == res.message
+
+
+def test_nelder_mead_reports_an_exhausted_budget():
+    f = _objective("quadratic", np.ones(2), 1.0)
+    simplex = np.array([[0.0, 0.0], [0.25, 0.0], [0.0, 0.25]])
+    assert _nelder_mead(f, simplex, xatol=0.0, fatol=0.0, maxiter=5)[2:] == (
+        5, "Maximum number of iterations has been exceeded.")
+    x, fun, nit, message = _nelder_mead(f, simplex, xatol=1e-4, fatol=1e-8, maxiter=500)
+    assert message == _NM_SUCCESS and nit < 500
+    assert np.allclose(x, 1.0, atol=1e-3)
