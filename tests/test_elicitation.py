@@ -244,6 +244,7 @@ _coords = st.lists(st.one_of(st.integers(-6, 6).map(lambda k: k / 2),
 # kind orders differently from a stable sort on some hosts
 @example(kind="step", n=3, center=[0.5, 1.0, 1.0], z0=[0.0, 0.0, 0.0], spread=1.0,
          scale=1.0, tol=1e-4, maxiter=500)
+# tolerance 0 never stops early: the budget runs out, as in `elicit --tolerance 0`
 @example(kind="quadratic", n=2, center=[1.0, 1.0, 0.0], z0=[0.0, 0.0, 0.0], spread=0.25,
          scale=1.0, tol=0.0, maxiter=30)
 @example(kind="plateau", n=3, center=[1.0, 1.0, 1.0], z0=[0.0, 0.0, 0.0], spread=0.25,
@@ -272,12 +273,3 @@ def test_nelder_mead_follows_scipy_step_for_step(kind, n, center, z0, spread, sc
     assert (message == _NM_SUCCESS) == res.success
     assert message == res.message
 
-
-def test_nelder_mead_reports_an_exhausted_budget():
-    f = _objective("quadratic", np.ones(2), 1.0)
-    simplex = np.array([[0.0, 0.0], [0.25, 0.0], [0.0, 0.25]])
-    assert _nelder_mead(f, simplex, xatol=0.0, fatol=0.0, maxiter=5)[2:] == (
-        5, "Maximum number of iterations has been exceeded.")
-    x, fun, nit, message = _nelder_mead(f, simplex, xatol=1e-4, fatol=1e-8, maxiter=500)
-    assert message == _NM_SUCCESS and nit < 500
-    assert np.allclose(x, 1.0, atol=1e-3)
