@@ -81,6 +81,9 @@ formats = json,csv
     "grouped.csv": "y0,group\n" + "".join(
         f"{v:.17g},{i // 10}\n"
         for i, v in enumerate(np.exp(np.random.default_rng(4).normal(size=20)))),
+    # integer counts for the beta-binomial (n_trials = 10) and Poisson-gamma models
+    "counts-binomial.csv": "y0\n" + "".join(f"{k}\n" for k in (3, 7, 5, 6, 4, 8, 5, 2)),
+    "counts-poisson.csv": "y0\n" + "".join(f"{k}\n" for k in (2, 0, 3, 1, 4, 2, 5, 1)),
 }
 
 NN12 = ["--model", "normal-normal", "--model-params", "n_obs=12"]
@@ -142,6 +145,13 @@ RUNS = {
     "test-variance-ratio": [*TWO_GROUP, "variance-ratio"],
     "abc-count": ["abc", *NN12, "--data", "data.csv", "--distance", "count-distance",
                   "--quantile", "0.05", "--M", "100"],
+    # the count models' prior draws and prior densities
+    "sbc-poisson": ["sbc", "--model", "poisson-gamma", "--S", "60", "--M", "19"],
+    "sensitivity-rwm-beta": ["sensitivity", "--model", "beta-binomial",
+                             "--data", "counts-binomial.csv", "--M", "400",
+                             "--approximator", "rwm"],
+    "sensitivity-poisson": ["sensitivity", "--model", "poisson-gamma",
+                            "--data", "counts-poisson.csv", "--M", "400"],
 }
 
 # runs that take seed, output directory and formats from their config
