@@ -54,7 +54,6 @@ __all__ = [
 _SIM_CHUNK = 16384
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))  # as scipy.stats.norm computes it
 
 
 def _whole(name: str, value) -> int:
@@ -209,13 +208,16 @@ def param_target(index: int = 0, name: str | None = None) -> SummaryStatistic:
 
 
 class AnalyticPosterior:
-    """Closed-form posterior: a family name and its two parameters.
+    """Closed-form law: a family name and its two parameters.
 
     normal (mean, sd), beta (a, b) or gamma (shape, rate). Moments,
     quantiles, cdf and log density are closed forms over scipy.special, and
-    draws come straight from the numpy Generator. Each repeats the
-    arithmetic of the matching scipy.stats distribution, so draws, means and
-    sds equal scipy's bit for bit, without the cost of freezing one.
+    draws come straight from the numpy Generator. Draws, moments, quantiles
+    and cdf repeat the arithmetic of the matching scipy.stats distribution,
+    so draws, means and sds equal scipy's bit for bit, without the cost of
+    freezing one. The log density is the conjugate models' own arithmetic;
+    it is -inf off the support. The conjugate models take their prior from
+    this class too.
     """
 
     def __init__(self, family: str, params: tuple):
@@ -268,21 +270,25 @@ class AnalyticPosterior:
         a, b = self.params
         x = np.asarray(x, dtype=float)
         if self.family == "normal":
-            z = (x - a) / b
-            return -(z**2) / 2.0 - _LOG_SQRT_2PI - np.log(b)
+            return -0.5 * (_LOG_2PI + 2.0 * np.log(b)) - (x - a) ** 2 / (2.0 * b**2)
+        out = np.full(x.shape, -np.inf)
         if self.family == "beta":
-            out = xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
-            return np.where((x < 0.0) | (x > 1.0), -np.inf, out)[()]
-        scale = 1.0 / b
-        z = x / scale
-        out = xlogy(a - 1.0, z) - z - gammaln(a) - np.log(scale)
-        return np.where(z < 0.0, -np.inf, out)[()]
+            ok = (x >= 0.0) & (x <= 1.0)
+            out[ok] = xlogy(a - 1.0, x[ok]) + xlog1py(b - 1.0, -x[ok]) - betaln(a, b)
+        else:
+            ok = x > 0.0
+            out[ok] = a * np.log(b) - gammaln(a) + (a - 1.0) * np.log(x[ok]) - b * x[ok]
+        return out[()]
 
     def sample(self, rng, size: int) -> np.ndarray:
         rng = as_generator(rng)
         a, b = self.params
         if self.family == "normal":
-            return rng.standard_normal(size) * b + a
+            # rng.normal(a, b, size) bit for bit, scaled in place
+            z = rng.standard_normal(size)
+            z *= b
+            z += a
+            return z
         if self.family == "beta":
             return rng.beta(a, b, size)
         return rng.standard_gamma(a, size) * (1.0 / b)
@@ -304,13 +310,16 @@ class Model:
     """Base observation model.
 
     Subclasses fill in the declared capabilities; calling an undeclared
-    operation raises CapabilityError rather than returning garbage.
+    operation raises CapabilityError rather than returning garbage. A model
+    with a one-parameter closed-form prior sets prior; prior draws, the
+    prior density and the log marginal likelihood follow from it.
     """
 
     name: str = "model"
     param_dim: int = 1
     data_shape: DataShape = DataShape(n_obs=1)
     capabilities: Capabilities = Capabilities(False, False, False, False)
+    prior: AnalyticPosterior | None = None
 
     # Parameter domain -------------------------------------------------
 
@@ -330,13 +339,14 @@ class Model:
     # Prior ------------------------------------------------------------
 
     def sample_prior(self, rng, size: int) -> np.ndarray:
-        raise CapabilityError(f"{self.name} has no prior")
-
-    def log_prior(self, theta) -> float:
-        return float(self.log_prior_batch(np.atleast_2d(theta))[0])
+        if self.prior is None:
+            raise CapabilityError(f"{self.name} has no prior")
+        return self.prior.sample(rng, size).reshape(size, 1)
 
     def log_prior_batch(self, thetas: np.ndarray) -> np.ndarray:
-        raise CapabilityError(f"{self.name} has no prior density")
+        if self.prior is None:
+            raise CapabilityError(f"{self.name} has no prior density")
+        return self.prior.logpdf(np.atleast_2d(thetas)[:, 0])
 
     # Likelihood and simulation -----------------------------------------
 
@@ -366,7 +376,16 @@ class Model:
         raise CapabilityError(f"{self.name} has no analytic posterior")
 
     def log_marginal(self, y: Dataset) -> float:
-        raise CapabilityError(f"{self.name} has no analytic marginal likelihood")
+        """log p(y) = log p(y | t) + log p(t) - log p(t | y) at the posterior
+        mean t (Chib 1995); an empty dataset has log p(y) = 0."""
+        if self.prior is None:
+            raise CapabilityError(f"{self.name} has no analytic marginal likelihood")
+        if y.n_obs == 0:
+            return 0.0
+        post = self.analytic_posterior(y)
+        t = post.mean()
+        return float(self.log_likelihood_batch(np.array([[t]]), y)[0]
+                     + self.prior.logpdf(t) - post.logpdf(t))
 
     # Unconstrained reparameterization for random-walk samplers ----------
 
@@ -423,16 +442,7 @@ class NormalNormal(Model):
         self.param_dim = 1
         self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
         self.capabilities = Capabilities(True, True, True, True)
-
-    def sample_prior(self, rng, size: int) -> np.ndarray:
-        rng = as_generator(rng)
-        return rng.normal(self.mu0, self.tau0, size=(size, 1))
-
-    def log_prior_batch(self, thetas: np.ndarray) -> np.ndarray:
-        t = np.atleast_2d(thetas)[:, 0]
-        return -0.5 * (_LOG_2PI + 2.0 * np.log(self.tau0)) - (t - self.mu0) ** 2 / (
-            2.0 * self.tau0**2
-        )
+        self.prior = AnalyticPosterior("normal", (mu0, tau0))
 
     def simulate_batch(self, thetas, rng, n_obs=None):
         rng = as_generator(rng)
@@ -459,21 +469,6 @@ class NormalNormal(Model):
         mean = var * (self.mu0 / self.tau0**2 + y.observations[:, 0].sum() / self.sigma**2)
         return AnalyticPosterior("normal", (mean, np.sqrt(var)))
 
-    def log_marginal(self, y: Dataset) -> float:
-        obs = y.observations[:, 0]
-        n = obs.shape[0]
-        if n == 0:
-            return 0.0
-        ybar = obs.mean()
-        within = ((obs - ybar) ** 2).sum()
-        s2 = self.sigma**2
-        return float(
-            -0.5 * n * (_LOG_2PI + 2.0 * np.log(self.sigma))
-            - 0.5 * np.log1p(n * self.tau0**2 / s2)
-            - within / (2.0 * s2)
-            - (ybar - self.mu0) ** 2 / (2.0 * (s2 / n + self.tau0**2))
-        )
-
 
 class BetaBinomial(Model):
     """Binomial counts with a Beta prior on the success probability.
@@ -484,8 +479,6 @@ class BetaBinomial(Model):
 
     def __init__(self, a: float = 1.0, b: float = 1.0, n_trials: int = 10,
                  n_obs: int = 1):
-        if a <= 0 or b <= 0:
-            raise DomainError("Beta prior parameters must be positive")
         n_trials = _whole("n_trials", n_trials)
         if n_trials < 1:
             raise DomainError("n_trials must be at least 1")
@@ -496,26 +489,11 @@ class BetaBinomial(Model):
         self.param_dim = 1
         self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
         self.capabilities = Capabilities(True, True, True, True)
+        self.prior = AnalyticPosterior("beta", (a, b))
 
     def in_support(self, theta) -> bool:
         t = np.asarray(theta, dtype=float).reshape(-1)
         return bool(np.all(np.isfinite(t)) and 0.0 <= t[0] <= 1.0)
-
-    def sample_prior(self, rng, size: int) -> np.ndarray:
-        rng = as_generator(rng)
-        return rng.beta(self.a, self.b, size=(size, 1))
-
-    def log_prior_batch(self, thetas) -> np.ndarray:
-        t = np.atleast_2d(thetas)[:, 0]
-        out = np.full(t.shape, -np.inf)
-        ok = (t >= 0.0) & (t <= 1.0)
-        tok = t[ok]
-        out[ok] = (
-            xlogy(self.a - 1.0, tok)
-            + xlog1py(self.b - 1.0, -tok)
-            - betaln(self.a, self.b)
-        )
-        return out
 
     def simulate_batch(self, thetas, rng, n_obs=None):
         rng = as_generator(rng)
@@ -549,18 +527,6 @@ class BetaBinomial(Model):
         b_n = self.b + total - k
         return AnalyticPosterior("beta", (a_n, b_n))
 
-    def log_marginal(self, y: Dataset) -> float:
-        k = y.observations[:, 0]
-        if y.n_obs == 0:
-            return 0.0
-        const = (
-            gammaln(self.n_trials + 1) - gammaln(k + 1) - gammaln(self.n_trials - k + 1)
-        ).sum()
-        total = y.n_obs * self.n_trials
-        return float(
-            const + betaln(self.a + k.sum(), self.b + total - k.sum()) - betaln(self.a, self.b)
-        )
-
     def to_unconstrained(self, theta) -> np.ndarray:
         t = np.asarray(theta, dtype=float).reshape(-1)
         return np.log(t / (1.0 - t))
@@ -578,35 +544,17 @@ class PoissonGamma(Model):
     """Poisson counts with a Gamma(shape a, rate b) prior on the rate."""
 
     def __init__(self, a: float = 2.0, b: float = 1.0, n_obs: int = 5):
-        if a <= 0 or b <= 0:
-            raise DomainError("Gamma prior parameters must be positive")
         self.a = float(a)
         self.b = float(b)
         self.name = "poisson-gamma"
         self.param_dim = 1
         self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
         self.capabilities = Capabilities(True, True, True, True)
+        self.prior = AnalyticPosterior("gamma", (a, b))
 
     def in_support(self, theta) -> bool:
         t = np.asarray(theta, dtype=float).reshape(-1)
         return bool(np.all(np.isfinite(t)) and t[0] >= 0.0)
-
-    def sample_prior(self, rng, size: int) -> np.ndarray:
-        rng = as_generator(rng)
-        return rng.gamma(self.a, 1.0 / self.b, size=(size, 1))
-
-    def log_prior_batch(self, thetas) -> np.ndarray:
-        t = np.atleast_2d(thetas)[:, 0]
-        out = np.full(t.shape, -np.inf)
-        ok = t > 0.0
-        tok = t[ok]
-        out[ok] = (
-            self.a * np.log(self.b)
-            - gammaln(self.a)
-            + (self.a - 1.0) * np.log(tok)
-            - self.b * tok
-        )
-        return out
 
     def simulate_batch(self, thetas, rng, n_obs=None):
         rng = as_generator(rng)
@@ -634,19 +582,6 @@ class PoissonGamma(Model):
         shape = self.a + y.observations[:, 0].sum()
         rate = self.b + y.n_obs
         return AnalyticPosterior("gamma", (shape, rate))
-
-    def log_marginal(self, y: Dataset) -> float:
-        k = y.observations[:, 0]
-        if y.n_obs == 0:
-            return 0.0
-        ksum = k.sum()
-        return float(
-            self.a * np.log(self.b)
-            - gammaln(self.a)
-            + gammaln(self.a + ksum)
-            - (self.a + ksum) * np.log(self.b + y.n_obs)
-            - gammaln(k + 1).sum()
-        )
 
     def to_unconstrained(self, theta) -> np.ndarray:
         return np.log(np.asarray(theta, dtype=float).reshape(-1))

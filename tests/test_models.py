@@ -6,13 +6,15 @@ come from independent scipy computations, not from the code under test.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from simflow import (
+    MODEL_REGISTRY,
     AnalyticPosterior,
     BetaBinomial,
+    CapabilityError,
     Dataset,
     DomainError,
     LogNormalTwoGroup,
@@ -63,6 +65,85 @@ def test_prior_draw_deterministic(name):
     a = model.sample_prior(substream(3, 0), 1)
     b = model.sample_prior(substream(3, 0), 1)
     assert np.array_equal(a, b)
+
+
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+def _normal_log_prior(t, mu0, tau0):
+    return -0.5 * (_LOG_2PI + 2.0 * np.log(tau0)) - (t - mu0) ** 2 / (2.0 * tau0**2)
+
+
+def _beta_log_prior(t, a, b):
+    out = np.full(t.shape, -np.inf)
+    ok = (t >= 0.0) & (t <= 1.0)
+    tok = t[ok]
+    out[ok] = special.xlogy(a - 1.0, tok) + special.xlog1py(b - 1.0, -tok) - special.betaln(a, b)
+    return out
+
+
+def _gamma_log_prior(t, a, b):
+    out = np.full(t.shape, -np.inf)
+    ok = t > 0.0
+    out[ok] = a * np.log(b) - special.gammaln(a) + (a - 1.0) * np.log(t[ok]) - b * t[ok]
+    return out
+
+
+# each conjugate model's prior: the model, numpy's draws and the closed-form log density
+_PRIORS = {
+    "normal-normal": (lambda mu0, tau0: NormalNormal(mu0=mu0, tau0=tau0),
+                      lambda rng, n, mu0, tau0: rng.normal(mu0, tau0, (n, 1)),
+                      _normal_log_prior),
+    "beta-binomial": (lambda a, b: BetaBinomial(a=a, b=b),
+                      lambda rng, n, a, b: rng.beta(a, b, (n, 1)),
+                      _beta_log_prior),
+    "poisson-gamma": (lambda a, b: PoissonGamma(a=a, b=b),
+                      lambda rng, n, a, b: rng.gamma(a, 1 / b, (n, 1)),
+                      _gamma_log_prior),
+}
+_HYPER = dict(name=st.sampled_from(sorted(_PRIORS)), loc=st.floats(-1e3, 1e3),
+              a=st.floats(1e-2, 1e3), b=st.floats(1e-2, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_HYPER, n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       points=st.lists(st.floats(-1e6, 1e6), max_size=8))
+def test_prior_draws_and_density_match_numpy_and_closed_forms(name, loc, a, b, n, seed,
+                                                               points):
+    # bit for bit, on and off the support
+    build, draw, log_density = _PRIORS[name]
+    params = (loc, b) if name == "normal-normal" else (a, b)
+    model = build(*params)
+    draws = model.sample_prior(np.random.default_rng(seed), n)
+    assert np.array_equal(draws, draw(np.random.default_rng(seed), n, *params))
+    t = np.concatenate([[-1.0, 0.0, 1.0, 2.0, 1e-300], points, draws[:, 0]])
+    assert np.array_equal(model.log_prior_batch(t[:, None]), log_density(t, *params))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_HYPER)
+# a prior whose conjugate update by no data is one ulp off in its mean and sd
+@example(name="normal-normal", loc=868.0870319124995, a=1.0, b=0.4933888667498591)
+def test_log_marginal_of_no_data_is_zero(name, loc, a, b):
+    model = _PRIORS[name][0](*((loc, b) if name == "normal-normal" else (a, b)))
+    assert model.log_marginal(Dataset.empty()) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_prior_capabilities_follow_the_prior(name):
+    model = make_model(name)
+    assert model.capabilities.can_sample_prior == (model.prior is not None)
+    assert model.capabilities.can_log_prior == (model.prior is not None)
+
+
+def test_model_without_prior_refuses_prior_methods():
+    model = LogNormalTwoGroup(n_per_group=2)
+    y = model.simulate_data(np.array([0.0, 0.0]), substream(0, 0))
+    for call in (lambda: model.sample_prior(substream(0, 1), 3),
+                 lambda: model.log_prior_batch(np.zeros((3, 2))),
+                 lambda: model.log_marginal(y)):
+        with pytest.raises(CapabilityError):
+            call()
 
 
 # --- simulators ------------------------------------------------------------
