@@ -409,9 +409,12 @@ def _load_data(run) -> Dataset:
     if not Path(path).is_file():
         raise ConfigError(f"data file not found: {path}")
     try:
-        return Dataset.from_csv(path)
+        y = Dataset.from_csv(path)
     except Exception as exc:
         raise ConfigError(f"cannot read dataset from {path}: {exc}") from exc
+    if y.n_obs == 0:
+        raise ConfigError(f"dataset {path} has no observation rows")
+    return y
 
 
 def _targets(indices, model):

@@ -188,6 +188,11 @@ _DATA = [*_NN12, "--data", "data.csv"]
      "--data", "data.csv"],
     ["sensitivity", "--mode", "sweep", "--config", "sweep-sbc.ini",
      "--data", "nonexistent.csv"],
+    # a data CSV with a header and no rows (a NaN observed statistic: p-value
+    # 0, ppp 0, or prior draws under a NaN ABC threshold)
+    ["test", *_NN12, "--data", "empty.csv", "--theta0", "0", "--S", "200"],
+    ["ppc", *_NN12, "--data", "empty.csv", "--S", "200"],
+    ["abc", *_NN12, "--data", "empty.csv", "--quantile", "0.1", "--M", "20"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -218,6 +223,7 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "sweep-evidence-approx.ini").write_text(
         evidence + "[approximator]\nname = exact\n")
     _write_data(tmp_path / "data.csv")
+    (tmp_path / "empty.csv").write_text("y0\n")
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
