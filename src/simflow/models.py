@@ -215,9 +215,9 @@ class AnalyticPosterior:
     draws come straight from the numpy Generator. Draws, moments, quantiles
     and cdf repeat the arithmetic of the matching scipy.stats distribution,
     so draws, means and sds equal scipy's bit for bit, without the cost of
-    freezing one. The log density is the conjugate models' own arithmetic;
-    it is -inf off the support. The conjugate models take their prior from
-    this class too.
+    freezing one. The log density is the conjugate models' prior density,
+    not scipy's arithmetic (they agree to about 1e-12), and is -inf off the
+    support. The conjugate models take their prior from this class too.
     """
 
     def __init__(self, family: str, params: tuple):
