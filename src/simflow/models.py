@@ -215,9 +215,10 @@ class AnalyticPosterior:
     draws come straight from the numpy Generator. Draws, moments, quantiles
     and cdf repeat the arithmetic of the matching scipy.stats distribution,
     so draws, means and sds equal scipy's bit for bit, without the cost of
-    freezing one. The log density is the conjugate models' prior density,
-    not scipy's arithmetic (they agree to about 1e-12), and is -inf off the
-    support. The conjugate models take their prior from this class too.
+    freezing one. The log density repeats scipy's arithmetic for beta and
+    gamma and the normal prior's closed form for normal (within about 1e-12
+    of scipy's), and is -inf off the support. The conjugate models take
+    their prior from this class too.
     """
 
     def __init__(self, family: str, params: tuple):
@@ -276,8 +277,12 @@ class AnalyticPosterior:
             ok = (x >= 0.0) & (x <= 1.0)
             out[ok] = xlogy(a - 1.0, x[ok]) + xlog1py(b - 1.0, -x[ok]) - betaln(a, b)
         else:
+            # scipy.stats.gamma's arithmetic: a * log(b) - gammaln(a) + ... cancels
+            # to ~1e-12 absolute error for shapes in the hundreds
             ok = x > 0.0
-            out[ok] = a * np.log(b) - gammaln(a) + (a - 1.0) * np.log(x[ok]) - b * x[ok]
+            scale = 1.0 / b
+            z = x[ok] / scale
+            out[ok] = xlogy(a - 1.0, z) - z - gammaln(a) - np.log(scale)
         return out[()]
 
     def sample(self, rng, size: int) -> np.ndarray:

@@ -83,9 +83,11 @@ def _beta_log_prior(t, a, b):
 
 
 def _gamma_log_prior(t, a, b):
+    # scipy.stats.gamma(a, scale=1 / b)'s arithmetic, -inf at t <= 0
     out = np.full(t.shape, -np.inf)
     ok = t > 0.0
-    out[ok] = a * np.log(b) - special.gammaln(a) + (a - 1.0) * np.log(t[ok]) - b * t[ok]
+    z = t[ok] / (1.0 / b)
+    out[ok] = special.xlogy(a - 1.0, z) - z - special.gammaln(a) - np.log(1.0 / b)
     return out
 
 
@@ -255,6 +257,9 @@ _SCIPY_LAWS = {
 @settings(max_examples=90, deadline=None)
 @given(family=st.sampled_from(sorted(_SCIPY_LAWS)), loc=st.floats(-1e3, 1e3),
        a=st.floats(1e-2, 1e3), b=st.floats(1e-2, 1e3), seed=st.integers(0, 2**32 - 1))
+# a large shape, where the gamma density written as a * log(b) - gammaln(a) + ...
+# cancels to 1.4e-12 off scipy's
+@example(family="gamma", loc=0.0, a=769.1316472633226, b=69.5, seed=0)
 def test_analytic_posterior_matches_scipy(family, loc, a, b, seed):
     # the closed forms repeat scipy's arithmetic: draws, mean and sd are equal
     # bit for bit, the rest to 1e-12
