@@ -19,6 +19,7 @@ from .rng import as_generator
 
 __all__ = [
     "Approximator",
+    "ConjugateApproximator",
     "ExactConjugate",
     "PerturbedConjugate",
     "RandomWalkMetropolis",
@@ -52,25 +53,45 @@ class Approximator:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class ExactConjugate(Approximator):
+class ConjugateApproximator(Approximator):
+    """Draws computed from the model's closed-form posterior.
+
+    posterior_draws maps a posterior to draws of the given size. Given one
+    posterior per row (parameters as (k, 1) columns) and size (k, m), row i
+    holds the m draws approximate makes from posterior i, so a block of
+    datasets is approximated in one call.
+    """
+
+    needs = ("has_analytic_posterior",)
+
+    def posterior_draws(self, post, rng, size) -> np.ndarray:
+        raise NotImplementedError
+
+    def _settings(self) -> dict:
+        return {}
+
+    def approximate(self, model, y, rng, m) -> ParamDraws:
+        m = self._m(m)
+        post = model.analytic_posterior(y)
+        return ParamDraws(
+            self.posterior_draws(post, as_generator(rng), m).reshape(m, 1),
+            source=self.kind,
+            info={**self._settings(), "posterior_family": post.family,
+                  "posterior_params": post.params},
+        )
+
+
+class ExactConjugate(ConjugateApproximator):
     """Independent draws from the model's closed-form posterior."""
 
     name = "exact"
     kind = "exact_conjugate"
-    needs = ("has_analytic_posterior",)
 
-    def approximate(self, model, y, rng, m) -> ParamDraws:
-        m = self._m(m)
-        rng = as_generator(rng)
-        post = model.analytic_posterior(y)
-        return ParamDraws(
-            post.sample(rng, m).reshape(m, 1),
-            source="exact_conjugate",
-            info={"posterior_family": post.family, "posterior_params": post.params},
-        )
+    def posterior_draws(self, post, rng, size) -> np.ndarray:
+        return post.sample(rng, size)
 
 
-class PerturbedConjugate(Approximator):
+class PerturbedConjugate(ConjugateApproximator):
     """Exact conjugate draws with a controlled affine distortion.
 
     mean_shift is the size of the simulated estimation bias in posterior-sd
@@ -78,8 +99,6 @@ class PerturbedConjugate(Approximator):
     classic deficient-left-tail calibration pattern. sd_scale < 1 makes it
     overconfident, > 1 underconfident.
     """
-
-    needs = ("has_analytic_posterior",)
 
     def __init__(self, mean_shift: float = 0.0, sd_scale: float = 1.0):
         if sd_scale <= 0:
@@ -89,23 +108,13 @@ class PerturbedConjugate(Approximator):
         self.name = "perturbed"
         self.kind = "perturbed_conjugate"
 
-    def approximate(self, model, y, rng, m) -> ParamDraws:
-        m = self._m(m)
-        rng = as_generator(rng)
-        post = model.analytic_posterior(y)
-        exact = post.sample(rng, m)
+    def _settings(self) -> dict:
+        return {"mean_shift": self.mean_shift, "sd_scale": self.sd_scale}
+
+    def posterior_draws(self, post, rng, size) -> np.ndarray:
+        exact = post.sample(rng, size)
         mu, sd = post.mean(), post.sd()
-        values = (mu - self.mean_shift * sd + (exact - mu) * self.sd_scale).reshape(m, 1)
-        return ParamDraws(
-            values,
-            source="perturbed_conjugate",
-            info={
-                "mean_shift": self.mean_shift,
-                "sd_scale": self.sd_scale,
-                "posterior_family": post.family,
-                "posterior_params": post.params,
-            },
-        )
+        return mu - self.mean_shift * sd + (exact - mu) * self.sd_scale
 
 
 @dataclass(frozen=True)

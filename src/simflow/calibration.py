@@ -2,11 +2,16 @@
 approximators, frequentist calibration of estimators, power analysis,
 sharpness, and estimator accuracy.
 
-All pipelines share one replication loop, `_replicate`: for i < S, open
-stream (seed, 0, i) through `rng.chunks`, draw theta from the prior (or
-use a fixed truth, or row i of given parameters), simulate a dataset, and
-compute the pipeline's statistic on it. Posterior SBC in `predictive` runs
-through it too, with the approximator's draws as the rows.
+All pipelines share one replication loop, `_replicate`: replication i
+draws theta from the prior (or uses a fixed truth, or row i of given
+parameters), simulates a dataset and computes the pipeline's statistic on
+it, all from stream (seed, 0, i). The loop runs stage by stage over blocks
+of replications, on the block's row streams (`rng.row_blocks`): every
+prior draw of the block, then every dataset, then the statistic, which
+runs on the whole block (conjugate SBC ranks) or row by row. Each stream
+is called in the order a row-by-row loop would call it, so the draws are
+the same. Posterior SBC in `predictive` runs through it too, with the
+approximator's draws as the rows.
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .approximators import Approximator
+from .approximators import Approximator, ConjugateApproximator
 from .diagnostics import PValueSet, UniformityVerdict, uniformity_test
-from .models import Dataset, Model, SummaryStatistic, param_target
-from .rng import chunks
+from .models import Dataset, Model, ParamDraws, SummaryStatistic, param_target
+from .rng import row_blocks
 from .simtest import simulation_pvalue
 
 __all__ = [
@@ -43,10 +48,27 @@ __all__ = [
 ]
 
 
-def sbc_pvalue(t_star: float, t_draws: np.ndarray, rng) -> float:
+# Replications per block of _replicate: a block of (k, M) posterior draws at
+# M = 999 is 8 MB
+_REPLICATION_BLOCK = 1024
+
+
+def sbc_pvalue(t_star, t_draws: np.ndarray, rng):
     """Fraction of draws at or below the truth, ties counted with
-    probability one half each (seeded)."""
-    return simulation_pvalue(float(t_star), t_draws, "lower", rng)
+    probability one half each (seeded).
+
+    Given a (k,) truth, (k, m) draws and a rng.RowStreams of k rows, it
+    returns the k p-values of the rows; a row with ties draws its coin from
+    its own stream, and a row without none.
+    """
+    if np.ndim(t_star) == 0:
+        return simulation_pvalue(float(t_star), t_draws, "lower", rng)
+    t_star = t_star[:, None]
+    below = (t_draws < t_star).sum(axis=1)
+    ties = (t_draws == t_star).sum(axis=1)
+    for i in np.flatnonzero(ties):
+        below[i] += rng[i].binomial(int(ties[i]), 0.5)
+    return below / t_draws.shape[1]
 
 
 @dataclass(frozen=True)
@@ -85,23 +107,36 @@ class SbcResult:
 
 def _replicate(model: Model, seed: int, s: int, statistic, thetas=None,
                n_obs: int | None = None) -> list:
-    """statistic(theta, y, rng) for replications i = 0..s-1, in order.
+    """The statistic's values for replications i = 0..s-1, in order.
 
     Replication i draws theta from the prior (unless thetas gives it: a
     (d,) truth for every row, or row i of an (s, d) matrix), then the
     dataset y of n_obs observations, then whatever the statistic draws, all
     from its own stream, so its output does not depend on s or on other
-    replications.
+    replications. statistic(thetas, obs, labels, rows) takes a block: the
+    (k, d) thetas, the (k, n, obs_dim) datasets, their group labels and
+    the block's k row streams, and returns k values (see _each_row).
     """
     if thetas is not None:
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim < 2:
             thetas = np.broadcast_to(thetas.reshape(-1), (s, thetas.size))
     out = []
-    for i, _, _, rng in chunks(seed, s, 1):
-        theta = model.sample_prior(rng, 1)[0] if thetas is None else thetas[i]
-        out.append(statistic(theta, model.simulate_data(theta, rng, n_obs=n_obs), rng))
+    for lo, hi, rows in row_blocks(seed, s, _REPLICATION_BLOCK):
+        theta = model.sample_prior(rows, hi - lo) if thetas is None else thetas[lo:hi]
+        obs = model.simulate_checked(theta, rows, n_obs=n_obs)
+        out.extend(statistic(theta, obs, model.group_labels(obs.shape[1]), rows))
     return out
+
+
+def _each_row(fn):
+    """The block statistic that runs fn(theta, y, rng) on each row in turn,
+    on the row's own stream."""
+
+    def rowwise(thetas, obs, labels, rows) -> list:
+        return [fn(thetas[i], Dataset(obs[i], labels), rows[i]) for i in range(len(rows))]
+
+    return rowwise
 
 
 def _default_targets(model: Model) -> tuple[SummaryStatistic, ...]:
@@ -109,15 +144,26 @@ def _default_targets(model: Model) -> tuple[SummaryStatistic, ...]:
 
 
 def _sbc_ranks(model, approximator, targets, m: int):
-    """Statistic of one SBC replication: per target, the p-value of theta
-    among m approximate posterior draws given y."""
+    """Block statistic of SBC: per row and target, the p-value of theta
+    among m approximate posterior draws given the row's dataset. A
+    conjugate approximator draws the whole block from one posterior per
+    row; any other approximates row by row."""
+    if isinstance(approximator, ConjugateApproximator):
+        def block_ranks(thetas, obs, labels, rows) -> np.ndarray:
+            k = len(rows)
+            draws = approximator.posterior_draws(model.analytic_posterior(obs), rows, (k, m))
+            values = ParamDraws(draws.reshape(k * m, 1), source=approximator.kind).values
+            return np.column_stack([sbc_pvalue(t.fn(thetas), t.fn(values).reshape(k, m), rows)
+                                    for t in targets])
+
+        return block_ranks
 
     def ranks(theta, y, rng) -> list[float]:
         draws = approximator.approximate(model, y, rng, m=m)
         return [sbc_pvalue(t.on_params(theta), t.fn(draws.values), rng)
                 for t in targets]
 
-    return ranks
+    return _each_row(ranks)
 
 
 def _sbc_result(kind, model, approximator, cfg, targets, rows, metadata=None) -> SbcResult:
@@ -251,7 +297,7 @@ def run_frequentist_calibration(
         def pvalue(est, theta, rng) -> float:
             return float(sampling_dist.cdf(est))
 
-    raw = _replicate(model, seed, s, _estimated(estimator, pvalue), theta_star)
+    raw = _replicate(model, seed, s, _each_row(_estimated(estimator, pvalue)), theta_star)
     pvals, n_failed = _drop_failed(raw)
     pset = PValueSet(pvals, granularity=ref.size if empirical else None)
     verdict = uniformity_test(pset, bins=bins)
@@ -310,7 +356,7 @@ def power_analysis(
     def rejects(theta, y, rng) -> bool:
         return test.pvalue(y, rng) <= alpha
 
-    hits = np.array(_replicate(model, seed, s, rejects, theta_star), dtype=bool)
+    hits = np.array(_replicate(model, seed, s, _each_row(rejects), theta_star), dtype=bool)
     power = float(hits.mean())
     return PowerResult(
         kind="power",
@@ -357,7 +403,7 @@ def sharpness(
             draws.values, lo_q, axis=0
         )
 
-    widths = np.array(_replicate(model, seed, s, width))
+    widths = np.array(_replicate(model, seed, s, _each_row(width)))
     mean_by_dim = widths.mean(axis=0)
     return SharpnessResult(
         kind="sharpness",
@@ -411,7 +457,7 @@ def estimator_accuracy(
     loss = _estimated(
         estimator, lambda est, theta, rng: float(distance(est, target.on_params(theta)))
     )
-    good, n_failed = _drop_failed(_replicate(model, seed, s, loss, theta_star))
+    good, n_failed = _drop_failed(_replicate(model, seed, s, _each_row(loss), theta_star))
     return AccuracyResult(
         kind="accuracy",
         value=float(good.mean()),

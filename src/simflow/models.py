@@ -63,6 +63,26 @@ def _whole(name: str, value) -> int:
     return int(value)
 
 
+def _count(name: str, value) -> int:
+    """A count hyperparameter that must be at least 1, as an int."""
+    value = _whole(name, value)
+    if value < 1:
+        raise DomainError(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def _finite(**params) -> None:
+    """DomainError naming the first hyperparameter that is not a finite number."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def _check_finite_observations(obs: np.ndarray) -> None:
+    if not np.isfinite(obs).all():
+        raise ValueError("observations must be finite")
+
+
 @dataclass(frozen=True)
 class DataShape:
     """Default shape of one simulated dataset."""
@@ -83,7 +103,9 @@ class Dataset:
     group_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        obs = np.atleast_2d(np.asarray(self.observations, dtype=float))
+        obs = np.asarray(self.observations, dtype=float)
+        if obs.ndim < 2:
+            obs = np.atleast_2d(obs)
         if obs.ndim != 2:
             raise ValueError("observations must be a (n, obs_dim) array")
         object.__setattr__(self, "observations", obs)
@@ -92,8 +114,7 @@ class Dataset:
             if labels.shape != (obs.shape[0],):
                 raise ValueError("group_labels length must match n_obs")
             object.__setattr__(self, "group_labels", labels)
-        if not np.all(np.isfinite(obs)):
-            raise ValueError("observations must be finite")
+        _check_finite_observations(obs)
 
     @property
     def n_obs(self) -> int:
@@ -207,10 +228,18 @@ def param_target(index: int = 0, name: str | None = None) -> SummaryStatistic:
                             lambda values: values[:, index])
 
 
+def _law_param_ok(p, positive: bool) -> bool:
+    if isinstance(p, float):
+        return math.isfinite(p) and (p > 0 or not positive)
+    return bool((np.isfinite(p) & ((p > 0) | (not positive))).all())
+
+
 class AnalyticPosterior:
     """Closed-form law: a family name and its two parameters.
 
-    normal (mean, sd), beta (a, b) or gamma (shape, rate). Moments,
+    normal (mean, sd), beta (a, b) or gamma (shape, rate), each finite. A
+    parameter may also be a (k, 1) column, one law per row: moments and
+    draws of size (k, m) then broadcast row by row. Moments,
     quantiles, cdf and log density are closed forms over scipy.special, and
     draws come straight from the numpy Generator. Draws, moments, quantiles
     and cdf repeat the arithmetic of the matching scipy.stats distribution,
@@ -225,9 +254,11 @@ class AnalyticPosterior:
         if family not in ("normal", "beta", "gamma"):
             raise ValueError(f"unknown posterior family {family!r}")
         self.family = family
-        self.params = tuple(float(p) for p in params)
-        positive = self.params[1:] if family == "normal" else self.params
-        if len(self.params) != 2 or not all(p > 0 for p in positive):
+        self.params = tuple(np.asarray(p, dtype=float)
+                            if isinstance(p, np.ndarray) and p.ndim else float(p)
+                            for p in params)
+        if len(self.params) != 2 or not (_law_param_ok(self.params[0], family != "normal")
+                                         and _law_param_ok(self.params[1], True)):
             raise DomainError(f"invalid {family} parameters {self.params}")
 
     def mean(self) -> float:
@@ -249,7 +280,8 @@ class AnalyticPosterior:
         return a * scale * scale
 
     def sd(self) -> float:
-        return math.sqrt(self.var())
+        v = self.var()
+        return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
 
     def quantile(self, q) -> np.ndarray | float:
         a, b = self.params
@@ -285,7 +317,7 @@ class AnalyticPosterior:
             out[ok] = xlogy(a - 1.0, z) - z - gammaln(a) - np.log(scale)
         return out[()]
 
-    def sample(self, rng, size: int) -> np.ndarray:
+    def sample(self, rng, size) -> np.ndarray:
         rng = as_generator(rng)
         a, b = self.params
         if self.family == "normal":
@@ -299,7 +331,8 @@ class AnalyticPosterior:
         return rng.standard_gamma(a, size) * (1.0 / b)
 
     def __repr__(self):
-        args = ", ".join(format(p, ".6g") for p in self.params)
+        args = ", ".join(format(p, ".6g") if isinstance(p, float) else f"<{p.shape[0]} rows>"
+                         for p in self.params)
         return f"AnalyticPosterior({self.family}({args}))"
 
 
@@ -328,18 +361,12 @@ class Model:
 
     # Parameter domain -------------------------------------------------
 
-    def in_support(self, theta: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(np.asarray(theta, dtype=float))))
+    def _support(self, thetas: np.ndarray) -> np.ndarray:
+        """Whether each row of a (k, param_dim) array lies in the plausible domain."""
+        return np.isfinite(thetas).all(axis=1)
 
-    def _check_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.shape != (self.param_dim,):
-            raise DomainError(
-                f"{self.name}: expected {self.param_dim} parameters, got {theta.shape[0]}"
-            )
-        if not self.in_support(theta):
-            raise DomainError(f"{self.name}: parameter {theta} outside plausible domain")
-        return theta
+    def in_support(self, theta) -> bool:
+        return bool(self._support(np.asarray(theta, dtype=float).reshape(1, -1))[0])
 
     # Prior ------------------------------------------------------------
 
@@ -356,15 +383,39 @@ class Model:
     # Likelihood and simulation -----------------------------------------
 
     def simulate_data(self, theta, rng, n_obs: int | None = None) -> Dataset:
-        theta = self._check_theta(theta)
-        obs = self.simulate_batch(theta[None, :], rng, n_obs=n_obs)[0]
+        theta = np.asarray(theta, dtype=float).reshape(1, -1)
+        obs = self.simulate_checked(theta, rng, n_obs=n_obs)[0]
         return Dataset(obs, self.group_labels(obs.shape[0]))
+
+    def simulate_checked(self, thetas, rng, n_obs: int | None = None) -> np.ndarray:
+        """simulate_batch of a (k, param_dim) array, refusing a row outside the
+        domain (DomainError) before anything is simulated, and observations
+        that are not finite (ValueError) after."""
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.shape[1] != self.param_dim:
+            raise DomainError(
+                f"{self.name}: expected {self.param_dim} parameters, got {thetas.shape[1]}"
+            )
+        outside = ~self._support(thetas)
+        if outside.any():
+            theta = thetas[outside.argmax()]
+            raise DomainError(f"{self.name}: parameter {theta} outside plausible domain")
+        obs = self.simulate_batch(thetas, rng, n_obs=n_obs)
+        _check_finite_observations(obs)
+        return obs
 
     def simulate_batch(
         self, thetas: np.ndarray, rng, n_obs: int | None = None
     ) -> np.ndarray:
-        """Simulate one dataset per parameter row; returns (s, n, obs_dim)."""
+        """Simulate one dataset per parameter row; returns (s, n, obs_dim).
+
+        n_obs None means the model's default size; any other value must be a
+        whole number of at least 1.
+        """
         raise NotImplementedError
+
+    def _n_obs(self, n_obs) -> int:
+        return self.data_shape.n_obs if n_obs is None else _count("n_obs", n_obs)
 
     def group_labels(self, n_obs: int) -> np.ndarray | None:
         return None
@@ -377,7 +428,16 @@ class Model:
 
     # Conjugate results --------------------------------------------------
 
-    def analytic_posterior(self, y: Dataset) -> AnalyticPosterior:
+    def analytic_posterior(self, y) -> AnalyticPosterior:
+        """The closed-form posterior given a Dataset; given a (k, n, obs_dim)
+        block of datasets, one posterior per row, with (k, 1) columns for the
+        parameters that depend on the data. It depends on the data through n
+        and the sum of the first observation column only."""
+        if isinstance(y, Dataset):
+            return self._conjugate(y.n_obs, y.observations[:, 0].sum())
+        return self._conjugate(y.shape[1], y[:, :, 0].sum(axis=1)[:, None])
+
+    def _conjugate(self, n: int, total) -> AnalyticPosterior:
         raise CapabilityError(f"{self.name} has no analytic posterior")
 
     def log_marginal(self, y: Dataset) -> float:
@@ -420,7 +480,7 @@ def simulate_statistic(model: Model, thetas: np.ndarray, rng, statistic: Summary
         raise ValueError(f"statistic {statistic.name!r} is not a data statistic")
     rng = as_generator(rng)
     thetas = np.atleast_2d(thetas)
-    n = int(n_obs or model.data_shape.n_obs)
+    n = model._n_obs(n_obs)
     labels = model.group_labels(n)
     out = np.empty(thetas.shape[0])
     for lo in range(0, thetas.shape[0], _SIM_CHUNK):
@@ -438,6 +498,7 @@ class NormalNormal(Model):
 
     def __init__(self, mu0: float = 0.0, tau0: float = 1.0, sigma: float = 1.0,
                  n_obs: int = 10):
+        _finite(mu0=mu0, tau0=tau0, sigma=sigma)
         if tau0 <= 0 or sigma <= 0:
             raise DomainError("tau0 and sigma must be positive")
         self.mu0 = float(mu0)
@@ -445,13 +506,13 @@ class NormalNormal(Model):
         self.sigma = float(sigma)
         self.name = "normal-normal"
         self.param_dim = 1
-        self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
+        self.data_shape = DataShape(n_obs=_count("n_obs", n_obs))
         self.capabilities = Capabilities(True, True, True, True)
         self.prior = AnalyticPosterior("normal", (mu0, tau0))
 
     def simulate_batch(self, thetas, rng, n_obs=None):
         rng = as_generator(rng)
-        n = int(n_obs or self.data_shape.n_obs)
+        n = self._n_obs(n_obs)
         loc = np.atleast_2d(thetas)[:, 0][:, None]
         # rng.normal(loc, sigma) bit for bit, without its per-element broadcast
         obs = rng.standard_normal((loc.shape[0], n))
@@ -467,11 +528,10 @@ class NormalNormal(Model):
         sq = ((obs[None, :] - t[:, None]) ** 2).sum(axis=1)
         return const - sq / (2.0 * self.sigma**2)
 
-    def analytic_posterior(self, y: Dataset) -> AnalyticPosterior:
-        n = y.n_obs
+    def _conjugate(self, n, total) -> AnalyticPosterior:
         prec = 1.0 / self.tau0**2 + n / self.sigma**2
         var = 1.0 / prec
-        mean = var * (self.mu0 / self.tau0**2 + y.observations[:, 0].sum() / self.sigma**2)
+        mean = var * (self.mu0 / self.tau0**2 + total / self.sigma**2)
         return AnalyticPosterior("normal", (mean, np.sqrt(var)))
 
 
@@ -484,27 +544,26 @@ class BetaBinomial(Model):
 
     def __init__(self, a: float = 1.0, b: float = 1.0, n_trials: int = 10,
                  n_obs: int = 1):
-        n_trials = _whole("n_trials", n_trials)
-        if n_trials < 1:
-            raise DomainError("n_trials must be at least 1")
+        n_trials = _count("n_trials", n_trials)
         self.a = float(a)
         self.b = float(b)
         self.n_trials = n_trials
         self.name = "beta-binomial"
         self.param_dim = 1
-        self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
+        self.data_shape = DataShape(n_obs=_count("n_obs", n_obs))
         self.capabilities = Capabilities(True, True, True, True)
         self.prior = AnalyticPosterior("beta", (a, b))
 
-    def in_support(self, theta) -> bool:
-        t = np.asarray(theta, dtype=float).reshape(-1)
-        return bool(np.all(np.isfinite(t)) and 0.0 <= t[0] <= 1.0)
+    def _support(self, thetas) -> np.ndarray:
+        t = thetas[:, 0]
+        return np.isfinite(thetas).all(axis=1) & (t >= 0.0) & (t <= 1.0)
 
     def simulate_batch(self, thetas, rng, n_obs=None):
         rng = as_generator(rng)
-        n = int(n_obs or self.data_shape.n_obs)
+        n = self._n_obs(n_obs)
         p = np.atleast_2d(thetas)[:, 0][:, None]
-        counts = rng.binomial(self.n_trials, np.broadcast_to(p, (p.shape[0], n)))
+        # a (k, 1) column with a size: the draws of a broadcast (k, n) p, faster
+        counts = rng.binomial(self.n_trials, p, size=(p.shape[0], n))
         return counts.astype(float)[:, :, None]
 
     def log_likelihood_batch(self, thetas, y: Dataset) -> np.ndarray:
@@ -525,9 +584,8 @@ class BetaBinomial(Model):
         )
         return out
 
-    def analytic_posterior(self, y: Dataset) -> AnalyticPosterior:
-        k = y.observations[:, 0].sum()
-        total = y.n_obs * self.n_trials
+    def _conjugate(self, n, k) -> AnalyticPosterior:
+        total = n * self.n_trials
         a_n = self.a + k
         b_n = self.b + total - k
         return AnalyticPosterior("beta", (a_n, b_n))
@@ -553,19 +611,18 @@ class PoissonGamma(Model):
         self.b = float(b)
         self.name = "poisson-gamma"
         self.param_dim = 1
-        self.data_shape = DataShape(n_obs=_whole("n_obs", n_obs))
+        self.data_shape = DataShape(n_obs=_count("n_obs", n_obs))
         self.capabilities = Capabilities(True, True, True, True)
         self.prior = AnalyticPosterior("gamma", (a, b))
 
-    def in_support(self, theta) -> bool:
-        t = np.asarray(theta, dtype=float).reshape(-1)
-        return bool(np.all(np.isfinite(t)) and t[0] >= 0.0)
+    def _support(self, thetas) -> np.ndarray:
+        return np.isfinite(thetas).all(axis=1) & (thetas[:, 0] >= 0.0)
 
     def simulate_batch(self, thetas, rng, n_obs=None):
         rng = as_generator(rng)
-        n = int(n_obs or self.data_shape.n_obs)
+        n = self._n_obs(n_obs)
         lam = np.atleast_2d(thetas)[:, 0][:, None]
-        counts = rng.poisson(np.broadcast_to(lam, (lam.shape[0], n)))
+        counts = rng.poisson(lam, size=(lam.shape[0], n))
         return counts.astype(float)[:, :, None]
 
     def log_likelihood_batch(self, thetas, y: Dataset) -> np.ndarray:
@@ -583,9 +640,9 @@ class PoissonGamma(Model):
             out[zero] = const if k.sum() == 0 else -np.inf
         return out
 
-    def analytic_posterior(self, y: Dataset) -> AnalyticPosterior:
-        shape = self.a + y.observations[:, 0].sum()
-        rate = self.b + y.n_obs
+    def _conjugate(self, n, total) -> AnalyticPosterior:
+        shape = self.a + total
+        rate = self.b + n
         return AnalyticPosterior("gamma", (shape, rate))
 
     def to_unconstrained(self, theta) -> np.ndarray:
@@ -606,6 +663,7 @@ class LogNormalTwoGroup(Model):
     """
 
     def __init__(self, sigma: float = 2.0, n_per_group: int = 40):
+        _finite(sigma=sigma)
         if sigma <= 0:
             raise DomainError("sigma must be positive")
         n_per_group = _whole("n_per_group", n_per_group)
@@ -624,7 +682,7 @@ class LogNormalTwoGroup(Model):
 
     def simulate_batch(self, thetas, rng, n_obs=None):
         rng = as_generator(rng)
-        n_total = int(n_obs or self.data_shape.n_obs)
+        n_total = self._n_obs(n_obs)
         if n_total % 2 != 0:
             raise DomainError("two-group datasets need an even observation count")
         half = n_total // 2

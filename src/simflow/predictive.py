@@ -220,8 +220,10 @@ def run_posterior_sbc(
     ).values
     ranks = _sbc_ranks(model, approximator, targets, cfg.m)
 
-    def ranks_given_obs(theta, y_rep, rng) -> list[float]:
-        return ranks(theta, concat_datasets(y_obs, y_rep), rng)
+    def ranks_given_obs(thetas, obs, labels, rows):
+        joint = concat_datasets(y_obs, Dataset(obs[0], labels))
+        block = np.broadcast_to(y_obs.observations, (len(rows), *y_obs.observations.shape))
+        return ranks(thetas, np.concatenate([block, obs], axis=1), joint.group_labels, rows)
 
     rows = _replicate(model, cfg.seed, cfg.s, ranks_given_obs, theta_prime, n_obs=n_rep)
     return _sbc_result("posterior-sbc", model, approximator, cfg, targets, rows, {

@@ -193,6 +193,17 @@ _DATA = [*_NN12, "--data", "data.csv"]
     ["test", *_NN12, "--data", "empty.csv", "--theta0", "0", "--S", "200"],
     ["ppc", *_NN12, "--data", "empty.csv", "--S", "200"],
     ["abc", *_NN12, "--data", "empty.csv", "--quantile", "0.1", "--M", "20"],
+    # hyperparameters that are not finite (NaN prior draws or data: exit 3
+    # or a traceback; a report from an infinite gamma rate)
+    ["sbc", "--model", "normal-normal", "--model-params", "mu0=nan", "--S", "20", "--M", "9"],
+    ["sbc", "--model", "normal-normal", "--model-params", "tau0=inf", "--S", "20", "--M", "9"],
+    ["sbc", "--model", "normal-normal", "--model-params", "sigma=nan", "--S", "20", "--M", "9"],
+    ["sbc", "--model", "normal-normal", "--model-params", "sigma=inf", "--S", "20", "--M", "9"],
+    ["sbc", "--model", "beta-binomial", "--model-params", "a=inf", "--S", "20", "--M", "9"],
+    ["sbc", "--model", "poisson-gamma", "--model-params", "b=inf", "--S", "20", "--M", "9"],
+    # an observation count below 1 (SBC on empty datasets, or a traceback)
+    ["sbc", "--model", "normal-normal", "--model-params", "n_obs=0", "--S", "20", "--M", "9"],
+    ["sbc", "--model", "normal-normal", "--model-params", "n_obs=-3", "--S", "20", "--M", "9"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

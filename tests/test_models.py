@@ -369,6 +369,78 @@ def test_normal_kernel_equals_rng_normal(loc, sigma, n, seed):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+       lam=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=30),
+       n_trials=st.integers(1, 200), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_count_kernels_equal_broadcast_parameters(p, lam, n_trials, n, seed):
+    # a (k, 1) parameter column with a size draws what the broadcast (k, n)
+    # parameter array draws
+    p, lam = np.asarray(p).reshape(-1, 1), np.asarray(lam).reshape(-1, 1)
+    got = BetaBinomial(n_trials=n_trials, n_obs=n).simulate_batch(p, substream(seed, 0))
+    want = substream(seed, 0).binomial(n_trials, np.broadcast_to(p, (p.shape[0], n)))
+    assert np.array_equal(got[:, :, 0], want)
+    got = PoissonGamma(n_obs=n).simulate_batch(lam, substream(seed, 1))
+    want = substream(seed, 1).poisson(np.broadcast_to(lam, (lam.shape[0], n)))
+    assert np.array_equal(got[:, :, 0], want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from([NormalNormal(mu0=0.4, tau0=2.0, sigma=0.7),
+                              BetaBinomial(a=2.0, b=3.0, n_trials=12),
+                              PoissonGamma(a=1.5, b=0.5)]),
+       k=st.integers(1, 6), n=st.sampled_from([1, 2, 7, 8, 9, 31, 200, 1000]),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_posterior_rows_equal_dataset_posteriors(model, k, n, seed):
+    # one posterior per row of a (k, n, 1) block is, bit for bit, each
+    # row's own Dataset posterior: the same sums and the same updates
+    rng = substream(seed, 0)
+    obs = model.simulate_batch(model.sample_prior(rng, k), rng, n_obs=n)
+    block = model.analytic_posterior(obs)
+    rows = [model.analytic_posterior(Dataset(obs[i])) for i in range(k)]
+    for j in range(2):
+        column = np.broadcast_to(block.params[j], (k, 1))[:, 0]
+        assert np.array_equal(column, [post.params[j] for post in rows])
+    assert np.array_equal(np.broadcast_to(block.mean(), (k, 1))[:, 0],
+                          [post.mean() for post in rows])
+    assert np.array_equal(np.broadcast_to(block.sd(), (k, 1))[:, 0],
+                          [post.sd() for post in rows])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NormalNormal(mu0=float("nan")), lambda: NormalNormal(tau0=float("inf")),
+    lambda: NormalNormal(sigma=float("nan")), lambda: NormalNormal(sigma=float("inf")),
+    lambda: BetaBinomial(a=float("inf")), lambda: BetaBinomial(b=float("nan")),
+    lambda: PoissonGamma(a=float("nan")), lambda: PoissonGamma(b=float("inf")),
+    lambda: LogNormalTwoGroup(sigma=float("nan")),
+    lambda: AnalyticPosterior("normal", (float("nan"), 1.0)),
+    lambda: AnalyticPosterior("normal", (0.0, float("inf"))),
+    lambda: AnalyticPosterior("beta", (float("inf"), 1.0)),
+    lambda: AnalyticPosterior("gamma", (2.0, float("inf"))),
+    lambda: AnalyticPosterior("gamma", (np.array([[2.0], [np.nan]]), 1.0)),
+])
+def test_non_finite_parameters_are_refused(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_observation_counts_below_one_are_refused(name):
+    model = make_model(name)
+    thetas = np.full((2, model.param_dim), 0.5)
+    for n_obs in (0, -3, 2.5):
+        if "n_obs" in model.__init__.__code__.co_varnames:
+            with pytest.raises(DomainError, match="n_obs"):
+                make_model(name, n_obs=n_obs)
+        with pytest.raises(DomainError, match="n_obs"):
+            model.simulate_batch(thetas, substream(0, 0), n_obs=n_obs)
+        with pytest.raises(DomainError, match="n_obs"):
+            simulate_statistic(model, thetas, substream(0, 0), STATISTIC_REGISTRY["max"],
+                               n_obs=n_obs)
+    default = model.simulate_batch(thetas, substream(0, 0), n_obs=None)
+    assert default.shape == (2, model.data_shape.n_obs, 1)
+
+
 def test_simulate_statistic_needs_a_data_statistic():
     with pytest.raises(ValueError, match="not a data statistic"):
         simulate_statistic(NormalNormal(), np.zeros((2, 1)), substream(0, 0),

@@ -1,14 +1,16 @@
-"""Stream layout: chunked index streams, and numpy.random used only by rng."""
+"""Stream layout: chunked index streams, row streams of replication blocks,
+and numpy.random used only by rng."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simflow
-from simflow.rng import chunks, substream
+from simflow.rng import RowStreams, chunks, row_blocks, row_streams, substream
 
 
 @settings(max_examples=60, deadline=None)
@@ -27,6 +29,72 @@ def test_chunks_tile_in_order_on_index_streams(seed, s, size, extra):
         assert (c2, lo2) == (c, lo)
         np.testing.assert_array_equal(rng.random(3), expected)
         np.testing.assert_array_equal(rng2.random(3), expected)
+
+
+# seeds of one to six 32-bit words, and indices of one and two words
+_SEEDS = st.one_of(st.integers(0, 2**32), st.integers(0, 2**192))
+_WORD_EDGES = st.sampled_from([2**32 - 3, 2**32 - 1, 2**33 - 2, 2**63 - 4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, lo=st.one_of(st.integers(0, 5000), _WORD_EDGES), count=st.integers(1, 6))
+def test_row_streams_equal_substreams(seed, lo, count):
+    rows = row_streams(seed, lo, lo + count)
+    assert len(rows) == count
+    for j in range(count):
+        np.testing.assert_array_equal(rows[j].random(5), substream(seed, 0, lo + j).random(5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEEDS, s=st.integers(0, 40), size=st.integers(1, 12))
+def test_row_blocks_tile_in_order_on_index_streams(seed, s, size):
+    got = list(row_blocks(seed, s, size))
+    assert [i for lo, hi, _ in got for i in range(lo, hi)] == list(range(s))
+    assert all(hi - lo == size for lo, hi, _ in got[:-1])
+    for lo, hi, rows in got:
+        assert len(rows) == hi - lo
+        # the first and last row of each block: the block edges
+        for i in {lo, hi - 1}:
+            np.testing.assert_array_equal(rows[i - lo].standard_normal(3),
+                                          substream(seed, 0, i).standard_normal(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64), k=st.integers(1, 5), n=st.integers(0, 4),
+       column=st.booleans())
+def test_row_streams_draw_each_row_from_its_stream(seed, k, n, column):
+    """A draw of k rows stacks each generator's own draw; a (k, 1) column
+    hands each generator its scalar. n = 0 draws one value per row."""
+    p = np.linspace(0.1, 0.9, k)[:, None] if column else 0.35
+    shape = np.linspace(0.5, 4.0, k)[:, None] if column else 2.5
+    for method, params in [("standard_normal", ()), ("standard_gamma", (shape,)),
+                           ("beta", (shape, p)), ("binomial", (7, p)), ("poisson", (shape,))]:
+        got = getattr(row_streams(seed, 0, k), method)(*params, size=(k, n) if n else k)
+        assert got.shape == ((k, n) if n else (k,))
+        for i in range(k):
+            row = [q[i, 0] if np.ndim(q) else q for q in params]
+            want = getattr(substream(seed, 0, i), method)(*row, size=n if n else 1)
+            np.testing.assert_array_equal(got[i], want if n else want[0])
+
+
+def test_row_streams_refuse_draws_of_another_row_count():
+    rows = row_streams(0, 0, 3)
+    for size in (2, (4, 5), None, ()):
+        with pytest.raises(ValueError, match="3 rows"):
+            rows.standard_normal(size)
+    with pytest.raises(ValueError, match="3 rows"):
+        rows.binomial(5, np.full((2, 1), 0.5), size=(3, 4))
+    assert isinstance(rows, RowStreams)
+
+
+def test_row_stream_seed_sequence_only_holds_a_key():
+    seq = row_streams(7, 0, 1)[0].bit_generator.seed_seq
+    with pytest.raises(ValueError, match="Philox key"):
+        seq.generate_state(4)
+    with pytest.raises(ValueError, match="Philox key"):
+        seq.generate_state(2, np.uint32)
+    with pytest.raises(AttributeError):
+        seq.spawn(1)
 
 
 def _numpy_random_uses(source: str) -> list[int]:
