@@ -129,8 +129,8 @@ def test_sbc_blocks_equal_row_loop(model, approx, n_targets, seed, block):
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_posterior_sbc_blocks_equal_row_loop(model, approx, seed, block, n_obs):
     model, approx = MODELS[model], APPROXIMATORS[approx]
-    y_obs = Dataset(model.simulate_data(model.sample_prior(substream(seed, 9), 1)[0],
-                                        substream(seed, 8), n_obs=max(n_obs, 1)).observations[:n_obs])
+    prior_draw = model.sample_prior(substream(seed, 9), 1)
+    y_obs = Dataset(model.simulate_batch(prior_draw, substream(seed, 8), n_obs=3)[0, :n_obs])
     targets = TARGETS[2]
 
     def run(s):
@@ -186,13 +186,12 @@ def test_power_accuracy_and_sharpness_blocks_equal_row_loop(model, seed, block):
                                                s=s, seed=seed),
                      lambda theta, y, rng: (estimator.point(y) - theta[0]) ** 2),
     }
-    for name, (run, statistic) in runs.items():
+    for run, statistic in runs.values():
         for th in (None, truth):
-            thetas = None if th is None else (lambda s: np.broadcast_to(truth, (s, 1)))
             assert_blocks_match(
                 block, lambda s: run(s, th),
                 lambda s: reference_loop(model, seed, s, statistic,
-                                         None if thetas is None else thetas(s)))
+                                         None if th is None else np.broadcast_to(th, (s, 1))))
 
     approx = APPROXIMATORS["perturbed"]
 
