@@ -152,6 +152,7 @@ def _sbc_ranks(model, approximator, targets, m: int):
         def block_ranks(thetas, obs, labels, rows) -> np.ndarray:
             k = len(rows)
             draws = approximator.posterior_draws(model.analytic_posterior(obs), rows, (k, m))
+            # ParamDraws refuses non-finite draws, as approximate does per row
             values = ParamDraws(draws.reshape(k * m, 1), source=approximator.kind).values
             return np.column_stack([sbc_pvalue(t.fn(thetas), t.fn(values).reshape(k, m), rows)
                                     for t in targets])

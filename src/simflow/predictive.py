@@ -221,6 +221,7 @@ def run_posterior_sbc(
     ranks = _sbc_ranks(model, approximator, targets, cfg.m)
 
     def ranks_given_obs(thetas, obs, labels, rows):
+        # every row's joint dataset has the group labels of this one
         joint = concat_datasets(y_obs, Dataset(obs[0], labels))
         block = np.broadcast_to(y_obs.observations, (len(rows), *y_obs.observations.shape))
         return ranks(thetas, np.concatenate([block, obs], axis=1), joint.group_labels, rows)
