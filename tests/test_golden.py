@@ -116,6 +116,11 @@ RUNS = {
     # M = 401 is not a multiple of the 4 chains, so RWM's draws are cut short
     "sensitivity-rwm": ["sensitivity", *NN12, "--data", "data.csv", "--M", "401",
                         "--approximator", "rwm"],
+    # SBC and posterior SBC with RWM; M = 19 is not a multiple of the 3 chains
+    "sbc-rwm": ["sbc", *NN12, "--approximator", "rwm",
+                "--approximator-params", "chains=3,warmup=40", "--S", "40", "--M", "19"],
+    "post-sbc-rwm": ["post-sbc", *NN12, "--data", "data.csv", "--approximator", "rwm",
+                     "--approximator-params", "chains=3,warmup=40", "--S", "40", "--M", "19"],
     "sweep": ["sensitivity", "--mode", "sweep", "--config", "sweep.ini"],
     "render": ["render", "--report", "sbc/report.json"],
     "compare-models": ["compare", "--config", "compare.ini", "--data", "data.csv",
