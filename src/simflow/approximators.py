@@ -8,13 +8,14 @@ calibration pipelines have negative controls with a known failure pattern.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, CapabilityError
-from .models import Dataset, Model, ParamDraws, SummaryStatistic, simulate_statistic
+from .models import Dataset, Model, ParamDraws, SummaryStatistic, _whole, simulate_statistic
 from .rng import as_generator
 
 __all__ = [
@@ -33,7 +34,11 @@ __all__ = [
 
 
 class Approximator:
-    """Base class: a named producer of m posterior draws given a dataset."""
+    """Base class: a named producer of m posterior draws given a dataset.
+
+    approximate_block draws for a block of datasets at once: dataset i on
+    stream rows[i], as approximate would on that stream alone.
+    """
 
     name: str = "approximator"
     kind: str = "abstract"
@@ -41,6 +46,14 @@ class Approximator:
 
     def approximate(self, model: Model, y: Dataset, rng, m: int) -> ParamDraws:
         raise NotImplementedError
+
+    def approximate_block(self, model: Model, obs: np.ndarray, labels, rows,
+                          m: int) -> np.ndarray:
+        """The (k, m, d) draws given each dataset of a (k, n, obs_dim) block
+        with shared group labels, row i on rows[i] (a rng.RowStreams); here
+        approximate on each row in turn."""
+        return np.stack([self.approximate(model, Dataset(obs[i], labels), rows[i], m).values
+                         for i in range(len(rows))])
 
     @staticmethod
     def _m(m: int) -> int:
@@ -66,6 +79,12 @@ class ConjugateApproximator(Approximator):
 
     def posterior_draws(self, post, rng, size) -> np.ndarray:
         raise NotImplementedError
+
+    def approximate_block(self, model, obs, labels, rows, m) -> np.ndarray:
+        k, m = len(rows), self._m(m)
+        draws = self.posterior_draws(model.analytic_posterior(obs), rows, (k, m))
+        # ParamDraws refuses non-finite draws, as approximate does per row
+        return ParamDraws(draws.reshape(k * m, 1), source=self.kind).values.reshape(k, m, 1)
 
     def _settings(self) -> dict:
         return {}
@@ -126,6 +145,66 @@ class RwmResult:
     warmup: int
 
 
+def _rwm_block(model: Model, obs: np.ndarray, labels, rng, chains: int, iterations: int,
+               warmup: int, step_sd: float) -> tuple[np.ndarray, np.ndarray]:
+    """Random-walk Metropolis on k datasets in lockstep: the (k, (iterations
+    - warmup) * chains, d) kept draws in iteration-major order and the k
+    acceptance rates.
+
+    obs is a (k, n, obs_dim) block with shared group labels. rng draws with
+    k rows: a rng.RowStreams, where row i's chains draw from stream i alone,
+    or a Generator when k = 1. Each iteration draws every row's (chains, d)
+    proposal steps, then its chains uniforms.
+    """
+    if not all(getattr(model.capabilities, need) for need in RandomWalkMetropolis.needs):
+        raise CapabilityError(
+            f"{model.name} must expose prior sampling and both log densities"
+        )
+    if warmup >= iterations:
+        raise ValueError("warmup must be smaller than iterations")
+    if not (step_sd > 0 and math.isfinite(step_sd)):
+        raise ValueError("step_sd must be positive and finite")
+
+    k, d = obs.shape[0], model.param_dim
+    theta0 = model.sample_prior(rng, (k, chains)).reshape(-1, d)
+    z = np.stack([model.to_unconstrained(t) for t in theta0]).reshape(k, chains, d)
+    theta = model.from_unconstrained_batch(z)
+    target = (
+        model.log_prior_batch(theta)
+        + model.log_likelihood_batch(theta, obs, labels)
+        + model.log_jacobian_batch(z)
+    )
+
+    kept = np.empty((k, iterations - warmup, chains, d))
+    accepted = np.zeros(k, dtype=np.int64)
+    for it in range(iterations):
+        prop_z = z + step_sd * rng.standard_normal((k, chains, d))
+        prop_theta = model.from_unconstrained_batch(prop_z)
+        prop_target = (
+            model.log_prior_batch(prop_theta)
+            + model.log_likelihood_batch(prop_theta, obs, labels)
+            + model.log_jacobian_batch(prop_z)
+        )
+        log_u = np.log(rng.random((k, chains)))
+        accept = log_u < (prop_target - target)
+        z[accept] = prop_z[accept]
+        theta[accept] = prop_theta[accept]
+        target[accept] = prop_target[accept]
+        accepted += accept.sum(axis=1)
+        if it >= warmup:
+            kept[:, it - warmup] = theta
+
+    rates = accepted / (iterations * chains)
+    for rate in rates[rates > 0.95]:
+        warnings.warn(
+            f"acceptance rate {rate:.3f}; step_sd is likely too small and the "
+            "chain barely moves",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return kept.reshape(k, -1, d), rates
+
+
 def rwm_sample(
     model: Model,
     y: Dataset,
@@ -141,55 +220,11 @@ def rwm_sample(
     steps with scalar step_sd; the Jacobian of the reparameterization is part
     of the target, so bounded parameters mix without rejections at the edge.
     """
-    if not all(getattr(model.capabilities, need) for need in RandomWalkMetropolis.needs):
-        raise CapabilityError(
-            f"{model.name} must expose prior sampling and both log densities"
-        )
-    if warmup >= iterations:
-        raise ValueError("warmup must be smaller than iterations")
-    if step_sd <= 0:
-        raise ValueError("step_sd must be positive")
-    rng = as_generator(rng)
-
-    d = model.param_dim
-    theta0 = model.sample_prior(rng, chains)
-    z = np.stack([model.to_unconstrained(theta0[c]) for c in range(chains)])
-    theta = model.from_unconstrained_batch(z)
-    target = (
-        model.log_prior_batch(theta)
-        + model.log_likelihood_batch(theta, y)
-        + model.log_jacobian_batch(z)
-    )
-
-    kept = np.empty((iterations - warmup, chains, d))
-    accepted = 0
-    for it in range(iterations):
-        prop_z = z + step_sd * rng.standard_normal((chains, d))
-        prop_theta = model.from_unconstrained_batch(prop_z)
-        prop_target = (
-            model.log_prior_batch(prop_theta)
-            + model.log_likelihood_batch(prop_theta, y)
-            + model.log_jacobian_batch(prop_z)
-        )
-        log_u = np.log(rng.random(chains))
-        accept = log_u < (prop_target - target)
-        z[accept] = prop_z[accept]
-        theta[accept] = prop_theta[accept]
-        target[accept] = prop_target[accept]
-        accepted += int(accept.sum())
-        if it >= warmup:
-            kept[it - warmup] = theta
-
-    rate = accepted / (iterations * chains)
-    if rate > 0.95:
-        warnings.warn(
-            f"acceptance rate {rate:.3f}; step_sd is likely too small and the "
-            "chain barely moves",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    kept, rates = _rwm_block(model, y.observations[None], y.group_labels, as_generator(rng),
+                             chains, iterations, warmup, step_sd)
+    rate = float(rates[0])
     draws = ParamDraws(
-        kept.reshape(-1, d),
+        kept[0],
         source="random_walk_metropolis",
         info={"acceptance_rate": rate, "chains": chains, "iterations": iterations,
               "warmup": warmup, "step_sd": step_sd},
@@ -198,35 +233,41 @@ def rwm_sample(
 
 
 class RandomWalkMetropolis(Approximator):
+    """rwm_sample with enough iterations after warmup for m draws; a
+    dataset keeps the first m draws in iteration-major order. A block of
+    datasets runs in lockstep, each row's chains on the row's stream."""
+
     needs = ("can_sample_prior", "can_log_prior", "can_log_likelihood")
 
     def __init__(self, chains: int = 4, warmup: int = 500, step_sd: float = 0.5):
-        self.chains = int(chains)
-        self.warmup = int(warmup)
+        self.chains = _whole("chains", chains)
+        self.warmup = _whole("warmup", warmup)
         self.step_sd = float(step_sd)
         if self.chains < 1:
             raise ValueError("chains must be at least 1")
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
-        if not self.step_sd > 0:
-            raise ValueError("step_sd must be positive")
+        if not (self.step_sd > 0 and math.isfinite(self.step_sd)):
+            raise ValueError("step_sd must be positive and finite")
         self.name = "rwm"
         self.kind = "random_walk_metropolis"
 
+    def _iterations(self, m: int) -> int:
+        return self.warmup + -(-m // self.chains)
+
     def approximate(self, model, y, rng, m) -> ParamDraws:
         m = self._m(m)
-        per_chain = -(-m // self.chains)
-        result = rwm_sample(
-            model,
-            y,
-            rng,
-            chains=self.chains,
-            iterations=self.warmup + per_chain,
-            warmup=self.warmup,
-            step_sd=self.step_sd,
-        )
-        full = result.draws
+        full = rwm_sample(model, y, rng, chains=self.chains, iterations=self._iterations(m),
+                          warmup=self.warmup, step_sd=self.step_sd).draws
         return ParamDraws(full.values[:m], source=full.source, info=full.info)
+
+    def approximate_block(self, model, obs, labels, rows, m) -> np.ndarray:
+        m = self._m(m)
+        kept, _ = _rwm_block(model, obs, labels, rows, self.chains, self._iterations(m),
+                             self.warmup, self.step_sd)
+        k, _, d = kept.shape
+        # ParamDraws refuses non-finite draws, as approximate does per row
+        return ParamDraws(kept[:, :m].reshape(k * m, d), source=self.kind).values.reshape(k, m, d)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ parameters), simulates a dataset and computes the pipeline's statistic on
 it, all from stream (seed, 0, i). The loop runs stage by stage over blocks
 of replications, on the block's row streams (`rng.row_blocks`): every
 prior draw of the block, then every dataset, then the statistic, which
-runs on the whole block (conjugate SBC ranks) or row by row. Each stream
-is called in the order a row-by-row loop would call it, so the draws are
-the same. Posterior SBC in `predictive` runs through it too, with the
+runs on the whole block (SBC and sharpness, through the approximator's
+block method) or row by row (estimators and tests). Each stream is called
+in the order a row-by-row loop would call it, so the draws are the same.
+Posterior SBC in `predictive` runs through it too, with the
 approximator's draws as the rows.
 """
 
@@ -21,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .approximators import Approximator, ConjugateApproximator
+from .approximators import Approximator
 from .diagnostics import PValueSet, UniformityVerdict, uniformity_test
-from .models import Dataset, Model, ParamDraws, SummaryStatistic, param_target
+from .models import Dataset, Model, SummaryStatistic, param_target
 from .rng import row_blocks
 from .simtest import simulation_pvalue
 
@@ -145,26 +146,16 @@ def _default_targets(model: Model) -> tuple[SummaryStatistic, ...]:
 
 def _sbc_ranks(model, approximator, targets, m: int):
     """Block statistic of SBC: per row and target, the p-value of theta
-    among m approximate posterior draws given the row's dataset. A
-    conjugate approximator draws the whole block from one posterior per
-    row; any other approximates row by row."""
-    if isinstance(approximator, ConjugateApproximator):
-        def block_ranks(thetas, obs, labels, rows) -> np.ndarray:
-            k = len(rows)
-            draws = approximator.posterior_draws(model.analytic_posterior(obs), rows, (k, m))
-            # ParamDraws refuses non-finite draws, as approximate does per row
-            values = ParamDraws(draws.reshape(k * m, 1), source=approximator.kind).values
-            return np.column_stack([sbc_pvalue(t.fn(thetas), t.fn(values).reshape(k, m), rows)
-                                    for t in targets])
+    among m approximate posterior draws given the row's dataset, all rows
+    drawn by the approximator's block method and ranked in one pass."""
 
-        return block_ranks
+    def block_ranks(thetas, obs, labels, rows) -> np.ndarray:
+        k = len(rows)
+        values = approximator.approximate_block(model, obs, labels, rows, m).reshape(k * m, -1)
+        return np.column_stack([sbc_pvalue(t.fn(thetas), t.fn(values).reshape(k, m), rows)
+                                for t in targets])
 
-    def ranks(theta, y, rng) -> list[float]:
-        draws = approximator.approximate(model, y, rng, m=m)
-        return [sbc_pvalue(t.on_params(theta), t.fn(draws.values), rng)
-                for t in targets]
-
-    return _each_row(ranks)
+    return block_ranks
 
 
 def _sbc_result(kind, model, approximator, cfg, targets, rows, metadata=None) -> SbcResult:
@@ -396,15 +387,14 @@ def sharpness(
     over prior-simulated datasets."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    _mc_size(s)
     lo_q, hi_q = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
 
-    def width(theta, y, rng) -> np.ndarray:
-        draws = approximator.approximate(model, y, rng, m=m)
-        return np.quantile(draws.values, hi_q, axis=0) - np.quantile(
-            draws.values, lo_q, axis=0
-        )
+    def block_widths(thetas, obs, labels, rows) -> np.ndarray:
+        draws = approximator.approximate_block(model, obs, labels, rows, m)
+        return np.quantile(draws, hi_q, axis=1) - np.quantile(draws, lo_q, axis=1)
 
-    widths = np.array(_replicate(model, seed, s, _each_row(width)))
+    widths = np.array(_replicate(model, seed, s, block_widths))
     mean_by_dim = widths.mean(axis=0)
     return SharpnessResult(
         kind="sharpness",
@@ -416,6 +406,12 @@ def sharpness(
         mc_se=float(widths[:, 0].std(ddof=1) / np.sqrt(s)),
         widths_by_dim=tuple(float(w) for w in mean_by_dim),
     )
+
+
+def _mc_size(s: int) -> None:
+    """ValueError unless s replications give a Monte Carlo error (s >= 2)."""
+    if s < 2:
+        raise ValueError(f"a Monte Carlo error needs at least 2 replications, got s={s}")
 
 
 def squared_error(estimate: float, truth: float) -> float:
@@ -454,6 +450,7 @@ def estimator_accuracy(
     theta_star None draws the truth from the prior each iteration (Bayes
     risk); otherwise the truth is fixed (frequentist risk at a point).
     """
+    _mc_size(s)
     target = target or param_target(0)
     loss = _estimated(
         estimator, lambda est, theta, rng: float(distance(est, target.on_params(theta)))

@@ -370,15 +370,19 @@ class Model:
 
     # Prior ------------------------------------------------------------
 
-    def sample_prior(self, rng, size: int) -> np.ndarray:
+    def sample_prior(self, rng, size) -> np.ndarray:
+        """size prior draws, as (size, param_dim); a tuple size (k, c) gives
+        (k, c, param_dim), row i drawn from rng's row i when rng is a
+        RowStreams."""
         if self.prior is None:
             raise CapabilityError(f"{self.name} has no prior")
-        return self.prior.sample(rng, size).reshape(size, 1)
+        return self.prior.sample(rng, size)[..., None]
 
     def log_prior_batch(self, thetas: np.ndarray) -> np.ndarray:
+        """The log prior density of each (..., param_dim) parameter row."""
         if self.prior is None:
             raise CapabilityError(f"{self.name} has no prior density")
-        return self.prior.logpdf(np.atleast_2d(thetas)[:, 0])
+        return self.prior.logpdf(np.atleast_2d(thetas)[..., 0])
 
     # Likelihood and simulation -----------------------------------------
 
@@ -423,7 +427,17 @@ class Model:
     def log_likelihood(self, theta, y: Dataset) -> float:
         return float(self.log_likelihood_batch(np.atleast_2d(theta), y)[0])
 
-    def log_likelihood_batch(self, thetas: np.ndarray, y: Dataset) -> np.ndarray:
+    def log_likelihood_batch(self, thetas: np.ndarray, y, labels=None) -> np.ndarray:
+        """log p(y | theta) of each row of (c, param_dim) thetas given a
+        Dataset; given a (k, n, obs_dim) block of datasets with the group
+        labels they share, the (k, c) values of (k, c, param_dim) thetas, row
+        i's thetas under dataset i."""
+        if isinstance(y, Dataset):
+            return self._log_likelihood(np.atleast_2d(thetas)[None], y.observations[None],
+                                        y.group_labels)[0]
+        return self._log_likelihood(np.asarray(thetas, dtype=float), y, labels)
+
+    def _log_likelihood(self, thetas: np.ndarray, obs: np.ndarray, labels) -> np.ndarray:
         raise CapabilityError(f"{self.name} has no tractable likelihood")
 
     # Conjugate results --------------------------------------------------
@@ -461,7 +475,8 @@ class Model:
         return np.asarray(z, dtype=float)
 
     def log_jacobian_batch(self, z: np.ndarray) -> np.ndarray:
-        return np.zeros(np.atleast_2d(z).shape[0])
+        """log |d theta / d z| of each (..., param_dim) unconstrained row."""
+        return np.zeros(np.atleast_2d(z).shape[:-1])
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
@@ -520,12 +535,12 @@ class NormalNormal(Model):
         obs += loc
         return obs[:, :, None]
 
-    def log_likelihood_batch(self, thetas, y: Dataset) -> np.ndarray:
-        t = np.atleast_2d(thetas)[:, 0]
-        obs = y.observations[:, 0]
-        n = obs.shape[0]
+    def _log_likelihood(self, thetas, obs, labels) -> np.ndarray:
+        t = thetas[:, :, 0]
+        obs = obs[:, :, 0]
+        n = obs.shape[1]
         const = -0.5 * n * (_LOG_2PI + 2.0 * np.log(self.sigma))
-        sq = ((obs[None, :] - t[:, None]) ** 2).sum(axis=1)
+        sq = ((obs[:, None, :] - t[:, :, None]) ** 2).sum(axis=2)
         return const - sq / (2.0 * self.sigma**2)
 
     def _conjugate(self, n, total) -> AnalyticPosterior:
@@ -566,21 +581,23 @@ class BetaBinomial(Model):
         counts = rng.binomial(self.n_trials, p, size=(p.shape[0], n))
         return counts.astype(float)[:, :, None]
 
-    def log_likelihood_batch(self, thetas, y: Dataset) -> np.ndarray:
-        t = np.atleast_2d(thetas)[:, 0]
-        k = y.observations[:, 0]
+    def _log_likelihood(self, thetas, obs, labels) -> np.ndarray:
+        t = thetas[:, :, 0]
+        k = obs[:, :, 0]
         if np.any((k < 0) | (k > self.n_trials) | (k != np.round(k))):
             raise DomainError("beta-binomial data must be integer counts in [0, n_trials]")
-        const = float(
-            (gammaln(self.n_trials + 1) - gammaln(k + 1) - gammaln(self.n_trials - k + 1)).sum()
-        )
+        const = (gammaln(self.n_trials + 1) - gammaln(k + 1)
+                 - gammaln(self.n_trials - k + 1)).sum(axis=1)
+        total = k.sum(axis=1)
+        # each row's constant and count total, beside each of its thetas
+        const, total = (np.broadcast_to(v[:, None], t.shape) for v in (const, total))
         out = np.full(t.shape, -np.inf)
         ok = (t >= 0.0) & (t <= 1.0)
         tok = t[ok]
         out[ok] = (
-            const
-            + xlogy(k.sum(), tok)
-            + xlog1py(y.n_obs * self.n_trials - k.sum(), -tok)
+            const[ok]
+            + xlogy(total[ok], tok)
+            + xlog1py(k.shape[1] * self.n_trials - total[ok], -tok)
         )
         return out
 
@@ -598,7 +615,7 @@ class BetaBinomial(Model):
         return expit(np.asarray(z, dtype=float))
 
     def log_jacobian_batch(self, z) -> np.ndarray:
-        z = np.atleast_2d(z)[:, 0]
+        z = np.atleast_2d(z)[..., 0]
         # log theta + log(1 - theta), computed stably
         return -(np.logaddexp(0.0, -z) + np.logaddexp(0.0, z))
 
@@ -625,19 +642,21 @@ class PoissonGamma(Model):
         counts = rng.poisson(lam, size=(lam.shape[0], n))
         return counts.astype(float)[:, :, None]
 
-    def log_likelihood_batch(self, thetas, y: Dataset) -> np.ndarray:
-        t = np.atleast_2d(thetas)[:, 0]
-        k = y.observations[:, 0]
+    def _log_likelihood(self, thetas, obs, labels) -> np.ndarray:
+        t = thetas[:, :, 0]
+        k = obs[:, :, 0]
         if np.any((k < 0) | (k != np.round(k))):
             raise DomainError("poisson-gamma data must be nonnegative integer counts")
-        const = -gammaln(k + 1).sum()
+        # each row's constant and count total, beside each of its thetas
+        const, total = (np.broadcast_to(v[:, None], t.shape)
+                        for v in (-gammaln(k + 1).sum(axis=1), k.sum(axis=1)))
         out = np.full(t.shape, -np.inf)
         ok = t > 0.0
-        out[ok] = const + xlogy(k.sum(), t[ok]) - y.n_obs * t[ok]
+        out[ok] = const[ok] + xlogy(total[ok], t[ok]) - k.shape[1] * t[ok]
         # rate 0 is only compatible with all-zero counts
         zero = t == 0.0
         if np.any(zero):
-            out[zero] = const if k.sum() == 0 else -np.inf
+            out[zero] = np.where(total[zero] == 0, const[zero], -np.inf)
         return out
 
     def _conjugate(self, n, total) -> AnalyticPosterior:
@@ -652,7 +671,7 @@ class PoissonGamma(Model):
         return np.exp(np.asarray(z, dtype=float))
 
     def log_jacobian_batch(self, z) -> np.ndarray:
-        return np.atleast_2d(z)[:, 0].copy()
+        return np.atleast_2d(z)[..., 0].copy()
 
 
 class LogNormalTwoGroup(Model):
@@ -691,24 +710,25 @@ class LogNormalTwoGroup(Model):
         logs = np.repeat(mu[:, :, None], half, axis=2) + self.sigma * z
         return np.exp(logs).reshape(mu.shape[0], n_total)[:, :, None]
 
-    def log_likelihood_batch(self, thetas, y: Dataset) -> np.ndarray:
-        if y.group_labels is None:
+    def _log_likelihood(self, mu, obs, labels) -> np.ndarray:
+        if labels is None:
             raise DomainError("two-group likelihood needs group labels")
-        mu = np.atleast_2d(thetas)
-        obs = y.observations[:, 0]
-        if np.any(obs <= 0):
-            return np.full(mu.shape[0], -np.inf)
-        logs = np.log(obs)
-        out = np.zeros(mu.shape[0])
+        obs = obs[:, :, 0]
+        positive = (obs > 0).all(axis=1)
+        logs = np.log(np.where(positive[:, None], obs, 1.0))
+        out = np.zeros(mu.shape[:2])
         for g in (0, 1):
-            lg = logs[y.group_labels == g]
-            n = lg.shape[0]
-            sq = ((lg[None, :] - mu[:, g][:, None]) ** 2).sum(axis=1)
+            # contiguous rows, so each row sums pairwise as a 1-D array does
+            lg = np.ascontiguousarray(logs[:, labels == g])
+            n = lg.shape[1]
+            sq = ((lg[:, None, :] - mu[:, :, g][:, :, None]) ** 2).sum(axis=2)
             out += (
                 -0.5 * n * (_LOG_2PI + 2.0 * np.log(self.sigma))
-                - lg.sum()
+                - lg.sum(axis=1)[:, None]
                 - sq / (2.0 * self.sigma**2)
             )
+        # a dataset with a value that is not positive has likelihood 0
+        out[~positive] = -np.inf
         return out
 
 

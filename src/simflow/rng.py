@@ -14,6 +14,7 @@ touches numpy.random.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -84,11 +85,25 @@ class RowStreams:
     def __getitem__(self, i: int) -> np.random.Generator:
         return self._gens[i]
 
-    def _draw(self, method: str, size, *params) -> np.ndarray:
+    def _size(self, size) -> tuple:
         k = len(self._gens)
         size = tuple(size) if isinstance(size, (tuple, list)) else (size,)
         if not size or size[0] != k:
             raise ValueError(f"a draw on {k} row streams needs {k} rows, got size {size}")
+        return size
+
+    def _fill(self, method: str, size) -> np.ndarray:
+        """A draw without parameters, each generator filling its row in
+        place: the values of its own draw of size[1:], without stacking."""
+        size = self._size(size)
+        out = np.empty((size[0], math.prod(size[1:])))
+        for gen, row in zip(self._gens, out):
+            getattr(gen, method)(out=row)
+        return out.reshape(size)
+
+    def _draw(self, method: str, size, *params) -> np.ndarray:
+        k = len(self._gens)
+        size = self._size(size)
         columns = []
         for p in params:
             if np.ndim(p) == 0:
@@ -104,7 +119,7 @@ class RowStreams:
                          for gen, *args in zip(self._gens, *columns)])
 
     def standard_normal(self, size=None) -> np.ndarray:
-        return self._draw("standard_normal", size)
+        return self._fill("standard_normal", size)
 
     def standard_gamma(self, shape, size=None) -> np.ndarray:
         return self._draw("standard_gamma", size, shape)
@@ -117,6 +132,9 @@ class RowStreams:
 
     def poisson(self, lam=1.0, size=None) -> np.ndarray:
         return self._draw("poisson", size, lam)
+
+    def random(self, size=None) -> np.ndarray:
+        return self._fill("random", size)
 
 
 # SeedSequence's hash (numpy/random/bit_generator.pyx), run over one column

@@ -13,6 +13,7 @@ from simflow import (
     BetaBinomial,
     BudgetError,
     CapabilityError,
+    Dataset,
     ExactConjugate,
     LogNormalTwoGroup,
     NormalNormal,
@@ -29,8 +30,6 @@ from simflow.simtest import mean_stat, sample_sum
 
 
 def _one_obs(model, value):
-    from simflow import Dataset
-
     return Dataset(np.array([[float(value)]]))
 
 
@@ -118,6 +117,37 @@ def test_rwm_tiny_step_warns_and_barely_moves():
     # chains start dispersed; with a tiny step each one stays near its start
     vals = result.draws.values[:, 0]
     assert np.ptp(vals[::2]) < 0.001 and np.ptp(vals[1::2]) < 0.001
+
+
+@pytest.mark.filterwarnings("ignore:acceptance rate")
+@pytest.mark.parametrize("approx", [
+    ExactConjugate(), PerturbedConjugate(mean_shift=0.3, sd_scale=0.7),
+    RandomWalkMetropolis(chains=3, warmup=4, step_sd=0.6),
+    AbcRejection(mean_stat, acceptance_quantile=0.2, max_proposals=200),
+], ids=["exact", "perturbed", "rwm", "abc"])
+@pytest.mark.parametrize("model", [NormalNormal(n_obs=4), BetaBinomial(n_trials=6, n_obs=3),
+                                   PoissonGamma(n_obs=3)], ids=["nn", "bb", "pg"])
+def test_block_draws_equal_each_rows_draws(model, approx):
+    # row i of a block's (k, m, d) draws is approximate's draws given dataset
+    # i on stream i
+    from simflow.rng import row_streams
+
+    k, m = 5, 8
+    obs = model.simulate_batch(model.sample_prior(substream(3, 0), k), substream(3, 1))
+    got = approx.approximate_block(model, obs, None, row_streams(4, 0, k), m)
+    assert got.shape == (k, m, 1)
+    for i in range(k):
+        want = approx.approximate(model, Dataset(obs[i]), substream(4, 0, i), m=m).values
+        np.testing.assert_array_equal(got[i], want)
+
+
+def test_rwm_refuses_truncated_or_meaningless_settings():
+    # 2.7 chains ran 2, True ran 1, and an infinite step accepts no proposal
+    for settings_ in ({"chains": 2.7}, {"chains": True}, {"warmup": 2.5}, {"warmup": False},
+                      {"step_sd": float("inf")}, {"step_sd": float("nan")}):
+        with pytest.raises(ValueError):
+            RandomWalkMetropolis(**settings_)
+    assert RandomWalkMetropolis(chains=2.0, warmup=3.0).chains == 2
 
 
 def test_rwm_requires_densities():

@@ -255,6 +255,20 @@ def test_estimator_failures_counted():
         estimator_accuracy(model, np.array([0.0]), bad, s=10, seed=0)
 
 
+@pytest.mark.parametrize("s", [0, 1])
+def test_accuracy_needs_two_replications(s):
+    # one replication has no Monte Carlo error (it was NaN, with a warning)
+    model = NormalNormal(n_obs=5)
+    with pytest.raises(ValueError, match="at least 2 replications"):
+        estimator_accuracy(model, None, posterior_mean_estimator(model), s=s)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_sharpness_needs_two_replications(s):
+    with pytest.raises(ValueError, match="at least 2 replications"):
+        sharpness(ExactConjugate(), NormalNormal(n_obs=5), 0.9, s, 20)
+
+
 def test_squared_error_distance():
     assert squared_error(2.0, 5.0) == 9.0
 

@@ -204,6 +204,17 @@ _DATA = [*_NN12, "--data", "data.csv"]
     # an observation count below 1 (SBC on empty datasets, or a traceback)
     ["sbc", "--model", "normal-normal", "--model-params", "n_obs=0", "--S", "20", "--M", "9"],
     ["sbc", "--model", "normal-normal", "--model-params", "n_obs=-3", "--S", "20", "--M", "9"],
+    # RWM settings truncated or meaningless: 2.7 ran 2 chains and echoed 2.7,
+    # True ran 1 chain, and an infinite step accepted no proposal, so every
+    # draw was a repeated prior draw
+    ["sbc", *_NN12, "--S", "20", "--M", "9", "--approximator", "rwm",
+     "--approximator-params", "chains=2.7"],
+    ["sbc", *_NN12, "--S", "20", "--M", "9", "--approximator", "rwm",
+     "--approximator-params", "chains=True"],
+    ["sbc", *_NN12, "--S", "20", "--M", "9", "--approximator", "rwm",
+     "--approximator-params", "warmup=2.5"],
+    ["sbc", *_NN12, "--S", "20", "--M", "9", "--approximator", "rwm",
+     "--approximator-params", "step_sd=inf"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

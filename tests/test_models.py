@@ -407,6 +407,44 @@ def test_block_posterior_rows_equal_dataset_posteriors(model, k, n, seed):
                           [post.sd() for post in rows])
 
 
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(MODEL_REGISTRY)), k=st.integers(1, 5), c=st.integers(1, 4),
+       n=st.sampled_from([1, 2, 7, 9, 40]), seed=st.integers(0, 2**32 - 1))
+def test_block_log_likelihood_rows_equal_dataset_values(name, k, c, n, seed):
+    # row i of a (k, n, 1) block with (k, c, d) thetas is, bit for bit, the
+    # likelihood of row i's c thetas under its own Dataset, edges included:
+    # thetas off the support, a zero Poisson rate, all-zero counts and a
+    # two-group dataset with a value that is not positive
+    rng = substream(seed, 0)
+    model = make_model(name, n_obs=n) if name != "lognormal-two-group" else make_model(name)
+    if model.prior is None:
+        thetas = rng.normal(size=(k, c, model.param_dim))
+        obs = model.simulate_batch(thetas[:, 0], rng)
+        obs[0, -1] = -1.0
+    else:
+        thetas = model.sample_prior(rng, (k, c))
+        obs = model.simulate_batch(thetas[:, 0], rng)
+        thetas[0, 0] = {"beta-binomial": 1.0, "poisson-gamma": 0.0}.get(name, 0.0)
+        thetas[-1, -1] = -0.5
+        obs[-1] = 0.0
+    labels = model.group_labels(obs.shape[1])
+    block = model.log_likelihood_batch(thetas, obs, labels)
+    assert block.shape == (k, c)
+    for i in range(k):
+        assert np.array_equal(block[i], model.log_likelihood_batch(thetas[i],
+                                                                   Dataset(obs[i], labels)))
+
+
+@pytest.mark.parametrize("model, bad", [(BetaBinomial(n_trials=5), 6.0),
+                                        (BetaBinomial(n_trials=5), 2.5),
+                                        (PoissonGamma(), -1.0), (PoissonGamma(), 0.5)])
+def test_block_log_likelihood_refuses_counts_outside_the_domain(model, bad):
+    obs = np.ones((3, 4, 1))
+    obs[2, 1] = bad
+    with pytest.raises(DomainError):
+        model.log_likelihood_batch(np.full((3, 2, 1), 0.5), obs)
+
+
 @pytest.mark.parametrize("build", [
     lambda: NormalNormal(mu0=float("nan")), lambda: NormalNormal(tau0=float("inf")),
     lambda: NormalNormal(sigma=float("nan")), lambda: NormalNormal(sigma=float("inf")),

@@ -2,8 +2,12 @@
 
 Each pipeline must give, bit for bit, what a loop that runs replication i
 on its own stream substream(seed, 0, i), one replication after another,
-gives: whatever the block size and wherever S falls against it.
+gives: whatever the block size and wherever S falls against it. RWM runs
+a block's chains in lockstep, so its reference is a row-by-row sampler
+written here.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -64,12 +68,59 @@ def reference_loop(model, seed, s, statistic, thetas=None, n_obs=None) -> list:
     return out
 
 
+def reference_rwm(model, y, rng, m, chains, warmup, step_sd):
+    """Random-walk Metropolis on one dataset, one iteration of its chains at
+    a time: the first m draws in iteration-major order and the acceptance
+    rate."""
+    iterations = warmup + -(-m // chains)
+    d = model.param_dim
+    theta0 = model.sample_prior(rng, chains)
+    z = np.stack([model.to_unconstrained(theta0[c]) for c in range(chains)])
+    theta = model.from_unconstrained_batch(z)
+    target = (model.log_prior_batch(theta) + model.log_likelihood_batch(theta, y)
+              + model.log_jacobian_batch(z))
+    kept = np.empty((iterations - warmup, chains, d))
+    accepted = 0
+    for it in range(iterations):
+        prop_z = z + step_sd * rng.standard_normal((chains, d))
+        prop_theta = model.from_unconstrained_batch(prop_z)
+        prop_target = (model.log_prior_batch(prop_theta)
+                       + model.log_likelihood_batch(prop_theta, y)
+                       + model.log_jacobian_batch(prop_z))
+        accept = np.log(rng.random(chains)) < (prop_target - target)
+        z[accept] = prop_z[accept]
+        theta[accept] = prop_theta[accept]
+        target[accept] = prop_target[accept]
+        accepted += int(accept.sum())
+        if it >= warmup:
+            kept[it - warmup] = theta
+    return kept.reshape(-1, d)[:m], accepted / (iterations * chains)
+
+
+def reference_draws(model, approximator, y, rng, m) -> np.ndarray:
+    if isinstance(approximator, RandomWalkMetropolis):
+        return reference_rwm(model, y, rng, m, approximator.chains, approximator.warmup,
+                             approximator.step_sd)[0]
+    return approximator.approximate(model, y, rng, m=m).values
+
+
 def reference_ranks(model, approximator, targets, m):
     def ranks(theta, y, rng):
-        draws = approximator.approximate(model, y, rng, m=m)
-        return [sbc_pvalue(t.on_params(theta), t.fn(draws.values), rng) for t in targets]
+        draws = reference_draws(model, approximator, y, rng, m)
+        return [sbc_pvalue(t.on_params(theta), t.fn(draws), rng) for t in targets]
 
     return ranks
+
+
+def reference_posterior_sbc(model, approximator, y_obs, targets, seed, s, m):
+    """Posterior SBC one replication at a time: theta' from the
+    approximation given y_obs on (seed, 1), then ranks given y_obs and the
+    replicated dataset."""
+    theta_prime = reference_draws(model, approximator, y_obs, substream(seed, 1), s)
+    ranks = reference_ranks(model, approximator, targets, m)
+    return reference_loop(model, seed, s,
+                          lambda theta, y, rng: ranks(theta, concat_datasets(y_obs, y), rng),
+                          theta_prime, n_obs=y_obs.n_obs or None)
 
 
 def loop_output(fn, *args, **kwargs) -> np.ndarray:
@@ -129,8 +180,7 @@ def test_sbc_blocks_equal_row_loop(model, approx, n_targets, seed, block):
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_posterior_sbc_blocks_equal_row_loop(model, approx, seed, block, n_obs):
     model, approx = MODELS[model], APPROXIMATORS[approx]
-    prior_draw = model.sample_prior(substream(seed, 9), 1)
-    y_obs = Dataset(model.simulate_batch(prior_draw, substream(seed, 8), n_obs=3)[0, :n_obs])
+    y_obs = observed(model, seed, n_obs)
     targets = TARGETS[2]
 
     def run(s):
@@ -139,13 +189,64 @@ def test_posterior_sbc_blocks_equal_row_loop(model, approx, seed, block, n_obs):
         return np.column_stack([result.pvalues[t.name].values for t in targets])
 
     def reference(s):
-        theta_prime = approx.approximate(model, y_obs, substream(seed, 1), m=s).values
-        ranks = reference_ranks(model, approx, targets, M)
-        return reference_loop(model, seed, s,
-                              lambda theta, y, rng: ranks(theta, concat_datasets(y_obs, y), rng),
-                              theta_prime, n_obs=y_obs.n_obs or None)
+        return reference_posterior_sbc(model, approx, y_obs, targets, seed, s, M)
 
     assert_blocks_match(block, run, reference)
+
+
+def observed(model, seed, n_obs) -> Dataset:
+    """n_obs observed values simulated from a prior draw, off the loop's streams."""
+    prior_draw = model.sample_prior(substream(seed, 9), 1)
+    return Dataset(model.simulate_batch(prior_draw, substream(seed, 8), n_obs=3)[0, :n_obs])
+
+
+@pytest.mark.filterwarnings("ignore:acceptance rate")
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**64), block=st.integers(11, 13), n_obs=st.integers(0, 3))
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("warmup", [0, 6])
+@pytest.mark.parametrize("chains", [1, 2, 3, 4])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_rwm_lockstep_equals_row_by_row_sampler(model, chains, warmup, extra, seed, block,
+                                                n_obs):
+    # M = 2 * chains + extra: a multiple of chains, or (chains > 1) not one,
+    # so the last iteration's draws are cut short
+    model, m = MODELS[model], 2 * chains + extra
+    approx = RandomWalkMetropolis(chains=chains, warmup=warmup, step_sd=0.7)
+    targets = TARGETS[2]
+    y_obs = observed(model, seed, n_obs)
+
+    def run_prior(s):
+        result = run_sbc(model, approx, SbcConfig(s=s, m=m, seed=seed, targets=targets))
+        return np.column_stack([result.pvalues[t.name].values for t in targets])
+
+    def run_posterior(s):
+        result = run_posterior_sbc(model, approx, y_obs,
+                                   SbcConfig(s=s, m=m, seed=seed, targets=targets))
+        return np.column_stack([result.pvalues[t.name].values for t in targets])
+
+    assert_blocks_match(block, run_prior, lambda s: reference_loop(
+        model, seed, s, reference_ranks(model, approx, targets, m)))
+    assert_blocks_match(block, run_posterior, lambda s: reference_posterior_sbc(
+        model, approx, y_obs, targets, seed, s, m))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_rwm_lockstep_warns_for_each_row(model):
+    # a tiny step accepts nearly every proposal: each row warns with its own rate
+    model, s, m = MODELS[model], 12, 6
+    approx = RandomWalkMetropolis(chains=2, warmup=5, step_sd=1e-7)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = run_sbc(model, approx, SbcConfig(s=s, m=m, seed=3)).pvalues["theta[0]"].values
+    rates = [reference_rwm(model, y, rng, m, 2, 5, 1e-7)[1]
+             for y, rng in reference_loop(model, 3, s, lambda theta, y, rng: (y, rng))]
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
+        f"acceptance rate {rate:.3f}; step_sd is likely too small and the chain barely moves"
+        for rate in rates]
+    assert len(rates) == s and min(rates) > 0.95
+    want = reference_loop(model, 3, s, reference_ranks(model, approx, (param_target(0),), m))
+    np.testing.assert_array_equal(got, np.asarray(want)[:, 0])
 
 
 @settings(max_examples=8, deadline=None)
@@ -170,6 +271,7 @@ def test_frequentist_calibration_blocks_equal_row_loop(seed, block, truth):
         assert_blocks_match(block, run, reference)
 
 
+@pytest.mark.filterwarnings("ignore:acceptance rate")
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**64), block=st.integers(3, 9))
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -193,16 +295,15 @@ def test_power_accuracy_and_sharpness_blocks_equal_row_loop(model, seed, block):
                 lambda s: reference_loop(model, seed, s, statistic,
                                          None if th is None else np.broadcast_to(th, (s, 1))))
 
-    approx = APPROXIMATORS["perturbed"]
+    for approx in (APPROXIMATORS["perturbed"], APPROXIMATORS["rwm"]):
+        def width(theta, y, rng, approx=approx):
+            draws = reference_draws(model, approx, y, rng, M)
+            return (np.quantile(draws, (1.0 + 0.8) / 2.0, axis=0)
+                    - np.quantile(draws, (1.0 - 0.8) / 2.0, axis=0))
 
-    def width(theta, y, rng):
-        draws = approx.approximate(model, y, rng, m=M).values
-        return (np.quantile(draws, (1.0 + 0.8) / 2.0, axis=0)
-                - np.quantile(draws, (1.0 - 0.8) / 2.0, axis=0))
-
-    assert_blocks_match(
-        block, lambda s: loop_output(sharpness, approx, model, 0.8, s, M, seed=seed),
-        lambda s: reference_loop(model, seed, s, width))
+        assert_blocks_match(
+            block, lambda s: loop_output(sharpness, approx, model, 0.8, s, M, seed=seed),
+            lambda s: reference_loop(model, seed, s, width))
 
 
 def test_estimators_see_sample_mean_rows():

@@ -64,17 +64,25 @@ def test_row_blocks_tile_in_order_on_index_streams(seed, s, size):
        column=st.booleans())
 def test_row_streams_draw_each_row_from_its_stream(seed, k, n, column):
     """A draw of k rows stacks each generator's own draw; a (k, 1) column
-    hands each generator its scalar. n = 0 draws one value per row."""
+    hands each generator its scalar. n = 0 draws one value per row, and
+    (k, 0, 2) none."""
     p = np.linspace(0.1, 0.9, k)[:, None] if column else 0.35
     shape = np.linspace(0.5, 4.0, k)[:, None] if column else 2.5
     for method, params in [("standard_normal", ()), ("standard_gamma", (shape,)),
-                           ("beta", (shape, p)), ("binomial", (7, p)), ("poisson", (shape,))]:
+                           ("beta", (shape, p)), ("binomial", (7, p)), ("poisson", (shape,)),
+                           ("random", ())]:
         got = getattr(row_streams(seed, 0, k), method)(*params, size=(k, n) if n else k)
         assert got.shape == ((k, n) if n else (k,))
         for i in range(k):
             row = [q[i, 0] if np.ndim(q) else q for q in params]
             want = getattr(substream(seed, 0, i), method)(*row, size=n if n else 1)
             np.testing.assert_array_equal(got[i], want if n else want[0])
+    # the draws without parameters, each row of more than one axis (RWM's
+    # (k, chains, d) proposal steps)
+    for method in ("standard_normal", "random"):
+        got = getattr(row_streams(seed, 0, k), method)((k, n, 2))
+        for i in range(k):
+            np.testing.assert_array_equal(got[i], getattr(substream(seed, 0, i), method)((n, 2)))
 
 
 def test_row_streams_refuse_draws_of_another_row_count():
