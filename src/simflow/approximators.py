@@ -55,6 +55,12 @@ class Approximator:
         return np.stack([self.approximate(model, Dataset(obs[i], labels), rows[i], m).values
                          for i in range(len(rows))])
 
+    def _finite(self, draws: np.ndarray) -> np.ndarray:
+        """(k, m, d) block draws, refused as approximate's ParamDraws refuses
+        a row's non-finite draws."""
+        k, m, d = draws.shape
+        return ParamDraws(draws.reshape(k * m, d), source=self.kind).values.reshape(k, m, d)
+
     @staticmethod
     def _m(m: int) -> int:
         m = int(m)
@@ -81,10 +87,8 @@ class ConjugateApproximator(Approximator):
         raise NotImplementedError
 
     def approximate_block(self, model, obs, labels, rows, m) -> np.ndarray:
-        k, m = len(rows), self._m(m)
-        draws = self.posterior_draws(model.analytic_posterior(obs), rows, (k, m))
-        # ParamDraws refuses non-finite draws, as approximate does per row
-        return ParamDraws(draws.reshape(k * m, 1), source=self.kind).values.reshape(k, m, 1)
+        draws = self.posterior_draws(model.analytic_posterior(obs), rows, (len(rows), self._m(m)))
+        return self._finite(draws[..., None])
 
     def _settings(self) -> dict:
         return {}
@@ -265,9 +269,7 @@ class RandomWalkMetropolis(Approximator):
         m = self._m(m)
         kept, _ = _rwm_block(model, obs, labels, rows, self.chains, self._iterations(m),
                              self.warmup, self.step_sd)
-        k, _, d = kept.shape
-        # ParamDraws refuses non-finite draws, as approximate does per row
-        return ParamDraws(kept[:, :m].reshape(k * m, d), source=self.kind).values.reshape(k, m, d)
+        return self._finite(kept[:, :m])
 
 
 @dataclass(frozen=True)

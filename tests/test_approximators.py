@@ -141,6 +141,23 @@ def test_block_draws_equal_each_rows_draws(model, approx):
         np.testing.assert_array_equal(got[i], want)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_block_draws_refuse_non_finite_values():
+    # as approximate's ParamDraws refuses them for one dataset
+    from simflow.rng import row_streams
+
+    class Blown(NormalNormal):
+        def from_unconstrained_batch(self, z):
+            return np.asarray(z) * np.inf
+
+    wide = NormalNormal(tau0=10.0, sigma=10.0, n_obs=1)
+    for approx, model in [(PerturbedConjugate(mean_shift=1e308), wide),
+                          (RandomWalkMetropolis(chains=2, warmup=1), Blown(n_obs=1))]:
+        obs = model.simulate_batch(np.zeros((3, 1)), substream(5, 0))
+        with pytest.raises(ValueError, match="finite"):
+            approx.approximate_block(model, obs, None, row_streams(5, 0, 3), 4)
+
+
 def test_rwm_refuses_truncated_or_meaningless_settings():
     # 2.7 chains ran 2, True ran 1, and an infinite step accepts no proposal
     for settings_ in ({"chains": 2.7}, {"chains": True}, {"warmup": 2.5}, {"warmup": False},
