@@ -123,6 +123,16 @@ def reference_posterior_sbc(model, approximator, y_obs, targets, seed, s, m):
                           theta_prime, n_obs=y_obs.n_obs or None)
 
 
+def observed(model, seed, n_obs) -> Dataset:
+    """n_obs observed values simulated from a prior draw, off the loop's streams."""
+    prior_draw = model.sample_prior(substream(seed, 9), 1)
+    return Dataset(model.simulate_batch(prior_draw, substream(seed, 8), n_obs=3)[0, :n_obs])
+
+
+def pvalue_columns(result, targets) -> np.ndarray:
+    return np.column_stack([result.pvalues[t.name].values for t in targets])
+
+
 def loop_output(fn, *args, **kwargs) -> np.ndarray:
     """The values _replicate returned inside fn(*args, **kwargs)."""
     seen = []
@@ -164,8 +174,7 @@ def test_sbc_blocks_equal_row_loop(model, approx, n_targets, seed, block):
 
     def run(s):
         cfg = SbcConfig(s=s, m=M, seed=seed, targets=TARGETS[n_targets])
-        result = run_sbc(model, approx, cfg)
-        return np.column_stack([result.pvalues[t.name].values for t in targets])
+        return pvalue_columns(run_sbc(model, approx, cfg), targets)
 
     def reference(s):
         return reference_loop(model, seed, s, reference_ranks(model, approx, targets, M))
@@ -184,20 +193,13 @@ def test_posterior_sbc_blocks_equal_row_loop(model, approx, seed, block, n_obs):
     targets = TARGETS[2]
 
     def run(s):
-        result = run_posterior_sbc(model, approx, y_obs, SbcConfig(s=s, m=M, seed=seed,
-                                                                   targets=targets))
-        return np.column_stack([result.pvalues[t.name].values for t in targets])
+        return pvalue_columns(run_posterior_sbc(model, approx, y_obs, SbcConfig(
+            s=s, m=M, seed=seed, targets=targets)), targets)
 
     def reference(s):
         return reference_posterior_sbc(model, approx, y_obs, targets, seed, s, M)
 
     assert_blocks_match(block, run, reference)
-
-
-def observed(model, seed, n_obs) -> Dataset:
-    """n_obs observed values simulated from a prior draw, off the loop's streams."""
-    prior_draw = model.sample_prior(substream(seed, 9), 1)
-    return Dataset(model.simulate_batch(prior_draw, substream(seed, 8), n_obs=3)[0, :n_obs])
 
 
 @pytest.mark.filterwarnings("ignore:acceptance rate")
@@ -217,13 +219,12 @@ def test_rwm_lockstep_equals_row_by_row_sampler(model, chains, warmup, extra, se
     y_obs = observed(model, seed, n_obs)
 
     def run_prior(s):
-        result = run_sbc(model, approx, SbcConfig(s=s, m=m, seed=seed, targets=targets))
-        return np.column_stack([result.pvalues[t.name].values for t in targets])
+        return pvalue_columns(run_sbc(model, approx, SbcConfig(s=s, m=m, seed=seed,
+                                                               targets=targets)), targets)
 
     def run_posterior(s):
-        result = run_posterior_sbc(model, approx, y_obs,
-                                   SbcConfig(s=s, m=m, seed=seed, targets=targets))
-        return np.column_stack([result.pvalues[t.name].values for t in targets])
+        return pvalue_columns(run_posterior_sbc(model, approx, y_obs, SbcConfig(
+            s=s, m=m, seed=seed, targets=targets)), targets)
 
     assert_blocks_match(block, run_prior, lambda s: reference_loop(
         model, seed, s, reference_ranks(model, approx, targets, m)))
