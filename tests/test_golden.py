@@ -157,6 +157,18 @@ RUNS = {
                              "--approximator", "rwm"],
     "sensitivity-poisson": ["sensitivity", "--model", "poisson-gamma",
                             "--data", "counts-poisson.csv", "--M", "400"],
+    # perturbed draws for one dataset, and one-dataset draws from a beta posterior
+    "ppc-perturbed-beta": ["ppc", "--model", "beta-binomial", "--data", "counts-binomial.csv",
+                           "--approximator", "perturbed",
+                           "--approximator-params", "mean_shift=0.3,sd_scale=0.7",
+                           "--S", "200"],
+    "post-sbc-perturbed-poisson": ["post-sbc", "--model", "poisson-gamma",
+                                   "--data", "counts-poisson.csv", "--approximator", "perturbed",
+                                   "--approximator-params", "mean_shift=0.3,sd_scale=0.7",
+                                   "--S", "40", "--M", "19"],
+    "sensitivity-perturbed-beta": ["sensitivity", "--model", "beta-binomial",
+                                   "--data", "counts-binomial.csv", "--approximator", "perturbed",
+                                   "--approximator-params", "sd_scale=0.7", "--M", "400"],
 }
 
 # runs that take seed, output directory and formats from their config
