@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, CapabilityError
+from .errors import BudgetError
 from .models import Dataset, Model, ParamDraws, SummaryStatistic, _whole, simulate_statistic
-from .rng import as_generator
+from .rng import RowStreams, as_generator
 
 __all__ = [
     "Approximator",
@@ -36,16 +36,22 @@ __all__ = [
 class Approximator:
     """Base class: a named producer of m posterior draws given a dataset.
 
-    approximate_block draws for a block of datasets at once: dataset i on
-    stream rows[i], as approximate would on that stream alone.
+    A subclass defines one of approximate, for one dataset, or
+    approximate_block, for a block of datasets at once; each is written
+    here in terms of the other. Dataset i of a block draws on stream
+    rows[i], as approximate would on that stream alone.
     """
 
     name: str = "approximator"
     kind: str = "abstract"
-    needs: tuple[str, ...] = ()   # the Capabilities a model must declare
+    needs: tuple[str, ...] = ()   # the Capabilities a model must have
 
     def approximate(self, model: Model, y: Dataset, rng, m: int) -> ParamDraws:
-        raise NotImplementedError
+        """m draws given dataset y on rng: row 0 of approximate_block on a
+        block of one."""
+        draws = self.approximate_block(model, y.observations[None], y.group_labels,
+                                       RowStreams([as_generator(rng)]), m)
+        return ParamDraws(draws[0], source=self.kind)
 
     def approximate_block(self, model: Model, obs: np.ndarray, labels, rows,
                           m: int) -> np.ndarray:
@@ -77,8 +83,8 @@ class ConjugateApproximator(Approximator):
 
     posterior_draws maps a posterior to draws of the given size. Given one
     posterior per row (parameters as (k, 1) columns) and size (k, m), row i
-    holds the m draws approximate makes from posterior i, so a block of
-    datasets is approximated in one call.
+    holds m draws from posterior i on stream rows[i], so a block of datasets
+    is approximated in one call.
     """
 
     needs = ("has_analytic_posterior",)
@@ -89,19 +95,6 @@ class ConjugateApproximator(Approximator):
     def approximate_block(self, model, obs, labels, rows, m) -> np.ndarray:
         draws = self.posterior_draws(model.analytic_posterior(obs), rows, (len(rows), self._m(m)))
         return self._finite(draws[..., None])
-
-    def _settings(self) -> dict:
-        return {}
-
-    def approximate(self, model, y, rng, m) -> ParamDraws:
-        m = self._m(m)
-        post = model.analytic_posterior(y)
-        return ParamDraws(
-            self.posterior_draws(post, as_generator(rng), m).reshape(m, 1),
-            source=self.kind,
-            info={**self._settings(), "posterior_family": post.family,
-                  "posterior_params": post.params},
-        )
 
 
 class ExactConjugate(ConjugateApproximator):
@@ -131,9 +124,6 @@ class PerturbedConjugate(ConjugateApproximator):
         self.name = "perturbed"
         self.kind = "perturbed_conjugate"
 
-    def _settings(self) -> dict:
-        return {"mean_shift": self.mean_shift, "sd_scale": self.sd_scale}
-
     def posterior_draws(self, post, rng, size) -> np.ndarray:
         exact = post.sample(rng, size)
         mu, sd = post.mean(), post.sd()
@@ -149,28 +139,23 @@ class RwmResult:
     warmup: int
 
 
-def _rwm_block(model: Model, obs: np.ndarray, labels, rng, chains: int, iterations: int,
-               warmup: int, step_sd: float) -> tuple[np.ndarray, np.ndarray]:
+def _rwm_block(model: Model, obs: np.ndarray, labels, rows: RowStreams, chains: int,
+               iterations: int, warmup: int, step_sd: float) -> tuple[np.ndarray, np.ndarray]:
     """Random-walk Metropolis on k datasets in lockstep: the (k, (iterations
     - warmup) * chains, d) kept draws in iteration-major order and the k
     acceptance rates.
 
-    obs is a (k, n, obs_dim) block with shared group labels. rng draws with
-    k rows: a rng.RowStreams, where row i's chains draw from stream i alone,
-    or a Generator when k = 1. Each iteration draws every row's (chains, d)
-    proposal steps, then its chains uniforms.
+    obs is a (k, n, obs_dim) block with shared group labels, and row i's
+    chains draw from stream rows[i] alone. Each iteration draws every row's
+    (chains, d) proposal steps, then its chains uniforms.
     """
-    if not all(getattr(model.capabilities, need) for need in RandomWalkMetropolis.needs):
-        raise CapabilityError(
-            f"{model.name} must expose prior sampling and both log densities"
-        )
     if warmup >= iterations:
         raise ValueError("warmup must be smaller than iterations")
     if not (step_sd > 0 and math.isfinite(step_sd)):
         raise ValueError("step_sd must be positive and finite")
 
     k, d = obs.shape[0], model.param_dim
-    theta0 = model.sample_prior(rng, (k, chains)).reshape(-1, d)
+    theta0 = model.sample_prior(rows, (k, chains)).reshape(-1, d)
     z = np.stack([model.to_unconstrained(t) for t in theta0]).reshape(k, chains, d)
     theta = model.from_unconstrained_batch(z)
     target = (
@@ -182,14 +167,14 @@ def _rwm_block(model: Model, obs: np.ndarray, labels, rng, chains: int, iteratio
     kept = np.empty((k, iterations - warmup, chains, d))
     accepted = np.zeros(k, dtype=np.int64)
     for it in range(iterations):
-        prop_z = z + step_sd * rng.standard_normal((k, chains, d))
+        prop_z = z + step_sd * rows.standard_normal((k, chains, d))
         prop_theta = model.from_unconstrained_batch(prop_z)
         prop_target = (
             model.log_prior_batch(prop_theta)
             + model.log_likelihood_batch(prop_theta, obs, labels)
             + model.log_jacobian_batch(prop_z)
         )
-        log_u = np.log(rng.random((k, chains)))
+        log_u = np.log(rows.random((k, chains)))
         accept = log_u < (prop_target - target)
         z[accept] = prop_z[accept]
         theta[accept] = prop_theta[accept]
@@ -224,8 +209,8 @@ def rwm_sample(
     steps with scalar step_sd; the Jacobian of the reparameterization is part
     of the target, so bounded parameters mix without rejections at the edge.
     """
-    kept, rates = _rwm_block(model, y.observations[None], y.group_labels, as_generator(rng),
-                             chains, iterations, warmup, step_sd)
+    kept, rates = _rwm_block(model, y.observations[None], y.group_labels,
+                             RowStreams([as_generator(rng)]), chains, iterations, warmup, step_sd)
     rate = float(rates[0])
     draws = ParamDraws(
         kept[0],
@@ -258,12 +243,6 @@ class RandomWalkMetropolis(Approximator):
 
     def _iterations(self, m: int) -> int:
         return self.warmup + -(-m // self.chains)
-
-    def approximate(self, model, y, rng, m) -> ParamDraws:
-        m = self._m(m)
-        full = rwm_sample(model, y, rng, chains=self.chains, iterations=self._iterations(m),
-                          warmup=self.warmup, step_sd=self.step_sd).draws
-        return ParamDraws(full.values[:m], source=full.source, info=full.info)
 
     def approximate_block(self, model, obs, labels, rows, m) -> np.ndarray:
         m = self._m(m)

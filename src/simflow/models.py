@@ -1,8 +1,8 @@
 """Generative models, datasets, parameter draws, and summary statistics.
 
 Four built-in observation models cover the conjugate and two-group cases
-used throughout the toolkit. Each declares its capabilities explicitly so
-pipelines can fail fast instead of guessing.
+used throughout the toolkit. A model's capabilities follow from what it
+defines, so pipelines can fail fast instead of guessing.
 """
 
 from __future__ import annotations
@@ -347,26 +347,35 @@ class Capabilities:
 class Model:
     """Base observation model.
 
-    Subclasses fill in the declared capabilities; calling an undeclared
-    operation raises CapabilityError rather than returning garbage. A model
-    with a one-parameter closed-form prior sets prior; prior draws, the
-    prior density and the log marginal likelihood follow from it.
+    A model with a one-parameter closed-form prior sets prior; prior draws,
+    the prior density and the log marginal likelihood follow from it. A
+    subclass with a likelihood overrides _log_likelihood, and one with a
+    conjugate update overrides _conjugate. Calling an operation the model
+    does not define raises CapabilityError rather than returning garbage.
     """
 
     name: str = "model"
     param_dim: int = 1
     data_shape: DataShape = DataShape(n_obs=1)
-    capabilities: Capabilities = Capabilities(False, False, False, False)
     prior: AnalyticPosterior | None = None
+
+    @property
+    def capabilities(self) -> Capabilities:
+        """What the model defines: prior draws and density from prior, the
+        likelihood from _log_likelihood, the analytic posterior from _conjugate."""
+        cls = type(self)
+        return Capabilities(
+            can_sample_prior=self.prior is not None,
+            can_log_prior=self.prior is not None,
+            can_log_likelihood=cls._log_likelihood is not Model._log_likelihood,
+            has_analytic_posterior=cls._conjugate is not Model._conjugate,
+        )
 
     # Parameter domain -------------------------------------------------
 
     def _support(self, thetas: np.ndarray) -> np.ndarray:
         """Whether each row of a (k, param_dim) array lies in the plausible domain."""
         return np.isfinite(thetas).all(axis=1)
-
-    def in_support(self, theta) -> bool:
-        return bool(self._support(np.asarray(theta, dtype=float).reshape(1, -1))[0])
 
     # Prior ------------------------------------------------------------
 
@@ -522,7 +531,6 @@ class NormalNormal(Model):
         self.name = "normal-normal"
         self.param_dim = 1
         self.data_shape = DataShape(n_obs=_count("n_obs", n_obs))
-        self.capabilities = Capabilities(True, True, True, True)
         self.prior = AnalyticPosterior("normal", (mu0, tau0))
 
     def simulate_batch(self, thetas, rng, n_obs=None):
@@ -566,7 +574,6 @@ class BetaBinomial(Model):
         self.name = "beta-binomial"
         self.param_dim = 1
         self.data_shape = DataShape(n_obs=_count("n_obs", n_obs))
-        self.capabilities = Capabilities(True, True, True, True)
         self.prior = AnalyticPosterior("beta", (a, b))
 
     def _support(self, thetas) -> np.ndarray:
@@ -629,7 +636,6 @@ class PoissonGamma(Model):
         self.name = "poisson-gamma"
         self.param_dim = 1
         self.data_shape = DataShape(n_obs=_count("n_obs", n_obs))
-        self.capabilities = Capabilities(True, True, True, True)
         self.prior = AnalyticPosterior("gamma", (a, b))
 
     def _support(self, thetas) -> np.ndarray:
@@ -693,7 +699,6 @@ class LogNormalTwoGroup(Model):
         self.name = "lognormal-two-group"
         self.param_dim = 2
         self.data_shape = DataShape(n_obs=2 * self.n_per_group)
-        self.capabilities = Capabilities(False, False, True, False)
 
     def group_labels(self, n_obs: int) -> np.ndarray:
         half = n_obs // 2

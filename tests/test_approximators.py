@@ -128,17 +128,21 @@ def test_rwm_tiny_step_warns_and_barely_moves():
 @pytest.mark.parametrize("model", [NormalNormal(n_obs=4), BetaBinomial(n_trials=6, n_obs=3),
                                    PoissonGamma(n_obs=3)], ids=["nn", "bb", "pg"])
 def test_block_draws_equal_each_rows_draws(model, approx):
-    # row i of a block's (k, m, d) draws is approximate's draws given dataset
-    # i on stream i
+    # row i of a block's (k, m, d) draws, and approximate's draws given
+    # dataset i alone, are the one-dataset reference's draws on stream i
     from simflow.rng import row_streams
+    from test_replication_blocks import reference_draws
 
     k, m = 5, 8
     obs = model.simulate_batch(model.sample_prior(substream(3, 0), k), substream(3, 1))
     got = approx.approximate_block(model, obs, None, row_streams(4, 0, k), m)
     assert got.shape == (k, m, 1)
     for i in range(k):
-        want = approx.approximate(model, Dataset(obs[i]), substream(4, 0, i), m=m).values
+        want = reference_draws(model, approx, Dataset(obs[i]), substream(4, 0, i), m)
         np.testing.assert_array_equal(got[i], want)
+        one = approx.approximate(model, Dataset(obs[i]), substream(4, 0, i), m=m)
+        np.testing.assert_array_equal(one.values, want)
+        assert one.source == approx.kind
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")

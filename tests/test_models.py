@@ -4,6 +4,8 @@ Closed-form reference values are frozen at 17 significant digits; they
 come from independent scipy computations, not from the code under test.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ from simflow import (
     Dataset,
     DomainError,
     LogNormalTwoGroup,
+    Model,
     NormalNormal,
     PoissonGamma,
     concat_datasets,
@@ -136,6 +139,37 @@ def test_prior_capabilities_follow_the_prior(name):
     model = make_model(name)
     assert model.capabilities.can_sample_prior == (model.prior is not None)
     assert model.capabilities.can_log_prior == (model.prior is not None)
+
+
+class _Simulator(Model):
+    """A model that defines only its simulator."""
+
+    def simulate_batch(self, thetas, rng, n_obs=None):
+        return np.zeros((len(thetas), self._n_obs(n_obs), 1))
+
+
+class _NoPriorNormal(NormalNormal):
+    def __init__(self):
+        super().__init__()
+        self.prior = None
+
+
+class _PriorTwoGroup(LogNormalTwoGroup):
+    prior = AnalyticPosterior("normal", (0.0, 1.0))
+
+
+# (sample prior, log prior, log likelihood, analytic posterior)
+@pytest.mark.parametrize("model, expected", [
+    (NormalNormal(), (True, True, True, True)),
+    (BetaBinomial(), (True, True, True, True)),
+    (PoissonGamma(), (True, True, True, True)),
+    (LogNormalTwoGroup(), (False, False, True, False)),
+    (_Simulator(), (False, False, False, False)),
+    (_NoPriorNormal(), (False, False, True, True)),
+    (_PriorTwoGroup(), (True, True, True, False)),
+], ids=["nn", "bb", "pg", "ln", "simulator", "nn-no-prior", "ln-prior"])
+def test_capabilities_follow_what_the_model_defines(model, expected):
+    assert astuple(model.capabilities) == expected
 
 
 def test_model_without_prior_refuses_prior_methods():

@@ -25,7 +25,9 @@ from simflow import (
     run_sbc,
     substream,
 )
+from simflow.compare import power_scale_weights
 from simflow.models import SummaryStatistic
+from simflow.rng import as_generator
 from simflow.simtest import mean_stat, sample_max
 
 T0 = "theta[0]"
@@ -46,6 +48,27 @@ class PointMass(Approximator):
     def approximate(self, model, y, rng, m):
         m = self._m(m)
         return ParamDraws(np.tile(self.theta, (m, 1)), source=self.name)
+
+
+class Jitter(Approximator):
+    """Normal draws around the dataset's mean, defined for one dataset only."""
+
+    name = kind = "jitter"
+
+    def approximate(self, model, y, rng, m):
+        mean = y.observations[:, 0].mean() if y.n_obs else 0.0
+        return ParamDraws(mean + 0.5 * as_generator(rng).standard_normal((m, 1)),
+                          source=self.kind)
+
+
+class BlockJitter(Approximator):
+    """Jitter's draws, defined for a block of datasets only."""
+
+    name = kind = "jitter"
+
+    def approximate_block(self, model, obs, labels, rows, m):
+        mean = obs[:, :, 0].mean(axis=1) if obs.shape[1] else np.zeros(len(rows))
+        return mean[:, None, None] + 0.5 * rows.standard_normal((len(rows), m, 1))
 
 
 def test_pushforward_wide_region_is_certain():
@@ -228,3 +251,31 @@ def test_prior_pushforward_holds_no_dataset_matrix():
         tracemalloc.stop()
     assert result.values.shape == (200_000,)
     assert peak < 16 * 2**20
+
+
+def test_block_only_approximator_runs_every_pipeline():
+    # an approximator that defines only approximate_block draws, in each
+    # pipeline, what one that defines only approximate draws
+    model = NormalNormal(n_obs=6)
+    y = model.simulate_data(np.array([0.3]), substream(30, 0))
+    one, block = Jitter(), BlockJitter()
+    a, b = (run_ppc(model, approx, y, mean_stat, s=200, seed=6) for approx in (one, block))
+    assert np.array_equal(a.replication_stats, b.replication_stats) and a.ppp == b.ppp
+    cfg = SbcConfig(s=30, m=9, seed=7)
+    for run in (lambda approx: run_posterior_sbc(model, approx, y, cfg),
+                lambda approx: run_sbc(model, approx, cfg)):
+        a, b = run(one), run(block)
+        assert np.array_equal(a.pvalues[T0].values, b.pvalues[T0].values)
+    draws = [approx.approximate(model, y, substream(31, 0), m=400) for approx in (one, block)]
+    assert draws[1].source == "jitter"
+    a, b = (power_scale_weights(model, y, d, alpha_prior=0.5) for d in draws)
+    assert np.array_equal(a.values, b.values) and np.array_equal(a.weights, b.weights)
+
+
+def test_point_mass_runs_sbc():
+    # PointMass defines only approximate: theta is ranked above all m draws
+    # exactly when it exceeds the point
+    model = NormalNormal(n_obs=5)
+    result = run_sbc(model, PointMass([0.2]), SbcConfig(s=40, m=9, seed=8))
+    thetas = [model.sample_prior(substream(8, 0, i), 1)[0, 0] for i in range(40)]
+    np.testing.assert_array_equal(result.pvalues[T0].values, np.greater(thetas, 0.2) * 1.0)

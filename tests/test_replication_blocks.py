@@ -97,10 +97,26 @@ def reference_rwm(model, y, rng, m, chains, warmup, step_sd):
     return kept.reshape(-1, d)[:m], accepted / (iterations * chains)
 
 
+def reference_conjugate(model, approximator, y, rng, m) -> np.ndarray:
+    """Exact or perturbed conjugate draws on one dataset: m draws from the
+    analytic posterior given y, then the perturbation, if any."""
+    post = model.analytic_posterior(y)
+    draws = post.sample(rng, m)
+    if isinstance(approximator, PerturbedConjugate):
+        mu, sd = post.mean(), post.sd()
+        draws = mu - approximator.mean_shift * sd + (draws - mu) * approximator.sd_scale
+    return draws.reshape(m, 1)
+
+
 def reference_draws(model, approximator, y, rng, m) -> np.ndarray:
+    """approximator's m draws given one dataset y on rng, written here for
+    the approximators that define only approximate_block; any other defines
+    approximate itself."""
     if isinstance(approximator, RandomWalkMetropolis):
         return reference_rwm(model, y, rng, m, approximator.chains, approximator.warmup,
                              approximator.step_sd)[0]
+    if isinstance(approximator, (ExactConjugate, PerturbedConjugate)):
+        return reference_conjugate(model, approximator, y, rng, m)
     return approximator.approximate(model, y, rng, m=m).values
 
 
