@@ -708,6 +708,8 @@ def _compare_entries(run) -> list[ModelEntry]:
             "compare needs a [compare] section listing models = A, B with "
             "one [model:NAME] section per candidate"
         )
+    if len(set(names)) < len(names):
+        raise ConfigError(f"[compare] models repeats a label: {', '.join(names)}")
     run.sections["compare"] = comp
     entries = []
     for label in names:
@@ -900,10 +902,14 @@ def _cmd_render(run):
     path = Path(run.report)
     if not path.is_file():
         raise ConfigError(f"report file not found: {path}")
-    with open(path) as fh:
-        payload = json.load(fh)
-    results = payload.get("results", payload)
-    files = figures.render_figures(results)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        results = payload.get("results", payload)
+        files = figures.render_figures(results)
+    except (ValueError, TypeError, KeyError, AttributeError, IndexError) as exc:
+        raise ConfigError(f"cannot render {path}: not a readable report "
+                          f"({type(exc).__name__}: {exc})") from exc
     if not files:
         print(f"warning: no figure renderer for report kind "
               f"{results.get('kind')!r}; known: {', '.join(figures.renderable_kinds())}",

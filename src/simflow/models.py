@@ -525,6 +525,13 @@ class NormalNormal(Model):
         _finite(mu0=mu0, tau0=tau0, sigma=sigma)
         if tau0 <= 0 or sigma <= 0:
             raise DomainError("tau0 and sigma must be positive")
+        for name, scale in (("tau0", tau0), ("sigma", sigma)):
+            # the precision 1 / scale**2, without the OverflowError of ** or
+            # the ZeroDivisionError of 1 / 0.0
+            square = float(scale) * float(scale)
+            if not (square > 0 and 0 < 1.0 / square < math.inf):
+                raise DomainError(f"{name} = {scale!r} puts the precision 1/{name}^2 "
+                                  "outside the float range")
         self.mu0 = float(mu0)
         self.tau0 = float(tau0)
         self.sigma = float(sigma)

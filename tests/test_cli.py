@@ -215,6 +215,16 @@ _DATA = [*_NN12, "--data", "data.csv"]
      "--approximator-params", "warmup=2.5"],
     ["sbc", *_NN12, "--S", "20", "--M", "9", "--approximator", "rwm",
      "--approximator-params", "step_sd=inf"],
+    # a compare label given twice (a model against itself, with a log Bayes
+    # factor that is not 0)
+    ["compare", "--config", "compare-repeat.ini", "--data", "data.csv", "--S", "100"],
+    # normal-normal scales whose precision 1/scale^2 leaves the float range
+    # (an OverflowError or ZeroDivisionError traceback, or a posterior sd of
+    # 0 refused mid-run)
+    *(["sbc", "--model", "normal-normal", "--model-params", p, "--S", "20", "--M", "9"]
+      for p in ("tau0=1e200", "sigma=1e200", "tau0=1e-200", "sigma=1e-200", "tau0=1e-160")),
+    ["prior-check", "--model", "normal-normal", "--model-params", "tau0=1e-160",
+     "--region=-1,1", "--S", "20"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -244,6 +254,8 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "sweep-evidence.ini").write_text(evidence)
     (tmp_path / "sweep-evidence-approx.ini").write_text(
         evidence + "[approximator]\nname = exact\n")
+    (tmp_path / "compare-repeat.ini").write_text(
+        "[compare]\nmodels = near, near\n[model:near]\nname = normal-normal\nn_obs = 12\n")
     _write_data(tmp_path / "data.csv")
     (tmp_path / "empty.csv").write_text("y0\n")
     out = tmp_path / "x"
@@ -534,6 +546,23 @@ def test_render_unknown_kind_warns(tmp_path, capsys):
     rc = main(["render", "--report", str(report), "--out", str(tmp_path / "r")])
     assert rc == 0
     assert "no figure renderer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, error", [
+    ("not json\n", "JSONDecodeError"),
+    ("[1, 2]\n", "AttributeError"),
+    ('{"results": {"kind": "sbc", "s": 5}}\n', "KeyError"),
+], ids=["not-json", "not-object", "missing-key"])
+def test_render_unreadable_report_is_config_error(tmp_path, capsys, text, error):
+    # each exited 1 with a traceback
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    out = tmp_path / "r"
+    assert main(["render", "--report", str(report), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot render {report}") and error in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "report.json").exists()
 
 
 def test_render_regenerates_figures(tmp_path):
