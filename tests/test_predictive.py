@@ -56,9 +56,8 @@ class Jitter(Approximator):
     name = kind = "jitter"
 
     def approximate(self, model, y, rng, m):
-        mean = y.observations[:, 0].mean() if y.n_obs else 0.0
-        return ParamDraws(mean + 0.5 * as_generator(rng).standard_normal((m, 1)),
-                          source=self.kind)
+        noise = as_generator(rng).standard_normal((m, 1))
+        return ParamDraws(y.observations[:, 0].mean() + 0.5 * noise, source=self.kind)
 
 
 class BlockJitter(Approximator):
@@ -67,8 +66,8 @@ class BlockJitter(Approximator):
     name = kind = "jitter"
 
     def approximate_block(self, model, obs, labels, rows, m):
-        mean = obs[:, :, 0].mean(axis=1) if obs.shape[1] else np.zeros(len(rows))
-        return mean[:, None, None] + 0.5 * rows.standard_normal((len(rows), m, 1))
+        noise = rows.standard_normal((len(rows), m, 1))
+        return obs[:, :, 0].mean(axis=1)[:, None, None] + 0.5 * noise
 
 
 def test_pushforward_wide_region_is_certain():
