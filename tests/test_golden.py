@@ -169,6 +169,17 @@ RUNS = {
     "sensitivity-perturbed-beta": ["sensitivity", "--model", "beta-binomial",
                                    "--data", "counts-binomial.csv", "--approximator", "perturbed",
                                    "--approximator-params", "sd_scale=0.7", "--M", "400"],
+    # a discrete statistic ranked against its null (ties), the lower and
+    # two-sided power tests, and accuracy with the sample mean and absolute error
+    "power-poisson-two-sided": ["power", "--model", "poisson-gamma",
+                                "--model-params", "a=3,b=1,n_obs=5", "--theta-star", "2",
+                                "--theta0", "2.5", "--side", "two_sided", "--null-s", "500",
+                                "--S", "50"],
+    "power-beta-lower": ["power", "--model", "beta-binomial", "--theta-star", "0.3",
+                         "--theta0", "0.5", "--side", "lower", "--null-s", "500", "--S", "50"],
+    "accuracy-sample-mean-absolute": ["accuracy", *NN12, "--theta-star", "0.3",
+                                      "--estimator", "sample-mean", "--distance", "absolute",
+                                      "--S", "100"],
 }
 
 # runs that take seed, output directory and formats from their config
