@@ -199,18 +199,23 @@ def _calibrated_band(s: int, granularity: int | None, coverage: float) -> EcdfBa
     tails = np.unique(np.concatenate([tails, np.nextafter(tails, 0.0)]))
     deltas = np.concatenate(([bonferroni], 2.0 * tails[2.0 * tails > bonferroni], [1.0]))
 
+    def band_at(i: int):
+        bounds = null.count_bounds(deltas[i])
+        return bounds, null.coverage(*bounds)
+
     # Bisect for the loosest pointwise level whose exact coverage still meets
-    # the target; coverage only falls as delta grows.
-    keep, drop = 0, deltas.size
+    # the target; coverage only falls as delta grows. The band at keep is
+    # the last one that met it, unless keep never moved from 0.
+    keep, drop, kept = 0, deltas.size, None
     while drop - keep > 1:
         mid = (keep + drop) // 2
-        if null.coverage(*null.count_bounds(deltas[mid])) >= coverage:
-            keep = mid
+        band = band_at(mid)
+        if band[1] >= coverage:
+            keep, kept = mid, band
         else:
             drop = mid
     delta = float(deltas[keep])
-    count_lo, count_up = null.count_bounds(delta)
-    covered = null.coverage(count_lo, count_up)
+    (count_lo, count_up), covered = kept or band_at(keep)
     return EcdfBand(
         grid=null.grid,
         lower=count_lo / s - null.grid,
