@@ -532,12 +532,18 @@ class NormalNormal(Model):
             if not (square > 0 and 0 < 1.0 / square < math.inf):
                 raise DomainError(f"{name} = {scale!r} puts the precision 1/{name}^2 "
                                   "outside the float range")
+        n_obs = _count("n_obs", n_obs)
+        # each precision is finite, but their posterior sum may not be
+        if not 1.0 / (float(tau0) * float(tau0)) + n_obs / (float(sigma) * float(sigma)) < math.inf:
+            raise DomainError(f"tau0 = {tau0!r}, sigma = {sigma!r} and n_obs = {n_obs} put the "
+                              "posterior precision 1/tau0^2 + n_obs/sigma^2 outside the "
+                              "float range")
         self.mu0 = float(mu0)
         self.tau0 = float(tau0)
         self.sigma = float(sigma)
         self.name = "normal-normal"
         self.param_dim = 1
-        self.data_shape = DataShape(n_obs=_count("n_obs", n_obs))
+        self.data_shape = DataShape(n_obs=n_obs)
         self.prior = AnalyticPosterior("normal", (mu0, tau0))
 
     def simulate_batch(self, thetas, rng, n_obs=None):

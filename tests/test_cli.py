@@ -225,6 +225,13 @@ _DATA = [*_NN12, "--data", "data.csv"]
       for p in ("tau0=1e200", "sigma=1e200", "tau0=1e-200", "sigma=1e-200", "tau0=1e-160")),
     ["prior-check", "--model", "normal-normal", "--model-params", "tau0=1e-160",
      "--region=-1,1", "--S", "20"],
+    # a normal-normal posterior precision 1/tau0^2 + n_obs/sigma^2 that
+    # overflows while each term is finite (exit 3 mid-run, with a
+    # RuntimeWarning from accuracy)
+    ["sbc", "--model", "normal-normal", "--model-params", "sigma=1e-154", "--S", "20",
+     "--M", "9"],
+    ["accuracy", "--model", "normal-normal", "--model-params", "sigma=1e-154",
+     "--theta-star", "0.3", "--estimator", "posterior-mean", "--S", "20"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
