@@ -21,7 +21,6 @@ from .approximators import (
 )
 from .calibration import (
     AccuracyResult,
-    EstimatorSpec,
     FreqCalResult,
     PowerResult,
     SbcConfig,
@@ -106,6 +105,7 @@ from .simtest import (
     SimulationTest,
     TestReport,
     critical_value,
+    rank_pvalues,
     run_test,
     simulate_null,
     simulation_pvalue,

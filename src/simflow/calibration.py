@@ -8,11 +8,11 @@ parameters), simulates a dataset and computes the pipeline's statistic on
 it, all from stream (seed, 0, i). The loop runs stage by stage over blocks
 of replications, on the block's row streams (`rng.row_blocks`): every
 prior draw of the block, then every dataset, then the statistic, which
-runs on the whole block (SBC and sharpness, through the approximator's
-block method) or row by row (estimators and tests). Each stream is called
-in the order a row-by-row loop would call it, so the draws are the same.
-Posterior SBC in `predictive` runs through it too, with the
-approximator's draws as the rows.
+runs on the whole block: the approximator's block method (SBC and
+sharpness), an estimator, which is a data statistic, or a test's block
+method. Each stream is called in the order a row-by-row loop would call
+it, so the draws are the same. Posterior SBC in `predictive` runs through
+it too, with the approximator's draws as the rows.
 """
 
 from __future__ import annotations
@@ -24,16 +24,15 @@ import numpy as np
 
 from .approximators import Approximator
 from .diagnostics import PValueSet, UniformityVerdict, uniformity_test
-from .models import Dataset, Model, SummaryStatistic, param_target
+from .models import Model, SummaryStatistic, param_target
 from .rng import row_blocks
-from .simtest import simulation_pvalue
+from .simtest import rank_pvalues, simulation_pvalue
 
 __all__ = [
     "sbc_pvalue",
     "SbcConfig",
     "SbcResult",
     "run_sbc",
-    "EstimatorSpec",
     "sample_mean_estimator",
     "posterior_mean_estimator",
     "FreqCalResult",
@@ -116,7 +115,7 @@ def _replicate(model: Model, seed: int, s: int, statistic, thetas=None,
     from its own stream, so its output does not depend on s or on other
     replications. statistic(thetas, obs, labels, rows) takes a block: the
     (k, d) thetas, the (k, n, obs_dim) datasets, their group labels and
-    the block's k row streams, and returns k values (see _each_row).
+    the block's k row streams, and returns k values.
     """
     if thetas is not None:
         thetas = np.asarray(thetas, dtype=float)
@@ -128,16 +127,6 @@ def _replicate(model: Model, seed: int, s: int, statistic, thetas=None,
         obs = model.simulate_checked(theta, rows, n_obs=n_obs)
         out.extend(statistic(theta, obs, model.group_labels(obs.shape[1]), rows))
     return out
-
-
-def _each_row(fn):
-    """The block statistic that runs fn(theta, y, rng) on each row in turn,
-    on the row's own stream."""
-
-    def rowwise(thetas, obs, labels, rows) -> list:
-        return [fn(thetas[i], Dataset(obs[i], labels), rows[i]) for i in range(len(rows))]
-
-    return rowwise
 
 
 def _default_targets(model: Model) -> tuple[SummaryStatistic, ...]:
@@ -199,37 +188,36 @@ def run_sbc(model: Model, approximator: Approximator, cfg: SbcConfig) -> SbcResu
 # Frequentist estimator calibration
 
 
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """A named point estimator of a scalar quantity."""
-
-    name: str
-    point: Callable[[Dataset], float]
-
-
-sample_mean_estimator = EstimatorSpec(
-    "sample-mean", lambda y: float(y.observations[:, 0].mean())
+# A point estimator is a data statistic: fn(obs, labels) -> one estimate of a
+# scalar quantity per dataset of the (k, n, obs_dim) block.
+sample_mean_estimator = SummaryStatistic(
+    "sample-mean", "data", lambda obs, labels: obs[:, :, 0].mean(axis=1)
 )
 
 
-def posterior_mean_estimator(model: Model) -> EstimatorSpec:
-    return EstimatorSpec(
-        "posterior-mean", lambda y: float(model.analytic_posterior(y).mean())
+def posterior_mean_estimator(model: Model) -> SummaryStatistic:
+    return SummaryStatistic(
+        "posterior-mean", "data",
+        lambda obs, labels: model.analytic_posterior(obs).mean().reshape(-1)
     )
 
 
-def _estimated(estimator: EstimatorSpec, then):
-    """Statistic then(estimate, theta, rng); NaN when the estimator raises or
-    gives a non-finite value, which _drop_failed counts as a failure."""
-
-    def statistic(theta, y, rng) -> float:
-        try:
-            est = float(estimator.point(y))
-        except Exception:
-            return np.nan
-        return then(est, theta, rng) if np.isfinite(est) else np.nan
-
-    return statistic
+def _estimates(estimator: SummaryStatistic, obs: np.ndarray, labels) -> np.ndarray:
+    """The estimator's values on a block, NaN where it fails, which
+    _drop_failed counts as a failure: a non-finite value, or a row on which
+    it raises. When the block's call raises, each row is estimated alone,
+    so only the rows that raise fail."""
+    try:
+        est = np.asarray(estimator.fn(obs, labels), dtype=float).reshape(len(obs))
+    except Exception:
+        est = np.empty(len(obs))
+        for i in range(len(obs)):
+            try:
+                est[i] = estimator.fn(obs[i:i + 1], labels)[0]
+            except Exception:
+                est[i] = np.nan
+    est[~np.isfinite(est)] = np.nan
+    return est
 
 
 def _drop_failed(values) -> tuple[np.ndarray, int]:
@@ -258,7 +246,7 @@ class FreqCalResult:
 def run_frequentist_calibration(
     model: Model,
     theta_star,
-    estimator: EstimatorSpec,
+    estimator: SummaryStatistic,
     sampling_dist,
     s: int,
     seed: int = 0,
@@ -276,21 +264,24 @@ def run_frequentist_calibration(
     confidence interval built from the same approximation.
 
     Estimator failures (exceptions or non-finite values) skip the dataset
-    and are counted.
+    and are counted. Against an array of draws each estimate is ranked
+    (rank_pvalues), its tie coin from the row's own stream.
     """
     theta_star = np.asarray(theta_star, dtype=float).reshape(-1)
     empirical = isinstance(sampling_dist, np.ndarray)
     if empirical:
         ref = np.asarray(sampling_dist, dtype=float)
 
-        def pvalue(est, theta, rng) -> float:
-            return simulation_pvalue(est, ref, "lower", rng)
-    else:
-        def pvalue(est, theta, rng) -> float:
-            return float(sampling_dist.cdf(est))
+    def block_pvalues(thetas, obs, labels, rows) -> np.ndarray:
+        est = _estimates(estimator, obs, labels)
+        if empirical:
+            return rank_pvalues(est, ref, "lower", rows)
+        p = np.full(est.size, np.nan)
+        ok = ~np.isnan(est)
+        p[ok] = sampling_dist.cdf(est[ok])
+        return p
 
-    raw = _replicate(model, seed, s, _each_row(_estimated(estimator, pvalue)), theta_star)
-    pvals, n_failed = _drop_failed(raw)
+    pvals, n_failed = _drop_failed(_replicate(model, seed, s, block_pvalues, theta_star))
     pset = PValueSet(pvals, granularity=ref.size if empirical else None)
     verdict = uniformity_test(pset, bins=bins)
     coverage = {
@@ -340,15 +331,17 @@ def power_analysis(
 
     theta_star may be None, which draws a fresh parameter from the model
     prior for every dataset (design-prior power). The test object only
-    needs a pvalue(dataset, rng) method.
+    needs a pvalues(obs, labels, rows) method: the p-values of a
+    (k, n, obs_dim) block of datasets, row i drawing from rows[i]. A dataset
+    whose p-value is NaN (its statistic is undefined) is not rejected.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
 
-    def rejects(theta, y, rng) -> bool:
-        return test.pvalue(y, rng) <= alpha
+    def rejects(thetas, obs, labels, rows) -> np.ndarray:
+        return test.pvalues(obs, labels, rows) <= alpha
 
-    hits = np.array(_replicate(model, seed, s, _each_row(rejects), theta_star), dtype=bool)
+    hits = np.array(_replicate(model, seed, s, rejects, theta_star), dtype=bool)
     power = float(hits.mean())
     return PowerResult(
         kind="power",
@@ -414,12 +407,14 @@ def _mc_size(s: int) -> None:
         raise ValueError(f"a Monte Carlo error needs at least 2 replications, got s={s}")
 
 
-def squared_error(estimate: float, truth: float) -> float:
-    return (estimate - truth) ** 2
+def squared_error(estimate, truth):
+    # float_power calls libm pow, as ** on Python floats does; numpy's **
+    # squares as x * x, which differs in the last bit
+    return np.float_power(np.subtract(estimate, truth), 2)
 
 
-def absolute_error(estimate: float, truth: float) -> float:
-    return abs(estimate - truth)
+def absolute_error(estimate, truth):
+    return np.abs(np.subtract(estimate, truth))
 
 
 @dataclass(frozen=True)
@@ -439,8 +434,8 @@ class AccuracyResult:
 def estimator_accuracy(
     model: Model,
     theta_star,
-    estimator: EstimatorSpec,
-    distance: Callable[[float, float], float] = squared_error,
+    estimator: SummaryStatistic,
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray] = squared_error,
     s: int = 1000,
     seed: int = 0,
     target: SummaryStatistic | None = None,
@@ -449,13 +444,15 @@ def estimator_accuracy(
 
     theta_star None draws the truth from the prior each iteration (Bayes
     risk); otherwise the truth is fixed (frequentist risk at a point).
+    distance maps the (k,) estimates and truths of a block to k distances.
     """
     _mc_size(s)
     target = target or param_target(0)
-    loss = _estimated(
-        estimator, lambda est, theta, rng: float(distance(est, target.on_params(theta)))
-    )
-    good, n_failed = _drop_failed(_replicate(model, seed, s, _each_row(loss), theta_star))
+
+    def losses(thetas, obs, labels, rows) -> np.ndarray:
+        return distance(_estimates(estimator, obs, labels), target.fn(thetas))
+
+    good, n_failed = _drop_failed(_replicate(model, seed, s, losses, theta_star))
     return AccuracyResult(
         kind="accuracy",
         value=float(good.mean()),

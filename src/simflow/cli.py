@@ -41,7 +41,6 @@ from .approximators import (
     abc_rejection,
 )
 from .calibration import (
-    EstimatorSpec,
     SbcConfig,
     absolute_error,
     estimator_accuracy,
@@ -64,7 +63,7 @@ from .compare import (
 from .diagnostics import band_contains, rank_histogram
 from .elicitation import beta_binomial_problem, elicit_prior
 from .errors import BudgetError, CapabilityError, DomainError, RetryError
-from .models import AnalyticPosterior, Dataset, make_model, param_target
+from .models import AnalyticPosterior, Dataset, SummaryStatistic, make_model, param_target
 from .predictive import (
     frequentist_predictive_check,
     prior_pushforward_check,
@@ -394,7 +393,14 @@ def _statistic(name: str, model):
     return statistic
 
 
-def _estimator(name: str, model) -> EstimatorSpec:
+def _defined_on(statistic, y: Dataset, path) -> None:
+    """ConfigError unless the statistic has a value on the observed data: a
+    NaN statistic has no rank among simulated ones, so no p-value."""
+    if np.isnan(statistic.on_data(y)):
+        raise ConfigError(f"statistic {statistic.name!r} is undefined (NaN) on the data in {path}")
+
+
+def _estimator(name: str, model) -> SummaryStatistic:
     estimators = {"sample-mean": lambda model: sample_mean_estimator,
                   "posterior-mean": posterior_mean_estimator}
     if name == "posterior-mean":
@@ -578,10 +584,12 @@ def _cmd_accuracy(run):
 def _cmd_test(run):
     model = _build_model(run)
     y = _load_data(run)
+    statistic = _statistic(run.statistic, model)
+    _defined_on(statistic, y, run.data)
     test = SimulationTest(
         model,
         _theta(run.theta0, "--theta0", model),
-        _statistic(run.statistic, model),
+        statistic,
         side=run.side,
         s=run.s,
         seed=run.seed,
@@ -597,6 +605,7 @@ def _cmd_ppc(run):
     model = _build_model(run)
     y = _load_data(run)
     statistic = _statistic(run.statistic, model)
+    _defined_on(statistic, y, run.data)
     if run.theta_hat is not None:
         result = frequentist_predictive_check(
             model, _theta(run.theta_hat, "--theta-hat", model), statistic, y, run.s,

@@ -31,6 +31,7 @@ __all__ = [
     "DISTANCE_REGISTRY",
     "NullSamples",
     "simulate_null",
+    "rank_pvalues",
     "simulation_pvalue",
     "critical_value",
     "SimulationTest",
@@ -183,27 +184,51 @@ def simulate_null(
     return NullSamples(out, n_resampled, statistic.name, int(s))
 
 
-def simulation_pvalue(observed: float, null_values: np.ndarray, side: str, rng) -> float:
-    """Normalized rank of the observed statistic among null draws.
+def _ranks(observed: np.ndarray, null_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(below, ties): how many null draws lie strictly below each observed
+    value and how many equal it. One value takes one comparison pass; a
+    block takes one searchsorted pass over a sorted copy of the null, never
+    the null itself, whose mean and sd depend on the order of its draws."""
+    if observed.size == 1:
+        return ((null_values < observed[0]).sum(keepdims=True),
+                (null_values == observed[0]).sum(keepdims=True))
+    ordered = np.sort(null_values)
+    below = ordered.searchsorted(observed, "left")
+    return below, ordered.searchsorted(observed, "right") - below
 
-    Strict inequalities; draws tied with the observed value are split
-    between the two sides by independent fair coin flips, so the lower and
-    upper p-values sum to one exactly.
+
+def rank_pvalues(observed, null_values: np.ndarray, side: str, rows) -> np.ndarray:
+    """Normalized ranks of k observed statistics among one shared sample of
+    null draws, one p-value per row.
+
+    Strict inequalities; the draws tied with row i's value are split
+    between the two sides by independent fair coin flips from rows[i], a
+    generator that is called only if the row ties, so the lower and upper
+    p-values sum to one exactly. A NaN statistic has no rank: its p-value is
+    NaN, and it draws no coin.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     null_values = np.asarray(null_values, dtype=float)
-    s = null_values.size
-    observed = float(observed)
-    less = int((null_values < observed).sum())
-    ties = int((null_values == observed).sum())
-    to_lower = int(as_generator(rng).binomial(ties, 0.5)) if ties else 0
-    p_lower = (less + to_lower) / s
+    observed = np.asarray(observed, dtype=float).reshape(-1)
+    below, ties = _ranks(observed, null_values)
+    undefined = np.isnan(observed)
+    ties[undefined] = 0
+    for i in np.flatnonzero(ties):
+        below[i] += rows[i].binomial(int(ties[i]), 0.5)
+    p_lower = below / null_values.size
+    p_lower[undefined] = np.nan
     if side == "lower":
         return p_lower
     if side == "upper":
         return 1.0 - p_lower
-    return min(1.0, 2.0 * min(p_lower, 1.0 - p_lower))
+    return np.minimum(1.0, 2.0 * np.minimum(p_lower, 1.0 - p_lower))
+
+
+def simulation_pvalue(observed: float, null_values: np.ndarray, side: str, rng) -> float:
+    """The p-value of one observed statistic (rank_pvalues), its tie coin
+    from rng."""
+    return float(rank_pvalues(observed, null_values, side, [as_generator(rng)])[0])
 
 
 def _critical_probs(alpha: float, side: str) -> tuple[float, ...]:
@@ -275,10 +300,16 @@ class SimulationTest:
         self.null = simulate_null(model, theta0, statistic, s, substream(seed, 0),
                                   n_obs=n_obs)
 
+    def pvalues(self, obs: np.ndarray, labels, rows) -> np.ndarray:
+        """The p-values of a (k, n, obs_dim) block of datasets with shared
+        group labels, row i's tie coin from rows[i] (rank_pvalues)."""
+        return rank_pvalues(self.statistic.fn(obs, labels), self.null.values, self.side, rows)
+
     def pvalue(self, y: Dataset, rng=None) -> float:
-        observed = self.statistic.on_data(y)
+        """The p-value of one dataset, a block of one; its tie coin comes
+        from rng, by default stream (seed, 1)."""
         rng = as_generator(rng) if rng is not None else substream(self.seed, 1)
-        return simulation_pvalue(observed, self.null.values, self.side, rng)
+        return float(self.pvalues(y.observations[None], y.group_labels, [rng])[0])
 
     def report(self, y: Dataset, alphas=(0.01, 0.05, 0.1), rng=None) -> TestReport:
         observed = self.statistic.on_data(y)
@@ -314,14 +345,19 @@ class AnalyticZTest:
         self.sigma = float(sigma)
         self.side = side
 
-    def pvalue(self, y: Dataset, rng=None) -> float:
-        n = y.n_obs
-        z = (y.observations[:, 0].mean() - self.theta0) * np.sqrt(n) / self.sigma
+    def pvalues(self, obs: np.ndarray, labels=None, rows=None) -> np.ndarray:
+        """The p-values of a (k, n, obs_dim) block of datasets; the test
+        draws nothing, so labels and rows are unused."""
+        z = (obs[:, :, 0].mean(axis=1) - self.theta0) * np.sqrt(obs.shape[1]) / self.sigma
         if self.side == "upper":
-            return float(ndtr(-z))
+            return ndtr(-z)
         if self.side == "lower":
-            return float(ndtr(z))
-        return float(2.0 * ndtr(-abs(z)))
+            return ndtr(z)
+        return 2.0 * ndtr(-np.abs(z))
+
+    def pvalue(self, y: Dataset, rng=None) -> float:
+        """The p-value of one dataset, a block of one."""
+        return float(self.pvalues(y.observations[None])[0])
 
 
 def run_test(

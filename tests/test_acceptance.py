@@ -15,7 +15,6 @@ from scipy import stats
 from simflow import (
     Dataset,
     BetaBinomial,
-    EstimatorSpec,
     ExactConjugate,
     LogNormalTwoGroup,
     ModelEntry,
@@ -159,9 +158,9 @@ def test_criterion_05_power_matches_closed_form():
     model = NormalNormal(mu0=0.0, tau0=1.0, sigma=1.0, n_obs=25)
 
     class UpperZ:
-        def pvalue(self, y, rng):
-            z = y.observations[:, 0].mean() * np.sqrt(y.n_obs)
-            return float(stats.norm.sf(z))
+        def pvalues(self, obs, labels, rows):
+            z = obs[:, :, 0].mean(axis=1) * np.sqrt(obs.shape[1])
+            return stats.norm.sf(z)
 
     result = power_analysis(model, np.array([0.5]), UpperZ(), alpha=0.05,
                             s=10_000, seed=0)

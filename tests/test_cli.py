@@ -232,6 +232,12 @@ _DATA = [*_NN12, "--data", "data.csv"]
      "--M", "9"],
     ["accuracy", "--model", "normal-normal", "--model-params", "sigma=1e-154",
      "--theta-star", "0.3", "--estimator", "posterior-mean", "--S", "20"],
+    # a statistic undefined on the observed data (a NaN observed value got
+    # p-value 0, or ppp 0)
+    ["test", "--model", "poisson-gamma", "--model-params", "a=3,b=1,n_obs=4",
+     "--data", "const.csv", "--statistic", "lag1-autocorr", "--theta0", "2", "--S", "2000"],
+    ["ppc", "--model", "poisson-gamma", "--model-params", "a=3,b=1,n_obs=4",
+     "--data", "const.csv", "--statistic", "lag1-autocorr", "--S", "200"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -265,11 +271,22 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
         "[compare]\nmodels = near, near\n[model:near]\nname = normal-normal\nn_obs = 12\n")
     _write_data(tmp_path / "data.csv")
     (tmp_path / "empty.csv").write_text("y0\n")
+    (tmp_path / "const.csv").write_text("y0\n2\n2\n2\n2\n")
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+def test_undefined_statistic_exits_before_the_null(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "const.csv").write_text("y0\n2\n2\n2\n2\n")
+    monkeypatch.setattr(simflow.simtest, "simulate_null",
+                        lambda *args, **kwargs: pytest.fail("the null was simulated"))
+    assert main(["test", "--model", "poisson-gamma", "--data", "const.csv",
+                 "--statistic", "lag1-autocorr", "--theta0", "2", "--out", "x"]) == 2
+    assert "undefined" in capsys.readouterr().err
 
 
 _LN = ["--model", "lognormal-two-group"]

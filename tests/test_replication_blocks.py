@@ -4,7 +4,8 @@ Each pipeline must give, bit for bit, what a loop that runs replication i
 on its own stream substream(seed, 0, i), one replication after another,
 gives: whatever the block size and wherever S falls against it. RWM runs
 a block's chains in lockstep, so its reference is a row-by-row sampler
-written here.
+written here; so are the one-dataset estimators, tests, distances and
+p-value that the block statistics replace.
 """
 
 import warnings
@@ -18,14 +19,15 @@ from simflow import calibration
 from simflow.approximators import ExactConjugate, PerturbedConjugate, RandomWalkMetropolis
 from simflow.calibration import (
     SbcConfig,
+    absolute_error,
     estimator_accuracy,
     posterior_mean_estimator,
     power_analysis,
     run_frequentist_calibration,
     run_sbc,
     sample_mean_estimator,
-    sbc_pvalue,
     sharpness,
+    squared_error,
 )
 from simflow.models import (
     AnalyticPosterior,
@@ -39,7 +41,8 @@ from simflow.models import (
 )
 from simflow.predictive import run_posterior_sbc
 from simflow.rng import substream
-from simflow.simtest import STATISTIC_REGISTRY, SimulationTest, simulation_pvalue
+from scipy.special import ndtr
+from simflow.simtest import SIDES, STATISTIC_REGISTRY, AnalyticZTest, SimulationTest
 
 MODELS = {
     "normal-normal": NormalNormal(mu0=0.3, tau0=1.5, sigma=0.8, n_obs=4),
@@ -66,6 +69,20 @@ def reference_loop(model, seed, s, statistic, thetas=None, n_obs=None) -> list:
         theta = model.sample_prior(rng, 1)[0] if thetas is None else thetas[i]
         out.append(statistic(theta, model.simulate_data(theta, rng, n_obs=n_obs), rng))
     return out
+
+
+def reference_pvalue(observed, null_values, side, rng) -> float:
+    """Normalized rank of one observed value among null draws, in one
+    comparison pass: ties split by a coin from rng, drawn only if it ties."""
+    s = null_values.size
+    less = int((null_values < observed).sum())
+    ties = int((null_values == observed).sum())
+    p_lower = (less + (int(rng.binomial(ties, 0.5)) if ties else 0)) / s
+    if side == "lower":
+        return p_lower
+    if side == "upper":
+        return 1.0 - p_lower
+    return min(1.0, 2.0 * min(p_lower, 1.0 - p_lower))
 
 
 def reference_rwm(model, y, rng, m, chains, warmup, step_sd):
@@ -123,7 +140,8 @@ def reference_draws(model, approximator, y, rng, m) -> np.ndarray:
 def reference_ranks(model, approximator, targets, m):
     def ranks(theta, y, rng):
         draws = reference_draws(model, approximator, y, rng, m)
-        return [sbc_pvalue(t.on_params(theta), t.fn(draws), rng) for t in targets]
+        return [reference_pvalue(t.on_params(theta), t.fn(draws), "lower", rng)
+                for t in targets]
 
     return ranks
 
@@ -149,20 +167,23 @@ def pvalue_columns(result, targets) -> np.ndarray:
     return np.column_stack([result.pvalues[t.name].values for t in targets])
 
 
+class LoopReturned(Exception):
+    """Stops a pipeline as soon as its replication loop returns."""
+
+
 def loop_output(fn, *args, **kwargs) -> np.ndarray:
-    """The values _replicate returned inside fn(*args, **kwargs)."""
-    seen = []
+    """The values _replicate returned inside fn(*args, **kwargs), which
+    stops there (so a run whose every estimate failed still shows them)."""
     real = calibration._replicate
 
     def spy(*a, **k):
-        seen.append(real(*a, **k))
-        return seen[-1]
+        raise LoopReturned(real(*a, **k))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(calibration, "_replicate", spy)
-        fn(*args, **kwargs)
-    (out,) = seen
-    return np.asarray(out)
+        with pytest.raises(LoopReturned) as returned:
+            fn(*args, **kwargs)
+    return np.asarray(returned.value.args[0])
 
 
 def sizes(block: int) -> tuple[int, ...]:
@@ -266,26 +287,75 @@ def test_rwm_lockstep_warns_for_each_row(model):
     np.testing.assert_array_equal(got, np.asarray(want)[:, 0])
 
 
+# One-dataset references of the estimators: y -> estimate
+REFERENCE_ESTIMATORS = {
+    "posterior-mean": lambda model: lambda y: float(model.analytic_posterior(y).mean()),
+    "sample-mean": lambda model: lambda y: float(y.observations[:, 0].mean()),
+}
+
+
+def _flaky_rows(obs):
+    """Rows whose first value is above all their others (the estimator
+    raises on a block holding one), and rows whose last value is below
+    their first (NaN estimate)."""
+    first = obs[:, 0, 0]
+    return (first[:, None] > obs[:, 1:, 0]).all(axis=1), obs[:, -1, 0] < first
+
+
+def _flaky(obs, labels):
+    raises, undefined = _flaky_rows(obs)
+    if raises.any():
+        raise ValueError("estimator diverged")
+    return np.where(undefined, np.nan, obs[:, :, 0].mean(axis=1))
+
+
+def reference_estimate(estimator, y) -> float:
+    """estimator on one dataset; NaN where it raises or is not finite."""
+    try:
+        est = float(estimator(y))
+    except ValueError:
+        return np.nan
+    return est if np.isfinite(est) else np.nan
+
+
+def _flaky_reference(y):
+    raises, undefined = _flaky_rows(y.observations[None])
+    if raises[0]:
+        raise ValueError("estimator diverged")
+    return np.nan if undefined[0] else y.observations[:, 0].mean()
+
+
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**64), block=st.integers(11, 16), truth=st.floats(-1.0, 1.0))
 def test_frequentist_calibration_blocks_equal_row_loop(seed, block, truth):
     model = MODELS["normal-normal"]
     estimator = posterior_mean_estimator(model)
+    point = REFERENCE_ESTIMATORS["posterior-mean"](model)
     law = AnalyticPosterior("normal", (0.2, 0.4))
     # an empirical law with repeated values, so estimates can tie with it
     ref = np.round(substream(seed, 5).normal(0.2, 0.4, 40), 1)
     for sampling, pvalue in [(law, lambda est, rng: float(law.cdf(est))),
-                             (ref, lambda est, rng: simulation_pvalue(est, ref, "lower", rng))]:
+                             (ref, lambda est, rng: reference_pvalue(est, ref, "lower", rng))]:
         def run(s):
             return run_frequentist_calibration(model, truth, estimator, sampling, s,
                                                seed=seed).pvalues.values
 
         def reference(s):
             return reference_loop(model, seed, s,
-                                  lambda theta, y, rng: pvalue(float(estimator.point(y)), rng),
+                                  lambda theta, y, rng: pvalue(point(y), rng),
                                   np.broadcast_to([truth], (s, 1)))
 
         assert_blocks_match(block, run, reference)
+
+
+def reference_z_pvalue(y, theta0, side) -> float:
+    """The one-sample z test with sigma 1 on one dataset."""
+    z = (y.observations[:, 0].mean() - theta0) * np.sqrt(y.n_obs)
+    if side == "upper":
+        return float(ndtr(-z))
+    if side == "lower":
+        return float(ndtr(z))
+    return float(2.0 * ndtr(-abs(z)))
 
 
 @pytest.mark.filterwarnings("ignore:acceptance rate")
@@ -295,16 +365,34 @@ def test_frequentist_calibration_blocks_equal_row_loop(seed, block, truth):
 def test_power_accuracy_and_sharpness_blocks_equal_row_loop(model, seed, block):
     model = MODELS[model]
     truth = model.sample_prior(substream(seed, 6), 1)[0]
-    test = SimulationTest(model, truth, STATISTIC_REGISTRY["mean"], side="upper", s=30,
-                          seed=1)
-    estimator = posterior_mean_estimator(model)
-    runs = {
-        "power": (lambda s, th: loop_output(power_analysis, model, th, test, 0.3, s, seed=seed),
-                  lambda theta, y, rng: test.pvalue(y, rng) <= 0.3),
-        "accuracy": (lambda s, th: loop_output(estimator_accuracy, model, th, estimator,
-                                               s=s, seed=seed),
-                     lambda theta, y, rng: (estimator.point(y) - theta[0]) ** 2),
-    }
+    mean = STATISTIC_REGISTRY["mean"]
+    runs = {}
+    for side in SIDES:
+        # the count models' means tie with their null draws
+        sim = SimulationTest(model, truth, mean, side=side, s=30, seed=1)
+        runs[f"power-sim-{side}"] = (
+            lambda s, th, sim=sim: loop_output(power_analysis, model, th, sim, 0.3, s,
+                                               seed=seed),
+            lambda theta, y, rng, sim=sim, side=side: reference_pvalue(
+                mean.on_data(y), sim.null.values, side, rng) <= 0.3)
+        z = AnalyticZTest(float(truth[0]), 1.0, side=side)
+        runs[f"power-z-{side}"] = (
+            lambda s, th, z=z: loop_output(power_analysis, model, th, z, 0.3, s, seed=seed),
+            lambda theta, y, rng, side=side: reference_z_pvalue(y, truth[0], side) <= 0.3)
+    estimators = {"posterior-mean": (posterior_mean_estimator(model),
+                                     REFERENCE_ESTIMATORS["posterior-mean"](model)),
+                  "sample-mean": (sample_mean_estimator,
+                                  REFERENCE_ESTIMATORS["sample-mean"](model)),
+                  "flaky": (SummaryStatistic("flaky", "data", _flaky), _flaky_reference)}
+    distances = {"squared": (squared_error, lambda e, t: (e - t) ** 2),
+                 "absolute": (absolute_error, lambda e, t: abs(e - t))}
+    for name, (estimator, point) in estimators.items():
+        for dist_name, (distance, reference_distance) in distances.items():
+            runs[f"accuracy-{name}-{dist_name}"] = (
+                lambda s, th, estimator=estimator, distance=distance: loop_output(
+                    estimator_accuracy, model, th, estimator, distance, s=s, seed=seed),
+                lambda theta, y, rng, point=point, reference_distance=reference_distance:
+                    reference_distance(reference_estimate(point, y), float(theta[0])))
     for run, statistic in runs.values():
         for th in (None, truth):
             assert_blocks_match(

@@ -10,6 +10,7 @@ from simflow import (
     DISTANCE_REGISTRY,
     STATISTIC_REGISTRY,
     AnalyticZTest,
+    Dataset,
     LogNormalTwoGroup,
     NormalNormal,
     PoissonGamma,
@@ -18,6 +19,8 @@ from simflow import (
     SummaryStatistic,
     critical_value,
     param_target,
+    power_analysis,
+    rank_pvalues,
     run_test,
     simulate_null,
     simulation_pvalue,
@@ -25,7 +28,7 @@ from simflow import (
     uniformity_test,
 )
 from simflow.errors import RetryError
-from simflow.simtest import SIDES, mean_stat, pooled_t
+from simflow.simtest import SIDES, lag1_autocorr, mean_stat, pooled_t
 
 
 def test_constant_statistic_null():
@@ -73,6 +76,49 @@ def test_tie_handling_splits_exactly():
     p_hi = simulation_pvalue(3.0, null, "upper", substream(5, 0))
     assert p_lo + p_hi == 1.0
     assert 0.0 < p_lo < 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(observed=st.lists(st.sampled_from([-np.inf, 0.0, 1.0, 1.5, 2.0, 7.0, np.inf, np.nan]),
+                         min_size=2, max_size=12),
+       null=st.lists(st.sampled_from([-np.inf, 0.0, 1.0, 2.0, 2.0, 3.0, np.inf]),
+                     min_size=1, max_size=30),
+       side=st.sampled_from(SIDES), seed=st.integers(0, 2**32))
+def test_block_ranks_equal_one_observation_at_a_time(observed, null, side, seed):
+    # one searchsorted pass over a sorted copy gives each row's one-value
+    # p-value, tie coin and stream use included; the null keeps its order
+    null = np.array(null)
+    before = null.copy()
+    block_rows = [substream(seed, i) for i in range(len(observed))]
+    got = rank_pvalues(np.array(observed), null, side, block_rows)
+    assert np.array_equal(null, before)
+    rows = [substream(seed, i) for i in range(len(observed))]
+    want = [simulation_pvalue(o, null, side, rng) for o, rng in zip(observed, rows)]
+    np.testing.assert_array_equal(got, want)
+    assert [r.random() for r in block_rows] == [r.random() for r in rows]
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_undefined_statistic_has_no_pvalue(side):
+    # a NaN statistic is not below every null draw: its p-value is NaN, and
+    # it draws no tie coin
+    null = np.array([1.0, 2.0, 2.0, 3.0])
+    rng = substream(5, 0)
+    assert np.isnan(simulation_pvalue(np.nan, null, side, rng))
+    assert rng.random() == substream(5, 0).random()
+    ranks = rank_pvalues([np.nan, 0.5], null, side, [substream(5, 1), substream(5, 2)])
+    assert np.isnan(ranks[0]) and ranks[1] == simulation_pvalue(0.5, null, side, rng)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_power_does_not_reject_an_undefined_statistic(side):
+    # at theta* = 1e-9 every dataset is all zeros, whose lag-1 autocorrelation
+    # is 0/0 (it counted as a rejection on the lower and two-sided tests)
+    model = PoissonGamma(a=3.0, b=1.0, n_obs=4)
+    test = SimulationTest(model, [3.0], lag1_autocorr, side=side, s=200, seed=1)
+    assert np.isnan(test.pvalue(Dataset(np.zeros((4, 1))), substream(0, 0)))
+    result = power_analysis(model, [1e-9], test, alpha=0.5, s=50, seed=0)
+    assert result.n_rejections == 0 and result.power == 0.0
 
 
 def test_pooled_t_null_is_not_student_t_for_lognormal():
