@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from simflow import calibration
 from simflow.approximators import ExactConjugate, PerturbedConjugate, RandomWalkMetropolis
@@ -41,7 +42,6 @@ from simflow.models import (
 )
 from simflow.predictive import run_posterior_sbc
 from simflow.rng import substream
-from scipy.special import ndtr
 from simflow.simtest import SIDES, STATISTIC_REGISTRY, AnalyticZTest, SimulationTest
 
 MODELS = {
@@ -287,11 +287,13 @@ def test_rwm_lockstep_warns_for_each_row(model):
     np.testing.assert_array_equal(got, np.asarray(want)[:, 0])
 
 
-# One-dataset references of the estimators: y -> estimate
-REFERENCE_ESTIMATORS = {
-    "posterior-mean": lambda model: lambda y: float(model.analytic_posterior(y).mean()),
-    "sample-mean": lambda model: lambda y: float(y.observations[:, 0].mean()),
-}
+def reference_sample_mean(y) -> float:
+    return float(y.observations[:, 0].mean())
+
+
+def reference_posterior_mean(model):
+    """The posterior-mean estimator of one dataset, y -> estimate."""
+    return lambda y: float(model.analytic_posterior(y).mean())
 
 
 def _flaky_rows(obs):
@@ -330,7 +332,7 @@ def _flaky_reference(y):
 def test_frequentist_calibration_blocks_equal_row_loop(seed, block, truth):
     model = MODELS["normal-normal"]
     estimator = posterior_mean_estimator(model)
-    point = REFERENCE_ESTIMATORS["posterior-mean"](model)
+    point = reference_posterior_mean(model)
     law = AnalyticPosterior("normal", (0.2, 0.4))
     # an empirical law with repeated values, so estimates can tie with it
     ref = np.round(substream(seed, 5).normal(0.2, 0.4, 40), 1)
@@ -380,9 +382,8 @@ def test_power_accuracy_and_sharpness_blocks_equal_row_loop(model, seed, block):
             lambda s, th, z=z: loop_output(power_analysis, model, th, z, 0.3, s, seed=seed),
             lambda theta, y, rng, side=side: reference_z_pvalue(y, truth[0], side) <= 0.3)
     estimators = {"posterior-mean": (posterior_mean_estimator(model),
-                                     REFERENCE_ESTIMATORS["posterior-mean"](model)),
-                  "sample-mean": (sample_mean_estimator,
-                                  REFERENCE_ESTIMATORS["sample-mean"](model)),
+                                     reference_posterior_mean(model)),
+                  "sample-mean": (sample_mean_estimator, reference_sample_mean),
                   "flaky": (SummaryStatistic("flaky", "data", _flaky), _flaky_reference)}
     distances = {"squared": (squared_error, lambda e, t: (e - t) ** 2),
                  "absolute": (absolute_error, lambda e, t: abs(e - t))}
