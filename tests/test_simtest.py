@@ -110,6 +110,7 @@ def test_undefined_statistic_has_no_pvalue(side):
     assert np.isnan(ranks[0]) and ranks[1] == simulation_pvalue(0.5, null, side, rng)
 
 
+@pytest.mark.filterwarnings("ignore:1 null draws resampled")
 @pytest.mark.parametrize("side", SIDES)
 def test_power_does_not_reject_an_undefined_statistic(side):
     # at theta* = 1e-9 every dataset is all zeros, whose lag-1 autocorrelation
