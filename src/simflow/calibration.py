@@ -410,11 +410,11 @@ def _mc_size(s: int) -> None:
 def squared_error(estimate, truth):
     # float_power calls libm pow, as ** on Python floats does; numpy's **
     # squares as x * x, which differs in the last bit
-    return np.float_power(np.subtract(estimate, truth), 2)
+    return np.float_power(estimate - truth, 2)
 
 
 def absolute_error(estimate, truth):
-    return np.abs(np.subtract(estimate, truth))
+    return np.abs(estimate - truth)
 
 
 @dataclass(frozen=True)
