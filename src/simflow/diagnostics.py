@@ -16,6 +16,7 @@ points, so building a band draws no random numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,7 +122,7 @@ class _NullCounts:
     (Sailynoja, Burkner & Vehtari 2022, Stat. Comput. 32:32).
     """
 
-    def __init__(self, s: int, granularity: int | None):
+    def __init__(self, s: int, granularity: int | None, tail_min: float):
         self.s = s
         self.grid = _grid_for(s)
         probs = _null_cdf_at_grid(s, granularity)
@@ -133,6 +134,17 @@ class _NullCounts:
         self.cdf = np.cumsum(pmf, axis=1)                     # P(C_j <= k)
         self.sf = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]   # P(C_j > k), k < s
         del pmf
+
+        # count_bounds is asked only for tail levels x in [tail_min, 0.5]. The
+        # rows of cdf rise and those of sf fall, so every entry outside the
+        # slice between tail_min and 0.5 is counted at every such x, or at
+        # none: keep the slices, padded to one width, and the counts before.
+        self.lo_base = np.count_nonzero(self.cdf < tail_min, axis=1)
+        self.lo_tail = _row_slices(self.cdf, self.lo_base,
+                                   np.count_nonzero(self.cdf < 0.5, axis=1), 1.0)
+        self.up_base = np.count_nonzero(self.sf > 0.5, axis=1)
+        self.up_tail = _row_slices(self.sf, self.up_base,
+                                   np.count_nonzero(self.sf > tail_min, axis=1), 0.0)
 
         # log P(c -> c') = alpha[c] + beta[c' - c] + gamma[c'] for 0 < q < 1,
         # so each step of the recursion is one convolution. Any tilt lam
@@ -149,10 +161,13 @@ class _NullCounts:
         self.gamma = -logf[s - k] - lam * k
 
     def count_bounds(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Pointwise binomial quantiles at delta/2 and 1 - delta/2 per grid point."""
+        """Pointwise binomial quantiles at delta/2 and 1 - delta/2 per grid point.
+
+        delta/2 must lie in [tail_min, 0.5].
+        """
         x = delta / 2.0
-        lo = np.count_nonzero(self.cdf < x, axis=1)
-        up = np.count_nonzero(self.sf > x, axis=1)
+        lo = self.lo_base + np.count_nonzero(self.lo_tail < x, axis=1)
+        up = self.up_base + np.count_nonzero(self.up_tail > x, axis=1)
         # widen to always contain the null mean so the diff band brackets zero
         mean = self.s * self.grid
         return np.minimum(lo, mean), np.maximum(up, mean)
@@ -186,36 +201,66 @@ class _NullCounts:
         return float(state.sum())
 
 
+def _row_slices(table: np.ndarray, start: np.ndarray, stop: np.ndarray,
+                pad: float) -> np.ndarray:
+    """table[j, start[j]:stop[j]] for each row j, right-padded with pad."""
+    cols = start[:, None] + np.arange((stop - start).max(initial=0))
+    rows = np.take_along_axis(table, np.minimum(cols, table.shape[1] - 1), axis=1)
+    return np.where(cols < stop[:, None], rows, pad)
+
+
+def _log_miss(covered: float) -> float:
+    return math.log(1.0 - covered) if covered < 1.0 else -math.inf
+
+
 @lru_cache(maxsize=64)
 def _calibrated_band(s: int, granularity: int | None, coverage: float) -> EcdfBand:
-    null = _NullCounts(s, granularity)
     # Bonferroni: at this pointwise miss probability the band covers at least
     # `coverage`, whatever the dependence between grid points.
-    bonferroni = (1.0 - coverage) / null.grid.size
+    bonferroni = (1.0 - coverage) / _grid_for(s).size
+    null = _NullCounts(s, granularity, bonferroni / 2.0)
     # A count bound moves only where delta/2 crosses a binomial tail
     # probability. Each such probability and the float just below it give
     # every distinct band, each at the loosest delta that yields it.
-    tails = np.concatenate([t[(t > bonferroni / 2.0) & (t < 0.5)] for t in (null.cdf, null.sf)])
+    tails = np.concatenate([t[(t > bonferroni / 2.0) & (t < 0.5)]
+                            for t in (null.lo_tail, null.up_tail)])
     tails = np.unique(np.concatenate([tails, np.nextafter(tails, 0.0)]))
     deltas = np.concatenate(([bonferroni], 2.0 * tails[2.0 * tails > bonferroni], [1.0]))
+    log_deltas = np.log(deltas)
 
     def band_at(i: int):
         bounds = null.count_bounds(deltas[i])
         return bounds, null.coverage(*bounds)
 
-    # Bisect for the loosest pointwise level whose exact coverage still meets
-    # the target; coverage only falls as delta grows. The band at keep is
-    # the last one that met it, unless keep never moved from 0.
-    keep, drop, kept = 0, deltas.size, None
+    # Coverage only falls as delta grows; the band is the one at the last
+    # candidate whose exact coverage meets the target. keep meets it (index 0,
+    # Bonferroni, by the bound) and drop does not (deltas.size stands for a
+    # miss probability of 1 at delta = 1). log(1 - coverage) is close to
+    # linear in log delta, so each step tries the first candidate past the
+    # secant through the bracket ends, strictly inside the bracket. A step
+    # that does not halve the bracket is followed by a bisection, so the
+    # search needs at most about twice the recursions of bisection alone.
+    target = math.log1p(-coverage)
+    kept = band_at(0)
+    keep, keep_xy = 0, (log_deltas[0], _log_miss(kept[1]))
+    drop, drop_xy = deltas.size, (0.0, 0.0)
+    halved = True
     while drop - keep > 1:
+        width = drop - keep
         mid = (keep + drop) // 2
+        (xk, yk), (xd, yd) = keep_xy, drop_xy
+        if halved and -math.inf < yk <= target:
+            x = xk + (target - yk) * (xd - xk) / (yd - yk)
+            mid = min(max(int(np.searchsorted(log_deltas, x)), keep + 1), drop - 1)
         band = band_at(mid)
+        xy = (log_deltas[mid], _log_miss(band[1]))
         if band[1] >= coverage:
-            keep, kept = mid, band
+            keep, keep_xy, kept = mid, xy, band
         else:
-            drop = mid
+            drop, drop_xy = mid, xy
+        halved = drop - keep <= (width + 1) // 2
     delta = float(deltas[keep])
-    (count_lo, count_up), covered = kept or band_at(keep)
+    (count_lo, count_up), covered = kept
     return EcdfBand(
         grid=null.grid,
         lower=count_lo / s - null.grid,

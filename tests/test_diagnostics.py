@@ -5,6 +5,8 @@ properties checked by Monte Carlo at fixed seeds; the band's exact coverage
 is also checked against a plain dense recursion.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,9 +125,112 @@ def test_band_is_loosest_with_stated_coverage(s, m):
     band = ecdf_band(s, granularity=m, coverage=0.95)
     assert band.coverage_exact >= band.coverage
     # a pointwise level looser by a relative 1e-9 already covers too little
-    null = diagnostics._NullCounts(s, m)
+    null = diagnostics._NullCounts(s, m, (1.0 - band.coverage) / band.grid.size / 2.0)
     looser = null.count_bounds((1.0 - band.pointwise_level) * (1.0 + 1e-9))
     assert null.coverage(*looser) < band.coverage
+
+
+def _candidates(null, s, coverage):
+    """The candidate deltas of the band search, read from the whole count tables."""
+    bonferroni = (1.0 - coverage) / null.grid.size
+    tails = np.concatenate([t[(t > bonferroni / 2.0) & (t < 0.5)] for t in (null.cdf, null.sf)])
+    tails = np.unique(np.concatenate([tails, np.nextafter(tails, 0.0)]))
+    return np.concatenate(([bonferroni], 2.0 * tails[2.0 * tails > bonferroni], [1.0]))
+
+
+def _full_row_bounds(null, delta):
+    """count_bounds as counted over whole rows of the count tables."""
+    x = delta / 2.0
+    mean = null.s * null.grid
+    return (np.minimum(np.count_nonzero(null.cdf < x, axis=1), mean),
+            np.maximum(np.count_nonzero(null.sf > x, axis=1), mean))
+
+
+def _bisected_band(s, m, coverage):
+    """The band as plain bisection over the candidates finds it, and its recursions.
+
+    A frozen copy of the search the secant search replaced.
+    """
+    null = diagnostics._NullCounts(s, m, (1.0 - coverage) / min(s, 100) / 2.0)
+    deltas = _candidates(null, s, coverage)
+    calls = []
+
+    def band_at(i):
+        bounds = _full_row_bounds(null, deltas[i])
+        calls.append(i)
+        return bounds, null.coverage(*bounds)
+
+    keep, drop, kept = 0, deltas.size, None
+    while drop - keep > 1:
+        mid = (keep + drop) // 2
+        band = band_at(mid)
+        if band[1] >= coverage:
+            keep, kept = mid, band
+        else:
+            drop = mid
+    (count_lo, count_up), covered = kept or band_at(keep)
+    band = diagnostics.EcdfBand(
+        grid=null.grid, lower=count_lo / s - null.grid, upper=count_up / s - null.grid,
+        count_lower=count_lo, count_upper=count_up, coverage=float(coverage),
+        coverage_exact=covered, pointwise_level=1.0 - float(deltas[keep]), s=s,
+        granularity=m)
+    return band, len(calls)
+
+
+def _searched_band(s, m, coverage, monkeypatch):
+    """The band as _calibrated_band builds it, uncached, and its recursions."""
+    calls = []
+    recursion = diagnostics._NullCounts.coverage
+
+    def counted(self, *bounds):
+        calls.append(1)
+        return recursion(self, *bounds)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(diagnostics._NullCounts, "coverage", counted)
+        band = diagnostics._calibrated_band.__wrapped__(s, m, coverage)
+    return band, len(calls)
+
+
+def _assert_same_band(got, want):
+    for field in dataclasses.fields(diagnostics.EcdfBand):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+@pytest.mark.parametrize("m", [None, 1, 9, 19, 99, 999])
+@pytest.mark.parametrize("s", [10, 11, 50, 400, 2000, 10_000])
+def test_band_search_equals_frozen_bisection(s, m, monkeypatch):
+    for coverage in (0.5, 0.8, 0.9, 0.95, 0.99):
+        got, _ = _searched_band(s, m, coverage, monkeypatch)
+        want, _ = _bisected_band(s, m, coverage)
+        _assert_same_band(got, want)
+
+
+def test_band_search_equals_frozen_bisection_at_large_s(monkeypatch):
+    got, _ = _searched_band(100_000, 999, 0.95, monkeypatch)
+    want, _ = _bisected_band(100_000, 999, 0.95)
+    _assert_same_band(got, want)
+
+
+@pytest.mark.parametrize("s, m, coverage", [(400, 99, 0.95), (2000, None, 0.95), (50, 19, 0.95)])
+def test_band_search_needs_no_more_recursions_than_bisection(s, m, coverage, monkeypatch):
+    # the band sizes of the benchmark's sbc-loop commands
+    _, searched = _searched_band(s, m, coverage, monkeypatch)
+    _, bisected = _bisected_band(s, m, coverage)
+    assert searched <= bisected
+
+
+@pytest.mark.parametrize("s, m, coverage", [
+    (10, 1, 0.8), (11, None, 0.5), (50, 19, 0.95), (400, 99, 0.95), (400, 9, 0.99)])
+def test_windowed_count_bounds_equal_full_rows(s, m, coverage):
+    null = diagnostics._NullCounts(s, m, (1.0 - coverage) / min(s, 100) / 2.0)
+    for delta in _candidates(null, s, coverage):
+        got, want = null.count_bounds(delta), _full_row_bounds(null, delta)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), delta
 
 
 def test_chi2_type1_error_rates():
