@@ -49,35 +49,38 @@ SIDES = ("lower", "upper", "two_sided")
 # Built-in statistics: each fn maps obs (s, n, d) and the group labels to (s,)
 
 
-def _group_masks(labels: np.ndarray | None):
+def _groups(obs: np.ndarray, labels: np.ndarray | None):
+    """The two groups' values, (s, n_g) each, as contiguous copies.
+
+    Contiguous rows sum pairwise as a 1-D array does, so a dataset's
+    statistic does not depend on the block it is computed in.
+    """
     if labels is None:
         raise ValueError("this statistic needs two-group data (group labels)")
     groups = np.unique(labels)
     if groups.size != 2:
         raise ValueError("expected exactly two groups")
-    return labels == groups[0], labels == groups[1]
+    return tuple(np.ascontiguousarray(obs[:, labels == g, 0]) for g in groups)
 
 
 mean_stat = SummaryStatistic("mean", "data", lambda obs, labels: obs[:, :, 0].mean(axis=1))
 
 
 def _mean_diff(obs: np.ndarray, labels):
-    g0, g1 = _group_masks(labels)
-    s = obs[:, :, 0]
-    return s[:, g0].mean(axis=1) - s[:, g1].mean(axis=1)
+    s0, s1 = _groups(obs, labels)
+    return s0.mean(axis=1) - s1.mean(axis=1)
 
 
 mean_difference = SummaryStatistic("mean-diff", "data", _mean_diff)
 
 
 def _pooled_t(obs: np.ndarray, labels):
-    g0, g1 = _group_masks(labels)
-    s = obs[:, :, 0]
-    n0, n1 = int(g0.sum()), int(g1.sum())
-    m0 = s[:, g0].mean(axis=1)
-    m1 = s[:, g1].mean(axis=1)
-    v0 = s[:, g0].var(axis=1, ddof=1)
-    v1 = s[:, g1].var(axis=1, ddof=1)
+    s0, s1 = _groups(obs, labels)
+    n0, n1 = s0.shape[1], s1.shape[1]
+    m0 = s0.mean(axis=1)
+    m1 = s1.mean(axis=1)
+    v0 = s0.var(axis=1, ddof=1)
+    v1 = s1.var(axis=1, ddof=1)
     sp2 = ((n0 - 1) * v0 + (n1 - 1) * v1) / (n0 + n1 - 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (m0 - m1) / np.sqrt(sp2 * (1.0 / n0 + 1.0 / n1))
@@ -87,10 +90,9 @@ pooled_t = SummaryStatistic("pooled-t", "data", _pooled_t)
 
 
 def _variance_ratio(obs: np.ndarray, labels):
-    g0, g1 = _group_masks(labels)
-    s = obs[:, :, 0]
+    s0, s1 = _groups(obs, labels)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return s[:, g0].var(axis=1, ddof=1) / s[:, g1].var(axis=1, ddof=1)
+        return s0.var(axis=1, ddof=1) / s1.var(axis=1, ddof=1)
 
 
 variance_ratio = SummaryStatistic("variance-ratio", "data", _variance_ratio)

@@ -129,6 +129,18 @@ def test_pooled_t_null_is_not_student_t_for_lognormal():
     assert ks.pvalue < 0.001
 
 
+@pytest.mark.parametrize("name", ["mean-diff", "pooled-t", "variance-ratio"])
+def test_two_group_statistic_of_a_block_equals_blocks_of_one(name):
+    # lognormal values in interleaved groups, so a group's columns are not adjacent
+    rng = np.random.default_rng(5)
+    obs = np.exp(rng.normal(size=(500, 80, 1)))
+    labels = np.arange(80) % 2
+    fn = STATISTIC_REGISTRY[name].fn
+    block = fn(obs, labels)
+    ones = np.concatenate([fn(obs[i:i + 1], labels) for i in range(obs.shape[0])])
+    assert block.tobytes() == ones.tobytes()
+
+
 def test_critical_values_on_integer_grid():
     v = np.arange(1.0, 101.0)
     assert critical_value(v, 0.05, "lower") == pytest.approx(5.95)
