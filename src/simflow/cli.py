@@ -322,6 +322,9 @@ def _theta(values, flag: str, model, prior: bool = False) -> list[float] | None:
     if not isinstance(values, list) or len(values) != model.param_dim:
         raise ConfigError(f"{flag} needs {model.param_dim} number(s) for {model.name}, "
                           f"got {values!r}")
+    if not model.in_support(values):
+        raise ConfigError(f"{flag} {values!r} lies outside the parameter domain of "
+                          f"{model.name}")
     return values
 
 
@@ -447,8 +450,23 @@ def _payload(result, drop=(), **extra) -> dict:
 
 
 def _histogram_block(values, bins: int = 30) -> dict:
-    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=bins)
-    return {"edges": edges, "counts": counts}
+    """Histogram of the finite values; names how many others it left out."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    finite = values[np.isfinite(values)]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            counts, edges = np.histogram(finite, bins=bins)
+    except ValueError:
+        # numpy cannot split this range into `bins` finite-sized bins: one
+        # bin, widened to the neighbouring floats if every value is equal
+        lo, hi = finite.min(), finite.max()
+        if lo == hi:
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        counts, edges = np.array([finite.size]), np.array([lo, hi])
+    block = {"edges": edges, "counts": counts}
+    if finite.size < values.size:
+        block["not_finite"] = values.size - finite.size
+    return block
 
 
 def _pvalue_block(pset, verdict) -> dict:
@@ -991,7 +1009,8 @@ _COMMANDS = {
         ["common random numbers: stream (seed, 0), reused every evaluation"],
         {"--expert-csv": Use(), "--expert-stats": Use(), "--n-trials": Use(20, _AT_LEAST_1),
          "--lam0": Use("1,1"), "--sims": Use(10_000, _AT_LEAST_1),
-         "--tolerance": Use(1e-4, "[0, inf)"), "--max-iter": Use(500, _AT_LEAST_1)}),
+         # the search's loss tolerance is its square, which must be a float
+         "--tolerance": Use(1e-4, "[0, 1e154]"), "--max-iter": Use(500, _AT_LEAST_1)}),
     "abc": Command(
         "rejection sampling against a simulator", _cmd_abc,
         ["proposals: stream (seed, 0)"],

@@ -54,6 +54,8 @@ __all__ = [
 _SIM_CHUNK = 16384
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# the largest rate numpy's Poisson draw accepts
+_POISSON_MAX_RATE = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 def _whole(name: str, value) -> int:
@@ -377,6 +379,10 @@ class Model:
         """Whether each row of a (k, param_dim) array lies in the plausible domain."""
         return np.isfinite(thetas).all(axis=1)
 
+    def in_support(self, theta) -> bool:
+        """Whether one parameter vector lies in the plausible domain."""
+        return bool(self._support(np.asarray(theta, dtype=float).reshape(1, -1))[0])
+
     # Prior ------------------------------------------------------------
 
     def sample_prior(self, rng, size) -> np.ndarray:
@@ -652,7 +658,8 @@ class PoissonGamma(Model):
         self.prior = AnalyticPosterior("gamma", (a, b))
 
     def _support(self, thetas) -> np.ndarray:
-        return np.isfinite(thetas).all(axis=1) & (thetas[:, 0] >= 0.0)
+        rate = thetas[:, 0]
+        return np.isfinite(thetas).all(axis=1) & (rate >= 0.0) & (rate <= _POISSON_MAX_RATE)
 
     def simulate_batch(self, thetas, rng, n_obs=None):
         rng = as_generator(rng)

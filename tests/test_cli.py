@@ -238,6 +238,16 @@ _DATA = [*_NN12, "--data", "data.csv"]
      "--data", "const.csv", "--statistic", "lag1-autocorr", "--theta0", "2", "--S", "2000"],
     ["ppc", "--model", "poisson-gamma", "--model-params", "a=3,b=1,n_obs=4",
      "--data", "const.csv", "--statistic", "lag1-autocorr", "--S", "200"],
+    # a tolerance whose square leaves the float range (an OverflowError)
+    ["elicit", "--expert-stats", "3.1,4.6,6.3,8.2,10.0", "--sims", "500", "--max-iter", "20",
+     "--tolerance", "1e300"],
+    # a null or true value outside the model's domain, or past the largest
+    # rate numpy's Poisson draw takes (a ValueError from numpy's draw)
+    *(["power", "--model", "beta-binomial", "--theta0", v, "--S", "20", "--null-s", "50"]
+      for v in ("2.5", "-1", "1e300")),
+    *(["power", "--model", "poisson-gamma", *pair, "--S", "20", "--null-s", "50"]
+      for pair in (["--theta0", "-1"], ["--theta0", "1e300"],
+                   ["--theta0", "2", "--theta-star", "1e300"])),
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -287,6 +297,38 @@ def test_undefined_statistic_exits_before_the_null(tmp_path, capsys, monkeypatch
     assert main(["test", "--model", "poisson-gamma", "--data", "const.csv",
                  "--statistic", "lag1-autocorr", "--theta0", "2", "--out", "x"]) == 2
     assert "undefined" in capsys.readouterr().err
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_histogram_leaves_out_undefined_replications(tmp_path, capsys, monkeypatch):
+    # a constant replication has lag-1 autocorrelation 0/0 (a NaN that
+    # np.histogram refused with a traceback)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("y0\n0\n1\n0\n0\n")
+    assert main(["ppc", "--model", "poisson-gamma", "--model-params", "a=3,b=1,n_obs=4",
+                 "--statistic", "lag1-autocorr", "--S", "200", "--data", "data.csv",
+                 "--out", "x"]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    hist = _strict_json(tmp_path / "x" / "report.json")["results"]["replication_histogram"]
+    assert hist["not_finite"] > 0
+    assert sum(hist["counts"]) + hist["not_finite"] == 200
+
+
+def test_histogram_of_a_range_numpy_cannot_split(tmp_path, monkeypatch):
+    # null draws that all round to one float near 1e300 ("Too many bins")
+    monkeypatch.chdir(tmp_path)
+    _write_data(tmp_path / "data.csv")
+    assert main(["test", *_DATA, "--theta0", "1e300", "--S", "2000", "--out", "x",
+                 "--formats", "json"]) == 0
+    report = json.loads((tmp_path / "x" / "report.json").read_text())
+    hist = report["results"]["null_histogram"]
+    assert hist["counts"] == [2000] and "not_finite" not in hist
+    assert hist["edges"][0] < hist["edges"][1] and np.all(np.isfinite(hist["edges"]))
 
 
 _LN = ["--model", "lognormal-two-group"]
