@@ -226,8 +226,18 @@ def test_band_search_needs_no_more_recursions_than_bisection(s, m, coverage, mon
 
 @pytest.mark.parametrize("s, m, coverage", [
     (10, 1, 0.8), (11, None, 0.5), (50, 19, 0.95), (400, 99, 0.95), (400, 9, 0.99)])
-def test_windowed_count_bounds_equal_full_rows(s, m, coverage):
-    null = diagnostics._NullCounts(s, m, (1.0 - coverage) / min(s, 100) / 2.0)
+def test_windowed_count_bounds_equal_full_rows(s, m, coverage, monkeypatch):
+    # the tables as _calibrated_band builds them, windowed for its search
+    built = []
+
+    class Recorded(diagnostics._NullCounts):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(diagnostics, "_NullCounts", Recorded)
+    diagnostics._calibrated_band.__wrapped__(s, m, coverage)
+    (null,) = built
     for delta in _candidates(null, s, coverage):
         got, want = null.count_bounds(delta), _full_row_bounds(null, delta)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), delta
