@@ -236,10 +236,11 @@ def _calibrated_band(s: int, granularity: int | None, coverage: float) -> EcdfBa
     # candidate whose exact coverage meets the target. keep meets it (index 0,
     # Bonferroni, by the bound) and drop does not (deltas.size stands for a
     # miss probability of 1 at delta = 1). log(1 - coverage) is close to
-    # linear in log delta, so each step tries the first candidate past the
-    # secant through the bracket ends, strictly inside the bracket. A step
-    # that does not halve the bracket is followed by a bisection, so the
-    # search needs at most about twice the recursions of bisection alone.
+    # linear in log delta, so each step tries the first candidate at or past
+    # where the secant through the bracket ends meets the target, clamped
+    # strictly inside the bracket. A step that does not halve the bracket is
+    # followed by a bisection, so the search needs at most about twice the
+    # recursions of bisection alone.
     target = math.log1p(-coverage)
     kept = band_at(0)
     keep, keep_xy = 0, (log_deltas[0], _log_miss(kept[1]))
