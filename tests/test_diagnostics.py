@@ -130,7 +130,7 @@ def test_band_is_loosest_with_stated_coverage(s, m):
     assert null.coverage(*looser) < band.coverage
 
 
-def _candidates(null, s, coverage):
+def _candidates(null, coverage):
     """The candidate deltas of the band search, read from the whole count tables."""
     bonferroni = (1.0 - coverage) / null.grid.size
     tails = np.concatenate([t[(t > bonferroni / 2.0) & (t < 0.5)] for t in (null.cdf, null.sf)])
@@ -152,7 +152,7 @@ def _bisected_band(s, m, coverage):
     A frozen copy of the search the secant search replaced.
     """
     null = diagnostics._NullCounts(s, m, (1.0 - coverage) / min(s, 100) / 2.0)
-    deltas = _candidates(null, s, coverage)
+    deltas = _candidates(null, coverage)
     calls = []
 
     def band_at(i):
@@ -238,7 +238,7 @@ def test_windowed_count_bounds_equal_full_rows(s, m, coverage, monkeypatch):
     monkeypatch.setattr(diagnostics, "_NullCounts", Recorded)
     diagnostics._calibrated_band.__wrapped__(s, m, coverage)
     (null,) = built
-    for delta in _candidates(null, s, coverage):
+    for delta in _candidates(null, coverage):
         got, want = null.count_bounds(delta), _full_row_bounds(null, delta)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), delta
 
