@@ -55,7 +55,7 @@ class Approximator:
 
     def approximate_block(self, model: Model, obs: np.ndarray, labels, rows,
                           m: int) -> np.ndarray:
-        """The (k, m, d) draws given each dataset of a (k, n, obs_dim) block
+        """The (k, m, d) draws given each dataset of a (k, n) block
         with shared group labels, row i on rows[i] (a rng.RowStreams); here
         approximate on each row in turn."""
         return np.stack([self.approximate(model, Dataset(obs[i], labels), rows[i], m).values
@@ -117,10 +117,12 @@ class PerturbedConjugate(ConjugateApproximator):
     """
 
     def __init__(self, mean_shift: float = 0.0, sd_scale: float = 1.0):
-        if sd_scale <= 0:
-            raise ValueError("sd_scale must be positive")
         self.mean_shift = float(mean_shift)
         self.sd_scale = float(sd_scale)
+        if not math.isfinite(self.mean_shift):
+            raise ValueError("mean_shift must be finite")
+        if not (self.sd_scale > 0 and math.isfinite(self.sd_scale)):
+            raise ValueError("sd_scale must be positive and finite")
         self.name = "perturbed"
         self.kind = "perturbed_conjugate"
 
@@ -145,7 +147,7 @@ def _rwm_block(model: Model, obs: np.ndarray, labels, rows: RowStreams, chains: 
     - warmup) * chains, d) kept draws in iteration-major order and the k
     acceptance rates.
 
-    obs is a (k, n, obs_dim) block with shared group labels, and row i's
+    obs is a (k, n) block with shared group labels, and row i's
     chains draw from stream rows[i] alone. Each iteration draws every row's
     (chains, d) proposal steps, then its chains uniforms.
     """

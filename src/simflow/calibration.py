@@ -114,7 +114,7 @@ def _replicate(model: Model, seed: int, s: int, statistic, thetas=None,
     dataset y of n_obs observations, then whatever the statistic draws, all
     from its own stream, so its output does not depend on s or on other
     replications. statistic(thetas, obs, labels, rows) takes a block: the
-    (k, d) thetas, the (k, n, obs_dim) datasets, their group labels and
+    (k, d) thetas, the (k, n) datasets, their group labels and
     the block's k row streams, and returns k values.
     """
     if thetas is not None:
@@ -189,9 +189,9 @@ def run_sbc(model: Model, approximator: Approximator, cfg: SbcConfig) -> SbcResu
 
 
 # A point estimator is a data statistic: fn(obs, labels) -> one estimate of a
-# scalar quantity per dataset of the (k, n, obs_dim) block.
+# scalar quantity per dataset of the (k, n) block.
 sample_mean_estimator = SummaryStatistic(
-    "sample-mean", "data", lambda obs, labels: obs[:, :, 0].mean(axis=1)
+    "sample-mean", "data", lambda obs, labels: obs.mean(axis=1)
 )
 
 
@@ -332,7 +332,7 @@ def power_analysis(
     theta_star may be None, which draws a fresh parameter from the model
     prior for every dataset (design-prior power). The test object only
     needs a pvalues(obs, labels, rows) method: the p-values of a
-    (k, n, obs_dim) block of datasets, row i drawing from rows[i]. A dataset
+    (k, n) block of datasets, row i drawing from rows[i]. A dataset
     whose p-value is NaN (its statistic is undefined) is not rejected.
     """
     if not 0.0 < alpha < 1.0:

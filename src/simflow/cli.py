@@ -388,9 +388,8 @@ def _build_approximator(run, model):
 def _statistic(name: str, model):
     statistic = _named("statistic", name, STATISTIC_REGISTRY)
     # one all-zero dataset of the model's shape shows whether the statistic applies
-    shape = model.data_shape
     try:
-        statistic.fn(np.zeros((1, shape.n_obs, shape.obs_dim)), model.group_labels(shape.n_obs))
+        statistic.fn(np.zeros((1, model.n_obs)), model.group_labels(model.n_obs))
     except ValueError as exc:
         raise ConfigError(f"statistic {name!r} does not apply to {model.name}: {exc}") from None
     return statistic

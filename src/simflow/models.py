@@ -31,7 +31,6 @@ from .errors import CapabilityError, DomainError
 from .rng import as_generator
 
 __all__ = [
-    "DataShape",
     "Dataset",
     "ParamDraws",
     "SummaryStatistic",
@@ -86,16 +85,8 @@ def _check_finite_observations(obs: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class DataShape:
-    """Default shape of one simulated dataset."""
-
-    n_obs: int
-    obs_dim: int = 1
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """A fixed-size sample: observations (n, obs_dim), optional group labels.
+    """A fixed-size sample: n scalar observations (1-D), optional group labels.
 
     An empty dataset (n = 0) is allowed as the neutral element for
     concatenation; simulation always produces n >= 1.
@@ -106,10 +97,8 @@ class Dataset:
 
     def __post_init__(self):
         obs = np.asarray(self.observations, dtype=float)
-        if obs.ndim < 2:
-            obs = np.atleast_2d(obs)
-        if obs.ndim != 2:
-            raise ValueError("observations must be a (n, obs_dim) array")
+        if obs.ndim != 1:
+            raise ValueError(f"observations must be a 1-D array of n values, got shape {obs.shape}")
         object.__setattr__(self, "observations", obs)
         if self.group_labels is not None:
             labels = np.asarray(self.group_labels, dtype=int)
@@ -122,50 +111,43 @@ class Dataset:
     def n_obs(self) -> int:
         return int(self.observations.shape[0])
 
-    @property
-    def obs_dim(self) -> int:
-        return int(self.observations.shape[1])
-
     @classmethod
-    def empty(cls, obs_dim: int = 1) -> "Dataset":
-        return cls(np.empty((0, obs_dim)))
+    def empty(cls) -> "Dataset":
+        return cls(np.empty(0))
 
     def to_csv(self, path) -> None:
         """Write one row per observation; group column only when present."""
-        header = [f"y{j}" for j in range(self.obs_dim)]
-        if self.group_labels is not None:
-            header.append("group")
+        header = ["y0"] if self.group_labels is None else ["y0", "group"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for i in range(self.n_obs):
-                row = [format(v, ".17g") for v in self.observations[i]]
+                row = [format(self.observations[i], ".17g")]
                 if self.group_labels is not None:
                     row.append(str(int(self.group_labels[i])))
                 writer.writerow(row)
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
+        """Read one observation column and an optional group column, nothing else."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             rows = [row for row in reader if row]
-        has_group = header and header[-1] == "group"
-        ncol = len(header) - (1 if has_group else 0)
-        if ncol < 1:
-            raise ValueError("CSV must have at least one observation column")
-        obs = np.array([[float(v) for v in row[:ncol]] for row in rows], dtype=float)
-        obs = obs.reshape(len(rows), ncol)
+        has_group = header[1:] == ["group"]
+        if (len(header) != 1 + has_group or header[0] == "group"
+                or any(len(row) != len(header) for row in rows)):
+            raise ValueError("CSV must have one observation column and an optional group "
+                             f"column in its header {header} and in every row")
+        obs = np.array([float(row[0]) for row in rows], dtype=float)
         labels = None
         if has_group:
-            labels = np.array([int(row[ncol]) for row in rows], dtype=int)
+            labels = np.array([int(row[1]) for row in rows], dtype=int)
         return cls(obs, labels)
 
 
 def concat_datasets(a: Dataset, b: Dataset) -> Dataset:
-    if a.obs_dim != b.obs_dim:
-        raise ValueError("cannot concatenate datasets with different obs_dim")
-    obs = np.concatenate([a.observations, b.observations], axis=0)
+    obs = np.concatenate([a.observations, b.observations])
     if a.group_labels is None and b.group_labels is None:
         return Dataset(obs)
     la = a.group_labels if a.group_labels is not None else np.zeros(a.n_obs, dtype=int)
@@ -201,7 +183,7 @@ class SummaryStatistic:
     """A named summary with declared arity and one vectorized function.
 
     arity:
-      "data"    fn(obs (s, n, d), labels) -> (s,), one value per dataset
+      "data"    fn(obs (s, n), labels) -> (s,), one value per dataset
       "params"  fn(values (m, d)) -> (m,), one value per parameter draw
 
     labels are the group labels shared by the s datasets, or None.
@@ -358,7 +340,7 @@ class Model:
 
     name: str = "model"
     param_dim: int = 1
-    data_shape: DataShape = DataShape(n_obs=1)
+    n_obs: int = 1   # the size of a simulated dataset
     prior: AnalyticPosterior | None = None
 
     @property
@@ -383,6 +365,18 @@ class Model:
         """Whether one parameter vector lies in the plausible domain."""
         return bool(self._support(np.asarray(theta, dtype=float).reshape(1, -1))[0])
 
+    def _check_domain(self, thetas: np.ndarray) -> None:
+        """DomainError unless every row of a (k, param_dim) array lies in the
+        plausible domain."""
+        if thetas.shape[1] != self.param_dim:
+            raise DomainError(
+                f"{self.name}: expected {self.param_dim} parameters, got {thetas.shape[1]}"
+            )
+        outside = ~self._support(thetas)
+        if outside.any():
+            theta = thetas[outside.argmax()]
+            raise DomainError(f"{self.name}: parameter {theta} outside plausible domain")
+
     # Prior ------------------------------------------------------------
 
     def sample_prior(self, rng, size) -> np.ndarray:
@@ -404,21 +398,14 @@ class Model:
     def simulate_data(self, theta, rng, n_obs: int | None = None) -> Dataset:
         theta = np.asarray(theta, dtype=float).reshape(1, -1)
         obs = self.simulate_checked(theta, rng, n_obs=n_obs)[0]
-        return Dataset(obs, self.group_labels(obs.shape[0]))
+        return Dataset(obs, self.group_labels(obs.size))
 
     def simulate_checked(self, thetas, rng, n_obs: int | None = None) -> np.ndarray:
         """simulate_batch of a (k, param_dim) array, refusing a row outside the
         domain (DomainError) before anything is simulated, and observations
         that are not finite (ValueError) after."""
         thetas = np.asarray(thetas, dtype=float)
-        if thetas.shape[1] != self.param_dim:
-            raise DomainError(
-                f"{self.name}: expected {self.param_dim} parameters, got {thetas.shape[1]}"
-            )
-        outside = ~self._support(thetas)
-        if outside.any():
-            theta = thetas[outside.argmax()]
-            raise DomainError(f"{self.name}: parameter {theta} outside plausible domain")
+        self._check_domain(thetas)
         obs = self.simulate_batch(thetas, rng, n_obs=n_obs)
         _check_finite_observations(obs)
         return obs
@@ -426,7 +413,7 @@ class Model:
     def simulate_batch(
         self, thetas: np.ndarray, rng, n_obs: int | None = None
     ) -> np.ndarray:
-        """Simulate one dataset per parameter row; returns (s, n, obs_dim).
+        """Simulate one dataset per parameter row; returns (s, n).
 
         n_obs None means the model's default size; any other value must be a
         whole number of at least 1.
@@ -434,7 +421,7 @@ class Model:
         raise NotImplementedError
 
     def _n_obs(self, n_obs) -> int:
-        return self.data_shape.n_obs if n_obs is None else _count("n_obs", n_obs)
+        return self.n_obs if n_obs is None else _count("n_obs", n_obs)
 
     def group_labels(self, n_obs: int) -> np.ndarray | None:
         return None
@@ -444,7 +431,7 @@ class Model:
 
     def log_likelihood_batch(self, thetas: np.ndarray, y, labels=None) -> np.ndarray:
         """log p(y | theta) of each row of (c, param_dim) thetas given a
-        Dataset; given a (k, n, obs_dim) block of datasets with the group
+        Dataset; given a (k, n) block of datasets with the group
         labels they share, the (k, c) values of (k, c, param_dim) thetas, row
         i's thetas under dataset i."""
         if isinstance(y, Dataset):
@@ -458,13 +445,13 @@ class Model:
     # Conjugate results --------------------------------------------------
 
     def analytic_posterior(self, y) -> AnalyticPosterior:
-        """The closed-form posterior given a Dataset; given a (k, n, obs_dim)
-        block of datasets, one posterior per row, with (k, 1) columns for the
+        """The closed-form posterior given a Dataset; given a (k, n) block of
+        datasets, one posterior per row, with (k, 1) columns for the
         parameters that depend on the data. It depends on the data through n
-        and the sum of the first observation column only."""
+        and the sum of the observations only."""
         if isinstance(y, Dataset):
-            return self._conjugate(y.n_obs, y.observations[:, 0].sum())
-        return self._conjugate(y.shape[1], y[:, :, 0].sum(axis=1)[:, None])
+            return self._conjugate(y.n_obs, y.observations.sum())
+        return self._conjugate(y.shape[1], y.sum(axis=1)[:, None])
 
     def _conjugate(self, n: int, total) -> AnalyticPosterior:
         raise CapabilityError(f"{self.name} has no analytic posterior")
@@ -501,6 +488,7 @@ def simulate_statistic(model: Model, thetas: np.ndarray, rng, statistic: Summary
                        n_obs: int | None = None) -> np.ndarray:
     """statistic of one simulated dataset per parameter row; returns (s,).
 
+    A row outside the model's domain raises DomainError before any draw.
     The rows are simulated in blocks of _SIM_CHUNK, one after another from
     the same rng. simulate_batch reads its generator in row order, so the
     draws, and rng's state afterwards, are those of one call on all rows,
@@ -510,6 +498,7 @@ def simulate_statistic(model: Model, thetas: np.ndarray, rng, statistic: Summary
         raise ValueError(f"statistic {statistic.name!r} is not a data statistic")
     rng = as_generator(rng)
     thetas = np.atleast_2d(thetas)
+    model._check_domain(thetas)
     n = model._n_obs(n_obs)
     labels = model.group_labels(n)
     out = np.empty(thetas.shape[0])
@@ -549,7 +538,7 @@ class NormalNormal(Model):
         self.sigma = float(sigma)
         self.name = "normal-normal"
         self.param_dim = 1
-        self.data_shape = DataShape(n_obs=n_obs)
+        self.n_obs = n_obs
         self.prior = AnalyticPosterior("normal", (mu0, tau0))
 
     def simulate_batch(self, thetas, rng, n_obs=None):
@@ -560,11 +549,10 @@ class NormalNormal(Model):
         obs = rng.standard_normal((loc.shape[0], n))
         obs *= self.sigma
         obs += loc
-        return obs[:, :, None]
+        return obs
 
     def _log_likelihood(self, thetas, obs, labels) -> np.ndarray:
-        t = thetas[:, :, 0]
-        obs = obs[:, :, 0]
+        t = thetas[..., 0]
         n = obs.shape[1]
         const = -0.5 * n * (_LOG_2PI + 2.0 * np.log(self.sigma))
         sq = ((obs[:, None, :] - t[:, :, None]) ** 2).sum(axis=2)
@@ -592,7 +580,7 @@ class BetaBinomial(Model):
         self.n_trials = n_trials
         self.name = "beta-binomial"
         self.param_dim = 1
-        self.data_shape = DataShape(n_obs=_count("n_obs", n_obs))
+        self.n_obs = _count("n_obs", n_obs)
         self.prior = AnalyticPosterior("beta", (a, b))
 
     def _support(self, thetas) -> np.ndarray:
@@ -605,11 +593,10 @@ class BetaBinomial(Model):
         p = np.atleast_2d(thetas)[:, 0][:, None]
         # a (k, 1) column with a size: the draws of a broadcast (k, n) p, faster
         counts = rng.binomial(self.n_trials, p, size=(p.shape[0], n))
-        return counts.astype(float)[:, :, None]
+        return counts.astype(float)
 
-    def _log_likelihood(self, thetas, obs, labels) -> np.ndarray:
-        t = thetas[:, :, 0]
-        k = obs[:, :, 0]
+    def _log_likelihood(self, thetas, k, labels) -> np.ndarray:
+        t = thetas[..., 0]
         if np.any((k < 0) | (k > self.n_trials) | (k != np.round(k))):
             raise DomainError("beta-binomial data must be integer counts in [0, n_trials]")
         const = (gammaln(self.n_trials + 1) - gammaln(k + 1)
@@ -654,7 +641,7 @@ class PoissonGamma(Model):
         self.b = float(b)
         self.name = "poisson-gamma"
         self.param_dim = 1
-        self.data_shape = DataShape(n_obs=_count("n_obs", n_obs))
+        self.n_obs = _count("n_obs", n_obs)
         self.prior = AnalyticPosterior("gamma", (a, b))
 
     def _support(self, thetas) -> np.ndarray:
@@ -666,11 +653,10 @@ class PoissonGamma(Model):
         n = self._n_obs(n_obs)
         lam = np.atleast_2d(thetas)[:, 0][:, None]
         counts = rng.poisson(lam, size=(lam.shape[0], n))
-        return counts.astype(float)[:, :, None]
+        return counts.astype(float)
 
-    def _log_likelihood(self, thetas, obs, labels) -> np.ndarray:
-        t = thetas[:, :, 0]
-        k = obs[:, :, 0]
+    def _log_likelihood(self, thetas, k, labels) -> np.ndarray:
+        t = thetas[..., 0]
         if np.any((k < 0) | (k != np.round(k))):
             raise DomainError("poisson-gamma data must be nonnegative integer counts")
         # each row's constant and count total, beside each of its thetas
@@ -718,7 +704,7 @@ class LogNormalTwoGroup(Model):
         self.n_per_group = n_per_group
         self.name = "lognormal-two-group"
         self.param_dim = 2
-        self.data_shape = DataShape(n_obs=2 * self.n_per_group)
+        self.n_obs = 2 * self.n_per_group
 
     def group_labels(self, n_obs: int) -> np.ndarray:
         half = n_obs // 2
@@ -733,12 +719,11 @@ class LogNormalTwoGroup(Model):
         mu = np.atleast_2d(thetas)
         z = rng.standard_normal(size=(mu.shape[0], 2, half))
         logs = np.repeat(mu[:, :, None], half, axis=2) + self.sigma * z
-        return np.exp(logs).reshape(mu.shape[0], n_total)[:, :, None]
+        return np.exp(logs).reshape(mu.shape[0], n_total)
 
     def _log_likelihood(self, mu, obs, labels) -> np.ndarray:
         if labels is None:
             raise DomainError("two-group likelihood needs group labels")
-        obs = obs[:, :, 0]
         positive = (obs > 0).all(axis=1)
         logs = np.log(np.where(positive[:, None], obs, 1.0))
         out = np.zeros(mu.shape[:2])

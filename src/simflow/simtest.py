@@ -46,7 +46,7 @@ SIDES = ("lower", "upper", "two_sided")
 
 
 # ---------------------------------------------------------------------------
-# Built-in statistics: each fn maps obs (s, n, d) and the group labels to (s,)
+# Built-in statistics: each fn maps obs (s, n) and the group labels to (s,)
 
 
 def _groups(obs: np.ndarray, labels: np.ndarray | None):
@@ -60,10 +60,10 @@ def _groups(obs: np.ndarray, labels: np.ndarray | None):
     groups = np.unique(labels)
     if groups.size != 2:
         raise ValueError("expected exactly two groups")
-    return tuple(np.ascontiguousarray(obs[:, labels == g, 0]) for g in groups)
+    return tuple(np.ascontiguousarray(obs[:, labels == g]) for g in groups)
 
 
-mean_stat = SummaryStatistic("mean", "data", lambda obs, labels: obs[:, :, 0].mean(axis=1))
+mean_stat = SummaryStatistic("mean", "data", lambda obs, labels: obs.mean(axis=1))
 
 
 def _mean_diff(obs: np.ndarray, labels):
@@ -97,12 +97,11 @@ def _variance_ratio(obs: np.ndarray, labels):
 
 variance_ratio = SummaryStatistic("variance-ratio", "data", _variance_ratio)
 
-sample_max = SummaryStatistic("max", "data", lambda obs, labels: obs.max(axis=(1, 2)))
+sample_max = SummaryStatistic("max", "data", lambda obs, labels: obs.max(axis=1))
 
 
 def _lag1(obs: np.ndarray, labels):
-    s = obs[:, :, 0]
-    centered = s - s.mean(axis=1, keepdims=True)
+    centered = obs - obs.mean(axis=1, keepdims=True)
     num = (centered[:, :-1] * centered[:, 1:]).sum(axis=1)
     den = (centered**2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -111,7 +110,7 @@ def _lag1(obs: np.ndarray, labels):
 
 lag1_autocorr = SummaryStatistic("lag1-autocorr", "data", _lag1)
 
-sample_sum = SummaryStatistic("sum", "data", lambda obs, labels: obs[:, :, 0].sum(axis=1))
+sample_sum = SummaryStatistic("sum", "data", lambda obs, labels: obs.sum(axis=1))
 
 STATISTIC_REGISTRY = {
     s.name: s
@@ -264,6 +263,17 @@ def critical_value(null_values: np.ndarray, alpha: float, side: str):
     return _critical(_quantiles(null_values, _critical_probs(alpha, side)), alpha, side)
 
 
+def _sd(values: np.ndarray) -> float:
+    """The sample sd (ddof 1); when its squares overflow, that of the values
+    divided by their largest magnitude, scaled back."""
+    with np.errstate(over="ignore"):
+        sd = values.std(ddof=1)
+    if not np.isfinite(sd) and np.isfinite(values).all():
+        scale = np.abs(values).max()
+        sd = (values / scale).std(ddof=1) * scale
+    return float(sd)
+
+
 @dataclass(frozen=True)
 class TestReport:
     statistic: str
@@ -303,7 +313,7 @@ class SimulationTest:
                                   n_obs=n_obs)
 
     def pvalues(self, obs: np.ndarray, labels, rows) -> np.ndarray:
-        """The p-values of a (k, n, obs_dim) block of datasets with shared
+        """The p-values of a (k, n) block of datasets with shared
         group labels, row i's tie coin from rows[i] (rank_pvalues)."""
         return rank_pvalues(self.statistic.fn(obs, labels), self.null.values, self.side, rows)
 
@@ -328,7 +338,7 @@ class SimulationTest:
             critical_values={alpha: _critical(quantile_at, alpha, self.side)
                              for alpha in alphas},
             null_mean=float(self.null.values.mean()),
-            null_sd=float(self.null.values.std(ddof=1)),
+            null_sd=_sd(self.null.values),
             null_quantiles={q: quantile_at[q] for q in qs},
             n_resampled=self.null.n_resampled,
             metadata={"two_sided_rule": "2*min(one-sided), capped at 1 (extension)"},
@@ -348,9 +358,9 @@ class AnalyticZTest:
         self.side = side
 
     def pvalues(self, obs: np.ndarray, labels=None, rows=None) -> np.ndarray:
-        """The p-values of a (k, n, obs_dim) block of datasets; the test
+        """The p-values of a (k, n) block of datasets; the test
         draws nothing, so labels and rows are unused."""
-        z = (obs[:, :, 0].mean(axis=1) - self.theta0) * np.sqrt(obs.shape[1]) / self.sigma
+        z = (obs.mean(axis=1) - self.theta0) * np.sqrt(obs.shape[1]) / self.sigma
         if self.side == "upper":
             return ndtr(-z)
         if self.side == "lower":

@@ -159,7 +159,7 @@ def test_criterion_05_power_matches_closed_form():
 
     class UpperZ:
         def pvalues(self, obs, labels, rows):
-            z = obs[:, :, 0].mean(axis=1) * np.sqrt(obs.shape[1])
+            z = obs.mean(axis=1) * np.sqrt(obs.shape[1])
             return stats.norm.sf(z)
 
     result = power_analysis(model, np.array([0.5]), UpperZ(), alpha=0.05,
@@ -188,7 +188,7 @@ def test_criterion_06_estimator_risk_and_mc_error():
 
 def test_criterion_07_abc_exact_match_posterior_moments():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
-    y = Dataset(np.array([[3.0]]))
+    y = Dataset(np.array([3.0]))
     result = abc_rejection(model, y, sample_sum, substream(700, 0),
                            m=10_000, tolerance=0.0, max_proposals=400_000)
     vals = result.draws.values[:, 0]
@@ -212,7 +212,7 @@ def test_criterion_08_replication_variance_decomposition():
     post = model.analytic_posterior(y)
     draws = ExactConjugate().approximate(model, y, substream(800, 1), m=5000)
     reps = posterior_predictive_sample(model, draws, s=5000, seed=2)
-    means = np.array([r.observations[:, 0].mean() for r in reps])
+    means = np.array([r.observations.mean() for r in reps])
     want = 1.0 / 10 + post.sd() ** 2
     got = means.var(ddof=1)
     ok = abs(got - want) / want <= 0.05
@@ -244,7 +244,7 @@ def test_criterion_09_posterior_sbc():
 
 def test_criterion_10_evidence_and_model_choice():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
-    ev = marginal_likelihood_mc(model, Dataset(np.array([[7.0]])),
+    ev = marginal_likelihood_mc(model, Dataset(np.array([7.0])),
                                 s=100_000, seed=0)
     want = np.log(1.0 / 11.0)
     part_a = abs(ev.log_evidence - want) <= 3 * ev.mc_se_log
@@ -272,7 +272,7 @@ def test_criterion_11_power_scaled_prior():
     draws = ExactConjugate().approximate(model, y, substream(62, 1), m=10_000)
     wd = power_scale_weights(model, y, draws, alpha_prior=2.0)
     prec = 2.0 / 1.0**2 + 20 / 1.0**2
-    want = (2.0 * 0.3 / 1.0**2 + y.observations[:, 0].sum() / 1.0**2) / prec
+    want = (2.0 * 0.3 / 1.0**2 + y.observations.sum() / 1.0**2) / prec
     got = weighted_mean(wd)
     part_a = abs(got - want) <= 0.02
     ess = power_scale_weights(model, y, draws, 1.0, 1.0).ess

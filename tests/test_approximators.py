@@ -30,7 +30,7 @@ from simflow.simtest import mean_stat, sample_sum
 
 
 def _one_obs(model, value):
-    return Dataset(np.array([[float(value)]]))
+    return Dataset(np.array([float(value)]))
 
 
 def test_exact_mean_matches_beta_posterior():

@@ -39,7 +39,7 @@ class AnalyticZTestStub:
 
     def pvalues(self, obs, labels, rows):
         n = obs.shape[1]
-        z = (obs[:, :, 0].mean(axis=1) - self.theta0) / (self.sigma / np.sqrt(n))
+        z = (obs.mean(axis=1) - self.theta0) / (self.sigma / np.sqrt(n))
         return stats.norm.sf(z)
 
 
@@ -241,10 +241,10 @@ def test_estimator_failures_counted():
     raised = []
 
     def flaky(obs, labels):
-        if (obs[:, 0, 0] > 1.0).any():
+        if (obs[:, 0] > 1.0).any():
             raised.append(len(obs))
             raise ValueError("solver diverged")
-        return obs[:, :, 0].mean(axis=1)
+        return obs.mean(axis=1)
 
     result = estimator_accuracy(model, np.array([0.0]),
                                 SummaryStatistic("flaky", "data", flaky), s=100, seed=0)

@@ -2,11 +2,13 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +250,11 @@ _DATA = [*_NN12, "--data", "data.csv"]
     *(["power", "--model", "poisson-gamma", *pair, "--S", "20", "--null-s", "50"]
       for pair in (["--theta0", "-1"], ["--theta0", "1e300"],
                    ["--theta0", "2", "--theta-star", "1e300"])),
+    # perturbed settings that are not finite (exit 1 mid-run: "parameter
+    # draws must be finite")
+    *(["sbc", *_NN12, "--S", "20", "--M", "9", "--approximator", "perturbed",
+       "--approximator-params", p]
+      for p in ("sd_scale=nan", "sd_scale=inf", "mean_shift=nan", "mean_shift=inf")),
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -360,7 +367,7 @@ def test_missing_capability_is_config_error(tmp_path, capsys, monkeypatch, argv,
     # CapabilityError or an estimator that failed every replication; the sbc
     # sweep exited 0 with every row failed
     monkeypatch.chdir(tmp_path)
-    Dataset(np.arange(1.0, 9.0).reshape(-1, 1), np.repeat([0, 1], 4)).to_csv("grouped.csv")
+    Dataset(np.arange(1.0, 9.0), np.repeat([0, 1], 4)).to_csv("grouped.csv")
     (tmp_path / "compare-ln.ini").write_text(
         "[compare]\nmodels = a, b\n[model:a]\nname = normal-normal\n"
         "[model:b]\nname = lognormal-two-group\n")
@@ -423,6 +430,76 @@ def test_abc_budget_failure_writes_partial_report(tmp_path):
     assert payload["status"] == "error"
     assert payload["error"]["type"] == "BudgetError"
     assert "acceptance_rate" in payload["error"]["diagnostics"]
+
+
+def test_ppc_draws_outside_the_domain_write_partial_report(tmp_path, capsys):
+    # perturbed beta-binomial draws far outside [0, 1] reached numpy's
+    # binomial draw: "p < 0, p > 1 or p contains NaNs", exit 1
+    data = tmp_path / "counts.csv"
+    data.write_text("y0\n3\n5\n2\n")
+    out = tmp_path / "ppc"
+    rc = main(["ppc", "--model", "beta-binomial", "--approximator", "perturbed",
+               "--approximator-params", "sd_scale=1e154", "--data", str(data),
+               "--out", str(out)])
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["status"] == "error"
+    assert payload["error"]["type"] == "DomainError"
+
+
+def test_null_sd_near_the_float_limit_is_strict_json(tmp_path, capsys):
+    # null draws of 1e300 whose squared deviations overflow: null_sd was
+    # Infinity, with "overflow encountered in square" on stderr
+    data = tmp_path / "big.csv"
+    data.write_text("y0\n1e300\n1e300\n-1e300\n")
+    out = tmp_path / "test"
+    assert main(["test", "--model", "normal-normal", "--theta0", "1e300", "--data", str(data),
+                 "--out", str(out)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    results = json.loads((out / "report.json").read_text(), parse_constant=refuse)["results"]
+    null = simflow.simtest.simulate_null(NormalNormal(n_obs=3), [1e300],
+                                         simflow.simtest.mean_stat, 10_000, substream(0, 0))
+    scale = Fraction(float(np.abs(null.values).max()))
+    exact = [Fraction(float(v)) / scale for v in null.values]
+    mean = sum(exact) / len(exact)
+    sd = math.sqrt(sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)) * float(scale)
+    assert abs(results["null_sd"] - sd) <= 1e-12 * float(scale)
+
+
+@pytest.mark.parametrize("argv", [
+    ["post-sbc", *_NN12, "--S", "20", "--M", "9"],
+    ["test", *_NN12, "--theta0", "0", "--S", "200"],
+    ["test", *_NN12, "--theta0", "0", "--S", "200", "--statistic", "max"],
+    ["ppc", *_NN12, "--S", "200"],
+    ["abc", *_NN12, "--quantile", "0.1", "--M", "20"],
+    ["compare", *_NN12, "--S", "100"],
+    ["sensitivity", *_NN12, "--M", "100"],
+    ["sensitivity", "--mode", "sweep", "--config", "sweep-evidence.ini"],
+])
+@pytest.mark.parametrize("text", ["y0,y1\n1,10\n2,20\n3,30\n",
+                                  "y0,y1,group\n1,10,0\n2,20,1\n3,30,1\n",
+                                  "y0\n1,10\n2,20\n3,30\n"],
+                         ids=["two-columns", "two-columns-and-group", "wide-rows"])
+def test_data_with_more_than_one_observation_column_is_config_error(tmp_path, capsys,
+                                                                     monkeypatch, argv, text):
+    # each ran with exit 0: most statistics read y0 only, max read both
+    # columns, and post-sbc exited 1 ("cannot concatenate datasets with
+    # different obs_dim")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wide.csv").write_text(text)
+    (tmp_path / "sweep-evidence.ini").write_text(
+        "[model]\nname = normal-normal\nn_obs = 12\n[sweep]\npipeline = evidence\n"
+        "s = 20\nvary_model_tau0 = 1\n")
+    out = tmp_path / "x"
+    assert main([*argv, "--data", "wide.csv", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -23,7 +23,7 @@ from simflow import (
 
 
 def _obs(*values):
-    return Dataset(np.array(values, dtype=float).reshape(-1, 1))
+    return Dataset(np.array(values, dtype=float))
 
 
 def test_uniform_count_marginal():
@@ -160,7 +160,7 @@ def test_prior_scaling_matches_analytic_target():
     wd = power_scale_weights(model, y, draws, alpha_prior=2.0)
     n = y.n_obs
     prec = 2.0 / 1.0**2 + n / 1.0**2
-    mean = (2.0 * 0.3 / 1.0**2 + y.observations[:, 0].sum() / 1.0**2) / prec
+    mean = (2.0 * 0.3 / 1.0**2 + y.observations.sum() / 1.0**2) / prec
     assert abs(weighted_mean(wd) - mean) < 0.02
     target = stats.norm(loc=mean, scale=np.sqrt(1.0 / prec))
     got = weighted_quantile(wd, [0.25, 0.5, 0.75])
@@ -251,7 +251,7 @@ def test_sweep_posterior_mean_moves_toward_data():
     means = [r["post_mean"] for r in result.rows]
     # wider prior lets the data pull harder
     assert means[0] < means[1] < means[2]
-    assert means[2] < y.observations[:, 0].mean()
+    assert means[2] < y.observations.mean()
 
 
 def test_sweep_survives_cell_failures():

@@ -228,6 +228,17 @@ def test_golden_digest(digests, name):
     assert digests.get(name) == GOLDEN[name]
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_golden_report_is_strict_json(golden_run, label):
+    # json.dumps writes NaN and Infinity, which strict JSON parsers refuse
+    workdir, _ = golden_run
+    json.loads((workdir / label / "report.json").read_text(), parse_constant=_refuse)
+
+
 def _parts(value) -> list:
     """A setting as its comma-separated parts, numbers as floats."""
     out = []

@@ -4,6 +4,7 @@ Closed-form reference values are frozen at 17 significant digits; they
 come from independent scipy computations, not from the code under test.
 """
 
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -41,7 +42,7 @@ BB_LOG_MARGINAL_22 = -2.1902559080201249    # a=b=2, n=10, k=3
 
 
 def _d(values, labels=None):
-    return Dataset(np.asarray(values, dtype=float).reshape(-1, 1), labels)
+    return Dataset(np.asarray(values, dtype=float), labels)
 
 
 # --- priors ----------------------------------------------------------------
@@ -145,7 +146,7 @@ class _Simulator(Model):
     """A model that defines only its simulator."""
 
     def simulate_batch(self, thetas, rng, n_obs=None):
-        return np.zeros((len(thetas), self._n_obs(n_obs), 1))
+        return np.zeros((len(thetas), self._n_obs(n_obs)))
 
 
 class _NoPriorNormal(NormalNormal):
@@ -193,7 +194,7 @@ def test_simulate_degenerate_binomial():
 def test_simulate_mean_lln():
     model = NormalNormal(sigma=1.0)
     y = model.simulate_data(np.array([0.0]), substream(5, 0), n_obs=100_000)
-    assert abs(y.observations[:, 0].mean()) < 3 * 10 ** (-5 / 2) * 3
+    assert abs(y.observations.mean()) < 3 * 10 ** (-5 / 2) * 3
 
 
 def test_simulate_two_group_shapes():
@@ -251,7 +252,7 @@ def test_loglik_two_group_matches_scipy():
     y = model.simulate_data(np.array([2.0, 1.0]), substream(22, 0))
     want = 0.0
     for g, mu in ((0, 2.0), (1, 1.0)):
-        vals = y.observations[y.group_labels == g, 0]
+        vals = y.observations[y.group_labels == g]
         want += stats.lognorm.logpdf(vals, s=2.0, scale=np.exp(mu)).sum()
     got = model.log_likelihood(np.array([2.0, 1.0]), y)
     assert got == pytest.approx(want, rel=1e-12)
@@ -355,7 +356,7 @@ def test_prior_predictive_mean_consistency():
     for model, want in cases:
         rng = substream(31, 0)
         thetas = model.sample_prior(rng, 100_000)
-        obs = model.simulate_batch(thetas, rng, n_obs=1)[:, 0, 0]
+        obs = model.simulate_batch(thetas, rng, n_obs=1)[:, 0]
         se = obs.std(ddof=1) / np.sqrt(obs.size)
         assert abs(obs.mean() - want) < 3 * se, model.name
 
@@ -382,7 +383,7 @@ def test_simulate_statistic_equals_one_batch(model, s, seed, pick):
     else:
         thetas = np.broadcast_to([0.3, -0.2], (s, 2))
         statistic = STATISTIC_REGISTRY[_TWO_GROUP[pick]]
-    n = model.data_shape.n_obs
+    n = model.n_obs
     whole_rng, block_rng = substream(seed, 1), substream(seed, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         whole = statistic.fn(model.simulate_batch(thetas, whole_rng), model.group_labels(n))
@@ -398,7 +399,7 @@ def test_simulate_statistic_equals_one_batch(model, s, seed, pick):
 def test_normal_kernel_equals_rng_normal(loc, sigma, n, seed):
     model = NormalNormal(sigma=sigma, n_obs=n)
     thetas = np.asarray(loc).reshape(-1, 1)
-    got = model.simulate_batch(thetas, substream(seed, 0))[:, :, 0]
+    got = model.simulate_batch(thetas, substream(seed, 0))
     want = substream(seed, 0).normal(thetas, sigma, size=(thetas.shape[0], n))
     assert np.array_equal(got, want)
 
@@ -413,10 +414,10 @@ def test_count_kernels_equal_broadcast_parameters(p, lam, n_trials, n, seed):
     p, lam = np.asarray(p).reshape(-1, 1), np.asarray(lam).reshape(-1, 1)
     got = BetaBinomial(n_trials=n_trials, n_obs=n).simulate_batch(p, substream(seed, 0))
     want = substream(seed, 0).binomial(n_trials, np.broadcast_to(p, (p.shape[0], n)))
-    assert np.array_equal(got[:, :, 0], want)
+    assert np.array_equal(got, want)
     got = PoissonGamma(n_obs=n).simulate_batch(lam, substream(seed, 1))
     want = substream(seed, 1).poisson(np.broadcast_to(lam, (lam.shape[0], n)))
-    assert np.array_equal(got[:, :, 0], want)
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -426,7 +427,7 @@ def test_count_kernels_equal_broadcast_parameters(p, lam, n_trials, n, seed):
        k=st.integers(1, 6), n=st.sampled_from([1, 2, 7, 8, 9, 31, 200, 1000]),
        seed=st.integers(0, 2**32 - 1))
 def test_block_posterior_rows_equal_dataset_posteriors(model, k, n, seed):
-    # one posterior per row of a (k, n, 1) block is, bit for bit, each
+    # one posterior per row of a (k, n) block is, bit for bit, each
     # row's own Dataset posterior: the same sums and the same updates
     rng = substream(seed, 0)
     obs = model.simulate_batch(model.sample_prior(rng, k), rng, n_obs=n)
@@ -445,7 +446,7 @@ def test_block_posterior_rows_equal_dataset_posteriors(model, k, n, seed):
 @given(name=st.sampled_from(sorted(MODEL_REGISTRY)), k=st.integers(1, 5), c=st.integers(1, 4),
        n=st.sampled_from([1, 2, 7, 9, 40]), seed=st.integers(0, 2**32 - 1))
 def test_block_log_likelihood_rows_equal_dataset_values(name, k, c, n, seed):
-    # row i of a (k, n, 1) block with (k, c, d) thetas is, bit for bit, the
+    # row i of a (k, n) block with (k, c, d) thetas is, bit for bit, the
     # likelihood of row i's c thetas under its own Dataset, edges included:
     # thetas off the support, a zero Poisson rate, all-zero counts and a
     # two-group dataset with a value that is not positive
@@ -473,7 +474,7 @@ def test_block_log_likelihood_rows_equal_dataset_values(name, k, c, n, seed):
                                         (BetaBinomial(n_trials=5), 2.5),
                                         (PoissonGamma(), -1.0), (PoissonGamma(), 0.5)])
 def test_block_log_likelihood_refuses_counts_outside_the_domain(model, bad):
-    obs = np.ones((3, 4, 1))
+    obs = np.ones((3, 4))
     obs[2, 1] = bad
     with pytest.raises(DomainError):
         model.log_likelihood_batch(np.full((3, 2, 1), 0.5), obs)
@@ -510,13 +511,24 @@ def test_observation_counts_below_one_are_refused(name):
             simulate_statistic(model, thetas, substream(0, 0), STATISTIC_REGISTRY["max"],
                                n_obs=n_obs)
     default = model.simulate_batch(thetas, substream(0, 0), n_obs=None)
-    assert default.shape == (2, model.data_shape.n_obs, 1)
+    assert default.shape == (2, model.n_obs)
 
 
 def test_simulate_statistic_needs_a_data_statistic():
     with pytest.raises(ValueError, match="not a data statistic"):
         simulate_statistic(NormalNormal(), np.zeros((2, 1)), substream(0, 0),
                            param_target(0))
+
+
+@pytest.mark.parametrize("model, theta", [(BetaBinomial(), 1.5), (BetaBinomial(), -1e153),
+                                          (PoissonGamma(), -1.0), (NormalNormal(), np.inf)])
+def test_simulate_statistic_refuses_rows_outside_the_domain(model, theta):
+    # refused before anything is drawn (beta-binomial reached numpy's binomial
+    # draw, "p < 0, p > 1 or p contains NaNs"), so the stream is untouched
+    rng = substream(0, 0)
+    with pytest.raises(DomainError, match="outside plausible domain"):
+        simulate_statistic(model, np.array([[0.5], [theta]]), rng, STATISTIC_REGISTRY["mean"])
+    assert rng.random() == substream(0, 0).random()
 
 
 # --- domain and registry ------------------------------------------------------
@@ -554,7 +566,7 @@ def test_dataset_csv_roundtrip(tmp_path):
 
 
 def test_dataset_csv_roundtrip_groups(tmp_path):
-    y = Dataset(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 0, 1, 1]))
+    y = Dataset(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 1, 1]))
     p = tmp_path / "y.csv"
     y.to_csv(p)
     back = Dataset.from_csv(p)
@@ -570,6 +582,36 @@ def test_dataset_empty_concat():
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        Dataset(np.array([[np.nan]]))
+        Dataset(np.array([np.nan]))
     with pytest.raises(ValueError):
-        Dataset(np.ones((3, 1)), np.array([0, 1]))
+        Dataset(np.ones(3), np.array([0, 1]))
+
+
+@pytest.mark.parametrize("values", [np.float64(3.0), np.ones((4, 1)), np.ones((4, 2))],
+                         ids=["0-d", "n-by-1", "n-by-2"])
+def test_dataset_refuses_observations_that_are_not_one_dimensional(values):
+    # (4, 2) read as four observations of two columns each, of which most
+    # statistics saw only the first
+    with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(values)}")):
+        Dataset(values)
+
+
+def test_dataset_of_n_values_is_n_observations():
+    # it was one observation with three columns: mean 1.0, and a posterior
+    # conditioned on n = 1
+    y = Dataset(np.array([1.0, 2.0, 3.0]))
+    assert y.n_obs == 3
+    assert STATISTIC_REGISTRY["mean"].on_data(y) == 2.0
+    assert STATISTIC_REGISTRY["max"].on_data(y) == 3.0
+    post = BetaBinomial(a=1.0, b=1.0, n_trials=5).analytic_posterior(y)
+    assert post.params == (7.0, 10.0)
+
+
+@pytest.mark.parametrize("text", ["y0,y1\n1,10\n2,20\n", "y0,y1,group\n1,10,0\n2,20,1\n",
+                                  "group,y0\n0,1\n1,2\n", "y0\n1,10\n2,20\n", "\n"])
+def test_dataset_csv_refuses_other_layouts(tmp_path, text):
+    # one observation column and an optional group column, nothing else
+    path = tmp_path / "y.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        Dataset.from_csv(path)

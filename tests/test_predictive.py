@@ -33,7 +33,7 @@ from simflow.simtest import mean_stat, sample_max
 T0 = "theta[0]"
 
 variance_stat = SummaryStatistic("variance", "data",
-                                 lambda obs, labels: obs[:, :, 0].var(axis=1, ddof=1))
+                                 lambda obs, labels: obs.var(axis=1, ddof=1))
 
 
 class PointMass(Approximator):
@@ -57,7 +57,7 @@ class Jitter(Approximator):
 
     def approximate(self, model, y, rng, m):
         noise = as_generator(rng).standard_normal((m, 1))
-        return ParamDraws(y.observations[:, 0].mean() + 0.5 * noise, source=self.kind)
+        return ParamDraws(y.observations.mean() + 0.5 * noise, source=self.kind)
 
 
 class BlockJitter(Approximator):
@@ -67,7 +67,7 @@ class BlockJitter(Approximator):
 
     def approximate_block(self, model, obs, labels, rows, m):
         noise = rows.standard_normal((len(rows), m, 1))
-        return obs[:, :, 0].mean(axis=1)[:, None, None] + 0.5 * noise
+        return obs.mean(axis=1)[:, None, None] + 0.5 * noise
 
 
 def test_pushforward_wide_region_is_certain():
@@ -98,7 +98,7 @@ def test_frequentist_check_centered_after_fitting():
     hits = 0
     for i in range(200):
         y = model.simulate_data(np.array([0.3]), substream(20, 0, i))
-        theta_hat = [y.observations[:, 0].mean()]
+        theta_hat = [y.observations.mean()]
         result = frequentist_predictive_check(model, theta_hat, mean_stat, y,
                                               s=200, seed=i)
         if 0.025 <= result.ppp <= 0.975:
@@ -112,7 +112,7 @@ def test_sample_max_flags_thin_tails():
     flagged = 0
     for i in range(30):
         y = gen.simulate_data(np.array([2.0, 2.0]), substream(21, 0, i))
-        obs = y.observations[:, 0]
+        obs = y.observations
         fitted = NormalNormal(mu0=0.0, tau0=1.0, sigma=float(obs.std(ddof=1)),
                               n_obs=obs.size)
         y_plain = Dataset(y.observations.copy())
@@ -159,7 +159,7 @@ def test_replication_mean_variance_decomposition():
     post = model.analytic_posterior(y)
     draws = ExactConjugate().approximate(model, y, substream(25, 1), m=5000)
     reps = posterior_predictive_sample(model, draws, s=5000, seed=2)
-    means = np.array([r.observations[:, 0].mean() for r in reps])
+    means = np.array([r.observations.mean() for r in reps])
     tau_n2 = post.sd() ** 2
     want = 1.0 / 10 + tau_n2
     assert means.var(ddof=1) == pytest.approx(want, rel=0.10)
@@ -230,7 +230,7 @@ def test_posterior_sbc_single_inner_draw():
 
 def test_posterior_sbc_empty_data_reduces_to_prior_sbc():
     model = NormalNormal(n_obs=10)
-    empty = Dataset(np.empty((0, 1)))
+    empty = Dataset(np.empty(0))
     cond = run_posterior_sbc(model, ExactConjugate(), empty,
                              SbcConfig(s=500, m=19, seed=6))
     plain = run_sbc(model, ExactConjugate(), SbcConfig(s=500, m=19, seed=7))

@@ -288,7 +288,7 @@ def test_rwm_lockstep_warns_for_each_row(model):
 
 
 def reference_sample_mean(y) -> float:
-    return float(y.observations[:, 0].mean())
+    return float(y.observations.mean())
 
 
 def reference_posterior_mean(model):
@@ -300,15 +300,15 @@ def _flaky_rows(obs):
     """Rows whose first value is above all their others (the estimator
     raises on a block holding one), and rows whose last value is below
     their first (NaN estimate)."""
-    first = obs[:, 0, 0]
-    return (first[:, None] > obs[:, 1:, 0]).all(axis=1), obs[:, -1, 0] < first
+    first = obs[:, 0]
+    return (first[:, None] > obs[:, 1:]).all(axis=1), obs[:, -1] < first
 
 
 def _flaky(obs, labels):
     raises, undefined = _flaky_rows(obs)
     if raises.any():
         raise ValueError("estimator diverged")
-    return np.where(undefined, np.nan, obs[:, :, 0].mean(axis=1))
+    return np.where(undefined, np.nan, obs.mean(axis=1))
 
 
 def reference_estimate(estimator, y) -> float:
@@ -324,7 +324,7 @@ def _flaky_reference(y):
     raises, undefined = _flaky_rows(y.observations[None])
     if raises[0]:
         raise ValueError("estimator diverged")
-    return np.nan if undefined[0] else y.observations[:, 0].mean()
+    return np.nan if undefined[0] else y.observations.mean()
 
 
 @settings(max_examples=8, deadline=None)
@@ -352,7 +352,7 @@ def test_frequentist_calibration_blocks_equal_row_loop(seed, block, truth):
 
 def reference_z_pvalue(y, theta0, side) -> float:
     """The one-sample z test with sigma 1 on one dataset."""
-    z = (y.observations[:, 0].mean() - theta0) * np.sqrt(y.n_obs)
+    z = (y.observations.mean() - theta0) * np.sqrt(y.n_obs)
     if side == "upper":
         return float(ndtr(-z))
     if side == "lower":
@@ -421,6 +421,6 @@ def test_estimators_see_sample_mean_rows():
     for i in range(5):
         rng = substream(2, 0, i)
         theta = model.sample_prior(rng, 1)
-        y = model.simulate_batch(theta, rng)[0, :, 0]
+        y = model.simulate_batch(theta, rng)[0]
         want.append((y.mean() - theta[0, 0]) ** 2)
     np.testing.assert_array_equal(got, want)

@@ -1,5 +1,8 @@
 """Null simulation, rank p-values, and simulation-based tests."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,7 +120,7 @@ def test_power_does_not_reject_an_undefined_statistic(side):
     # is 0/0 (it counted as a rejection on the lower and two-sided tests)
     model = PoissonGamma(a=3.0, b=1.0, n_obs=4)
     test = SimulationTest(model, [3.0], lag1_autocorr, side=side, s=200, seed=1)
-    assert np.isnan(test.pvalue(Dataset(np.zeros((4, 1))), substream(0, 0)))
+    assert np.isnan(test.pvalue(Dataset(np.zeros(4)), substream(0, 0)))
     result = power_analysis(model, [1e-9], test, alpha=0.5, s=50, seed=0)
     assert result.n_rejections == 0 and result.power == 0.0
 
@@ -133,12 +136,50 @@ def test_pooled_t_null_is_not_student_t_for_lognormal():
 def test_two_group_statistic_of_a_block_equals_blocks_of_one(name):
     # lognormal values in interleaved groups, so a group's columns are not adjacent
     rng = np.random.default_rng(5)
-    obs = np.exp(rng.normal(size=(500, 80, 1)))
+    obs = np.exp(rng.normal(size=(500, 80)))
     labels = np.arange(80) % 2
     fn = STATISTIC_REGISTRY[name].fn
     block = fn(obs, labels)
     ones = np.concatenate([fn(obs[i:i + 1], labels) for i in range(obs.shape[0])])
     assert block.tobytes() == ones.tobytes()
+
+
+@pytest.mark.parametrize("statistic", [*STATISTIC_REGISTRY.values(), *DISTANCE_REGISTRY.values()],
+                         ids=[*STATISTIC_REGISTRY, *DISTANCE_REGISTRY])
+def test_statistic_of_a_block_equals_blocks_of_one(statistic):
+    # k values for a (k, n) block, bit for bit those of k blocks of one and
+    # of each row's own Dataset
+    rng = np.random.default_rng(9)
+    obs = np.exp(rng.normal(size=(300, 40)))
+    labels = np.arange(40) % 2
+    block = statistic.fn(obs, labels)
+    assert block.shape == (300,)
+    ones = np.concatenate([statistic.fn(obs[i:i + 1], labels) for i in range(300)])
+    assert block.tobytes() == ones.tobytes()
+    assert block.tolist() == [statistic.on_data(Dataset(row, labels)) for row in obs]
+
+
+def _exact_sd(values: np.ndarray) -> float:
+    """The sample sd (ddof 1) in rational arithmetic, rounded once at the end."""
+    scale = Fraction(float(np.abs(values).max()))
+    exact = [Fraction(float(v)) / scale for v in values]
+    mean = sum(exact) / len(exact)
+    var = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+    return math.sqrt(var) * float(scale)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+def test_null_sd_of_draws_whose_squares_overflow(scale, recwarn):
+    # the squared deviations of draws near 1e300 overflow: null_sd was
+    # Infinity, with "overflow encountered in square"; an ordinary null keeps
+    # np.std's bytes
+    big = SummaryStatistic("big-mean", "data", lambda obs, labels: obs.mean(axis=1) * scale)
+    test = SimulationTest(NormalNormal(n_obs=4), [0.0], big, s=2000, seed=3)
+    sd = test.report(Dataset(np.zeros(4))).null_sd
+    assert not recwarn.list
+    assert sd == pytest.approx(_exact_sd(test.null.values), rel=1e-12)
+    if scale == 1.0:
+        assert sd == test.null.values.std(ddof=1)
 
 
 def test_critical_values_on_integer_grid():
@@ -204,7 +245,7 @@ def test_shared_null_gives_uniform_pvalues():
 def _flaky_mean(obs, labels):
     # undefined whenever the sample mean is large; rare enough that retries
     # clear it, common enough to trigger at s=400
-    m = obs[:, :, 0].mean(axis=1)
+    m = obs.mean(axis=1)
     return np.where(m < 0.52, m, np.nan)
 
 
@@ -229,14 +270,14 @@ def test_simulate_null_chunk_and_retry_streams():
     root = int(substream(2).integers(0, 2**63 - 1))
     ref, n_resampled, max_attempt = [], 0, 0
     for c, lo in enumerate(range(0, s, chunk)):
-        vals = _flaky_mean(substream(root, 0, c).standard_normal((min(chunk, s - lo), n, 1)),
+        vals = _flaky_mean(substream(root, 0, c).standard_normal((min(chunk, s - lo), n)),
                            None)
         attempt = 0
         while not np.isfinite(vals).all():
             attempt += 1
             bad = ~np.isfinite(vals)
             n_resampled += int(bad.sum())
-            redo = substream(root, 0, c, attempt).standard_normal((int(bad.sum()), n, 1))
+            redo = substream(root, 0, c, attempt).standard_normal((int(bad.sum()), n))
             vals[bad] = _flaky_mean(redo, None)
         max_attempt = max(max_attempt, attempt)
         ref.append(vals)
@@ -308,7 +349,7 @@ def test_simulation_test_default_rng_reproducible():
 def test_analytic_z_test_sides():
     model = NormalNormal(n_obs=25)
     y = model.simulate_data(np.array([0.8]), substream(14, 0))
-    z = (y.observations[:, 0].mean() - 0.0) * 5.0
+    z = (y.observations.mean() - 0.0) * 5.0
     upper = AnalyticZTest(0.0, 1.0, side="upper").pvalue(y)
     lower = AnalyticZTest(0.0, 1.0, side="lower").pvalue(y)
     two = AnalyticZTest(0.0, 1.0, side="two_sided").pvalue(y)
