@@ -14,10 +14,8 @@ from .approximators import (
     ExactConjugate,
     PerturbedConjugate,
     RandomWalkMetropolis,
-    RwmResult,
     abc_rejection,
     acceptance_curve,
-    rwm_sample,
 )
 from .calibration import (
     AccuracyResult,
@@ -33,7 +31,6 @@ from .calibration import (
     run_frequentist_calibration,
     run_sbc,
     sample_mean_estimator,
-    sbc_pvalue,
     sharpness,
     squared_error,
 )
@@ -90,7 +87,6 @@ from .predictive import (
     PredictiveResult,
     PushforwardResult,
     frequentist_predictive_check,
-    posterior_predictive_pvalue,
     posterior_predictive_sample,
     prior_pushforward_check,
     run_posterior_sbc,
@@ -106,7 +102,6 @@ from .simtest import (
     TestReport,
     critical_value,
     rank_pvalues,
-    run_test,
     simulate_null,
     simulation_pvalue,
 )

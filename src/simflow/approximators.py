@@ -25,9 +25,7 @@ __all__ = [
     "PerturbedConjugate",
     "RandomWalkMetropolis",
     "AbcRejection",
-    "RwmResult",
     "AbcResult",
-    "rwm_sample",
     "abc_rejection",
     "acceptance_curve",
 ]
@@ -132,15 +130,6 @@ class PerturbedConjugate(ConjugateApproximator):
         return mu - self.mean_shift * sd + (exact - mu) * self.sd_scale
 
 
-@dataclass(frozen=True)
-class RwmResult:
-    draws: ParamDraws
-    acceptance_rate: float
-    chains: int
-    iterations: int
-    warmup: int
-
-
 def _rwm_block(model: Model, obs: np.ndarray, labels, rows: RowStreams, chains: int,
                iterations: int, warmup: int, step_sd: float) -> tuple[np.ndarray, np.ndarray]:
     """Random-walk Metropolis on k datasets in lockstep: the (k, (iterations
@@ -196,37 +185,15 @@ def _rwm_block(model: Model, obs: np.ndarray, labels, rows: RowStreams, chains: 
     return kept.reshape(k, -1, d), rates
 
 
-def rwm_sample(
-    model: Model,
-    y: Dataset,
-    rng,
-    chains: int = 4,
-    iterations: int = 2000,
-    warmup: int = 500,
-    step_sd: float = 0.5,
-) -> RwmResult:
+class RandomWalkMetropolis(Approximator):
     """Random-walk Metropolis in the model's unconstrained parameterization.
 
     Chains start at independent prior draws. Proposals are isotropic Normal
     steps with scalar step_sd; the Jacobian of the reparameterization is part
     of the target, so bounded parameters mix without rejections at the edge.
-    """
-    kept, rates = _rwm_block(model, y.observations[None], y.group_labels,
-                             RowStreams([as_generator(rng)]), chains, iterations, warmup, step_sd)
-    rate = float(rates[0])
-    draws = ParamDraws(
-        kept[0],
-        source="random_walk_metropolis",
-        info={"acceptance_rate": rate, "chains": chains, "iterations": iterations,
-              "warmup": warmup, "step_sd": step_sd},
-    )
-    return RwmResult(draws, rate, chains, iterations, warmup)
-
-
-class RandomWalkMetropolis(Approximator):
-    """rwm_sample with enough iterations after warmup for m draws; a
-    dataset keeps the first m draws in iteration-major order. A block of
-    datasets runs in lockstep, each row's chains on the row's stream."""
+    Each dataset runs enough iterations after warmup for m draws and keeps
+    the first m in iteration-major order. A block of datasets runs in
+    lockstep, each row's chains on the row's stream (_rwm_block)."""
 
     needs = ("can_sample_prior", "can_log_prior", "can_log_likelihood")
 

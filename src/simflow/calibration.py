@@ -26,10 +26,9 @@ from .approximators import Approximator
 from .diagnostics import PValueSet, UniformityVerdict, uniformity_test
 from .models import Model, SummaryStatistic, param_target
 from .rng import row_blocks
-from .simtest import rank_pvalues, simulation_pvalue
+from .simtest import rank_pvalues
 
 __all__ = [
-    "sbc_pvalue",
     "SbcConfig",
     "SbcResult",
     "run_sbc",
@@ -51,24 +50,6 @@ __all__ = [
 # Replications per block of _replicate: a block of (k, M) posterior draws at
 # M = 999 is 8 MB
 _REPLICATION_BLOCK = 1024
-
-
-def sbc_pvalue(t_star, t_draws: np.ndarray, rng):
-    """Fraction of draws at or below the truth, ties counted with
-    probability one half each (seeded).
-
-    Given a (k,) truth, (k, m) draws and a rng.RowStreams of k rows, it
-    returns the k p-values of the rows; a row with ties draws its coin from
-    its own stream, and a row without none.
-    """
-    if np.ndim(t_star) == 0:
-        return simulation_pvalue(float(t_star), t_draws, "lower", rng)
-    t_star = t_star[:, None]
-    below = (t_draws < t_star).sum(axis=1)
-    ties = (t_draws == t_star).sum(axis=1)
-    for i in np.flatnonzero(ties):
-        below[i] += rng[i].binomial(int(ties[i]), 0.5)
-    return below / t_draws.shape[1]
 
 
 @dataclass(frozen=True)
@@ -136,12 +117,15 @@ def _default_targets(model: Model) -> tuple[SummaryStatistic, ...]:
 def _sbc_ranks(model, approximator, targets, m: int):
     """Block statistic of SBC: per row and target, the p-value of theta
     among m approximate posterior draws given the row's dataset, all rows
-    drawn by the approximator's block method and ranked in one pass."""
+    drawn by the approximator's block method and ranked in one pass
+    (rank_pvalues against per-row draws, lower side: the fraction of draws
+    below the truth, ties split by the row's own coin)."""
 
     def block_ranks(thetas, obs, labels, rows) -> np.ndarray:
         k = len(rows)
         values = approximator.approximate_block(model, obs, labels, rows, m).reshape(k * m, -1)
-        return np.column_stack([sbc_pvalue(t.fn(thetas), t.fn(values).reshape(k, m), rows)
+        return np.column_stack([rank_pvalues(t.fn(thetas), t.fn(values).reshape(k, m),
+                                             "lower", rows)
                                 for t in targets])
 
     return block_ranks

@@ -322,9 +322,11 @@ def _theta(values, flag: str, model, prior: bool = False) -> list[float] | None:
     if not isinstance(values, list) or len(values) != model.param_dim:
         raise ConfigError(f"{flag} needs {model.param_dim} number(s) for {model.name}, "
                           f"got {values!r}")
-    if not model.in_support(values):
+    try:
+        model._check_domain(np.asarray(values, dtype=float).reshape(1, -1))
+    except DomainError:
         raise ConfigError(f"{flag} {values!r} lies outside the parameter domain of "
-                          f"{model.name}")
+                          f"{model.name}") from None
     return values
 
 

@@ -11,7 +11,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .models import Dataset, Model, ParamDraws
-from .report import write_csv
 from .rng import cell_seed, chunks
 
 __all__ = [
@@ -217,9 +216,6 @@ class SweepResult:
         """(header, columns): every key in first-seen order, blank where a row lacks it."""
         keys = list(dict.fromkeys(k for row in self.rows for k in row))
         return keys, [[row.get(k, "") for row in self.rows] for k in keys]
-
-    def to_csv(self, path) -> None:
-        write_csv(path, *self.table())
 
 
 def sensitivity_sweep(

@@ -361,10 +361,6 @@ class Model:
         """Whether each row of a (k, param_dim) array lies in the plausible domain."""
         return np.isfinite(thetas).all(axis=1)
 
-    def in_support(self, theta) -> bool:
-        """Whether one parameter vector lies in the plausible domain."""
-        return bool(self._support(np.asarray(theta, dtype=float).reshape(1, -1))[0])
-
     def _check_domain(self, thetas: np.ndarray) -> None:
         """DomainError unless every row of a (k, param_dim) array lies in the
         plausible domain."""
@@ -425,9 +421,6 @@ class Model:
 
     def group_labels(self, n_obs: int) -> np.ndarray | None:
         return None
-
-    def log_likelihood(self, theta, y: Dataset) -> float:
-        return float(self.log_likelihood_batch(np.atleast_2d(theta), y)[0])
 
     def log_likelihood_batch(self, thetas: np.ndarray, y, labels=None) -> np.ndarray:
         """log p(y | theta) of each row of (c, param_dim) thetas given a

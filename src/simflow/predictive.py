@@ -37,7 +37,6 @@ __all__ = [
     "PredictiveResult",
     "frequentist_predictive_check",
     "posterior_predictive_sample",
-    "posterior_predictive_pvalue",
     "run_ppc",
     "run_posterior_sbc",
 ]
@@ -92,15 +91,6 @@ class PredictiveResult:
     metadata: dict = field(default_factory=dict)
 
 
-def posterior_predictive_pvalue(observed: float, replication_stats, rng) -> float:
-    """Normalized rank of the observed statistic among replicated ones.
-
-    Same rank convention as the calibration p-value: values near 0 and
-    near 1 are both extreme.
-    """
-    return simulation_pvalue(float(observed), replication_stats, "lower", rng)
-
-
 def _replication_result(
     kind: str,
     model: Model,
@@ -115,7 +105,7 @@ def _replication_result(
     s = thetas.shape[0]
     reps = simulate_statistic(model, thetas, rng, statistic, n_obs=y_obs.n_obs)
     observed = statistic.on_data(y_obs)
-    ppp = posterior_predictive_pvalue(observed, reps, rng) if s >= 2 else None
+    ppp = simulation_pvalue(observed, reps, "lower", rng) if s >= 2 else None
     return PredictiveResult(
         kind=kind,
         statistic=statistic.name,

@@ -37,7 +37,6 @@ __all__ = [
     "SimulationTest",
     "AnalyticZTest",
     "TestReport",
-    "run_test",
 ]
 
 _RETRY_CAP = 5
@@ -185,22 +184,28 @@ def simulate_null(
     return NullSamples(out, n_resampled, statistic.name, int(s))
 
 
-def _ranks(observed: np.ndarray, null_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(below, ties): how many null draws lie strictly below each observed
-    value and how many equal it. One value takes one comparison pass; a
-    block takes one searchsorted pass over a sorted copy of the null, never
-    the null itself, whose mean and sd depend on the order of its draws."""
+def _ranks(observed: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(below, ties): how many reference draws lie strictly below each
+    observed value and how many equal it. Per-row draws, (k, m), compare
+    row i against row i only. A shared sample, (m,), takes one comparison
+    pass for one value and, for a block, one searchsorted pass over a
+    sorted copy, never the sample itself, whose mean and sd depend on the
+    order of its draws."""
+    if reference.ndim == 2:
+        column = observed[:, None]
+        return (reference < column).sum(axis=1), (reference == column).sum(axis=1)
     if observed.size == 1:
-        return ((null_values < observed[0]).sum(keepdims=True),
-                (null_values == observed[0]).sum(keepdims=True))
-    ordered = np.sort(null_values)
+        return ((reference < observed[0]).sum(keepdims=True),
+                (reference == observed[0]).sum(keepdims=True))
+    ordered = np.sort(reference)
     below = ordered.searchsorted(observed, "left")
     return below, ordered.searchsorted(observed, "right") - below
 
 
-def rank_pvalues(observed, null_values: np.ndarray, side: str, rows) -> np.ndarray:
-    """Normalized ranks of k observed statistics among one shared sample of
-    null draws, one p-value per row.
+def rank_pvalues(observed, reference: np.ndarray, side: str, rows) -> np.ndarray:
+    """Normalized ranks of k observed statistics among reference draws, one
+    p-value per row: either one shared sample, (m,), such as a test's null,
+    or one sample per row, (k, m), such as SBC's posterior draws.
 
     Strict inequalities; the draws tied with row i's value are split
     between the two sides by independent fair coin flips from rows[i], a
@@ -210,14 +215,14 @@ def rank_pvalues(observed, null_values: np.ndarray, side: str, rows) -> np.ndarr
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
-    null_values = np.asarray(null_values, dtype=float)
+    reference = np.asarray(reference, dtype=float)
     observed = np.asarray(observed, dtype=float).reshape(-1)
-    below, ties = _ranks(observed, null_values)
+    below, ties = _ranks(observed, reference)
     undefined = np.isnan(observed)
     ties[undefined] = 0
     for i in np.flatnonzero(ties):
         below[i] += rows[i].binomial(int(ties[i]), 0.5)
-    p_lower = below / null_values.size
+    p_lower = below / reference.shape[-1]
     p_lower[undefined] = np.nan
     if side == "lower":
         return p_lower
@@ -263,15 +268,15 @@ def critical_value(null_values: np.ndarray, alpha: float, side: str):
     return _critical(_quantiles(null_values, _critical_probs(alpha, side)), alpha, side)
 
 
-def _sd(values: np.ndarray) -> float:
-    """The sample sd (ddof 1); when its squares overflow, that of the values
-    divided by their largest magnitude, scaled back."""
+def _rescaled(stat, values: np.ndarray) -> float:
+    """stat of the values (a mean or an sd); when that overflows, stat of
+    the values divided by their largest magnitude, scaled back."""
     with np.errstate(over="ignore"):
-        sd = values.std(ddof=1)
-    if not np.isfinite(sd) and np.isfinite(values).all():
+        out = stat(values)
+    if not np.isfinite(out) and np.isfinite(values).all():
         scale = np.abs(values).max()
-        sd = (values / scale).std(ddof=1) * scale
-    return float(sd)
+        out = stat(values / scale) * scale
+    return float(out)
 
 
 @dataclass(frozen=True)
@@ -337,8 +342,8 @@ class SimulationTest:
             s=self.null.s,
             critical_values={alpha: _critical(quantile_at, alpha, self.side)
                              for alpha in alphas},
-            null_mean=float(self.null.values.mean()),
-            null_sd=_sd(self.null.values),
+            null_mean=_rescaled(np.mean, self.null.values),
+            null_sd=_rescaled(lambda v: v.std(ddof=1), self.null.values),
             null_quantiles={q: quantile_at[q] for q in qs},
             n_resampled=self.null.n_resampled,
             metadata={"two_sided_rule": "2*min(one-sided), capped at 1 (extension)"},
@@ -370,19 +375,3 @@ class AnalyticZTest:
     def pvalue(self, y: Dataset, rng=None) -> float:
         """The p-value of one dataset, a block of one."""
         return float(self.pvalues(y.observations[None])[0])
-
-
-def run_test(
-    model: Model,
-    theta0,
-    statistic: SummaryStatistic,
-    y_obs: Dataset,
-    side: str = "two_sided",
-    s: int = 10_000,
-    seed: int = 0,
-    alphas=(0.01, 0.05, 0.1),
-) -> TestReport:
-    """Build the null at theta0 and test one observed dataset."""
-    test = SimulationTest(model, theta0, statistic, side=side, s=s, seed=seed,
-                          n_obs=y_obs.n_obs)
-    return test.report(y_obs, alphas=alphas)

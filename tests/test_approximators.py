@@ -22,15 +22,22 @@ from simflow import (
     RandomWalkMetropolis,
     abc_rejection,
     acceptance_curve,
-    rwm_sample,
     substream,
 )
-from simflow.approximators import _nearest
+from simflow.approximators import _nearest, _rwm_block
+from simflow.rng import RowStreams
 from simflow.simtest import mean_stat, sample_sum
 
 
 def _one_obs(model, value):
     return Dataset(np.array([float(value)]))
+
+
+def _rwm(model, y, rng, chains=4, iterations=2000, warmup=500, step_sd=0.5):
+    """One dataset's kept draws and acceptance rate: _rwm_block on a block of one."""
+    kept, rates = _rwm_block(model, y.observations[None], y.group_labels, RowStreams([rng]),
+                             chains, iterations, warmup, step_sd)
+    return kept[0], float(rates[0])
 
 
 def test_exact_mean_matches_beta_posterior():
@@ -86,16 +93,16 @@ def test_perturbed_sd_scale():
 def test_rwm_pooled_mean_and_quantiles():
     model = NormalNormal(mu0=0.0, tau0=1.0, sigma=1.0, n_obs=1)
     y = _one_obs(model, 1.0)
-    result = rwm_sample(model, y, substream(44, 0), chains=4, iterations=6000,
-                        warmup=1000, step_sd=0.8)
-    vals = result.draws.values[:, 0]
+    draws, rate = _rwm(model, y, substream(44, 0), chains=4, iterations=6000,
+                       warmup=1000, step_sd=0.8)
+    vals = draws[:, 0]
     assert abs(vals.mean() - 0.5) < 0.02
     post = model.analytic_posterior(y)
     qs = np.arange(0.1, 0.95, 0.1)
     got = np.quantile(vals, qs)
     want = post.quantile(qs)
     assert np.max(np.abs(got - want)) < 0.03
-    assert 0.0 < result.acceptance_rate < 1.0
+    assert 0.0 < rate < 1.0
 
 
 def test_rwm_logit_beta_posterior_mean():
@@ -111,11 +118,11 @@ def test_rwm_tiny_step_warns_and_barely_moves():
     model = NormalNormal(n_obs=5)
     y = model.simulate_data(np.array([0.0]), substream(46, 0))
     with pytest.warns(RuntimeWarning, match="acceptance rate"):
-        result = rwm_sample(model, y, substream(46, 1), chains=2, iterations=600,
-                            warmup=100, step_sd=1e-6)
-    assert result.acceptance_rate > 0.95
+        draws, rate = _rwm(model, y, substream(46, 1), chains=2, iterations=600,
+                           warmup=100, step_sd=1e-6)
+    assert rate > 0.95
     # chains start dispersed; with a tiny step each one stays near its start
-    vals = result.draws.values[:, 0]
+    vals = draws[:, 0]
     assert np.ptp(vals[::2]) < 0.001 and np.ptp(vals[1::2]) < 0.001
 
 
@@ -175,16 +182,16 @@ def test_rwm_requires_densities():
     model = LogNormalTwoGroup()
     y = model.simulate_data(np.array([2.0, 2.0]), substream(47, 0))
     with pytest.raises(CapabilityError):
-        rwm_sample(model, y, substream(47, 1))
+        _rwm(model, y, substream(47, 1))
 
 
 def test_rwm_validation():
     model = NormalNormal(n_obs=5)
     y = model.simulate_data(np.array([0.0]), substream(48, 0))
     with pytest.raises(ValueError):
-        rwm_sample(model, y, substream(48, 1), iterations=100, warmup=100)
+        _rwm(model, y, substream(48, 1), iterations=100, warmup=100)
     with pytest.raises(ValueError):
-        rwm_sample(model, y, substream(48, 1), step_sd=0.0)
+        _rwm(model, y, substream(48, 1), step_sd=0.0)
 
 
 def test_abc_zero_tolerance_recovers_beta_posterior():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -19,12 +19,13 @@ from simflow import (
     run_posterior_sbc,
     run_sbc,
     sample_mean_estimator,
-    sbc_pvalue,
     sharpness,
+    rank_pvalues,
     substream,
 )
 from simflow.calibration import absolute_error, posterior_mean_estimator, squared_error
-from simflow.models import SummaryStatistic
+from simflow.models import SummaryStatistic, param_target
+from simflow.rng import row_streams
 from simflow.simtest import STATISTIC_REGISTRY, SimulationTest, pooled_t
 
 T0 = "theta[0]"
@@ -46,9 +47,61 @@ class AnalyticZTestStub:
 def test_sbc_pvalue_trivial_cases():
     draws = np.array([0.1, 0.2, 0.9, 1.0])
     rng = substream(0, 0)
-    assert sbc_pvalue(0.5, draws, rng) == 0.5
-    assert sbc_pvalue(0.05, draws, rng) == 0.0
-    assert sbc_pvalue(2.0, draws, rng) == 1.0
+    # one row, one truth among its own draws
+    assert rank_pvalues([0.5], draws[None], "lower", [rng])[0] == 0.5
+    assert rank_pvalues([0.05], draws[None], "lower", [rng])[0] == 0.0
+    assert rank_pvalues([2.0], draws[None], "lower", [rng])[0] == 1.0
+
+
+def _frozen_sbc_pvalue(t_star, t_draws, rows):
+    """The per-row SBC rank before rank_pvalues took per-row draws, kept
+    verbatim: the fraction of row i's draws strictly below its truth, the
+    ties split by fair coins from rows[i], drawn only if the row ties."""
+    t_star = t_star[:, None]
+    below = (t_draws < t_star).sum(axis=1)
+    ties = (t_draws == t_star).sum(axis=1)
+    for i in np.flatnonzero(ties):
+        below[i] += rows[i].binomial(int(ties[i]), 0.5)
+    return below / t_draws.shape[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), m=st.integers(1, 60),
+       levels=st.sampled_from([1, 2, 3, 10**9]))
+@example(seed=0, k=1, m=1, levels=1)      # one row, its one draw tied
+@example(seed=1, k=1, m=50, levels=10**9)  # one row, no ties
+def test_per_row_ranks_equal_the_frozen_sbc_rule(seed, k, m, levels):
+    # few levels tie the truth with many of its draws
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, levels, size=k).astype(float)
+    draws = rng.integers(0, levels, size=(k, m)).astype(float)
+    rows, frozen_rows, one_rows = (row_streams(seed, 0, k) for _ in range(3))
+    got = rank_pvalues(truth, draws, "lower", rows)
+    assert got.tobytes() == _frozen_sbc_pvalue(truth, draws, frozen_rows).tobytes()
+    # the same coins: every row's stream is left where the frozen rule left it
+    assert rows.random((k, 3)).tobytes() == frozen_rows.random((k, 3)).tobytes()
+    # and row i alone against its own draws as a shared sample gives row i's p-value
+    for i in range(k):
+        assert rank_pvalues(truth[i], draws[i], "lower", [one_rows[i]])[0] == got[i]
+
+
+def test_sbc_ranks_equal_the_frozen_rule_across_blocks():
+    # S = 1100 crosses the 1024-row block of _replicate; the rounded target
+    # ties the truth with most of the draws
+    model, approx, m, s, seed = NormalNormal(n_obs=5), ExactConjugate(), 9, 1100, 13
+    rounded = SummaryStatistic("rounded", "params", lambda values: np.round(values[:, 0]))
+    targets = (param_target(0), rounded)
+
+    def frozen_ranks(thetas, obs, labels, rows):
+        k = len(rows)
+        values = approx.approximate_block(model, obs, labels, rows, m).reshape(k * m, -1)
+        return np.column_stack([_frozen_sbc_pvalue(t.fn(thetas), t.fn(values).reshape(k, m),
+                                                   rows) for t in targets])
+
+    want = np.array(calibration._replicate(model, seed, s, frozen_ranks))
+    got = run_sbc(model, approx, SbcConfig(s=s, m=m, seed=seed, targets=targets))
+    for j, t in enumerate(targets):
+        assert got.pvalues[t.name].values.tobytes() == want[:, j].tobytes()
 
 
 def test_sbc_exact_uniform():

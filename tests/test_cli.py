@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -469,6 +470,30 @@ def test_null_sd_near_the_float_limit_is_strict_json(tmp_path, capsys):
     mean = sum(exact) / len(exact)
     sd = math.sqrt(sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)) * float(scale)
     assert abs(results["null_sd"] - sd) <= 1e-12 * float(scale)
+
+
+def test_null_mean_near_the_float_limit_is_strict_json(tmp_path, capsys):
+    # one value 1e308: the sum of the null draws overflowed, so null_mean was
+    # Infinity, with "overflow encountered in reduce" on stderr
+    data = tmp_path / "big.csv"
+    data.write_text("y0\n1e308\n")
+    out = tmp_path / "test"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["test", "--model", "normal-normal", "--model-params", "n_obs=1",
+                     "--theta0", "1e308", "--data", str(data), "--out", str(out)]) == 0
+    assert not caught
+    assert "Warning" not in capsys.readouterr().err
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    results = json.loads((out / "report.json").read_text(), parse_constant=refuse)["results"]
+    null = simflow.simtest.simulate_null(NormalNormal(n_obs=1), [1e308],
+                                         simflow.simtest.mean_stat, 10_000, substream(0, 0))
+    exact = sum(Fraction(float(v)) for v in null.values) / len(null.values)
+    assert math.isfinite(results["null_mean"])
+    assert abs(Fraction(results["null_mean"]) - exact) <= Fraction(1e-12) * exact
 
 
 @pytest.mark.parametrize("argv", [

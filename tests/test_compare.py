@@ -20,6 +20,7 @@ from simflow import (
     weighted_mean,
     weighted_quantile,
 )
+from simflow.report import write_csv
 
 
 def _obs(*values):
@@ -274,7 +275,7 @@ def test_sweep_csv_round_trip(tmp_path):
 
     result = sensitivity_sweep(pipeline, [{"x": 1}, {"x": 2}], seed=1)
     path = tmp_path / "sweep.csv"
-    result.to_csv(path)
+    write_csv(path, *result.table())
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",")[0] == "x"
     assert len(lines) == 3

@@ -2,7 +2,7 @@
 
 Each run's report.json (without its timing_seconds line) and each CSV and
 SVG it writes is hashed with sha256 and compared with the table in
-golden.json.
+golden.json. Every run must also be silent: no warning, nothing on stderr.
 A refactor must keep every entry. After an intended change to report
 bytes, refresh the table with
 
@@ -12,9 +12,12 @@ and list each changed entry in CHANGES.md.
 """
 
 import configparser
+import contextlib
 import hashlib
+import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,24 +189,29 @@ RUNS = {
 CONFIG_ONLY = {"sbc-config"}
 
 
-def run_all(workdir: Path) -> dict[str, str]:
-    """Run every command in workdir; return {output file: sha256}."""
+def run_all(workdir: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """Run every command in workdir; return {output file: sha256} and
+    {label: the warnings it raised and the text it wrote to stderr}."""
     y = np.random.default_rng(3).normal(0.4, 1.0, size=12)
     (workdir / "data.csv").write_text("y0\n" + "".join(f"{v:.17g}\n" for v in y))
     for name, text in INPUTS.items():
         (workdir / name).write_text(text)
-    digests = {}
+    digests, noise = {}, {}
     for label, argv in RUNS.items():
         flags = [] if label in CONFIG_ONLY else [
             "--seed", "5", "--out", label, "--formats", "json,csv,svg"]
-        rc = main([*argv, *flags])
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("always")
+            rc = main([*argv, *flags])
+        noise[label] = [str(w.message) for w in caught] + [err.getvalue()] * bool(err.getvalue())
         assert rc == 0, f"{label} exited {rc}"
         out = workdir / label
         body = TIMING.sub(b"", (out / "report.json").read_bytes())
         digests[f"{label}/report.json"] = hashlib.sha256(body).hexdigest()
         for path in [*out.glob("*.csv"), *out.glob("*.svg")]:
             digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
+    return digests, noise
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +219,7 @@ def golden_run(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("golden")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(workdir)
-        return workdir, run_all(workdir)
+        return workdir, *run_all(workdir)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +236,13 @@ def test_golden_digest(digests, name):
     assert digests.get(name) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_golden_run_is_silent(golden_run, label):
+    # a warning or a stderr line on a valid run points at a numeric edge
+    # the report hides (an overflow, a division by zero)
+    assert golden_run[2][label] == []
+
+
 def _refuse(constant):
     raise ValueError(f"{constant} is not JSON")
 
@@ -235,7 +250,7 @@ def _refuse(constant):
 @pytest.mark.parametrize("label", sorted(RUNS))
 def test_golden_report_is_strict_json(golden_run, label):
     # json.dumps writes NaN and Infinity, which strict JSON parsers refuse
-    workdir, _ = golden_run
+    workdir = golden_run[0]
     json.loads((workdir / label / "report.json").read_text(), parse_constant=_refuse)
 
 
@@ -254,7 +269,7 @@ def _parts(value) -> list:
 def test_config_echoes_every_setting(golden_run, label):
     # every setting of the subcommand but the common flags and input paths,
     # with its value: the flag, else its config key, else the default
-    workdir, _ = golden_run
+    workdir = golden_run[0]
     argv = RUNS[label]
     args = cli.build_parser().parse_args(argv)
     ini = configparser.ConfigParser()
@@ -291,6 +306,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        table = run_all(Path(tmp))
+        table, _ = run_all(Path(tmp))
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} digests to {TABLE}")

@@ -217,7 +217,7 @@ def test_simulate_bit_reproducible():
 
 def test_loglik_binomial_half():
     model = BetaBinomial(n_trials=2)
-    assert model.log_likelihood(np.array([0.5]), _d([1.0])) == pytest.approx(
+    assert model.log_likelihood_batch(np.array([[0.5]]), _d([1.0]))[0] == pytest.approx(
         np.log(0.5), abs=1e-12
     )
 
@@ -225,14 +225,14 @@ def test_loglik_binomial_half():
 def test_loglik_standard_normal_at_zero():
     model = NormalNormal(sigma=1.0)
     want = -0.5 * np.log(2 * np.pi)
-    assert model.log_likelihood(np.array([0.0]), _d([0.0])) == pytest.approx(
+    assert model.log_likelihood_batch(np.array([[0.0]]), _d([0.0]))[0] == pytest.approx(
         want, abs=1e-12
     )
 
 
 def test_loglik_poisson_two_zeros():
     model = PoissonGamma()
-    assert model.log_likelihood(np.array([1.0]), _d([0.0, 0.0])) == pytest.approx(
+    assert model.log_likelihood_batch(np.array([[1.0]]), _d([0.0, 0.0]))[0] == pytest.approx(
         -2.0, abs=1e-12
     )
 
@@ -244,7 +244,7 @@ def test_loglik_finite_on_prior_support():
         thetas = model.sample_prior(rng, 100)
         for i in range(thetas.shape[0]):
             y = model.simulate_data(thetas[i], rng)
-            assert np.isfinite(model.log_likelihood(thetas[i], y))
+            assert np.isfinite(model.log_likelihood_batch(thetas[i:i + 1], y)[0])
 
 
 def test_loglik_two_group_matches_scipy():
@@ -254,7 +254,7 @@ def test_loglik_two_group_matches_scipy():
     for g, mu in ((0, 2.0), (1, 1.0)):
         vals = y.observations[y.group_labels == g]
         want += stats.lognorm.logpdf(vals, s=2.0, scale=np.exp(mu)).sum()
-    got = model.log_likelihood(np.array([2.0, 1.0]), y)
+    got = model.log_likelihood_batch(np.array([[2.0, 1.0]]), y)[0]
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -539,7 +539,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         BetaBinomial().simulate_data(np.array([1.5]), substream(0, 0))
     with pytest.raises(DomainError):
-        PoissonGamma().log_likelihood(np.array([1.0]), _d([2.5]))
+        PoissonGamma().log_likelihood_batch(np.array([[1.0]]), _d([2.5]))
     with pytest.raises(DomainError):
         BetaBinomial(a=-1.0)
     with pytest.raises(DomainError):

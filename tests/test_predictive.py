@@ -17,12 +17,12 @@ from simflow import (
     PerturbedConjugate,
     SbcConfig,
     frequentist_predictive_check,
-    posterior_predictive_pvalue,
     posterior_predictive_sample,
     prior_pushforward_check,
     run_ppc,
     run_posterior_sbc,
     run_sbc,
+    simulation_pvalue,
     substream,
 )
 from simflow.compare import power_scale_weights
@@ -173,17 +173,17 @@ def test_replication_mean_variance_decomposition():
 def test_ppp_trivial_cases():
     rng = substream(0, 0)
     reps = np.array([1.0, 2.0, 3.0, 4.0])
-    assert posterior_predictive_pvalue(0.5, reps, rng) == 0.0
-    assert posterior_predictive_pvalue(2.5, reps, rng) == 0.5
-    assert posterior_predictive_pvalue(9.0, reps, rng) == 1.0
+    assert simulation_pvalue(0.5, reps, "lower", rng) == 0.0
+    assert simulation_pvalue(2.5, reps, "lower", rng) == 0.5
+    assert simulation_pvalue(9.0, reps, "lower", rng) == 1.0
 
 
 def test_ppp_invariant_under_monotone_transform():
     rng = substream(30, 0)
     reps = rng.normal(size=500)
     obs = 0.7
-    p1 = posterior_predictive_pvalue(obs, reps, substream(30, 1))
-    p2 = posterior_predictive_pvalue(np.exp(obs), np.exp(reps), substream(30, 2))
+    p1 = simulation_pvalue(obs, reps, "lower", substream(30, 1))
+    p2 = simulation_pvalue(np.exp(obs), np.exp(reps), "lower", substream(30, 2))
     assert p1 == p2
 
 

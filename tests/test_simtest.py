@@ -24,7 +24,6 @@ from simflow import (
     param_target,
     power_analysis,
     rank_pvalues,
-    run_test,
     simulate_null,
     simulation_pvalue,
     substream,
@@ -168,6 +167,26 @@ def _exact_sd(values: np.ndarray) -> float:
     return math.sqrt(var) * float(scale)
 
 
+def _exact_mean(values: np.ndarray) -> float:
+    """The mean in rational arithmetic, rounded once at the end."""
+    return float(sum(Fraction(float(v)) for v in values) / len(values))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e307])
+def test_null_mean_of_draws_whose_sum_overflows(scale, recwarn):
+    # draws near 4e307 sum past the float limit: null_mean was Infinity,
+    # with "overflow encountered in reduce"; an ordinary null keeps
+    # np.mean's bytes
+    big = SummaryStatistic("big-mean", "data",
+                           lambda obs, labels: (obs.mean(axis=1) + 4.0) * scale)
+    test = SimulationTest(NormalNormal(n_obs=4), [0.0], big, s=2000, seed=3)
+    mean = test.report(Dataset(np.zeros(4))).null_mean
+    assert not recwarn.list
+    assert mean == pytest.approx(_exact_mean(test.null.values), rel=1e-12)
+    if scale == 1.0:
+        assert mean == test.null.values.mean()
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e300])
 def test_null_sd_of_draws_whose_squares_overflow(scale, recwarn):
     # the squared deviations of draws near 1e300 overflow: null_sd was
@@ -296,7 +315,8 @@ def test_simulate_null_retry_cap():
 def test_run_test_report_shape():
     model = NormalNormal(n_obs=30)
     y = model.simulate_data(np.array([0.0]), substream(12, 0))
-    report = run_test(model, [0.0], mean_stat, y, side="two_sided", s=4000, seed=1)
+    report = SimulationTest(model, [0.0], mean_stat, side="two_sided", s=4000, seed=1,
+                            n_obs=y.n_obs).report(y)
     assert report.statistic == "mean"
     assert report.side == "two_sided"
     assert 0.0 <= report.pvalue <= 1.0
