@@ -15,12 +15,12 @@ from simflow import (
     SbcConfig,
     estimator_accuracy,
     power_analysis,
+    rank_pvalues,
     run_frequentist_calibration,
     run_posterior_sbc,
     run_sbc,
     sample_mean_estimator,
     sharpness,
-    rank_pvalues,
     substream,
 )
 from simflow.calibration import absolute_error, posterior_mean_estimator, squared_error

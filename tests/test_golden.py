@@ -189,9 +189,9 @@ RUNS = {
 CONFIG_ONLY = {"sbc-config"}
 
 
-def run_all(workdir: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
+def run_all(workdir: Path) -> tuple[dict[str, str], dict[str, tuple[list[str], str]]]:
     """Run every command in workdir; return {output file: sha256} and
-    {label: the warnings it raised and the text it wrote to stderr}."""
+    {label: (the warnings it raised, the text it wrote to stderr)}."""
     y = np.random.default_rng(3).normal(0.4, 1.0, size=12)
     (workdir / "data.csv").write_text("y0\n" + "".join(f"{v:.17g}\n" for v in y))
     for name, text in INPUTS.items():
@@ -204,7 +204,7 @@ def run_all(workdir: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
                 contextlib.redirect_stderr(io.StringIO()) as err:
             warnings.simplefilter("always")
             rc = main([*argv, *flags])
-        noise[label] = [str(w.message) for w in caught] + [err.getvalue()] * bool(err.getvalue())
+        noise[label] = [str(w.message) for w in caught], err.getvalue()
         assert rc == 0, f"{label} exited {rc}"
         out = workdir / label
         body = TIMING.sub(b"", (out / "report.json").read_bytes())
@@ -240,7 +240,7 @@ def test_golden_digest(digests, name):
 def test_golden_run_is_silent(golden_run, label):
     # a warning or a stderr line on a valid run points at a numeric edge
     # the report hides (an overflow, a division by zero)
-    assert golden_run[2][label] == []
+    assert golden_run[2][label] == ([], "")
 
 
 def _refuse(constant):
