@@ -183,6 +183,19 @@ RUNS = {
     "accuracy-sample-mean-absolute": ["accuracy", *NN12, "--theta-star", "0.3",
                                       "--estimator", "sample-mean", "--distance", "absolute",
                                       "--S", "100"],
+    # the ABC approximator in SBC (quantile and tolerance mode) and in a
+    # predictive check, through AbcRejection and the row-by-row block loop
+    "sbc-abc": ["sbc", "--model", "normal-normal", "--model-params", "n_obs=5",
+                "--approximator", "abc",
+                "--approximator-params", "acceptance_quantile=0.05,max_proposals=2000",
+                "--S", "20", "--M", "9"],
+    "sbc-abc-tolerance": ["sbc", "--model", "normal-normal", "--model-params", "n_obs=5",
+                          "--approximator", "abc",
+                          "--approximator-params", "tolerance=0.3,max_proposals=20000",
+                          "--S", "20", "--M", "9"],
+    "ppc-abc": ["ppc", *NN12, "--data", "data.csv", "--approximator", "abc",
+                "--approximator-params", "acceptance_quantile=0.05,max_proposals=4000",
+                "--S", "100"],
 }
 
 # runs that take seed, output directory and formats from their config
