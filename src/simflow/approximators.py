@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .models import Dataset, Model, ParamDraws, SummaryStatistic, _whole, simulate_statistic
+from .models import (Dataset, Model, ParamDraws, SummaryStatistic, _count, _whole,
+                     simulate_statistic)
 from .rng import RowStreams, as_generator
 
 __all__ = [
@@ -65,13 +66,6 @@ class Approximator:
         k, m, d = draws.shape
         return ParamDraws(draws.reshape(k * m, d), source=self.kind).values.reshape(k, m, d)
 
-    @staticmethod
-    def _m(m: int) -> int:
-        m = int(m)
-        if m < 1:
-            raise ValueError("draw count must be positive")
-        return m
-
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -91,7 +85,8 @@ class ConjugateApproximator(Approximator):
         raise NotImplementedError
 
     def approximate_block(self, model, obs, labels, rows, m) -> np.ndarray:
-        draws = self.posterior_draws(model.analytic_posterior(obs), rows, (len(rows), self._m(m)))
+        size = (len(rows), _count("m", m))
+        draws = self.posterior_draws(model.analytic_posterior(obs), rows, size)
         return self._finite(draws[..., None])
 
 
@@ -140,11 +135,6 @@ def _rwm_block(model: Model, obs: np.ndarray, labels, rows: RowStreams, chains: 
     chains draw from stream rows[i] alone. Each iteration draws every row's
     (chains, d) proposal steps, then its chains uniforms.
     """
-    if warmup >= iterations:
-        raise ValueError("warmup must be smaller than iterations")
-    if not (step_sd > 0 and math.isfinite(step_sd)):
-        raise ValueError("step_sd must be positive and finite")
-
     k, d = obs.shape[0], model.param_dim
     theta0 = model.sample_prior(rows, (k, chains)).reshape(-1, d)
     z = np.stack([model.to_unconstrained(t) for t in theta0]).reshape(k, chains, d)
@@ -198,11 +188,9 @@ class RandomWalkMetropolis(Approximator):
     needs = ("can_sample_prior", "can_log_prior", "can_log_likelihood")
 
     def __init__(self, chains: int = 4, warmup: int = 500, step_sd: float = 0.5):
-        self.chains = _whole("chains", chains)
+        self.chains = _count("chains", chains)
         self.warmup = _whole("warmup", warmup)
         self.step_sd = float(step_sd)
-        if self.chains < 1:
-            raise ValueError("chains must be at least 1")
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
         if not (self.step_sd > 0 and math.isfinite(self.step_sd)):
@@ -214,10 +202,14 @@ class RandomWalkMetropolis(Approximator):
         return self.warmup + -(-m // self.chains)
 
     def approximate_block(self, model, obs, labels, rows, m) -> np.ndarray:
-        m = self._m(m)
+        m = _count("m", m)
         kept, _ = _rwm_block(model, obs, labels, rows, self.chains, self._iterations(m),
                              self.warmup, self.step_sd)
         return self._finite(kept[:, :m])
+
+
+# proposals simulated per batch in tolerance mode
+_ABC_BATCH = 10_000
 
 
 @dataclass(frozen=True)
@@ -260,82 +252,12 @@ def abc_rejection(
     tolerance: float | None = None,
     acceptance_quantile: float | None = None,
     max_proposals: int = 100_000,
-    batch_size: int = 10_000,
 ) -> AbcResult:
     """ABC rejection sampling with the distance |T(y_sim) - T(y_obs)| for a
-    data statistic T.
-
-    Exactly one of tolerance / acceptance_quantile selects the mode. Fixed
-    tolerance proposes in batches until m draws satisfy distance <= tolerance
-    or the proposal budget runs out. Quantile mode draws one shared pool of
-    max_proposals and keeps the best fraction; when that exceeds m, a seeded
-    subsample without replacement of size m is returned.
-
-    Only prior sampling and the forward simulator are used.
-    """
-    if (tolerance is None) == (acceptance_quantile is None):
-        raise ValueError("set exactly one of tolerance or acceptance_quantile")
-    if statistic.arity != "data":
-        raise ValueError("ABC needs a data statistic")
-    if m < 1:
-        raise ValueError("m must be positive")
-    rng = as_generator(rng)
-
-    if tolerance is not None:
-        eps = float(tolerance)
-        accepted = []
-        proposed = 0
-        n_accepted = 0
-        while n_accepted < m and proposed < max_proposals:
-            count = min(batch_size, max_proposals - proposed)
-            thetas, dists = _abc_proposals(model, y_obs, statistic, count, rng)
-            proposed += count
-            hit = thetas[dists <= eps]
-            if hit.size:
-                accepted.append(hit)
-                n_accepted += hit.shape[0]
-        rate = n_accepted / proposed if proposed else 0.0
-        if n_accepted < m:
-            raise BudgetError(
-                f"ABC budget exhausted: {n_accepted}/{m} acceptances after "
-                f"{proposed} proposals (acceptance rate {rate:.3g})",
-                acceptance_rate=rate,
-                n_accepted=n_accepted,
-                proposals_used=proposed,
-                mode="tolerance",
-                tolerance=eps,
-            )
-        values = np.concatenate(accepted, axis=0)[:m]
-        info = {"mode": "tolerance", "tolerance": eps, "acceptance_rate": rate,
-                "proposals_used": proposed}
-        draws = ParamDraws(values, source="abc_rejection", info=info)
-        return AbcResult(draws, rate, proposed, eps)
-
-    q = float(acceptance_quantile)
-    if not 0.0 < q <= 1.0:
-        raise ValueError("acceptance_quantile must lie in (0, 1]")
-    thetas, dists = _abc_proposals(model, y_obs, statistic, max_proposals, rng)
-    n_keep = max(1, int(round(q * max_proposals)))
-    if n_keep < m:
-        raise BudgetError(
-            f"quantile mode keeps {n_keep} draws but {m} were requested; "
-            "raise max_proposals or the quantile",
-            acceptance_rate=n_keep / max_proposals,
-            n_accepted=n_keep,
-            proposals_used=max_proposals,
-            mode="quantile",
-            acceptance_quantile=q,
-        )
-    order = _nearest(dists, n_keep)
-    threshold = float(dists[order[-1]])
-    if n_keep > m:
-        pick = rng.choice(n_keep, size=m, replace=False)
-        order = order[np.sort(pick)]
-    rate = n_keep / max_proposals
-    info = {"mode": "quantile", "acceptance_quantile": q, "threshold": threshold,
-            "acceptance_rate": rate, "proposals_used": max_proposals}
-    draws = ParamDraws(thetas[order], source="abc_rejection", info=info)
-    return AbcResult(draws, rate, max_proposals, threshold)
+    data statistic T: AbcRejection(statistic, ...).run(model, y_obs, rng, m),
+    so its settings are checked as AbcRejection checks them."""
+    return AbcRejection(statistic, tolerance, acceptance_quantile, max_proposals).run(
+        model, y_obs, rng, m)
 
 
 def acceptance_curve(
@@ -353,7 +275,18 @@ def acceptance_curve(
 
 
 class AbcRejection(Approximator):
-    """Approximator wrapper around abc_rejection; statistic is its T."""
+    """ABC rejection sampling with the distance |T(y_sim) - T(y_obs)| for a
+    data statistic T, its settings checked when it is built.
+
+    Exactly one of tolerance / acceptance_quantile selects the mode. Fixed
+    tolerance proposes in batches of _ABC_BATCH until m draws satisfy
+    distance <= tolerance or the max_proposals budget runs out. Quantile
+    mode draws one shared pool of max_proposals and keeps the best fraction;
+    when that exceeds m, a seeded subsample without replacement of size m is
+    returned.
+
+    Only prior sampling and the forward simulator are used.
+    """
 
     needs = ("can_sample_prior",)
 
@@ -363,26 +296,81 @@ class AbcRejection(Approximator):
         tolerance: float | None = None,
         acceptance_quantile: float | None = None,
         max_proposals: int = 100_000,
-        batch_size: int = 10_000,
     ):
+        if (tolerance is None) == (acceptance_quantile is None):
+            raise ValueError("set exactly one of tolerance or acceptance_quantile")
+        if statistic.arity != "data":
+            raise ValueError("ABC needs a data statistic")
         self.statistic = statistic
-        self.tolerance = tolerance
-        self.acceptance_quantile = acceptance_quantile
-        self.max_proposals = int(max_proposals)
-        self.batch_size = int(batch_size)
+        self.tolerance = None if tolerance is None else float(tolerance)
+        self.acceptance_quantile = (None if acceptance_quantile is None
+                                    else float(acceptance_quantile))
+        # NaN fails both comparisons
+        if self.tolerance is not None and not self.tolerance >= 0.0:
+            raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
+        if self.acceptance_quantile is not None and not 0.0 < self.acceptance_quantile <= 1.0:
+            raise ValueError("acceptance_quantile must lie in (0, 1], "
+                             f"got {acceptance_quantile!r}")
+        self.max_proposals = _count("max_proposals", max_proposals)
         self.name = "abc"
         self.kind = "abc_rejection"
 
     def approximate(self, model, y, rng, m) -> ParamDraws:
-        result = abc_rejection(
-            model,
-            y,
-            self.statistic,
-            rng,
-            m=m,
-            tolerance=self.tolerance,
-            acceptance_quantile=self.acceptance_quantile,
-            max_proposals=self.max_proposals,
-            batch_size=self.batch_size,
-        )
-        return result.draws
+        return self.run(model, y, rng, m).draws
+
+    def run(self, model: Model, y_obs: Dataset, rng, m: int) -> AbcResult:
+        """m draws given y_obs on rng, with the acceptance diagnostics."""
+        m, rng, budget = _count("m", m), as_generator(rng), self.max_proposals
+        if self.tolerance is not None:
+            eps = self.tolerance
+            accepted = []
+            proposed = 0
+            n_accepted = 0
+            while n_accepted < m and proposed < budget:
+                count = min(_ABC_BATCH, budget - proposed)
+                thetas, dists = _abc_proposals(model, y_obs, self.statistic, count, rng)
+                proposed += count
+                hit = thetas[dists <= eps]
+                if hit.size:
+                    accepted.append(hit)
+                    n_accepted += hit.shape[0]
+            rate = n_accepted / proposed
+            if n_accepted < m:
+                raise BudgetError(
+                    f"ABC budget exhausted: {n_accepted}/{m} acceptances after "
+                    f"{proposed} proposals (acceptance rate {rate:.3g})",
+                    acceptance_rate=rate,
+                    n_accepted=n_accepted,
+                    proposals_used=proposed,
+                    mode="tolerance",
+                    tolerance=eps,
+                )
+            values = np.concatenate(accepted, axis=0)[:m]
+            info = {"mode": "tolerance", "tolerance": eps, "acceptance_rate": rate,
+                    "proposals_used": proposed}
+            draws = ParamDraws(values, source="abc_rejection", info=info)
+            return AbcResult(draws, rate, proposed, eps)
+
+        q = self.acceptance_quantile
+        thetas, dists = _abc_proposals(model, y_obs, self.statistic, budget, rng)
+        n_keep = max(1, int(round(q * budget)))
+        if n_keep < m:
+            raise BudgetError(
+                f"quantile mode keeps {n_keep} draws but {m} were requested; "
+                "raise max_proposals or the quantile",
+                acceptance_rate=n_keep / budget,
+                n_accepted=n_keep,
+                proposals_used=budget,
+                mode="quantile",
+                acceptance_quantile=q,
+            )
+        order = _nearest(dists, n_keep)
+        threshold = float(dists[order[-1]])
+        if n_keep > m:
+            pick = rng.choice(n_keep, size=m, replace=False)
+            order = order[np.sort(pick)]
+        rate = n_keep / budget
+        info = {"mode": "quantile", "acceptance_quantile": q, "threshold": threshold,
+                "acceptance_rate": rate, "proposals_used": budget}
+        draws = ParamDraws(thetas[order], source="abc_rejection", info=info)
+        return AbcResult(draws, rate, budget, threshold)

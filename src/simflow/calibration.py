@@ -24,7 +24,7 @@ import numpy as np
 
 from .approximators import Approximator
 from .diagnostics import PValueSet, UniformityVerdict, uniformity_test
-from .models import Model, SummaryStatistic, param_target
+from .models import Model, SummaryStatistic, _count, param_target
 from .rng import row_blocks
 from .simtest import rank_pvalues
 
@@ -64,8 +64,7 @@ class SbcConfig:
     def __post_init__(self):
         if self.s < 10:
             raise ValueError("SBC needs at least 10 outer simulations")
-        if self.m < 1:
-            raise ValueError("inner draw count must be positive")
+        _count("m", self.m)
         if self.bins < 2:
             raise ValueError("bins must be at least 2")
         if not 0.5 <= self.band_coverage < 1.0:

@@ -314,10 +314,12 @@ def _parse_kv(pairs: str | None) -> dict:
     return out
 
 
-def _theta(values, flag: str, model, prior: bool = False) -> list[float] | None:
-    """A parameter vector setting, one number per model parameter. With prior,
-    an unset setting or the word prior is None: a fresh prior draw each time."""
+def _theta(values, flag: str, model, prior: str | None = None) -> list[float] | None:
+    """A parameter vector setting, one number per model parameter. With prior
+    (the subcommand reading it), an unset setting or the word prior is None:
+    a fresh prior draw each time, which the model must be able to make."""
     if prior and values in (None, "prior"):
+        _require(model, f"{prior} at a prior truth", "can_sample_prior")
         return None
     if not isinstance(values, list) or len(values) != model.param_dim:
         raise ConfigError(f"{flag} needs {model.param_dim} number(s) for {model.name}, "
@@ -358,8 +360,14 @@ def _build(run, section: str, make, default=None):
     return built
 
 
-def _build_model(run):
-    return _build(run, "model", make_model)
+def _build_model(run, command: str | None = None, what: str | None = None):
+    """The model, refused unless it has every capability that the _COMMANDS
+    row of command (default: the run's subcommand) needs; what names the
+    run in the refusal."""
+    command = command or run.command
+    model = _build(run, "model", make_model)
+    _require(model, what or command, *_COMMANDS[command].needs)
+    return model
 
 
 def _require(model, what: str, *needs: str) -> None:
@@ -370,19 +378,20 @@ def _require(model, what: str, *needs: str) -> None:
         raise ConfigError(f"{what} needs {' and '.join(missing)}, which {model.name} lacks")
 
 
-_APPROXIMATORS = {
-    "abc": lambda distance="mean-distance", **kw: AbcRejection(
-        _named("distance", distance, DISTANCE_REGISTRY), **kw),
-    "exact": ExactConjugate,
-    "perturbed": PerturbedConjugate,
-    "rwm": RandomWalkMetropolis,
-}
+_APPROXIMATORS = {"abc": AbcRejection, "exact": ExactConjugate,
+                  "perturbed": PerturbedConjugate, "rwm": RandomWalkMetropolis}
+
+
+def _approximator(name: str, **settings):
+    cls = _named("approximator", name, _APPROXIMATORS)
+    if cls is AbcRejection:  # its statistic T by the name of the distance |T(y) - T(y_obs)|
+        distance = settings.pop("distance", "mean-distance")
+        return cls(_named("distance", distance, DISTANCE_REGISTRY), **settings)
+    return cls(**settings)
 
 
 def _build_approximator(run, model):
-    approx = _build(run, "approximator",
-                    lambda name, **kw: _named("approximator", name, _APPROXIMATORS)(**kw),
-                    "exact")
+    approx = _build(run, "approximator", _approximator, "exact")
     _require(model, f"the {approx.name} approximator", *approx.needs)
     return approx
 
@@ -505,8 +514,6 @@ def _vector_csv(filename: str, values) -> dict:
 
 def _cmd_sbc(run):
     model = _build_model(run)
-    if run.command == "sbc":
-        _require(model, "sbc", "can_sample_prior")
     approx = _build_approximator(run, model)
     run_cfg = SbcConfig(s=run.s, m=run.m, seed=run.seed, targets=_targets(run.targets, model),
                         bins=run.bins, band_coverage=run.band_coverage)
@@ -579,9 +586,7 @@ def _build_test(run, model):
 
 def _cmd_power(run):
     model = _build_model(run)
-    theta_star = _theta(run.theta_star, "--theta-star", model, prior=True)
-    if theta_star is None:
-        _require(model, "power at a prior truth", "can_sample_prior")
+    theta_star = _theta(run.theta_star, "--theta-star", model, prior=run.command)
     test = _build_test(run, model)
     result = power_analysis(model, theta_star, test, alpha=run.alpha, s=run.s, seed=run.seed)
     return _payload(result, model=model.name), {}
@@ -592,9 +597,7 @@ def _cmd_accuracy(run):
     estimator = _estimator(run.estimator, model)
     distance = _named("distance", run.distance,
                       {"squared": squared_error, "absolute": absolute_error})
-    theta_star = _theta(run.theta_star, "--theta-star", model, prior=True)
-    if theta_star is None:
-        _require(model, "accuracy at a prior truth", "can_sample_prior")
+    theta_star = _theta(run.theta_star, "--theta-star", model, prior=run.command)
     result = estimator_accuracy(model, theta_star, estimator, distance=distance, s=run.s,
                                 seed=run.seed)
     return _payload(result, model=model.name), {}
@@ -640,7 +643,6 @@ def _cmd_ppc(run):
 
 def _cmd_prior_check(run):
     model = _build_model(run)
-    _require(model, "prior-check", "can_sample_prior")
     region = run.region
     if region is None or len(region) != 2 or not region[0] <= region[1]:
         raise ConfigError(f"prior-check needs --region lo,hi with lo <= hi, got {region!r}")
@@ -699,7 +701,6 @@ def _cmd_elicit(run):
 
 def _cmd_abc(run):
     model = _build_model(run)
-    _require(model, "abc", *AbcRejection.needs)
     y = _load_data(run)
     if (run.tolerance is None) == (run.quantile is None):
         raise ConfigError("abc needs exactly one of --tolerance or --quantile")
@@ -722,10 +723,6 @@ def _cmd_abc(run):
     header = ["index"] + [f"theta{j}" for j in range(values.shape[1])]
     columns = [range(values.shape[0]), *np.asarray(values, dtype=float).T]
     return payload, {"draws.csv": (header, columns)}
-
-
-# marginal_likelihood_mc averages the likelihood over prior draws
-_EVIDENCE_NEEDS = ("can_sample_prior", "can_log_likelihood")
 
 
 def _compare_entries(run) -> list[ModelEntry]:
@@ -753,7 +750,7 @@ def _compare_entries(run) -> list[ModelEntry]:
             model = make_model(name, **sect)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"[model:{label}]: {exc}") from exc
-        _require(model, f"compare of [model:{label}]", *_EVIDENCE_NEEDS)
+        _require(model, f"compare of [model:{label}]", *_COMMANDS[run.command].needs)
         run.sections[f"model:{label}"] = {"name": name, "prior_prob": prior_prob, **sect}
         entries.append(ModelEntry(name=label, model=model, prior_prob=prior_prob))
     # the check posterior_model_probs makes, before anything is simulated
@@ -767,7 +764,6 @@ def _cmd_compare(run):
     y = _load_data(run)
     if not run.cfg.has_section("compare"):
         model = _build_model(run)
-        _require(model, "compare", *_EVIDENCE_NEEDS)
         ev = marginal_likelihood_mc(model, y, s=run.s, seed=run.seed)
         return _payload(ev, kind="evidence"), {}
     comparison = posterior_model_probs(_compare_entries(run), y, s=run.s, seed=run.seed)
@@ -838,23 +834,19 @@ def _power_scale_cell(model, approx, y, seed, m, alpha_prior, alpha_lik) -> dict
 
 
 class Sweep(NamedTuple):  # one [sweep] pipeline
-    cell: Callable       # (model, approximator, data, seed, **settings) -> row columns
-    needs: tuple         # model capabilities (fields of models.Capabilities)
-    approximator: bool   # whether a cell reads the approximator
-    data: bool           # whether a cell reads --data
-    # [sweep] key -> (default, subcommand, flag whose kind and bound it must meet)
-    settings: dict
+    cell: Callable   # (model, approximator, data, seed, **settings) -> row columns
+    # the subcommand whose _COMMANDS row gives the model's needs, whether a
+    # cell reads the approximator and --data, and each setting's kind and bound
+    command: str
+    settings: dict   # [sweep] key -> (default, the subcommand's flag it stands for)
 
 
 _SWEEPS = {
-    "sbc": Sweep(_sbc_cell, ("can_sample_prior",), True, False,
-                 {"s": (200, "sbc", "--S"), "m": (99, "sbc", "--M")}),
-    "evidence": Sweep(_evidence_cell, _EVIDENCE_NEEDS, False, True,
-                      {"s": (10_000, "compare", "--S")}),
-    "power-scale": Sweep(_power_scale_cell, (), True, True,
-                         {"m": (2000, "sensitivity", "--M"),
-                          "alpha_prior": (1.0, "sensitivity", "--alphas"),
-                          "alpha_lik": (1.0, "sensitivity", "--alphas")}),
+    "sbc": Sweep(_sbc_cell, "sbc", {"s": (200, "--S"), "m": (99, "--M")}),
+    "evidence": Sweep(_evidence_cell, "compare", {"s": (10_000, "--S")}),
+    "power-scale": Sweep(_power_scale_cell, "sensitivity",
+                         {"m": (2000, "--M"), "alpha_prior": (1.0, "--alphas"),
+                          "alpha_lik": (1.0, "--alphas")}),
 }
 
 
@@ -866,17 +858,17 @@ def _sensitivity_sweep(run):
     run.sections["sweep"] = section
     pipeline = section.get("pipeline")
     sweep = _named("[sweep] pipeline", pipeline, _SWEEPS)
-    unread = [what for what, given, read in (
-        ("--approximator", run.approximator is not None, sweep.approximator),
-        ("--approximator-params", run.approximator_params is not None, sweep.approximator),
-        ("an [approximator] section", run.cfg.has_section("approximator"), sweep.approximator),
-        ("--data", run.data is not None, sweep.data)) if given and not read]
+    flags = _COMMANDS[sweep.command].flags
+    unread = [what for what, given, option in (
+        ("--approximator", run.approximator is not None, "--approximator"),
+        ("--approximator-params", run.approximator_params is not None, "--approximator"),
+        ("an [approximator] section", run.cfg.has_section("approximator"), "--approximator"),
+        ("--data", run.data is not None, "--data")) if given and option not in flags]
     if unread:
         raise ConfigError(f"the {pipeline} sweep does not read {', '.join(unread)}")
-    model = _build_model(run)
-    _require(model, f"the {pipeline} sweep", *sweep.needs)
-    approx = _build_approximator(run, model) if sweep.approximator else None
-    y = _load_data(run) if sweep.data else None
+    model = _build_model(run, sweep.command, f"the {pipeline} sweep")
+    approx = _build_approximator(run, model) if "--approximator" in flags else None
+    y = _load_data(run) if "--data" in flags else None
 
     def setting(key: str, value):
         # a pipeline setting, read as its flag, or a model_<hyperparameter>
@@ -888,10 +880,10 @@ def _sensitivity_sweep(run):
             raise ConfigError(f"unknown [sweep] key {key!r}; the {pipeline} sweep takes "
                               f"{', '.join(sweep.settings)} and model_<hyperparameter>, "
                               "each also as vary_<key>")
-        _, command, option = sweep.settings[name]
+        option = sweep.settings[name][1]
         kind = FLAGS[option].kind
         return _convert(f"[sweep] {key}", value, float if kind is _floats else kind,
-                        _COMMANDS[command].flags[option].bound)
+                        flags[option].bound)
 
     base = {k: setting(k, v) for k, v in section.items()
             if k != "pipeline" and not k.startswith("vary_")}
@@ -912,7 +904,7 @@ def _sensitivity_sweep(run):
             built = make_model(name, **{**params, **overrides})
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"[sweep] cell {config}: {exc}") from exc
-        values = {k: config.get(k, default) for k, (default, *_) in sweep.settings.items()}
+        values = {k: config.get(k, default) for k, (default, _) in sweep.settings.items()}
         cells[tuple(config.items())] = (built, values)
 
     def cell(config: dict, cell_seed: int) -> dict:
@@ -954,6 +946,7 @@ class Command(NamedTuple):
     handler: Callable
     plan: list[str]       # the seed plan a dry run prints
     flags: dict           # flag -> Use, besides the common flags
+    needs: tuple = ()     # the models.Capabilities its model must have
 
 
 _NULL_CHUNKS = "null chunk c: stream (root, 0, c); retry a: stream (root, 0, c, a)"
@@ -964,7 +957,7 @@ _ESTIMATOR = {"--estimator": Use("sample-mean")}
 
 _COMMANDS = {
     "sbc": Command("prior-predictive calibration of an approximator", _cmd_sbc,
-                   ["replication i: stream (seed, 0, i)"], _SBC_FLAGS),
+                   ["replication i: stream (seed, 0, i)"], _SBC_FLAGS, ("can_sample_prior",)),
     "post-sbc": Command(
         "calibration conditional on an observed dataset", _cmd_sbc,
         ["posterior draws at observed data: stream (seed, 1)",
@@ -1004,7 +997,7 @@ _COMMANDS = {
         "prior pushforward mass inside a plausible region", _cmd_prior_check,
         ["prior draws and simulation: stream (seed, 0)"],
         {**_MODEL, "--statistic": Use("mean"), "--region": Use(),
-         "--S": Use(1000, _AT_LEAST_1)}),
+         "--S": Use(1000, _AT_LEAST_1)}, ("can_sample_prior",)),
     "elicit": Command(
         "fit prior hyperparameters to expert statistics", _cmd_elicit,
         ["common random numbers: stream (seed, 0), reused every evaluation"],
@@ -1017,14 +1010,17 @@ _COMMANDS = {
         ["proposals: stream (seed, 0)"],
         {**_MODEL, "--data": Use(), "--distance": Use("mean-distance"),
          "--M": Use(1000, _AT_LEAST_1), "--tolerance": Use(None, "[0, inf)"),
-         "--quantile": Use(None, "(0, 1]"), "--max-proposals": Use(100_000, _AT_LEAST_1)}),
+         "--quantile": Use(None, "(0, 1]"), "--max-proposals": Use(100_000, _AT_LEAST_1)},
+        AbcRejection.needs),
     "compare": Command(
         "Monte Carlo evidence and model probabilities", _cmd_compare,
         ["one model (no [compare] section), chunk c: stream (seed, 0, c)",
          "[compare] models: model k seed: SeedSequence(seed, spawn_key=(9, k))"
          ".generate_state(1, uint64)[0] mod 2**63",
          "[compare] models: model k, chunk c: stream (model k seed, 0, c)"],
-        {**_MODEL, "--data": Use(), "--S": Use(100_000, "[2, inf)")}),
+        {**_MODEL, "--data": Use(), "--S": Use(100_000, "[2, inf)")},
+        # marginal_likelihood_mc averages the likelihood over prior draws
+        ("can_sample_prior", "can_log_likelihood")),
     "sensitivity": Command(
         "power-scaling diagnostics or a hyperparameter sweep", _cmd_sensitivity,
         ["power-scale mode: posterior draws: stream (seed, 0)",

@@ -167,15 +167,21 @@ def power_scale_weights(
     (alpha_lik - 1) log p(y | theta). Each log density is evaluated at the
     draws only when its exponent is not 1. ESS is the standard inverse sum
     of squared normalized weights and equals the draw count exactly when
-    both exponents are 1.
+    both exponents are 1. A log weight that is not finite (a density that
+    leaves the float range at the draws) raises RuntimeError.
     """
     if alpha_prior <= 0 or alpha_lik <= 0:
         raise ValueError("scaling exponents must be positive")
     logw = np.zeros(draws.m)
-    if alpha_prior != 1.0:
-        logw = logw + (alpha_prior - 1.0) * model.log_prior_batch(draws.values)
-    if alpha_lik != 1.0:
-        logw = logw + (alpha_lik - 1.0) * model.log_likelihood_batch(draws.values, y)
+    with np.errstate(all="ignore"):
+        if alpha_prior != 1.0:
+            logw = logw + (alpha_prior - 1.0) * model.log_prior_batch(draws.values)
+        if alpha_lik != 1.0:
+            logw = logw + (alpha_lik - 1.0) * model.log_likelihood_batch(draws.values, y)
+    if not np.isfinite(logw).all():
+        raise RuntimeError(f"power-scaling log weights at alpha_prior={alpha_prior}, "
+                           f"alpha_lik={alpha_lik} are not finite: the log prior or "
+                           "log likelihood leaves the float range at the draws")
     u = np.exp(logw - logw.max())
     total = u.sum()
     weights = u / total

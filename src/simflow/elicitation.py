@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaincinv
 
+from .models import _count
 from .rng import substream
 
 __all__ = [
@@ -72,8 +73,7 @@ class ElicitationProblem:
     noise_dim: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "sims_per_eval", _whole_sims("sims_per_eval",
-                                                              self.sims_per_eval))
+        object.__setattr__(self, "sims_per_eval", _count("sims_per_eval", self.sims_per_eval))
         stats_arr = np.asarray(self.expert_stats, dtype=float).reshape(-1)
         object.__setattr__(self, "expert_stats", stats_arr)
         expected = len(self.target_names) * len(self.probes)
@@ -83,12 +83,6 @@ class ElicitationProblem:
                 f"({len(self.target_names)} targets x {len(self.probes)} probes), "
                 f"got {stats_arr.size}"
             )
-
-
-def _whole_sims(name: str, sims) -> int:
-    if isinstance(sims, bool) or not float(sims).is_integer() or sims < 1:
-        raise ValueError(f"{name} must be a whole number >= 1, got {sims!r}")
-    return int(sims)
 
 
 @lru_cache(maxsize=1)
@@ -118,7 +112,7 @@ def model_implied_stats(
     problem: ElicitationProblem, lam, seed: int, sims: int | None = None
 ) -> np.ndarray:
     """Probe quantiles of the pushforward at lam, under the CRN stream."""
-    sims = problem.sims_per_eval if sims is None else _whole_sims("sims", sims)
+    sims = problem.sims_per_eval if sims is None else _count("sims", sims)
     u, noise, grid, cell = _crn_draws(seed, sims, problem.noise_dim)
     ppf = partial(problem.prior_family.ppf, np.asarray(lam, dtype=float))
     if isinstance(problem.pushforward, _Counts):

@@ -186,12 +186,10 @@ def test_rwm_requires_densities():
 
 
 def test_rwm_validation():
-    model = NormalNormal(n_obs=5)
-    y = model.simulate_data(np.array([0.0]), substream(48, 0))
     with pytest.raises(ValueError):
-        _rwm(model, y, substream(48, 1), iterations=100, warmup=100)
+        RandomWalkMetropolis(warmup=-1)
     with pytest.raises(ValueError):
-        _rwm(model, y, substream(48, 1), step_sd=0.0)
+        RandomWalkMetropolis(step_sd=0.0)
 
 
 def test_abc_zero_tolerance_recovers_beta_posterior():
@@ -220,7 +218,7 @@ def test_abc_small_tolerance_near_conjugate_posterior():
     y = model.simulate_data(np.array([0.8]), substream(52, 0))
     eps = 0.01 * 1.0 / np.sqrt(10)
     result = abc_rejection(model, y, mean_stat, substream(52, 1), m=300,
-                           tolerance=eps, max_proposals=600_000, batch_size=50_000)
+                           tolerance=eps, max_proposals=600_000)
     post_mean = model.analytic_posterior(y).mean()
     assert abs(result.draws.values[:, 0].mean() - post_mean) < 0.05
 
@@ -230,7 +228,7 @@ def test_abc_budget_error_diagnostics():
     y = _one_obs(model, 3.0)
     with pytest.raises(BudgetError) as exc:
         abc_rejection(model, y, sample_sum, substream(53, 0), m=5000,
-                      tolerance=0.0, max_proposals=2000, batch_size=1000)
+                      tolerance=0.0, max_proposals=2000)
     diag = exc.value.diagnostics
     assert diag["proposals_used"] == 2000
     assert 0.0 <= diag["acceptance_rate"] <= 1.0
@@ -278,6 +276,25 @@ def test_abc_mode_selection_validation():
                       tolerance=0.0, acceptance_quantile=0.1)
     with pytest.raises(ValueError):
         abc_rejection(model, y, mean_stat, substream(0, 0), m=0, tolerance=1.0)
+
+
+@pytest.mark.parametrize("settings_", [
+    {}, {"tolerance": 0.1, "acceptance_quantile": 0.5}, {"acceptance_quantile": 0.0},
+    {"acceptance_quantile": 1.5}, {"acceptance_quantile": float("nan")},
+    {"tolerance": -1.0}, {"tolerance": float("nan")},
+    *({"acceptance_quantile": 0.5, "max_proposals": n} for n in (0, -3, 2.5, True)),
+])
+def test_abc_settings_are_refused_when_built(settings_):
+    # both entry points refuse before a proposal is drawn: these exited 1,
+    # ran a truncated budget, or spent the whole budget on no acceptance
+    with pytest.raises(ValueError):
+        AbcRejection(sample_sum, **settings_)
+    model, rng = BetaBinomial(), substream(0, 0)
+    with pytest.raises(ValueError):
+        abc_rejection(model, _one_obs(model, 3.0), sample_sum, rng, m=10, **settings_)
+    assert rng.random() == substream(0, 0).random()
+    with pytest.raises(TypeError):
+        AbcRejection(sample_sum, acceptance_quantile=0.5, batch_size=1000)
 
 
 def test_acceptance_rate_monotone_in_tolerance():

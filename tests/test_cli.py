@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, seeds, and byte-stable outputs."""
 
 import argparse
+import ast
+import dataclasses
 import json
 import math
 import os
@@ -72,6 +74,7 @@ def test_missing_model_is_config_error(tmp_path, capsys):
 _FREQ = ["freq-calibrate", "--model", "normal-normal", "--theta-star", "0.3"]
 _NN12 = ["--model", "normal-normal", "--model-params", "n_obs=12"]
 _DATA = [*_NN12, "--data", "data.csv"]
+_ABC_SBC = ["sbc", "--model", "normal-normal", "--approximator", "abc", "--S", "10", "--M", "9"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -256,6 +259,20 @@ _DATA = [*_NN12, "--data", "data.csv"]
     *(["sbc", *_NN12, "--S", "20", "--M", "9", "--approximator", "perturbed",
        "--approximator-params", p]
       for p in ("sd_scale=nan", "sd_scale=inf", "mean_shift=nan", "mean_shift=inf")),
+    # abc approximator settings AbcRejection now refuses when built: no mode
+    # or both (exit 1), a quantile outside (0, 1] (exit 1), no proposals
+    # (ZeroDivisionError), 2.5 proposals (truncated to 2, then exit 3), a
+    # tolerance no distance meets (exit 3 after 100 000 proposals), and the
+    # batch size, which is no longer a setting (ran)
+    [*_ABC_SBC],
+    *([*_ABC_SBC, "--approximator-params", p]
+      for p in ("acceptance_quantile=0.5,tolerance=0.1", "acceptance_quantile=1.5",
+                "acceptance_quantile=0.5,max_proposals=0",
+                "acceptance_quantile=0.5,max_proposals=2.5", "tolerance=-1", "tolerance=nan",
+                "acceptance_quantile=0.5,batch_size=1000")),
+    # a batch size of 0 proposed nothing, forever
+    ["ppc", "--model", "normal-normal", "--model-params", "n_obs=5", "--data", "data5.csv",
+     "--approximator", "abc", "--approximator-params", "tolerance=0.1,batch_size=0"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -288,6 +305,7 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "compare-repeat.ini").write_text(
         "[compare]\nmodels = near, near\n[model:near]\nname = normal-normal\nn_obs = 12\n")
     _write_data(tmp_path / "data.csv")
+    _write_data(tmp_path / "data5.csv", n=5)
     (tmp_path / "empty.csv").write_text("y0\n")
     (tmp_path / "const.csv").write_text("y0\n2\n2\n2\n2\n")
     out = tmp_path / "x"
@@ -311,6 +329,22 @@ def _strict_json(path):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
     return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_power_scaling_weights_that_are_not_finite_exit_3(tmp_path, capsys, monkeypatch):
+    # draws spread by 1e154 overflow the log likelihood, and inf - inf log
+    # weights wrote NaN into the report with two RuntimeWarnings (exit 0)
+    monkeypatch.chdir(tmp_path)
+    _write_data(tmp_path / "data.csv", n=10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["sensitivity", "--model", "normal-normal", "--model-params", "n_obs=10",
+                   "--data", "data.csv", "--approximator", "perturbed",
+                   "--approximator-params", "sd_scale=1e154", "--M", "200", "--out", "x"])
+    assert rc == 3 and [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert _strict_json(tmp_path / "x" / "report.json")["error"]["type"] == "RuntimeError"
 
 
 def test_histogram_leaves_out_undefined_replications(tmp_path, capsys, monkeypatch):
@@ -839,10 +873,29 @@ def test_sweep_defaults(tmp_path, pipeline):
 
 
 def test_sweep_settings_name_subcommand_flags():
-    # a renamed flag fails here, not in a user's sweep
+    # a renamed subcommand or flag fails here, not in a user's sweep
     for sweep in simflow.cli._SWEEPS.values():
-        for _, command, option in sweep.settings.values():
-            assert option in simflow.cli._COMMANDS[command].flags
+        flags = simflow.cli._COMMANDS[sweep.command].flags
+        for _, option in sweep.settings.values():
+            assert option in flags
+
+
+def test_needs_are_capabilities_and_declared_once():
+    # a misspelt need would refuse every model; a handler that checks its
+    # own needs repeats what its _COMMANDS row declares
+    fields = {f.name for f in dataclasses.fields(simflow.models.Capabilities)}
+    for command in simflow.cli._COMMANDS.values():
+        assert set(command.needs) <= fields
+    for cls in simflow.cli._APPROXIMATORS.values():
+        assert set(cls.needs) <= fields
+    tree = ast.parse(Path(simflow.cli.__file__).read_text())
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(handlers) == len({c.handler for c in simflow.cli._COMMANDS.values()})
+    for handler in handlers:
+        calls = {node.func.id for node in ast.walk(handler)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "_require" not in calls, handler.name
 
 
 def test_power_scale_pipeline(tmp_path):

@@ -26,7 +26,7 @@ from simflow import (
     substream,
 )
 from simflow.compare import power_scale_weights
-from simflow.models import SummaryStatistic
+from simflow.models import SummaryStatistic, _count
 from simflow.rng import as_generator
 from simflow.simtest import mean_stat, sample_max
 
@@ -46,7 +46,7 @@ class PointMass(Approximator):
         self.theta = np.asarray(theta, dtype=float).reshape(-1)
 
     def approximate(self, model, y, rng, m):
-        m = self._m(m)
+        m = _count("m", m)
         return ParamDraws(np.tile(self.theta, (m, 1)), source=self.name)
 
 
