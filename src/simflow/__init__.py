@@ -9,12 +9,10 @@ derived per-task streams, each task's results independent of the others.
 
 from .approximators import (
     AbcRejection,
-    AbcResult,
     Approximator,
     ExactConjugate,
     PerturbedConjugate,
     RandomWalkMetropolis,
-    abc_rejection,
     acceptance_curve,
 )
 from .calibration import (

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +25,6 @@ __all__ = [
     "PerturbedConjugate",
     "RandomWalkMetropolis",
     "AbcRejection",
-    "AbcResult",
-    "abc_rejection",
     "acceptance_curve",
 ]
 
@@ -136,8 +133,7 @@ def _rwm_block(model: Model, obs: np.ndarray, labels, rows: RowStreams, chains: 
     (chains, d) proposal steps, then its chains uniforms.
     """
     k, d = obs.shape[0], model.param_dim
-    theta0 = model.sample_prior(rows, (k, chains)).reshape(-1, d)
-    z = np.stack([model.to_unconstrained(t) for t in theta0]).reshape(k, chains, d)
+    z = model.to_unconstrained(model.sample_prior(rows, (k, chains)))
     theta = model.from_unconstrained_batch(z)
     target = (
         model.log_prior_batch(theta)
@@ -212,14 +208,6 @@ class RandomWalkMetropolis(Approximator):
 _ABC_BATCH = 10_000
 
 
-@dataclass(frozen=True)
-class AbcResult:
-    draws: ParamDraws
-    acceptance_rate: float
-    proposals_used: int
-    threshold: float
-
-
 def _abc_proposals(model: Model, y_obs: Dataset, statistic: SummaryStatistic,
                    count: int, rng):
     """count prior draws and their distances |T(y_sim) - T(y_obs)|."""
@@ -241,23 +229,6 @@ def _nearest(dists: np.ndarray, n_keep: int) -> np.ndarray:
         return np.argsort(dists, kind="stable")[:n_keep]
     near = np.flatnonzero(dists <= kth)
     return near[np.argsort(dists[near], kind="stable")][:n_keep]
-
-
-def abc_rejection(
-    model: Model,
-    y_obs: Dataset,
-    statistic: SummaryStatistic,
-    rng,
-    m: int,
-    tolerance: float | None = None,
-    acceptance_quantile: float | None = None,
-    max_proposals: int = 100_000,
-) -> AbcResult:
-    """ABC rejection sampling with the distance |T(y_sim) - T(y_obs)| for a
-    data statistic T: AbcRejection(statistic, ...).run(model, y_obs, rng, m),
-    so its settings are checked as AbcRejection checks them."""
-    return AbcRejection(statistic, tolerance, acceptance_quantile, max_proposals).run(
-        model, y_obs, rng, m)
 
 
 def acceptance_curve(
@@ -315,11 +286,9 @@ class AbcRejection(Approximator):
         self.name = "abc"
         self.kind = "abc_rejection"
 
-    def approximate(self, model, y, rng, m) -> ParamDraws:
-        return self.run(model, y, rng, m).draws
-
-    def run(self, model: Model, y_obs: Dataset, rng, m: int) -> AbcResult:
-        """m draws given y_obs on rng, with the acceptance diagnostics."""
+    def approximate(self, model: Model, y: Dataset, rng, m: int) -> ParamDraws:
+        """m draws given y on rng, with the acceptance diagnostics in
+        their info."""
         m, rng, budget = _count("m", m), as_generator(rng), self.max_proposals
         if self.tolerance is not None:
             eps = self.tolerance
@@ -328,7 +297,7 @@ class AbcRejection(Approximator):
             n_accepted = 0
             while n_accepted < m and proposed < budget:
                 count = min(_ABC_BATCH, budget - proposed)
-                thetas, dists = _abc_proposals(model, y_obs, self.statistic, count, rng)
+                thetas, dists = _abc_proposals(model, y, self.statistic, count, rng)
                 proposed += count
                 hit = thetas[dists <= eps]
                 if hit.size:
@@ -348,11 +317,10 @@ class AbcRejection(Approximator):
             values = np.concatenate(accepted, axis=0)[:m]
             info = {"mode": "tolerance", "tolerance": eps, "acceptance_rate": rate,
                     "proposals_used": proposed}
-            draws = ParamDraws(values, source="abc_rejection", info=info)
-            return AbcResult(draws, rate, proposed, eps)
+            return ParamDraws(values, source=self.kind, info=info)
 
         q = self.acceptance_quantile
-        thetas, dists = _abc_proposals(model, y_obs, self.statistic, budget, rng)
+        thetas, dists = _abc_proposals(model, y, self.statistic, budget, rng)
         n_keep = max(1, int(round(q * budget)))
         if n_keep < m:
             raise BudgetError(
@@ -372,5 +340,4 @@ class AbcRejection(Approximator):
         rate = n_keep / budget
         info = {"mode": "quantile", "acceptance_quantile": q, "threshold": threshold,
                 "acceptance_rate": rate, "proposals_used": budget}
-        draws = ParamDraws(thetas[order], source="abc_rejection", info=info)
-        return AbcResult(draws, rate, budget, threshold)
+        return ParamDraws(thetas[order], source=self.kind, info=info)

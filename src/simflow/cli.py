@@ -38,7 +38,6 @@ from .approximators import (
     ExactConjugate,
     PerturbedConjugate,
     RandomWalkMetropolis,
-    abc_rejection,
 )
 from .calibration import (
     SbcConfig,
@@ -269,9 +268,6 @@ def _resolve(flags: dict, args, cfg) -> tuple[dict, dict]:
 
 def _parse_scalar(text: str):
     t = text.strip()
-    low = t.lower()
-    if low in ("true", "false"):
-        return low == "true"
     try:
         return int(t)
     except ValueError:
@@ -457,6 +453,12 @@ def _payload(result, drop=(), **extra) -> dict:
            if f.name not in drop}
     out.update(extra)
     return out
+
+
+def _or_null(value: float) -> float | None:
+    """value, or None (JSON null) when it is not finite: a log evidence of
+    -inf, whose all_zero flag says why, and the NaN derived from it."""
+    return value if math.isfinite(value) else None
 
 
 def _histogram_block(values, bins: int = 30) -> dict:
@@ -704,22 +706,17 @@ def _cmd_abc(run):
     y = _load_data(run)
     if (run.tolerance is None) == (run.quantile is None):
         raise ConfigError("abc needs exactly one of --tolerance or --quantile")
-    result = abc_rejection(
-        model,
-        y,
-        _named("distance", run.distance, DISTANCE_REGISTRY),
-        substream(run.seed, 0),
-        m=run.m,
-        tolerance=run.tolerance,
-        acceptance_quantile=run.quantile,
-        max_proposals=run.max_proposals,
-    )
-    values = result.draws.values
+    approx = _approximator("abc", distance=run.distance, tolerance=run.tolerance,
+                           acceptance_quantile=run.quantile, max_proposals=run.max_proposals)
+    draws = approx.approximate(model, y, substream(run.seed, 0), run.m)
+    values, info = draws.values, draws.info
     sd = values.std(axis=0, ddof=1) if values.shape[0] > 1 else np.zeros(values.shape[1])
-    payload = _payload(result, drop=("draws",), kind="abc", model=model.name,
-                       distance=run.distance, m=int(values.shape[0]),
-                       posterior_mean=values.mean(axis=0), posterior_sd=sd, seed=run.seed,
-                       metadata=result.draws.info)
+    payload = {"acceptance_rate": info["acceptance_rate"],
+               "proposals_used": info["proposals_used"],
+               "threshold": info.get("threshold", approx.tolerance),
+               "kind": "abc", "model": model.name, "distance": run.distance,
+               "m": int(values.shape[0]), "posterior_mean": values.mean(axis=0),
+               "posterior_sd": sd, "seed": run.seed, "metadata": info}
     header = ["index"] + [f"theta{j}" for j in range(values.shape[1])]
     columns = [range(values.shape[0]), *np.asarray(values, dtype=float).T]
     return payload, {"draws.csv": (header, columns)}
@@ -765,20 +762,20 @@ def _cmd_compare(run):
     if not run.cfg.has_section("compare"):
         model = _build_model(run)
         ev = marginal_likelihood_mc(model, y, s=run.s, seed=run.seed)
-        return _payload(ev, kind="evidence"), {}
+        return _payload(ev, kind="evidence", log_evidence=_or_null(ev.log_evidence),
+                        mc_se_log=_or_null(ev.mc_se_log)), {}
     comparison = posterior_model_probs(_compare_entries(run), y, s=run.s, seed=run.seed)
-    evidences = comparison.evidences
-    models = {name: {"log_evidence": ev.log_evidence, "mc_se_log": ev.mc_se_log,
-                     "all_zero": ev.all_zero, "posterior_prob": comparison.posterior_probs[name]}
-              for name, ev in evidences.items()}
+    models = {name: {"log_evidence": _or_null(ev.log_evidence),
+                     "mc_se_log": _or_null(ev.mc_se_log), "all_zero": ev.all_zero,
+                     "posterior_prob": comparison.posterior_probs[name]}
+              for name, ev in comparison.evidences.items()}
+    lbf = {pair: _or_null(v) for pair, v in comparison.log_bayes_factors.items()}
     payload = _payload(comparison, drop=("entries", "evidences", "posterior_probs"),
-                       kind="model-comparison", models=models, metadata={})
-    columns = [list(evidences), [ev.log_evidence for ev in evidences.values()],
-               [ev.mc_se_log for ev in evidences.values()],
-               [comparison.posterior_probs[name] for name in evidences]]
-    csvs = {"evidence.csv": (["model", "log_evidence", "mc_se_log", "posterior_prob"],
-                             columns)}
-    return payload, csvs
+                       kind="model-comparison", models=models, log_bayes_factors=lbf,
+                       metadata={})
+    header = ["model", "log_evidence", "mc_se_log", "posterior_prob"]
+    columns = [list(models), *([row[k] for row in models.values()] for k in header[1:])]
+    return payload, {"evidence.csv": (header, columns)}
 
 
 def _cmd_sensitivity(run):
@@ -824,7 +821,7 @@ def _sbc_cell(model, approx, y, seed, s, m) -> dict:
 
 def _evidence_cell(model, approx, y, seed, s) -> dict:
     ev = marginal_likelihood_mc(model, y, s=s, seed=seed)
-    return {"log_evidence": ev.log_evidence, "mc_se_log": ev.mc_se_log}
+    return {"log_evidence": _or_null(ev.log_evidence), "mc_se_log": _or_null(ev.mc_se_log)}
 
 
 def _power_scale_cell(model, approx, y, seed, m, alpha_prior, alpha_lik) -> dict:

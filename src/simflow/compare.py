@@ -53,7 +53,9 @@ def marginal_likelihood_mc(model: Model, y: Dataset, s: int, seed: int = 0) -> E
         raise ValueError("evidence estimation needs at least 2 draws")
     ll = np.empty(s)
     for _, lo, hi, rng in chunks(seed, s, _EVIDENCE_CHUNK):
-        ll[lo:hi] = model.log_likelihood_batch(model.sample_prior(rng, hi - lo), y)
+        thetas = model.sample_prior(rng, hi - lo)
+        with np.errstate(all="ignore"):  # a likelihood that underflows is -inf
+            ll[lo:hi] = model.log_likelihood_batch(thetas, y)
     mx = np.max(ll)
     if not np.isfinite(mx):
         return EvidenceResult(model.name, -np.inf, np.nan, int(s), int(seed), True)
@@ -118,10 +120,11 @@ def posterior_model_probs(
         probs[finite] = np.exp(log_post[finite] - norm)
 
     lbf = {}
-    for i, a in enumerate(entries):
-        for j, b in enumerate(entries):
-            if i != j:
-                lbf[f"{a.name}/{b.name}"] = float(logz[i] - logz[j])
+    with np.errstate(invalid="ignore"):  # NaN where both evidences are -inf
+        for i, a in enumerate(entries):
+            for j, b in enumerate(entries):
+                if i != j:
+                    lbf[f"{a.name}/{b.name}"] = float(logz[i] - logz[j])
 
     return ModelComparison(
         entries=tuple(e.name for e in entries),

@@ -188,7 +188,7 @@ class SummaryStatistic:
 
     labels are the group labels shared by the s datasets, or None.
     on_data and on_params evaluate a batch of one. An ABC distance is
-    |T(y_sim) - T(y_obs)| for a data statistic T (see abc_rejection).
+    |T(y_sim) - T(y_obs)| for a data statistic T (see AbcRejection).
     """
 
     name: str
@@ -464,7 +464,9 @@ class Model:
     # Unconstrained reparameterization for random-walk samplers ----------
 
     def to_unconstrained(self, theta: np.ndarray) -> np.ndarray:
-        return np.asarray(theta, dtype=float).reshape(-1).copy()
+        """theta in the unconstrained space, elementwise on any shape: a new
+        array, which a sampler may update in place."""
+        return np.array(theta, dtype=float)
 
     def from_unconstrained_batch(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float)
@@ -614,7 +616,7 @@ class BetaBinomial(Model):
         return AnalyticPosterior("beta", (a_n, b_n))
 
     def to_unconstrained(self, theta) -> np.ndarray:
-        t = np.asarray(theta, dtype=float).reshape(-1)
+        t = np.asarray(theta, dtype=float)
         return np.log(t / (1.0 - t))
 
     def from_unconstrained_batch(self, z) -> np.ndarray:
@@ -670,7 +672,7 @@ class PoissonGamma(Model):
         return AnalyticPosterior("gamma", (shape, rate))
 
     def to_unconstrained(self, theta) -> np.ndarray:
-        return np.log(np.asarray(theta, dtype=float).reshape(-1))
+        return np.log(np.asarray(theta, dtype=float))
 
     def from_unconstrained_batch(self, z) -> np.ndarray:
         return np.exp(np.asarray(z, dtype=float))

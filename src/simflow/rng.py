@@ -90,6 +90,10 @@ class RowStreams:
         size = tuple(size) if isinstance(size, (tuple, list)) else (size,)
         if not size or size[0] != k:
             raise ValueError(f"a draw on {k} row streams needs {k} rows, got size {size}")
+        # every draw holds 8-byte values; numpy refuses more bytes than an
+        # intp holds with a ValueError, so such a size is refused here first
+        if math.prod(size) * 8 > np.iinfo(np.intp).max:
+            raise MemoryError(f"a draw of size {size} needs more memory than numpy can address")
         return size
 
     def _fill(self, method: str, size) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 from simflow import (
+    AbcRejection,
     Dataset,
     BetaBinomial,
     ExactConjugate,
@@ -23,7 +24,6 @@ from simflow import (
     PerturbedConjugate,
     SbcConfig,
     SimulationTest,
-    abc_rejection,
     beta_binomial_problem,
     elicit_prior,
     estimator_accuracy,
@@ -189,9 +189,9 @@ def test_criterion_06_estimator_risk_and_mc_error():
 def test_criterion_07_abc_exact_match_posterior_moments():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
     y = Dataset(np.array([3.0]))
-    result = abc_rejection(model, y, sample_sum, substream(700, 0),
-                           m=10_000, tolerance=0.0, max_proposals=400_000)
-    vals = result.draws.values[:, 0]
+    draws = AbcRejection(sample_sum, tolerance=0.0, max_proposals=400_000).approximate(
+        model, y, substream(700, 0), m=10_000)
+    vals = draws.values[:, 0]
     post = stats.beta(4, 8)
     mean, var, _, kurt = post.stats(moments="mvsk")
     m = vals.size

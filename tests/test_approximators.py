@@ -20,7 +20,6 @@ from simflow import (
     PerturbedConjugate,
     PoissonGamma,
     RandomWalkMetropolis,
-    abc_rejection,
     acceptance_curve,
     substream,
 )
@@ -195,20 +194,20 @@ def test_rwm_validation():
 def test_abc_zero_tolerance_recovers_beta_posterior():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
     y = _one_obs(model, 3.0)
-    result = abc_rejection(model, y, sample_sum, substream(50, 0), m=2000,
-                           tolerance=0.0, max_proposals=100_000)
-    vals = result.draws.values[:, 0]
+    draws = AbcRejection(sample_sum, tolerance=0.0, max_proposals=100_000).approximate(
+        model, y, substream(50, 0), m=2000)
+    vals = draws.values[:, 0]
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - 4.0 / 12.0) < 3 * se
-    assert 0.0 < result.acceptance_rate < 1.0
+    assert 0.0 < draws.info["acceptance_rate"] < 1.0
 
 
 def test_abc_infinite_tolerance_recovers_prior():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
     y = _one_obs(model, 3.0)
-    result = abc_rejection(model, y, sample_sum, substream(51, 0), m=20_000,
-                           tolerance=np.inf, max_proposals=50_000)
-    vals = result.draws.values[:, 0]
+    draws = AbcRejection(sample_sum, tolerance=np.inf, max_proposals=50_000).approximate(
+        model, y, substream(51, 0), m=20_000)
+    vals = draws.values[:, 0]
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - 0.5) < 3 * se
 
@@ -217,18 +216,18 @@ def test_abc_small_tolerance_near_conjugate_posterior():
     model = NormalNormal(mu0=0.0, tau0=1.0, sigma=1.0, n_obs=10)
     y = model.simulate_data(np.array([0.8]), substream(52, 0))
     eps = 0.01 * 1.0 / np.sqrt(10)
-    result = abc_rejection(model, y, mean_stat, substream(52, 1), m=300,
-                           tolerance=eps, max_proposals=600_000)
+    draws = AbcRejection(mean_stat, tolerance=eps, max_proposals=600_000).approximate(
+        model, y, substream(52, 1), m=300)
     post_mean = model.analytic_posterior(y).mean()
-    assert abs(result.draws.values[:, 0].mean() - post_mean) < 0.05
+    assert abs(draws.values[:, 0].mean() - post_mean) < 0.05
 
 
 def test_abc_budget_error_diagnostics():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
     y = _one_obs(model, 3.0)
     with pytest.raises(BudgetError) as exc:
-        abc_rejection(model, y, sample_sum, substream(53, 0), m=5000,
-                      tolerance=0.0, max_proposals=2000)
+        AbcRejection(sample_sum, tolerance=0.0, max_proposals=2000).approximate(
+            model, y, substream(53, 0), m=5000)
     diag = exc.value.diagnostics
     assert diag["proposals_used"] == 2000
     assert 0.0 <= diag["acceptance_rate"] <= 1.0
@@ -237,13 +236,12 @@ def test_abc_budget_error_diagnostics():
 def test_abc_quantile_mode():
     model = BetaBinomial(a=1.0, b=1.0, n_trials=10)
     y = _one_obs(model, 3.0)
-    result = abc_rejection(model, y, sample_sum, substream(54, 0), m=50,
-                           acceptance_quantile=0.01, max_proposals=10_000)
-    assert result.draws.m == 50
-    assert result.threshold >= 0.0
+    approx = AbcRejection(sample_sum, acceptance_quantile=0.01, max_proposals=10_000)
+    draws = approx.approximate(model, y, substream(54, 0), m=50)
+    assert draws.m == 50
+    assert draws.info["threshold"] >= 0.0
     with pytest.raises(BudgetError):
-        abc_rejection(model, y, sample_sum, substream(54, 1), m=200,
-                      acceptance_quantile=0.01, max_proposals=10_000)
+        approx.approximate(model, y, substream(54, 1), m=200)
 
 
 # Distances as count-distance gives them (small integers, many ties), any
@@ -270,12 +268,12 @@ def test_abc_mode_selection_validation():
     model = BetaBinomial()
     y = _one_obs(model, 3.0)
     with pytest.raises(ValueError):
-        abc_rejection(model, y, sample_sum, substream(0, 0), m=10)
+        AbcRejection(sample_sum).approximate(model, y, substream(0, 0), m=10)
     with pytest.raises(ValueError):
-        abc_rejection(model, y, sample_sum, substream(0, 0), m=10,
-                      tolerance=0.0, acceptance_quantile=0.1)
+        AbcRejection(sample_sum, tolerance=0.0, acceptance_quantile=0.1).approximate(
+            model, y, substream(0, 0), m=10)
     with pytest.raises(ValueError):
-        abc_rejection(model, y, mean_stat, substream(0, 0), m=0, tolerance=1.0)
+        AbcRejection(mean_stat, tolerance=1.0).approximate(model, y, substream(0, 0), m=0)
 
 
 @pytest.mark.parametrize("settings_", [
@@ -285,13 +283,14 @@ def test_abc_mode_selection_validation():
     *({"acceptance_quantile": 0.5, "max_proposals": n} for n in (0, -3, 2.5, True)),
 ])
 def test_abc_settings_are_refused_when_built(settings_):
-    # both entry points refuse before a proposal is drawn: these exited 1,
-    # ran a truncated budget, or spent the whole budget on no acceptance
+    # refused before a proposal is drawn: these exited 1, ran a truncated
+    # budget, or spent the whole budget on no acceptance
     with pytest.raises(ValueError):
         AbcRejection(sample_sum, **settings_)
     model, rng = BetaBinomial(), substream(0, 0)
     with pytest.raises(ValueError):
-        abc_rejection(model, _one_obs(model, 3.0), sample_sum, rng, m=10, **settings_)
+        AbcRejection(sample_sum, **settings_).approximate(model, _one_obs(model, 3.0), rng,
+                                                          m=10)
     assert rng.random() == substream(0, 0).random()
     with pytest.raises(TypeError):
         AbcRejection(sample_sum, acceptance_quantile=0.5, batch_size=1000)
@@ -322,10 +321,11 @@ def test_abc_quantile_proposals_hold_no_dataset_matrix():
     y = model.simulate_data(np.array([0.3]), substream(56, 0))
     tracemalloc.start()
     try:
-        result = abc_rejection(model, y, mean_stat, substream(57, 0), m=100,
-                               acceptance_quantile=0.001, max_proposals=200_000)
+        draws = AbcRejection(mean_stat, acceptance_quantile=0.001,
+                             max_proposals=200_000).approximate(model, y, substream(57, 0),
+                                                                m=100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.draws.m == 100 and result.proposals_used == 200_000
+    assert draws.m == 100 and draws.info["proposals_used"] == 200_000
     assert peak < 16 * 2**20

@@ -273,6 +273,14 @@ _ABC_SBC = ["sbc", "--model", "normal-normal", "--approximator", "abc", "--S", "
     # a batch size of 0 proposed nothing, forever
     ["ppc", "--model", "normal-normal", "--model-params", "n_obs=5", "--data", "data5.csv",
      "--approximator", "abc", "--approximator-params", "tolerance=0.1,batch_size=0"],
+    # a boolean for a real-valued setting (read as 1.0 while the report
+    # echoed true; the abc quantile kept every proposal)
+    *(["sbc", "--model", model, "--model-params", p, "--S", "20", "--M", "9"]
+      for model, p in (("normal-normal", "tau0=true"), ("beta-binomial", "a=true"))),
+    *(["sbc", "--model", "normal-normal", "--approximator", name, "--approximator-params", p,
+       "--S", "20", "--M", "9"]
+      for name, p in (("perturbed", "sd_scale=true"), ("rwm", "step_sd=true"),
+                      ("abc", "acceptance_quantile=true,max_proposals=2000"))),
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -345,6 +353,39 @@ def test_power_scaling_weights_that_are_not_finite_exit_3(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert _strict_json(tmp_path / "x" / "report.json")["error"]["type"] == "RuntimeError"
+
+
+def test_evidence_of_zero_likelihood_everywhere_is_strict_json(tmp_path, capsys,
+                                                               monkeypatch):
+    # an observation of 1e200 overflows every prior draw's squared deviation:
+    # compare and the evidence sweep wrote -Infinity and NaN (and NaN log
+    # Bayes factors) with RuntimeWarnings on stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.csv").write_text("y0\n1e200\n2\n")
+    model = "[model:{0}]\nname = normal-normal\nn_obs = 2\nmu0 = {1}\n"
+    (tmp_path / "two.ini").write_text("[compare]\nmodels = a, b\n" + model.format("a", 0)
+                                      + model.format("b", 1))
+    (tmp_path / "sweep.ini").write_text("[model]\nname = normal-normal\nn_obs = 2\n"
+                                        "[sweep]\npipeline = evidence\ns = 100\n"
+                                        "vary_model_tau0 = 1|2\n")
+    runs = {"one": ["compare", "--model", "normal-normal", "--model-params", "n_obs=2",
+                    "--S", "100"],
+            "two": ["compare", "--config", "two.ini", "--S", "100"],
+            "sweep": ["sensitivity", "--mode", "sweep", "--config", "sweep.ini"]}
+    results = {}
+    for name, argv in runs.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--data", "big.csv", "--out", name]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        results[name] = _strict_json(tmp_path / name / "report.json")["results"]
+    evidences = [results["one"], *results["two"]["models"].values(), *results["sweep"]["rows"]]
+    assert len(evidences) == 5
+    for ev in evidences:
+        assert ev["log_evidence"] is None and ev["mc_se_log"] is None
+    assert all(ev["all_zero"] for ev in evidences[:3])
+    assert results["two"]["log_bayes_factors"] == {"a/b": None, "b/a": None}
 
 
 def test_histogram_leaves_out_undefined_replications(tmp_path, capsys, monkeypatch):
@@ -559,6 +600,20 @@ def test_data_with_more_than_one_observation_column_is_config_error(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("n_obs", ["1e12", "4e18", "9e18"])
+@pytest.mark.parametrize("model", ["normal-normal", "beta-binomial", "poisson-gamma"])
+@pytest.mark.parametrize("command", [["sbc"], ["accuracy", "--theta-star", "0.3"]])
+def test_a_block_too_large_to_allocate_exits_3(tmp_path, capsys, command, model, n_obs):
+    # 4e18 and 9e18 values a row are more bytes than numpy can hold: its
+    # "array is too big" ValueError escaped with exit 1
+    out = tmp_path / "x"
+    assert main([*command, "--model", model, "--model-params", f"n_obs={n_obs}",
+                 "--S", "20", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert _strict_json(out / "report.json")["error"]["type"] == "MemoryError"
 
 
 @pytest.mark.parametrize("command", [
