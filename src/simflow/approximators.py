@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BudgetError
 from .models import (Dataset, Model, ParamDraws, SummaryStatistic, _count, _whole,
                      simulate_statistic)
-from .rng import RowStreams, as_generator
+from .rng import RowStreams, _addressable, as_generator
 
 __all__ = [
     "Approximator",
@@ -211,6 +211,7 @@ _ABC_BATCH = 10_000
 def _abc_proposals(model: Model, y_obs: Dataset, statistic: SummaryStatistic,
                    count: int, rng):
     """count prior draws and their distances |T(y_sim) - T(y_obs)|."""
+    _addressable((count, model.param_dim))
     thetas = model.sample_prior(rng, count)
     t_sim = simulate_statistic(model, thetas, rng, statistic, n_obs=y_obs.n_obs)
     return thetas, np.abs(t_sim - statistic.on_data(y_obs))

@@ -394,9 +394,12 @@ def _build_approximator(run, model):
 
 def _statistic(name: str, model):
     statistic = _named("statistic", name, STATISTIC_REGISTRY)
-    # one all-zero dataset of the model's shape shows whether the statistic applies
+    # four all-zero values, two per group of a two-group model (a group's
+    # variance needs two), show whether the statistic applies: that depends
+    # on the group labels, not on the dataset's size
+    n = min(model.n_obs, 4)
     try:
-        statistic.fn(np.zeros((1, model.n_obs)), model.group_labels(model.n_obs))
+        statistic.fn(np.zeros((1, n)), model.group_labels(n))
     except ValueError as exc:
         raise ConfigError(f"statistic {name!r} does not apply to {model.name}: {exc}") from None
     return statistic
@@ -453,6 +456,12 @@ def _payload(result, drop=(), **extra) -> dict:
            if f.name not in drop}
     out.update(extra)
     return out
+
+
+def _echo(value):
+    """A config value as the report echoes it: a number that is not finite
+    (an ABC tolerance of inf) as its text, for which JSON has no literal."""
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _or_null(value: float) -> float | None:
@@ -944,6 +953,9 @@ class Command(NamedTuple):
     plan: list[str]       # the seed plan a dry run prints
     flags: dict           # flag -> Use, besides the common flags
     needs: tuple = ()     # the models.Capabilities its model must have
+    # every run calls scipy.special, so main imports it before the clock
+    # starts; other runs import it where they call it
+    special: bool = False
 
 
 _NULL_CHUNKS = "null chunk c: stream (root, 0, c); retry a: stream (root, 0, c, a)"
@@ -954,18 +966,19 @@ _ESTIMATOR = {"--estimator": Use("sample-mean")}
 
 _COMMANDS = {
     "sbc": Command("prior-predictive calibration of an approximator", _cmd_sbc,
-                   ["replication i: stream (seed, 0, i)"], _SBC_FLAGS, ("can_sample_prior",)),
+                   ["replication i: stream (seed, 0, i)"], _SBC_FLAGS, ("can_sample_prior",),
+                   special=True),
     "post-sbc": Command(
         "calibration conditional on an observed dataset", _cmd_sbc,
         ["posterior draws at observed data: stream (seed, 1)",
          "replication i: stream (seed, 0, i)"],
-        {**_SBC_FLAGS, "--data": Use()}),
+        {**_SBC_FLAGS, "--data": Use()}, special=True),
     "freq-calibrate": Command(
         "sampling-distribution calibration of an estimator", _cmd_freq_calibrate,
         ["dataset i: stream (seed, 0, i)"],
         {**_MODEL, "--theta-star": Use(), **_ESTIMATOR, "--sampling": Use(),
          "--alphas": Use("0.9", "(0, 1)"), "--S": Use(1000, "[10, inf)"),
-         "--bins": Use(10, "[2, inf)")}),
+         "--bins": Use(10, "[2, inf)")}, special=True),
     "power": Command(
         "rejection rate of a test at a fixed or prior truth", _cmd_power,
         ["sim test null root: drawn from stream (seed + 1, 0)", _NULL_CHUNKS,
@@ -1001,7 +1014,8 @@ _COMMANDS = {
         {"--expert-csv": Use(), "--expert-stats": Use(), "--n-trials": Use(20, _AT_LEAST_1),
          "--lam0": Use("1,1"), "--sims": Use(10_000, _AT_LEAST_1),
          # the search's loss tolerance is its square, which must be a float
-         "--tolerance": Use(1e-4, "[0, 1e154]"), "--max-iter": Use(500, _AT_LEAST_1)}),
+         "--tolerance": Use(1e-4, "[0, 1e154]"), "--max-iter": Use(500, _AT_LEAST_1)},
+        special=True),
     "abc": Command(
         "rejection sampling against a simulator", _cmd_abc,
         ["proposals: stream (seed, 0)"],
@@ -1081,6 +1095,8 @@ def _write_outputs(outdir: Path, payload: dict, formats: set[str], files: dict) 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
+    if command.special:
+        from scipy import special  # noqa: F401
     head = {"schema_version": SCHEMA_VERSION, "command": args.command}
     t0 = time.perf_counter()
     try:
@@ -1121,10 +1137,12 @@ def main(argv=None) -> int:
     # each setting under its config key, or its dest when it has none
     pipeline = {FLAGS[o].key.split()[-1] if FLAGS[o].key else _dest(o): settings[_dest(o)]
                 for o in command.flags if FLAGS[o].echo}
+    sections = {name: {k: _echo(v) for k, v in section.items()}
+                for name, section in run.sections.items()}
     payload = {
         **head,
         "status": "ok",
-        "config": {**run.sections, "pipeline": pipeline},
+        "config": {**sections, "pipeline": pipeline},
         "seed_provenance": {"seed": seed, "source": sources["seed"], "plan": command.plan},
         "results": results,
         "timing_seconds": time.perf_counter() - t0,

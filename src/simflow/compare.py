@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .models import Dataset, Model, ParamDraws
 from .rng import cell_seed, chunks
@@ -72,6 +71,21 @@ def marginal_likelihood_mc(model: Model, y: Dataset, s: int, seed: int = 0) -> E
     )
 
 
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """scipy.special.logsumexp of 1-D finite values, bit for bit: scipy
+    1.17's steps, without the scipy.special import.
+
+    The values tied at the max are taken out of the sum, which is divided
+    by their count m; the result is log1p(sum) + log(m) + max.
+    """
+    a_max = a.max(keepdims=True)
+    ties = a == a_max
+    m = np.count_nonzero(ties, keepdims=True).astype(float)
+    s = np.exp(np.where(ties, -np.inf, a) - a_max).sum(keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[0]
+
+
 @dataclass(frozen=True)
 class ModelEntry:
     name: str
@@ -116,7 +130,7 @@ def posterior_model_probs(
     finite = np.isfinite(log_post)
     probs = np.zeros(len(entries))
     if finite.any():
-        norm = logsumexp(log_post[finite])
+        norm = _logsumexp(log_post[finite])
         probs[finite] = np.exp(log_post[finite] - norm)
 
     lbf = {}

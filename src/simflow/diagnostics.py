@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .rng import substream
 
@@ -125,6 +124,8 @@ class _NullCounts:
     def __init__(self, s: int, granularity: int | None, tail_min: float):
         self.s = s
         self.grid = _grid_for(s)
+        from scipy import special
+
         probs = _null_cdf_at_grid(s, granularity)
         k = np.arange(s + 1)
         logf = special.gammaln(k + 1.0)
@@ -557,6 +558,8 @@ def _ks_cdf_pelz_good(n: int, d):
 
 def _ks_sf(n: int, d) -> float:
     """P(D_n >= d) for the two-sided KS statistic of n Uniform(0, 1) values."""
+    from scipy import special
+
     d = np.float64(d)
     if d <= 0.5 / n:  # at or below the lower end of the support
         return 1.0
@@ -615,6 +618,8 @@ def uniformity_test(
     The chi-squared and band checks operate on the raw values; only the KS
     test sees the de-discretized values when granularity is declared.
     """
+    from scipy import special
+
     if not isinstance(p, PValueSet):
         p = PValueSet(np.asarray(p, dtype=float))
     counts = rank_histogram(p, bins)

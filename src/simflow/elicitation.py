@@ -14,7 +14,7 @@ from math import isqrt
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaincinv
+import numpy.ma  # noqa: F401  np.quantile loads it through np.unique; load it at import
 
 from .models import _count
 from .rng import substream
@@ -44,7 +44,9 @@ class BetaPriorFamily:
         return bool(np.all(np.isfinite(lam)) and np.all(lam > 0.0))
 
     def ppf(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return betaincinv(lam[0], lam[1], u)
+        from scipy import special
+
+        return special.betaincinv(lam[0], lam[1], u)
 
     def to_unconstrained(self, lam) -> np.ndarray:
         return np.log(np.asarray(lam, dtype=float))

@@ -13,22 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import (
-    betainc,
-    betaincinv,
-    betaln,
-    expit,
-    gammainc,
-    gammaincinv,
-    gammaln,
-    ndtr,
-    ndtri,
-    xlog1py,
-    xlogy,
-)
 
 from .errors import CapabilityError, DomainError
-from .rng import as_generator
+from .rng import _addressable, as_generator
 
 __all__ = [
     "Dataset",
@@ -268,37 +255,44 @@ class AnalyticPosterior:
         return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
 
     def quantile(self, q) -> np.ndarray | float:
+        from scipy import special
+
         a, b = self.params
         if self.family == "normal":
-            return ndtri(q) * b + a
+            return special.ndtri(q) * b + a
         if self.family == "beta":
-            return betaincinv(a, b, q)
-        return gammaincinv(a, q) * (1.0 / b)
+            return special.betaincinv(a, b, q)
+        return special.gammaincinv(a, q) * (1.0 / b)
 
     def cdf(self, x) -> np.ndarray | float:
+        from scipy import special
+
         a, b = self.params
         if self.family == "normal":
-            return ndtr((x - a) / b)
+            return special.ndtr((x - a) / b)
         if self.family == "beta":
-            return betainc(a, b, np.clip(x, 0.0, 1.0))
-        return gammainc(a, np.maximum(x, 0.0) / (1.0 / b))
+            return special.betainc(a, b, np.clip(x, 0.0, 1.0))
+        return special.gammainc(a, np.maximum(x, 0.0) / (1.0 / b))
 
     def logpdf(self, x) -> np.ndarray | float:
         a, b = self.params
         x = np.asarray(x, dtype=float)
         if self.family == "normal":
             return -0.5 * (_LOG_2PI + 2.0 * np.log(b)) - (x - a) ** 2 / (2.0 * b**2)
+        from scipy import special
+
         out = np.full(x.shape, -np.inf)
         if self.family == "beta":
             ok = (x >= 0.0) & (x <= 1.0)
-            out[ok] = xlogy(a - 1.0, x[ok]) + xlog1py(b - 1.0, -x[ok]) - betaln(a, b)
+            out[ok] = (special.xlogy(a - 1.0, x[ok]) + special.xlog1py(b - 1.0, -x[ok])
+                       - special.betaln(a, b))
         else:
             # scipy.stats.gamma's arithmetic: a * log(b) - gammaln(a) + ... cancels
             # to ~1e-12 absolute error for shapes in the hundreds
             ok = x > 0.0
             scale = 1.0 / b
             z = x[ok] / scale
-            out[ok] = xlogy(a - 1.0, z) - z - gammaln(a) - np.log(scale)
+            out[ok] = special.xlogy(a - 1.0, z) - z - special.gammaln(a) - np.log(scale)
         return out[()]
 
     def sample(self, rng, size) -> np.ndarray:
@@ -495,6 +489,7 @@ def simulate_statistic(model: Model, thetas: np.ndarray, rng, statistic: Summary
     thetas = np.atleast_2d(thetas)
     model._check_domain(thetas)
     n = model._n_obs(n_obs)
+    _addressable((min(thetas.shape[0], _SIM_CHUNK), n))
     labels = model.group_labels(n)
     out = np.empty(thetas.shape[0])
     for lo in range(0, thetas.shape[0], _SIM_CHUNK):
@@ -594,8 +589,10 @@ class BetaBinomial(Model):
         t = thetas[..., 0]
         if np.any((k < 0) | (k > self.n_trials) | (k != np.round(k))):
             raise DomainError("beta-binomial data must be integer counts in [0, n_trials]")
-        const = (gammaln(self.n_trials + 1) - gammaln(k + 1)
-                 - gammaln(self.n_trials - k + 1)).sum(axis=1)
+        from scipy import special
+
+        const = (special.gammaln(self.n_trials + 1) - special.gammaln(k + 1)
+                 - special.gammaln(self.n_trials - k + 1)).sum(axis=1)
         total = k.sum(axis=1)
         # each row's constant and count total, beside each of its thetas
         const, total = (np.broadcast_to(v[:, None], t.shape) for v in (const, total))
@@ -604,8 +601,8 @@ class BetaBinomial(Model):
         tok = t[ok]
         out[ok] = (
             const[ok]
-            + xlogy(total[ok], tok)
-            + xlog1py(k.shape[1] * self.n_trials - total[ok], -tok)
+            + special.xlogy(total[ok], tok)
+            + special.xlog1py(k.shape[1] * self.n_trials - total[ok], -tok)
         )
         return out
 
@@ -620,7 +617,9 @@ class BetaBinomial(Model):
         return np.log(t / (1.0 - t))
 
     def from_unconstrained_batch(self, z) -> np.ndarray:
-        return expit(np.asarray(z, dtype=float))
+        from scipy import special
+
+        return special.expit(np.asarray(z, dtype=float))
 
     def log_jacobian_batch(self, z) -> np.ndarray:
         z = np.atleast_2d(z)[..., 0]
@@ -654,12 +653,14 @@ class PoissonGamma(Model):
         t = thetas[..., 0]
         if np.any((k < 0) | (k != np.round(k))):
             raise DomainError("poisson-gamma data must be nonnegative integer counts")
+        from scipy import special
+
         # each row's constant and count total, beside each of its thetas
         const, total = (np.broadcast_to(v[:, None], t.shape)
-                        for v in (-gammaln(k + 1).sum(axis=1), k.sum(axis=1)))
+                        for v in (-special.gammaln(k + 1).sum(axis=1), k.sum(axis=1)))
         out = np.full(t.shape, -np.inf)
         ok = t > 0.0
-        out[ok] = const[ok] + xlogy(total[ok], t[ok]) - k.shape[1] * t[ok]
+        out[ok] = const[ok] + special.xlogy(total[ok], t[ok]) - k.shape[1] * t[ok]
         # rate 0 is only compatible with all-zero counts
         zero = t == 0.0
         if np.any(zero):

@@ -90,11 +90,7 @@ class RowStreams:
         size = tuple(size) if isinstance(size, (tuple, list)) else (size,)
         if not size or size[0] != k:
             raise ValueError(f"a draw on {k} row streams needs {k} rows, got size {size}")
-        # every draw holds 8-byte values; numpy refuses more bytes than an
-        # intp holds with a ValueError, so such a size is refused here first
-        if math.prod(size) * 8 > np.iinfo(np.intp).max:
-            raise MemoryError(f"a draw of size {size} needs more memory than numpy can address")
-        return size
+        return _addressable(size)
 
     def _fill(self, method: str, size) -> np.ndarray:
         """A draw without parameters, each generator filling its row in
@@ -228,6 +224,15 @@ class _Key(ISeedSequence):
         if n_words != 2 or np.dtype(dtype) != np.uint64:
             raise ValueError("this seed sequence only holds a Philox key")
         return self.key
+
+
+def _addressable(size: tuple) -> tuple:
+    """size, unless a draw of that many 8-byte values needs more bytes than
+    an intp holds: numpy refuses such a size with a ValueError, so it is
+    refused here first, with a MemoryError (a runtime error, exit 3)."""
+    if math.prod(size) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a draw of size {size} needs more memory than numpy can address")
+    return size
 
 
 def cell_seed(seed: int, index: int) -> int:

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
+import numpy.ma  # noqa: F401  np.quantile loads it through np.unique; load it at import
 
 from .errors import RetryError
 from .models import _SIM_CHUNK, Dataset, Model, SummaryStatistic, simulate_statistic
@@ -365,12 +365,14 @@ class AnalyticZTest:
     def pvalues(self, obs: np.ndarray, labels=None, rows=None) -> np.ndarray:
         """The p-values of a (k, n) block of datasets; the test
         draws nothing, so labels and rows are unused."""
+        from scipy import special
+
         z = (obs.mean(axis=1) - self.theta0) * np.sqrt(obs.shape[1]) / self.sigma
         if self.side == "upper":
-            return ndtr(-z)
+            return special.ndtr(-z)
         if self.side == "lower":
-            return ndtr(z)
-        return 2.0 * ndtr(-np.abs(z))
+            return special.ndtr(z)
+        return 2.0 * special.ndtr(-np.abs(z))
 
     def pvalue(self, y: Dataset, rng=None) -> float:
         """The p-value of one dataset, a block of one."""

@@ -35,6 +35,7 @@ from simflow import (
     weighted_mean,
 )
 from simflow.cli import _parse_sampling, main
+from test_golden import RUNS, argv_of, write_inputs
 
 TIMING = re.compile(rb'"timing_seconds": [^,\n]+')
 
@@ -604,16 +605,44 @@ def test_data_with_more_than_one_observation_column_is_config_error(tmp_path, ca
 
 @pytest.mark.parametrize("n_obs", ["1e12", "4e18", "9e18"])
 @pytest.mark.parametrize("model", ["normal-normal", "beta-binomial", "poisson-gamma"])
-@pytest.mark.parametrize("command", [["sbc"], ["accuracy", "--theta-star", "0.3"]])
+@pytest.mark.parametrize("command", [["sbc"], ["accuracy", "--theta-star", "0.3"],
+                                     ["prior-check", "--region=-1,1"],
+                                     ["power", "--theta0", "0.5"]])
 def test_a_block_too_large_to_allocate_exits_3(tmp_path, capsys, command, model, n_obs):
     # 4e18 and 9e18 values a row are more bytes than numpy can hold: its
-    # "array is too big" ValueError escaped with exit 1
+    # "array is too big" ValueError escaped with exit 1; prior-check and
+    # power exited 2 first, as their statistic probe built a whole dataset
+    # ("statistic 'mean' does not apply")
     out = tmp_path / "x"
     assert main([*command, "--model", model, "--model-params", f"n_obs={n_obs}",
                  "--S", "20", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert _strict_json(out / "report.json")["error"]["type"] == "MemoryError"
+
+
+@pytest.mark.parametrize("label", ["sbc-abc", "ppc-abc"])
+def test_an_abc_pool_too_large_to_allocate_exits_3(tmp_path, capsys, monkeypatch, label):
+    # quantile mode draws its whole pool of max_proposals at once; 1e154 of
+    # them escaped as numpy's "Maximum allowed dimension exceeded" (exit 1)
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    argv = [re.sub(r"max_proposals=\d+", "max_proposals=1e154", a) for a in argv_of(label)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert _strict_json(tmp_path / label / "report.json")["error"]["type"] == "MemoryError"
+
+
+def test_infinite_abc_tolerance_is_echoed_as_strict_json(tmp_path, monkeypatch):
+    # the library takes tolerance=inf (every proposal accepted); the config
+    # echo wrote it as Infinity, which is not JSON
+    monkeypatch.chdir(tmp_path)
+    argv = [re.sub(r"tolerance=[\d.]+", "tolerance=inf", a)
+            for a in argv_of("sbc-abc-tolerance")]
+    assert main(argv) == 0
+    report = _strict_json(tmp_path / "sbc-abc-tolerance" / "report.json")
+    assert report["config"]["approximator"]["tolerance"] == "inf"
 
 
 @pytest.mark.parametrize("command", [
@@ -966,28 +995,62 @@ def test_power_scale_pipeline(tmp_path):
     assert unit["ess"] == 800.0
 
 
+_SCIPY = ("scipy.special", "scipy.stats", "scipy.optimize")
+
+
 @pytest.mark.parametrize("module", ["simflow", "simflow.cli"])
 def test_import_leaves_scipy_stats_and_optimize_unloaded(module):
     # A fresh interpreter: this process has imported both modules already.
     env = {**os.environ, "PYTHONPATH": str(Path(simflow.__file__).parents[1])}
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    code = f"import sys, {module}; print(sorted(m for m in {_SCIPY!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
 
 
-def test_elicit_run_leaves_scipy_optimize_unloaded(tmp_path):
-    # elicit searches with simflow's own Nelder-Mead, so no command imports
-    # scipy.optimize; a fresh interpreter, as this one may have loaded it.
+def _fresh_golden_run(tmp_path, label: str, code: str) -> str:
+    """The output of code, run in a fresh interpreter in a directory holding
+    the golden inputs, after `argv` is bound to the golden run's argv."""
+    write_inputs(tmp_path)
+    if label == "render":  # the report it renders
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp_path)
+            assert main(argv_of("sbc")) == 0
     env = {**os.environ, "PYTHONPATH": str(Path(simflow.__file__).parents[1])}
-    code = ("import sys; from simflow.cli import main; "
-            "rc = main(['elicit', '--expert-stats', '3,4,6,8,10', '--sims', '200', "
-            f"'--max-iter', '5', '--out', {str(tmp_path / 'e')!r}]); "
-            "print(rc, 'scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split()[-2:] == ["0", "False"]
+    code = f"import sys\nargv = {argv_of(label)!r}\n{code}"
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("label", ["power", "accuracy", "test", "ppc", "prior-check", "abc",
+                                   "compare", "compare-models", "sensitivity", "render"])
+def test_run_leaves_scipy_special_unloaded(tmp_path, label):
+    # each subcommand whose _COMMANDS row leaves `special` unset, at its
+    # golden argv, imports none of scipy.special, scipy.stats and
+    # scipy.optimize (elicit searches with simflow's own Nelder-Mead)
+    assert not simflow.cli._COMMANDS[RUNS[label][0]].special
+    out = _fresh_golden_run(tmp_path, label, (
+        "from simflow.cli import main\n"
+        f"rc = main(argv)\nprint(rc, sorted(m for m in {_SCIPY!r} if m in sys.modules))"))
+    assert out.split("\n")[-2] == "0 []"
+
+
+@pytest.mark.parametrize("label", ["sbc", "post-sbc", "freq-calibrate", "elicit"])
+def test_special_rows_load_scipy_special_before_the_clock(tmp_path, label):
+    # a row with `special` set has scipy.special loaded when main starts its
+    # clock, so timing_seconds leaves the import out; scipy.stats and
+    # scipy.optimize stay unloaded
+    assert simflow.cli._COMMANDS[RUNS[label][0]].special
+    out = _fresh_golden_run(tmp_path, label, (
+        "import time\nfrom simflow.cli import main\n"
+        "clock, read = [], time.perf_counter\n"
+        "def perf_counter():\n"
+        "    clock.append('scipy.special' in sys.modules)\n"
+        "    return read()\n"
+        "time.perf_counter = perf_counter\n"
+        "rc = main(argv)\n"
+        f"print(rc, clock[0], sorted(m for m in {_SCIPY[1:]!r} if m in sys.modules))"))
+    assert out.split("\n")[-2] == "0 True []"
 
 
 def _parser_snapshot() -> dict:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from simflow import (
     BetaBinomial,
@@ -20,6 +22,7 @@ from simflow import (
     weighted_mean,
     weighted_quantile,
 )
+from simflow.compare import _logsumexp
 from simflow.report import write_csv
 
 
@@ -137,6 +140,18 @@ def test_model_prob_validation():
     ]
     with pytest.raises(ValueError):
         posterior_model_probs(entries, y, s=100)
+
+
+@settings(max_examples=500, deadline=None)
+@given(unit=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=50),
+       spread=st.floats(0.0, 1e6), shift=st.floats(-1e6, 1e6),
+       ties=st.lists(st.integers(0, 49), max_size=50))
+def test_logsumexp_matches_scipy_bit_for_bit(unit, spread, shift, ties):
+    # 1 to 50 finite values spread up to 1e6 apart, some tied at the max
+    a = shift + spread * np.array(unit)
+    a[[i % a.size for i in ties]] = a.max()
+    got, want = _logsumexp(a), special.logsumexp(a)
+    assert type(got) is type(want) and got.tobytes() == want.tobytes()
 
 
 def _posterior_draws(model, y, m, seed):

@@ -202,21 +202,32 @@ RUNS = {
 CONFIG_ONLY = {"sbc-config"}
 
 
-def run_all(workdir: Path) -> tuple[dict[str, str], dict[str, tuple[list[str], str]]]:
-    """Run every command in workdir; return {output file: sha256} and
-    {label: (the warnings it raised, the text it wrote to stderr)}."""
+def write_inputs(workdir: Path) -> None:
+    """Write data.csv and every file in INPUTS into workdir."""
     y = np.random.default_rng(3).normal(0.4, 1.0, size=12)
     (workdir / "data.csv").write_text("y0\n" + "".join(f"{v:.17g}\n" for v in y))
     for name, text in INPUTS.items():
         (workdir / name).write_text(text)
+
+
+def argv_of(label: str) -> list[str]:
+    """The full argv of one run, with the flags every run but those in
+    CONFIG_ONLY gets."""
+    flags = [] if label in CONFIG_ONLY else [
+        "--seed", "5", "--out", label, "--formats", "json,csv,svg"]
+    return [*RUNS[label], *flags]
+
+
+def run_all(workdir: Path) -> tuple[dict[str, str], dict[str, tuple[list[str], str]]]:
+    """Run every command in workdir; return {output file: sha256} and
+    {label: (the warnings it raised, the text it wrote to stderr)}."""
+    write_inputs(workdir)
     digests, noise = {}, {}
-    for label, argv in RUNS.items():
-        flags = [] if label in CONFIG_ONLY else [
-            "--seed", "5", "--out", label, "--formats", "json,csv,svg"]
+    for label in RUNS:
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             warnings.simplefilter("always")
-            rc = main([*argv, *flags])
+            rc = main(argv_of(label))
         noise[label] = [str(w.message) for w in caught], err.getvalue()
         assert rc == 0, f"{label} exited {rc}"
         out = workdir / label
