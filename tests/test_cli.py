@@ -1027,7 +1027,7 @@ def _fresh_golden_run(tmp_path, label: str, code: str) -> str:
 def test_run_leaves_scipy_special_unloaded(tmp_path, label):
     # each subcommand whose _COMMANDS row leaves `special` unset, at its
     # golden argv, imports none of scipy.special, scipy.stats and
-    # scipy.optimize (elicit searches with simflow's own Nelder-Mead)
+    # scipy.optimize
     assert not simflow.cli._COMMANDS[RUNS[label][0]].special
     out = _fresh_golden_run(tmp_path, label, (
         "from simflow.cli import main\n"
@@ -1039,7 +1039,8 @@ def test_run_leaves_scipy_special_unloaded(tmp_path, label):
 def test_special_rows_load_scipy_special_before_the_clock(tmp_path, label):
     # a row with `special` set has scipy.special loaded when main starts its
     # clock, so timing_seconds leaves the import out; scipy.stats and
-    # scipy.optimize stay unloaded
+    # scipy.optimize stay unloaded (elicit searches with simflow's own
+    # Nelder-Mead)
     assert simflow.cli._COMMANDS[RUNS[label][0]].special
     out = _fresh_golden_run(tmp_path, label, (
         "import time\nfrom simflow.cli import main\n"
