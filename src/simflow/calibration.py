@@ -432,9 +432,18 @@ def estimator_accuracy(
     """
     _mc_size(s)
     target = target or param_target(0)
+    name = getattr(distance, "__name__", "distance")
 
     def losses(thetas, obs, labels, rows) -> np.ndarray:
-        return distance(_estimates(estimator, obs, labels), target.fn(thetas))
+        estimates, truths = _estimates(estimator, obs, labels), target.fn(thetas)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = distance(estimates, truths)
+        overflowed = np.isfinite(estimates) & ~np.isfinite(values)
+        if overflowed.any():
+            i = int(np.argmax(overflowed))
+            raise RuntimeError(f"the {name} of estimate {float(estimates[i])!r} from truth "
+                               f"{float(truths[i])!r} overflowed the float range")
+        return values
 
     good, n_failed = _drop_failed(_replicate(model, seed, s, losses, theta_star))
     return AccuracyResult(
@@ -444,7 +453,7 @@ def estimator_accuracy(
         s=int(s),
         seed=int(seed),
         estimator=estimator.name,
-        distance=getattr(distance, "__name__", "distance"),
+        distance=name,
         mode="prior" if theta_star is None else "fixed",
         n_failed=n_failed,
     )

@@ -7,8 +7,10 @@ a JSON report (and optional CSV / SVG files) into the output directory.
 One table, _COMMANDS, holds each subcommand's flags with their defaults and
 bounds, its handler and its seed plan; FLAGS declares each flag once. main
 resolves every setting before the handler runs: the flag, else its config
-key, else (for the seed) SIMFLOW_SEED, else the default. The report's config
-block echoes the resolved settings and the config sections the run read.
+key, else (for the seed) SIMFLOW_SEED, else the default. The handler builds
+everything the run needs and returns its execute step, which a dry run
+skips. The report's config block echoes the resolved settings and the config
+sections the run read.
 
 Exit codes: 0 success, 2 configuration or validation error (nothing was
 simulated), 3 runtime or budget error (a partial report is still written).
@@ -519,8 +521,9 @@ def _vector_csv(filename: str, values) -> dict:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each takes the run (its resolved settings as
-# attributes, plus command, cfg, seed and sections) and returns
-# (results payload, output files)
+# attributes, plus command, cfg, seed and sections), builds every object and
+# reads every file it needs, and returns execute, a closure that simulates
+# and returns (results payload, output files). A dry run stops before it.
 
 
 def _cmd_sbc(run):
@@ -528,14 +531,16 @@ def _cmd_sbc(run):
     approx = _build_approximator(run, model)
     run_cfg = SbcConfig(s=run.s, m=run.m, seed=run.seed, targets=_targets(run.targets, model),
                         bins=run.bins, band_coverage=run.band_coverage)
-    if run.command == "post-sbc":
-        result = run_posterior_sbc(model, approx, _load_data(run), run_cfg)
-    else:
-        result = run_sbc(model, approx, run_cfg)
-    targets = {name: _pvalue_block(result.pvalues[name], result.verdicts[name])
-               for name in result.target_names}
-    return (_payload(result, drop=("target_names", "pvalues", "verdicts"), targets=targets),
-            _sbc_csv(result))
+    y = _load_data(run) if run.command == "post-sbc" else None
+
+    def execute():
+        result = (run_sbc(model, approx, run_cfg) if y is None
+                  else run_posterior_sbc(model, approx, y, run_cfg))
+        targets = {name: _pvalue_block(result.pvalues[name], result.verdicts[name])
+                   for name in result.target_names}
+        return (_payload(result, drop=("target_names", "pvalues", "verdicts"),
+                         targets=targets), _sbc_csv(result))
+    return execute
 
 
 def _parse_sampling(text: str):
@@ -568,39 +573,39 @@ def _cmd_freq_calibrate(run):
     if run.sampling is None:
         raise ConfigError("freq-calibrate needs --sampling, e.g. normal:0.0,0.316")
     estimator = _estimator(run.estimator, model)
-    result = run_frequentist_calibration(model, theta_star, estimator,
-                                         _parse_sampling(run.sampling), s=run.s,
-                                         seed=run.seed, alphas=tuple(run.alphas),
-                                         bins=run.bins)
-    payload = _payload(result, drop=("pvalues", "verdict"),
-                       target=_pvalue_block(result.pvalues, result.verdict))
-    return payload, _vector_csv("pvalues.csv", result.pvalues.values)
+    sampling = _parse_sampling(run.sampling)
+
+    def execute():
+        result = run_frequentist_calibration(model, theta_star, estimator, sampling, s=run.s,
+                                             seed=run.seed, alphas=tuple(run.alphas),
+                                             bins=run.bins)
+        payload = _payload(result, drop=("pvalues", "verdict"),
+                           target=_pvalue_block(result.pvalues, result.verdict))
+        return payload, _vector_csv("pvalues.csv", result.pvalues.values)
+    return execute
 
 
 def _build_test(run, model):
+    """The test's constructor: a simulation test draws its null when built."""
     if run.test == "z":
         if run.sigma is None:
             raise ConfigError("the z test needs --sigma (known sdev of one observation)")
         theta0 = _theta(run.theta0, "--theta0", model)[0] if run.theta0 else 0.0
-        return AnalyticZTest(theta0, run.sigma, side=run.side)
+        return lambda: AnalyticZTest(theta0, run.sigma, side=run.side)
     if run.test == "sim":
-        return SimulationTest(
-            model,
-            _theta(run.theta0, "--theta0", model),
-            _statistic(run.statistic, model),
-            side=run.side,
-            s=run.null_s,
-            seed=run.seed + 1,
-        )
+        theta0 = _theta(run.theta0, "--theta0", model)
+        statistic = _statistic(run.statistic, model)
+        return lambda: SimulationTest(model, theta0, statistic, side=run.side, s=run.null_s,
+                                      seed=run.seed + 1)
     raise ConfigError(f"unknown test {run.test!r}; known: sim, z")
 
 
 def _cmd_power(run):
     model = _build_model(run)
     theta_star = _theta(run.theta_star, "--theta-star", model, prior=run.command)
-    test = _build_test(run, model)
-    result = power_analysis(model, theta_star, test, alpha=run.alpha, s=run.s, seed=run.seed)
-    return _payload(result, model=model.name), {}
+    make_test = _build_test(run, model)
+    return lambda: (_payload(power_analysis(model, theta_star, make_test(), alpha=run.alpha,
+                                            s=run.s, seed=run.seed), model=model.name), {})
 
 
 def _cmd_accuracy(run):
@@ -609,9 +614,8 @@ def _cmd_accuracy(run):
     distance = _named("distance", run.distance,
                       {"squared": squared_error, "absolute": absolute_error})
     theta_star = _theta(run.theta_star, "--theta-star", model, prior=run.command)
-    result = estimator_accuracy(model, theta_star, estimator, distance=distance, s=run.s,
-                                seed=run.seed)
-    return _payload(result, model=model.name), {}
+    return lambda: (_payload(estimator_accuracy(model, theta_star, estimator, distance=distance,
+                                                s=run.s, seed=run.seed), model=model.name), {})
 
 
 def _cmd_test(run):
@@ -619,19 +623,16 @@ def _cmd_test(run):
     y = _load_data(run)
     statistic = _statistic(run.statistic, model)
     _defined_on(statistic, y, run.data)
-    test = SimulationTest(
-        model,
-        _theta(run.theta0, "--theta0", model),
-        statistic,
-        side=run.side,
-        s=run.s,
-        seed=run.seed,
-        n_obs=y.n_obs,
-    )
-    result = test.report(y)
-    payload = _payload(result, kind="test", model=model.name,
-                       null_histogram=_histogram_block(test.null.values))
-    return payload, _vector_csv("null_samples.csv", test.null.values)
+    theta0 = _theta(run.theta0, "--theta0", model)
+
+    def execute():
+        test = SimulationTest(model, theta0, statistic, side=run.side, s=run.s,
+                              seed=run.seed, n_obs=y.n_obs)
+        result = test.report(y)
+        payload = _payload(result, kind="test", model=model.name,
+                           null_histogram=_histogram_block(test.null.values))
+        return payload, _vector_csv("null_samples.csv", test.null.values)
+    return execute
 
 
 def _cmd_ppc(run):
@@ -640,16 +641,20 @@ def _cmd_ppc(run):
     statistic = _statistic(run.statistic, model)
     _defined_on(statistic, y, run.data)
     if run.theta_hat is not None:
-        result = frequentist_predictive_check(
-            model, _theta(run.theta_hat, "--theta-hat", model), statistic, y, run.s,
-            seed=run.seed
-        )
+        theta_hat = _theta(run.theta_hat, "--theta-hat", model)
     else:
-        result = run_ppc(model, _build_approximator(run, model), y, statistic, run.s,
-                         seed=run.seed)
-    payload = _payload(result, drop=("replication_stats",), model=model.name,
-                       replication_histogram=_histogram_block(result.replication_stats))
-    return payload, _vector_csv("replication_stats.csv", result.replication_stats)
+        approx = _build_approximator(run, model)
+
+    def execute():
+        if run.theta_hat is not None:
+            result = frequentist_predictive_check(model, theta_hat, statistic, y, run.s,
+                                                  seed=run.seed)
+        else:
+            result = run_ppc(model, approx, y, statistic, run.s, seed=run.seed)
+        payload = _payload(result, drop=("replication_stats",), model=model.name,
+                           replication_histogram=_histogram_block(result.replication_stats))
+        return payload, _vector_csv("replication_stats.csv", result.replication_stats)
+    return execute
 
 
 def _cmd_prior_check(run):
@@ -657,16 +662,15 @@ def _cmd_prior_check(run):
     region = run.region
     if region is None or len(region) != 2 or not region[0] <= region[1]:
         raise ConfigError(f"prior-check needs --region lo,hi with lo <= hi, got {region!r}")
-    result = prior_pushforward_check(
-        model,
-        _statistic(run.statistic, model),
-        (region[0], region[1]),
-        s=run.s,
-        seed=run.seed,
-    )
-    payload = _payload(result, drop=("values",), model=model.name,
-                       histogram=_histogram_block(result.values))
-    return payload, _vector_csv("statistic_values.csv", result.values)
+    statistic = _statistic(run.statistic, model)
+
+    def execute():
+        result = prior_pushforward_check(model, statistic, (region[0], region[1]), s=run.s,
+                                         seed=run.seed)
+        payload = _payload(result, drop=("values",), model=model.name,
+                           histogram=_histogram_block(result.values))
+        return payload, _vector_csv("statistic_values.csv", result.values)
+    return execute
 
 
 def _read_expert_csv(path: str) -> list[float]:
@@ -703,11 +707,14 @@ def _cmd_elicit(run):
     if len(run.lam0) != family.lam_dim or not family.valid(run.lam0):
         raise ConfigError(f"--lam0 needs {family.lam_dim} positive numbers for the "
                           f"{family.name} prior, got {run.lam0!r}")
-    result = elicit_prior(problem, run.lam0, seed=run.seed, tolerance=run.tolerance,
-                          max_iter=run.max_iter)
-    trace = {"loss_trace.csv": (["improvement", "loss"],
-                                [range(len(result.loss_trace)), result.loss_trace])}
-    return _payload(result, kind="elicitation", family="beta"), trace
+
+    def execute():
+        result = elicit_prior(problem, run.lam0, seed=run.seed, tolerance=run.tolerance,
+                              max_iter=run.max_iter)
+        trace = {"loss_trace.csv": (["improvement", "loss"],
+                                    [range(len(result.loss_trace)), result.loss_trace])}
+        return _payload(result, kind="elicitation", family="beta"), trace
+    return execute
 
 
 def _cmd_abc(run):
@@ -717,22 +724,28 @@ def _cmd_abc(run):
         raise ConfigError("abc needs exactly one of --tolerance or --quantile")
     approx = _approximator("abc", distance=run.distance, tolerance=run.tolerance,
                            acceptance_quantile=run.quantile, max_proposals=run.max_proposals)
-    draws = approx.approximate(model, y, substream(run.seed, 0), run.m)
-    values, info = draws.values, draws.info
-    sd = values.std(axis=0, ddof=1) if values.shape[0] > 1 else np.zeros(values.shape[1])
-    payload = {"acceptance_rate": info["acceptance_rate"],
-               "proposals_used": info["proposals_used"],
-               "threshold": info.get("threshold", approx.tolerance),
-               "kind": "abc", "model": model.name, "distance": run.distance,
-               "m": int(values.shape[0]), "posterior_mean": values.mean(axis=0),
-               "posterior_sd": sd, "seed": run.seed, "metadata": info}
-    header = ["index"] + [f"theta{j}" for j in range(values.shape[1])]
-    columns = [range(values.shape[0]), *np.asarray(values, dtype=float).T]
-    return payload, {"draws.csv": (header, columns)}
+
+    def execute():
+        draws = approx.approximate(model, y, substream(run.seed, 0), run.m)
+        values, info = draws.values, draws.info
+        sd = values.std(axis=0, ddof=1) if values.shape[0] > 1 else np.zeros(values.shape[1])
+        payload = {"acceptance_rate": info["acceptance_rate"],
+                   "proposals_used": info["proposals_used"],
+                   "threshold": info.get("threshold", approx.tolerance),
+                   "kind": "abc", "model": model.name, "distance": run.distance,
+                   "m": int(values.shape[0]), "posterior_mean": values.mean(axis=0),
+                   "posterior_sd": sd, "seed": run.seed, "metadata": info}
+        header = ["index"] + [f"theta{j}" for j in range(values.shape[1])]
+        columns = [range(values.shape[0]), *np.asarray(values, dtype=float).T]
+        return payload, {"draws.csv": (header, columns)}
+    return execute
 
 
 def _compare_entries(run) -> list[ModelEntry]:
     comp = _section(run.cfg, "compare")
+    unknown = sorted(comp.keys() - {"models"})
+    if unknown:
+        raise ConfigError(f"unknown [compare] key {unknown[0]!r}; the section takes only models")
     names = [n.strip() for n in str(comp.get("models", "")).split(",") if n.strip()]
     if not names:
         raise ConfigError(
@@ -770,21 +783,28 @@ def _cmd_compare(run):
     y = _load_data(run)
     if not run.cfg.has_section("compare"):
         model = _build_model(run)
-        ev = marginal_likelihood_mc(model, y, s=run.s, seed=run.seed)
-        return _payload(ev, kind="evidence", log_evidence=_or_null(ev.log_evidence),
-                        mc_se_log=_or_null(ev.mc_se_log)), {}
-    comparison = posterior_model_probs(_compare_entries(run), y, s=run.s, seed=run.seed)
-    models = {name: {"log_evidence": _or_null(ev.log_evidence),
-                     "mc_se_log": _or_null(ev.mc_se_log), "all_zero": ev.all_zero,
-                     "posterior_prob": comparison.posterior_probs[name]}
-              for name, ev in comparison.evidences.items()}
-    lbf = {pair: _or_null(v) for pair, v in comparison.log_bayes_factors.items()}
-    payload = _payload(comparison, drop=("entries", "evidences", "posterior_probs"),
-                       kind="model-comparison", models=models, log_bayes_factors=lbf,
-                       metadata={})
-    header = ["model", "log_evidence", "mc_se_log", "posterior_prob"]
-    columns = [list(models), *([row[k] for row in models.values()] for k in header[1:])]
-    return payload, {"evidence.csv": (header, columns)}
+
+        def evidence():
+            ev = marginal_likelihood_mc(model, y, s=run.s, seed=run.seed)
+            return _payload(ev, kind="evidence", log_evidence=_or_null(ev.log_evidence),
+                            mc_se_log=_or_null(ev.mc_se_log)), {}
+        return evidence
+    entries = _compare_entries(run)
+
+    def execute():
+        comparison = posterior_model_probs(entries, y, s=run.s, seed=run.seed)
+        models = {name: {"log_evidence": _or_null(ev.log_evidence),
+                         "mc_se_log": _or_null(ev.mc_se_log), "all_zero": ev.all_zero,
+                         "posterior_prob": comparison.posterior_probs[name]}
+                  for name, ev in comparison.evidences.items()}
+        lbf = {pair: _or_null(v) for pair, v in comparison.log_bayes_factors.items()}
+        payload = _payload(comparison, drop=("entries", "evidences", "posterior_probs"),
+                           kind="model-comparison", models=models, log_bayes_factors=lbf,
+                           metadata={})
+        header = ["model", "log_evidence", "mc_se_log", "posterior_prob"]
+        columns = [list(models), *([row[k] for row in models.values()] for k in header[1:])]
+        return payload, {"evidence.csv": (header, columns)}
+    return execute
 
 
 def _cmd_sensitivity(run):
@@ -795,31 +815,34 @@ def _power_scale(run):
     model = _build_model(run)
     approx = _build_approximator(run, model)
     y = _load_data(run)
-    draws = approx.approximate(model, y, substream(run.seed, 0), m=run.m)
-    qs = (0.05, 0.5, 0.95)
-    table = {k: [] for k in ("axis", "alpha", "ess", "mean0", "q05", "q50", "q95")}
-    results = {"prior": [], "likelihood": []}
-    for axis in ("prior", "likelihood"):
-        for alpha in run.alphas:
-            kw = {"alpha_prior": alpha} if axis == "prior" else {"alpha_lik": alpha}
-            wd = power_scale_weights(model, y, draws, **kw)
-            mean = [weighted_mean(wd, d) for d in range(draws.values.shape[1])]
-            quantiles = dict(zip(qs, weighted_quantile(wd, qs).tolist()))
-            results[axis].append({"alpha": alpha, "ess": wd.ess, "mean": mean,
-                                  "quantiles": quantiles})
-            for column, v in zip(table.values(),
-                                 [axis, alpha, wd.ess, mean[0], *quantiles.values()]):
-                column.append(v)
-    payload = {
-        "kind": "power-scaling",
-        "model": model.name,
-        "approximator": approx.name,
-        "m": run.m,
-        "seed": run.seed,
-        "axes": results,
-        "metadata": {"alphas": run.alphas},
-    }
-    return payload, {"powerscale.csv": (list(table), list(table.values()))}
+
+    def execute():
+        draws = approx.approximate(model, y, substream(run.seed, 0), m=run.m)
+        qs = (0.05, 0.5, 0.95)
+        table = {k: [] for k in ("axis", "alpha", "ess", "mean0", "q05", "q50", "q95")}
+        results = {"prior": [], "likelihood": []}
+        for axis in ("prior", "likelihood"):
+            for alpha in run.alphas:
+                kw = {"alpha_prior": alpha} if axis == "prior" else {"alpha_lik": alpha}
+                wd = power_scale_weights(model, y, draws, **kw)
+                mean = [weighted_mean(wd, d) for d in range(draws.values.shape[1])]
+                quantiles = dict(zip(qs, weighted_quantile(wd, qs).tolist()))
+                results[axis].append({"alpha": alpha, "ess": wd.ess, "mean": mean,
+                                      "quantiles": quantiles})
+                for column, v in zip(table.values(),
+                                     [axis, alpha, wd.ess, mean[0], *quantiles.values()]):
+                    column.append(v)
+        payload = {
+            "kind": "power-scaling",
+            "model": model.name,
+            "approximator": approx.name,
+            "m": run.m,
+            "seed": run.seed,
+            "axes": results,
+            "metadata": {"alphas": run.alphas},
+        }
+        return payload, {"powerscale.csv": (list(table), list(table.values()))}
+    return execute
 
 
 def _sbc_cell(model, approx, y, seed, s, m) -> dict:
@@ -917,11 +940,13 @@ def _sensitivity_sweep(run):
         built, values = cells[tuple(config.items())]
         return sweep.cell(built, approx, y, cell_seed, **values)
 
-    result = sensitivity_sweep(cell, grid, seed=run.seed)
-    payload = _payload(result, kind="sensitivity-sweep", pipeline=pipeline,
-                       n_cells=len(result.rows), rows=[dict(r) for r in result.rows],
-                       metadata={"varied": vary})
-    return payload, {"sweep.csv": result.table()}
+    def execute():
+        result = sensitivity_sweep(cell, grid, seed=run.seed)
+        payload = _payload(result, kind="sensitivity-sweep", pipeline=pipeline,
+                           n_cells=len(result.rows), rows=[dict(r) for r in result.rows],
+                           metadata={"varied": vary})
+        return payload, {"sweep.csv": result.table()}
+    return execute
 
 
 def _cmd_render(run):
@@ -940,7 +965,7 @@ def _cmd_render(run):
         print(f"warning: no figure renderer for report kind "
               f"{results.get('kind')!r}; known: {', '.join(figures.renderable_kinds())}",
               file=sys.stderr)
-    return {"kind": "render", "source": str(path), "rendered": sorted(files)}, files
+    return lambda: ({"kind": "render", "source": str(path), "rendered": sorted(files)}, files)
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +974,7 @@ def _cmd_render(run):
 
 class Command(NamedTuple):
     help: str
-    handler: Callable
+    handler: Callable     # run -> execute, and execute() -> (results, files)
     plan: list[str]       # the seed plan a dry run prints
     flags: dict           # flag -> Use, besides the common flags
     needs: tuple = ()     # the models.Capabilities its model must have
@@ -1104,14 +1129,15 @@ def main(argv=None) -> int:
         settings, sources = _resolve({**_COMMON, **command.flags}, args, cfg)
         seed = settings["seed"]
         outdir = Path(settings["out"])
+        run = SimpleNamespace(**settings, command=args.command, cfg=cfg, sections={})
+        execute = command.handler(run)
         if settings["dry_run"]:
             print(f"seed: {seed} (from {sources['seed']})")
             for line in command.plan:
                 print(f"  {line}")
             print("dry run: nothing simulated")
             return 0
-        run = SimpleNamespace(**settings, command=args.command, cfg=cfg, sections={})
-        results, files = command.handler(run)
+        results, files = execute()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

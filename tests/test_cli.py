@@ -35,7 +35,7 @@ from simflow import (
     weighted_mean,
 )
 from simflow.cli import _parse_sampling, main
-from test_golden import RUNS, argv_of, write_inputs
+from test_golden import CONFIG_ONLY, RUNS, argv_of, write_inputs
 
 TIMING = re.compile(rb'"timing_seconds": [^,\n]+')
 
@@ -65,10 +65,36 @@ def test_sbc_happy_path(tmp_path):
     assert list(out.glob("*.svg"))
 
 
-def test_missing_model_is_config_error(tmp_path, capsys):
-    rc = main(["sbc", "--out", str(tmp_path / "x")])
+def _run_opening_no_stream(argv, monkeypatch, capsys) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr, with numpy.random.Philox, by
+    which rng.py opens every stream, failing for the duration of main only."""
+    opened = []
+
+    def refuse(*args, **kwargs):
+        opened.append(argv)
+        raise AssertionError("a stream was opened")
+
+    capsys.readouterr()
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "Philox", refuse)
+        rc = main(argv)
+    assert not opened, "a stream was opened"
+    return rc, *capsys.readouterr()
+
+
+def _refusal(argv, monkeypatch, capsys) -> tuple[int, str]:
+    """The exit code and stderr of main(argv), which the same argv with
+    --dry-run must give too, each opening no stream."""
+    outcome = _run_opening_no_stream(argv, monkeypatch, capsys)
+    assert _run_opening_no_stream([*argv, "--dry-run"], monkeypatch, capsys) == outcome
+    rc, _, err = outcome
+    return rc, err
+
+
+def test_missing_model_is_config_error(tmp_path, capsys, monkeypatch):
+    rc, err = _refusal(["sbc", "--out", str(tmp_path / "x")], monkeypatch, capsys)
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error:" in err
     assert not (tmp_path / "x" / "report.json").exists()
 
 
@@ -225,6 +251,8 @@ _ABC_SBC = ["sbc", "--model", "normal-normal", "--approximator", "abc", "--S", "
     # a compare label given twice (a model against itself, with a log Bayes
     # factor that is not 0)
     ["compare", "--config", "compare-repeat.ini", "--data", "data.csv", "--S", "100"],
+    # a [compare] key other than models (ignored, and echoed into the report)
+    ["compare", "--config", "compare-bogus.ini", "--data", "data.csv", "--S", "100"],
     # normal-normal scales whose precision 1/scale^2 leaves the float range
     # (an OverflowError or ZeroDivisionError traceback, or a posterior sd of
     # 0 refused mid-run)
@@ -313,15 +341,20 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
         evidence + "[approximator]\nname = exact\n")
     (tmp_path / "compare-repeat.ini").write_text(
         "[compare]\nmodels = near, near\n[model:near]\nname = normal-normal\nn_obs = 12\n")
+    (tmp_path / "compare-bogus.ini").write_text(
+        "[compare]\nmodels = a, b\nbogus = 3\n[model:a]\nname = normal-normal\nn_obs = 12\n"
+        "[model:b]\nname = normal-normal\nmu0 = 1\nn_obs = 12\n")
     _write_data(tmp_path / "data.csv")
     _write_data(tmp_path / "data5.csv", n=5)
     (tmp_path / "empty.csv").write_text("y0\n")
     (tmp_path / "const.csv").write_text("y0\n2\n2\n2\n2\n")
     out = tmp_path / "x"
-    assert main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    rc, err = _refusal(argv + ["--out", str(out)], monkeypatch, capsys)
+    assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert not (out / "report.json").exists()
+    if "compare-bogus.ini" in argv:
+        assert "'bogus'" in err and "takes only models" in err
 
 
 def test_undefined_statistic_exits_before_the_null(tmp_path, capsys, monkeypatch):
@@ -389,6 +422,23 @@ def test_evidence_of_zero_likelihood_everywhere_is_strict_json(tmp_path, capsys,
     assert results["two"]["log_bayes_factors"] == {"a/b": None, "b/a": None}
 
 
+def test_accuracy_distance_overflow_is_named(tmp_path, capsys):
+    # exited 3 with "estimator failed on every simulated dataset" and an
+    # overflow warning: the estimates were finite, their squared distance
+    # from a truth of 1e300 was not
+    out = tmp_path / "x"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["accuracy", "--model", "normal-normal", "--theta-star", "1e300",
+                   "--S", "50", "--out", str(out)])
+    assert rc == 3 and caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: the squared_error of estimate") and err.count("\n") == 1
+    assert "overflowed" in err
+    payload = _strict_json(out / "report.json")
+    assert payload["status"] == "error" and payload["error"]["type"] == "RuntimeError"
+
+
 def test_histogram_leaves_out_undefined_replications(tmp_path, capsys, monkeypatch):
     # a constant replication has lag-1 autocorrelation 0/0 (a NaN that
     # np.histogram refused with a traceback)
@@ -452,8 +502,8 @@ def test_missing_capability_is_config_error(tmp_path, capsys, monkeypatch, argv,
         "[model]\nname = lognormal-two-group\n[sweep]\npipeline = sbc\nm = 9\n"
         "vary_s = 10|20\n")
     out = tmp_path / "x"
-    assert main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    rc, err = _refusal(argv + ["--out", str(out)], monkeypatch, capsys)
+    assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert missing in err and "lognormal-two-group lacks" in err
     assert not (out / "report.json").exists()
@@ -597,8 +647,8 @@ def test_data_with_more_than_one_observation_column_is_config_error(tmp_path, ca
         "[model]\nname = normal-normal\nn_obs = 12\n[sweep]\npipeline = evidence\n"
         "s = 20\nvary_model_tau0 = 1\n")
     out = tmp_path / "x"
-    assert main([*argv, "--data", "wide.csv", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    rc, err = _refusal([*argv, "--data", "wide.csv", "--out", str(out)], monkeypatch, capsys)
+    assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert not (out / "report.json").exists()
 
@@ -665,6 +715,7 @@ def test_out_of_memory_writes_partial_report(tmp_path, command):
 
 def test_dry_run_prints_seed_plan(tmp_path, capsys):
     out = tmp_path / "dry"
+    data = str(_write_data(tmp_path / "data.csv"))
     rc = main(["sbc", "--model", "normal-normal", "--seed", "7",
                "--out", str(out), "--dry-run"])
     assert rc == 0
@@ -674,19 +725,22 @@ def test_dry_run_prints_seed_plan(tmp_path, capsys):
     assert not out.exists()
 
     # the null's chunks are keyed by a root drawn from (seed, 0), not by seed
-    assert main(["test", "--seed", "7", "--out", str(out), "--dry-run"]) == 0
+    assert main(["test", *_NN12, "--data", data, "--theta0", "0", "--seed", "7",
+                 "--out", str(out), "--dry-run"]) == 0
     text = capsys.readouterr().out
     assert "null root: drawn from stream (seed, 0)" in text
     assert "null chunk c: stream (root, 0, c)" in text
     assert not out.exists()
 
     # every mode of compare and sensitivity names its own streams
-    assert main(["compare", "--seed", "7", "--out", str(out), "--dry-run"]) == 0
+    assert main(["compare", *_NN12, "--data", data, "--seed", "7", "--out", str(out),
+                 "--dry-run"]) == 0
     text = capsys.readouterr().out
     assert "one model (no [compare] section), chunk c: stream (seed, 0, c)" in text
     assert "model k seed: SeedSequence(seed, spawn_key=(9, k))" in text
     assert "model k, chunk c: stream (model k seed, 0, c)" in text
-    assert main(["sensitivity", "--seed", "7", "--out", str(out), "--dry-run"]) == 0
+    assert main(["sensitivity", *_NN12, "--data", data, "--seed", "7", "--out", str(out),
+                 "--dry-run"]) == 0
     text = capsys.readouterr().out
     assert "power-scale mode: posterior draws: stream (seed, 0)" in text
     assert "cell i seed: SeedSequence(seed, spawn_key=(9, i))" in text
@@ -695,6 +749,26 @@ def test_dry_run_prints_seed_plan(tmp_path, capsys):
                  "pipeline power-scale: cell i draws: stream (cell i seed, 0)"):
         assert line in text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_golden_dry_run_prints_plan_and_opens_no_stream(tmp_path, capsys, monkeypatch,
+                                                        label):
+    # a dry run resolves everything the run does (model, approximator,
+    # statistic, data, [sweep] cells), then prints the plan and stops
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    if label == "render":  # it reads the sbc run's report
+        assert main(argv_of("sbc")) == 0
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc, out, err = _run_opening_no_stream([*argv_of(label), "--dry-run"], monkeypatch, capsys)
+    source = "config" if label in CONFIG_ONLY else "flag"
+    plan = simflow.cli._COMMANDS[RUNS[label][0]].plan
+    assert (rc, err) == (0, "")
+    assert out == "".join(f"{line}\n" for line in [f"seed: 5 (from {source})",
+                                                   *(f"  {p}" for p in plan),
+                                                   "dry run: nothing simulated"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_compare_seed_plan_matches_streams(tmp_path):
@@ -839,13 +913,14 @@ def test_render_unknown_kind_warns(tmp_path, capsys):
     ("[1, 2]\n", "AttributeError"),
     ('{"results": {"kind": "sbc", "s": 5}}\n', "KeyError"),
 ], ids=["not-json", "not-object", "missing-key"])
-def test_render_unreadable_report_is_config_error(tmp_path, capsys, text, error):
+def test_render_unreadable_report_is_config_error(tmp_path, capsys, monkeypatch, text, error):
     # each exited 1 with a traceback
     report = tmp_path / "report.json"
     report.write_text(text)
     out = tmp_path / "r"
-    assert main(["render", "--report", str(report), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    rc, err = _refusal(["render", "--report", str(report), "--out", str(out)], monkeypatch,
+                       capsys)
+    assert rc == 2
     assert err.startswith(f"error: cannot render {report}") and error in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "report.json").exists()
