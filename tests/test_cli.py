@@ -251,8 +251,6 @@ _ABC_SBC = ["sbc", "--model", "normal-normal", "--approximator", "abc", "--S", "
     # a compare label given twice (a model against itself, with a log Bayes
     # factor that is not 0)
     ["compare", "--config", "compare-repeat.ini", "--data", "data.csv", "--S", "100"],
-    # a [compare] key other than models (ignored, and echoed into the report)
-    ["compare", "--config", "compare-bogus.ini", "--data", "data.csv", "--S", "100"],
     # normal-normal scales whose precision 1/scale^2 leaves the float range
     # (an OverflowError or ZeroDivisionError traceback, or a posterior sd of
     # 0 refused mid-run)
@@ -310,6 +308,8 @@ _ABC_SBC = ["sbc", "--model", "normal-normal", "--approximator", "abc", "--S", "
        "--S", "20", "--M", "9"]
       for name, p in (("perturbed", "sd_scale=true"), ("rwm", "step_sd=true"),
                       ("abc", "acceptance_quantile=true,max_proposals=2000"))),
+    # a [compare] key other than models (ignored, and echoed into the report)
+    ["compare", "--config", "compare-bogus.ini", "--data", "data.csv", "--S", "100"],
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
