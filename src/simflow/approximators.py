@@ -199,6 +199,9 @@ class RandomWalkMetropolis(Approximator):
 
     def approximate_block(self, model, obs, labels, rows, m) -> np.ndarray:
         m = _count("m", m)
+        # every iteration of every chain of every row draws d steps: a run
+        # whose draws numpy could not address is refused before it starts
+        _addressable((len(rows), self._iterations(m), self.chains, model.param_dim))
         kept, _ = _rwm_block(model, obs, labels, rows, self.chains, self._iterations(m),
                              self.warmup, self.step_sd)
         return self._finite(kept[:, :m])

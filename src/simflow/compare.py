@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .models import Dataset, Model, ParamDraws
-from .rng import cell_seed, chunks
+from .rng import cell_seed, map_chunks
 
 __all__ = [
     "EvidenceResult",
@@ -46,15 +46,19 @@ def marginal_likelihood_mc(model: Model, y: Dataset, s: int, seed: int = 0) -> E
     Averaging is done under a max shift so extreme log-likelihoods cannot
     overflow; the standard error of the log estimate comes from the delta
     method. If every draw has zero likelihood the estimate is -inf and
-    flagged.
+    flagged. The prior draws come in chunks of _EVIDENCE_CHUNK, chunk c from
+    stream (seed, 0, c), run on threads by rng.map_chunks.
     """
     if s < 2:
         raise ValueError("evidence estimation needs at least 2 draws")
     ll = np.empty(s)
-    for _, lo, hi, rng in chunks(seed, s, _EVIDENCE_CHUNK):
+
+    def evidence_chunk(c: int, lo: int, hi: int, rng) -> None:
         thetas = model.sample_prior(rng, hi - lo)
         with np.errstate(all="ignore"):  # a likelihood that underflows is -inf
             ll[lo:hi] = model.log_likelihood_batch(thetas, y)
+
+    map_chunks(evidence_chunk, seed, s, _EVIDENCE_CHUNK)
     mx = np.max(ll)
     if not np.isfinite(mx):
         return EvidenceResult(model.name, -np.inf, np.nan, int(s), int(seed), True)

@@ -239,28 +239,30 @@ def _calibrated_band(s: int, granularity: int | None, coverage: float) -> EcdfBa
     # miss probability of 1 at delta = 1). log(1 - coverage) is close to
     # linear in log delta, so each step tries the first candidate at or past
     # where the secant through the bracket ends meets the target, clamped
-    # strictly inside the bracket. A step that does not halve the bracket is
-    # followed by a bisection, so the search needs at most about twice the
-    # recursions of bisection alone.
+    # strictly inside the bracket. Where log(1 - coverage) bends, the secant
+    # lands on the same side step after step; an end that stays put for a
+    # second step in a row has its miss (log miss minus target) halved, the
+    # Illinois variant of regula falsi, so the next step lands nearer it.
     target = math.log1p(-coverage)
     kept = band_at(0)
-    keep, keep_xy = 0, (log_deltas[0], _log_miss(kept[1]))
-    drop, drop_xy = deltas.size, (0.0, 0.0)
-    halved = True
+    keep, keep_xy = 0, [log_deltas[0], _log_miss(kept[1]) - target]
+    drop, drop_xy = deltas.size, [0.0, -target]
+    stayed = None
     while drop - keep > 1:
-        width = drop - keep
         mid = (keep + drop) // 2
         (xk, yk), (xd, yd) = keep_xy, drop_xy
-        if halved and -math.inf < yk <= target:
-            x = xk + (target - yk) * (xd - xk) / (yd - yk)
+        if -math.inf < yk < yd:
+            x = xk - yk * (xd - xk) / (yd - yk)
             mid = min(max(int(np.searchsorted(log_deltas, x)), keep + 1), drop - 1)
         band = band_at(mid)
-        xy = (log_deltas[mid], _log_miss(band[1]))
+        xy = [log_deltas[mid], _log_miss(band[1]) - target]
         if band[1] >= coverage:
-            keep, keep_xy, kept = mid, xy, band
+            keep, keep_xy, kept, stale = mid, xy, band, drop_xy
         else:
-            drop, drop_xy = mid, xy
-        halved = drop - keep <= (width + 1) // 2
+            drop, drop_xy, stale = mid, xy, keep_xy
+        if stale is stayed:
+            stale[1] /= 2.0
+        stayed = stale
     delta = float(deltas[keep])
     (count_lo, count_up), covered = kept
     return EcdfBand(

@@ -38,6 +38,9 @@ __all__ = [
 # Rows simulated per block by simulate_statistic and per null chunk by
 # simtest.simulate_null: a (16384, n) block of floats is 128 KiB per observation.
 _SIM_CHUNK = 16384
+# Parameter rows per block of a log-likelihood on one dataset: its (rows, n)
+# temporaries are 32 KiB per observation
+_LIKELIHOOD_BLOCK = 4096
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # the largest rate numpy's Poisson draw accepts
@@ -420,11 +423,21 @@ class Model:
         """log p(y | theta) of each row of (c, param_dim) thetas given a
         Dataset; given a (k, n) block of datasets with the group
         labels they share, the (k, c) values of (k, c, param_dim) thetas, row
-        i's thetas under dataset i."""
-        if isinstance(y, Dataset):
-            return self._log_likelihood(np.atleast_2d(thetas)[None], y.observations[None],
-                                        y.group_labels)[0]
-        return self._log_likelihood(np.asarray(thetas, dtype=float), y, labels)
+        i's thetas under dataset i.
+
+        Given a Dataset, the thetas are taken in blocks of _LIKELIHOOD_BLOCK
+        rows, so temporaries stay small whatever c is; each value depends
+        on its own row alone, so the values are those of one call."""
+        if not isinstance(y, Dataset):
+            return self._log_likelihood(np.asarray(thetas, dtype=float), y, labels)
+        thetas = np.atleast_2d(thetas)[None]
+        obs = y.observations[None]
+        out = np.empty(thetas.shape[1])
+        # one call even on no rows, which still checks the data
+        for lo in range(0, max(out.size, 1), _LIKELIHOOD_BLOCK):
+            out[lo:lo + _LIKELIHOOD_BLOCK] = self._log_likelihood(
+                thetas[:, lo:lo + _LIKELIHOOD_BLOCK], obs, y.group_labels)[0]
+        return out
 
     def _log_likelihood(self, thetas: np.ndarray, obs: np.ndarray, labels) -> np.ndarray:
         raise CapabilityError(f"{self.name} has no tractable likelihood")

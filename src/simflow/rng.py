@@ -6,22 +6,24 @@ a task's draws depend only on its seed and path, not on which other tasks
 ran before it or how many there are.
 
 Every loop over replications or chunks opens its streams here: chunk c of a
-loop draws from (seed, 0, c), through `chunks`, and row i of a block of
-replications from (seed, 0, i), through `row_blocks`, which derives a
-block's stream keys in one vectorized pass. This is the only module that
-touches numpy.random.
+loop draws from (seed, 0, c), through `map_chunks`, which runs the chunks
+on a thread pool, and row i of a block of replications from (seed, 0, i),
+through `row_blocks`, which derives a block's stream keys in one vectorized
+pass. This is the only module that touches numpy.random.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
-from collections.abc import Iterator
+import os
+from collections.abc import Callable, Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["substream", "as_generator", "chunks", "row_blocks", "row_streams", "RowStreams",
-           "cell_seed"]
+__all__ = ["substream", "as_generator", "usable_cpus", "map_chunks", "row_blocks",
+           "row_streams", "RowStreams", "cell_seed"]
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -41,11 +43,52 @@ def as_generator(seed_or_rng):
     return substream(int(seed_or_rng))
 
 
-def chunks(seed: int, s: int, size: int) -> Iterator[tuple[int, int, int, np.random.Generator]]:
-    """(c, lo, hi, stream) for the chunks [lo, hi) of size rows that cover
-    0..s-1 in order; chunk c draws from (seed, 0, c), whatever s is."""
-    for c, lo in enumerate(range(0, s, size)):
-        yield c, lo, min(lo + size, s), substream(seed, 0, c)
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def map_chunks(fn: Callable[[int, int, int, np.random.Generator], object], seed: int, s: int,
+               size: int) -> list:
+    """[fn(c, lo, hi, stream) for every chunk c], the chunks [lo, hi) of size
+    rows covering 0..s-1 in order; chunk c draws from (seed, 0, c), whatever
+    s is.
+
+    The chunks run on min(#chunks, usable_cpus()) threads, each in a copy of
+    the caller's context (so the caller's np.errstate holds in it) and on
+    the stream it opens itself, so fn may touch only its own chunk's rows.
+    Results come back in chunk order. When a chunk raises, the chunks not
+    yet started are cancelled, and once the started ones end, the error of
+    the lowest-index chunk that raised is raised. Chunks start in index
+    order, so every chunk below a failing one has run: the results and the
+    error are those of a loop over the chunks, whatever the thread count.
+    """
+    count = -(-s // size)
+
+    def task(c: int):
+        lo = c * size
+        return fn(c, lo, min(lo + size, s), substream(seed, 0, c))
+
+    workers = min(count, usable_cpus())
+    if workers <= 1:
+        return [task(c) for c in range(count)]
+    # loaded where a pool runs: it imports logging, which start-up need not
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(contextvars.copy_context().run, task, c) for c in range(count)]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for future in futures:
+        if not future.cancelled() and future.exception() is not None:
+            raise future.exception()
+    return [future.result() for future in futures]
 
 
 def row_blocks(seed: int, s: int, size: int) -> Iterator[tuple[int, int, RowStreams]]:

@@ -17,7 +17,7 @@ import numpy.ma  # noqa: F401  np.quantile loads it through np.unique; load it a
 
 from .errors import RetryError
 from .models import _SIM_CHUNK, Dataset, Model, SummaryStatistic, simulate_statistic
-from .rng import as_generator, chunks, substream
+from .rng import as_generator, map_chunks, substream
 
 __all__ = [
     "mean_stat",
@@ -145,8 +145,9 @@ def simulate_null(
 
     Draws on which the statistic is undefined (non-finite) are resampled
     from a fresh derived stream, up to a retry cap. Work proceeds in
-    fixed-size chunks: chunk c draws from (root, 0, c) and its retry a from
-    (root, 0, c, a), so results do not depend on how chunks are scheduled.
+    fixed-size chunks (rng.map_chunks, on threads): chunk c draws from
+    (root, 0, c) and its retry a from (root, 0, c, a), so results do not
+    depend on how chunks are scheduled.
     """
     if statistic.arity != "data":
         raise ValueError("null simulation needs a data statistic")
@@ -158,15 +159,17 @@ def simulate_null(
         return simulate_statistic(model, thetas, rng, statistic, n_obs=n_obs)
 
     out = np.empty(s)
-    n_resampled = 0
-    for c, lo, hi, rng in chunks(root, s, _SIM_CHUNK):
+
+    def null_chunk(c: int, lo: int, hi: int, rng) -> int:
+        """Fill out[lo:hi]; the count of draws resampled."""
         vals = at_theta0(hi - lo, rng)
+        resampled = 0
         bad = ~np.isfinite(vals)
         for attempt in range(1, _RETRY_CAP + 1):
             if not bad.any():
                 break
             n_bad = int(bad.sum())
-            n_resampled += n_bad
+            resampled += n_bad
             vals[bad] = at_theta0(n_bad, substream(root, 0, c, attempt))
             bad = ~np.isfinite(vals)
         if bad.any():
@@ -175,6 +178,9 @@ def simulate_null(
                 f"after {_RETRY_CAP} retries"
             )
         out[lo:hi] = vals
+        return resampled
+
+    n_resampled = sum(map_chunks(null_chunk, root, s, _SIM_CHUNK))
     if n_resampled:
         warnings.warn(
             f"{n_resampled} null draws resampled ({statistic.name} undefined)",

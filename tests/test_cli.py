@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -684,6 +685,29 @@ def test_an_abc_pool_too_large_to_allocate_exits_3(tmp_path, capsys, monkeypatch
     assert _strict_json(tmp_path / label / "report.json")["error"]["type"] == "MemoryError"
 
 
+@pytest.mark.parametrize("label", ["sbc-rwm", "post-sbc-rwm"])
+def test_an_rwm_run_too_long_to_address_exits_3(tmp_path, capsys, monkeypatch, label):
+    # warmup=1e154 ran its iterations past any timeout; the alarm fails the
+    # test instead of hanging it
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    argv = [re.sub(r"warmup=\d+", "warmup=1e154", a) for a in argv_of(label)]
+
+    def hung(signum, frame):
+        pytest.fail("the run did not refuse its iterations before starting them")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        assert main(argv) == 3
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert _strict_json(tmp_path / label / "report.json")["error"]["type"] == "MemoryError"
+
+
 def test_infinite_abc_tolerance_is_echoed_as_strict_json(tmp_path, monkeypatch):
     # the library takes tolerance=inf (every proposal accepted); the config
     # echo wrote it as Infinity, which is not JSON
@@ -846,22 +870,42 @@ def test_readme_config_example(tmp_path, capsys, monkeypatch):
     assert payload["config"]["model"]["n_obs"] == 6
 
 
-def test_reports_byte_identical_across_runs_and_threads(tmp_path):
+def _assert_same_outputs(outs):
+    """Every file of each output directory is the first one's, byte for byte
+    (a report apart from its timing)."""
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "report.json" in names
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            read = _stable if name == "report.json" else Path.read_bytes
+            assert read(out / name) == read(outs[0] / name), (out, name)
+
+
+def test_reports_byte_identical_across_runs_and_threads(tmp_path, monkeypatch):
     outs = [tmp_path / f"r{i}" for i in range(3)]
     argv = ["sbc", "--model", "normal-normal", "--S", "120", "--M", "19",
             "--seed", "11"]
     assert main(argv + ["--out", str(outs[0])]) == 0
     assert main(argv + ["--out", str(outs[1])]) == 0
     assert main(argv + ["--out", str(outs[2]), "--threads", "2"]) == 0
-    ref = _stable(outs[0] / "report.json")
-    assert _stable(outs[1] / "report.json") == ref
-    assert _stable(outs[2] / "report.json") == ref
-    svg_names = sorted(p.name for p in outs[0].glob("*.svg"))
-    assert svg_names
-    for name in svg_names:
-        ref_svg = (outs[0] / name).read_bytes()
-        assert (outs[1] / name).read_bytes() == ref_svg
-        assert (outs[2] / name).read_bytes() == ref_svg
+    assert list(outs[0].glob("*.svg"))
+    _assert_same_outputs(outs)
+    # the null of test (four chunks) and the evidences of compare (three
+    # chunks each), with the chunks run on one thread and on four
+    data = _write_data(tmp_path / "data.csv")
+    ini = tmp_path / "two.ini"
+    ini.write_text("[compare]\nmodels = a, b\n[model:a]\nname = normal-normal\nn_obs = 12\n"
+                   "[model:b]\nname = normal-normal\nn_obs = 12\nmu0 = 1\n")
+    for command in (["test", *_NN12, "--data", str(data), "--theta0", "0.4", "--S", "50000"],
+                    ["compare", "--config", str(ini), "--data", str(data), "--S", "250000"]):
+        outs = []
+        for workers in (1, 4):
+            monkeypatch.setattr(simflow.rng, "usable_cpus", lambda w=workers: w)
+            outs.append(tmp_path / f"{command[0]}-{workers}")
+            assert main([*command, "--seed", "11", "--formats", "json,csv,svg",
+                         "--out", str(outs[-1])]) == 0
+        _assert_same_outputs(outs)
 
 
 def test_csv_format_writes_pvalues(tmp_path):

@@ -22,6 +22,7 @@ from simflow import (
     weighted_mean,
     weighted_quantile,
 )
+from simflow import compare, rng
 from simflow.compare import _logsumexp
 from simflow.report import write_csv
 
@@ -83,6 +84,23 @@ def test_evidence_chunk_streams():
     w = np.exp(ll - ll.max())
     assert result.log_evidence == ll.max() + np.log(w.mean())
     assert result.mc_se_log == w.std(ddof=1) / (w.mean() * np.sqrt(100_007))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6), data=st.data(),
+       model=st.sampled_from([NormalNormal(n_obs=3), BetaBinomial(n_trials=4, n_obs=3),
+                              PoissonGamma(n_obs=3)]))
+def test_evidence_is_the_same_on_any_number_of_threads(seed, size, data, model):
+    # one to four chunks of prior draws: every field, whatever the worker count
+    s = data.draw(st.integers(2, 4 * size), label="s")
+    y = _obs(1.0, 3.0, 2.0)
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compare, "_EVIDENCE_CHUNK", size)
+        for workers in (1, 2, 3, 4):
+            mp.setattr(rng, "usable_cpus", lambda w=workers: w)
+            results.append(repr(marginal_likelihood_mc(model, y, s, seed)))
+    assert results == results[:1] * 4
 
 
 def test_evidence_mc_se_scaling():

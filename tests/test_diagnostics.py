@@ -216,9 +216,11 @@ def test_band_search_equals_frozen_bisection_at_large_s(monkeypatch):
     _assert_same_band(got, want)
 
 
-@pytest.mark.parametrize("s, m, coverage", [(400, 99, 0.95), (2000, None, 0.95), (50, 19, 0.95)])
+@pytest.mark.parametrize("s, m, coverage", [(400, 99, 0.95), (2000, None, 0.95), (50, 19, 0.95),
+                                         (2000, None, 0.9)])
 def test_band_search_needs_no_more_recursions_than_bisection(s, m, coverage, monkeypatch):
-    # the band sizes of the benchmark's sbc-loop commands
+    # the band sizes of the benchmark's sbc-loop commands, and a band where
+    # plain regula falsi stalls on one side (21 recursions against 15)
     _, searched = _searched_band(s, m, coverage, monkeypatch)
     _, bisected = _bisected_band(s, m, coverage)
     assert searched <= bisected

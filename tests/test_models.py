@@ -30,6 +30,7 @@ from simflow import (
     simulate_statistic,
     substream,
 )
+from simflow import models
 from simflow.models import _SIM_CHUNK
 from simflow.simtest import STATISTIC_REGISTRY
 
@@ -468,6 +469,30 @@ def test_block_log_likelihood_rows_equal_dataset_values(name, k, c, n, seed):
     for i in range(k):
         assert np.array_equal(block[i], model.log_likelihood_batch(thetas[i],
                                                                    Dataset(obs[i], labels)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(MODEL_REGISTRY)), c=st.integers(0, 30),
+       block=st.integers(1, 8), n=st.sampled_from([1, 2, 7, 40]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dataset_log_likelihood_in_row_blocks_equals_one_call(name, c, block, n, seed):
+    # a Dataset's c thetas are taken in blocks of rows; the values are those
+    # of one call on all c rows, bit for bit, off the support included
+    rng = substream(seed, 0)
+    model = make_model(name, n_obs=n) if name != "lognormal-two-group" else make_model(name)
+    if model.prior is None:
+        thetas = rng.normal(size=(c, model.param_dim))
+    else:
+        thetas = model.sample_prior(rng, c)
+        thetas[::5] = {"beta-binomial": 1.5, "poisson-gamma": -1.0}.get(name, 0.0)
+    obs = model.simulate_batch(rng.normal(size=(1, model.param_dim)) if model.prior is None
+                               else model.sample_prior(rng, 1), rng)[0]
+    y = Dataset(obs, model.group_labels(obs.size))
+    whole = model._log_likelihood(thetas[None], obs[None], y.group_labels)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_LIKELIHOOD_BLOCK", block)
+        got = model.log_likelihood_batch(thetas, y)
+    assert got.shape == (c,) and np.array_equal(got, whole)
 
 
 @pytest.mark.parametrize("model, bad", [(BetaBinomial(n_trials=5), 6.0),

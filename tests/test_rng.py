@@ -1,7 +1,13 @@
-"""Stream layout: chunked index streams, row streams of replication blocks,
-and numpy.random used only by rng."""
+"""Stream layout: chunked index streams and the threads that run them, row
+streams of replication blocks, and numpy.random used only by rng."""
 
 import ast
+import contextvars
+import os
+import sys
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,25 +16,133 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simflow
-from simflow.rng import RowStreams, chunks, row_blocks, row_streams, substream
+from simflow import rng
+from simflow.errors import RetryError
+from simflow.rng import RowStreams, map_chunks, row_blocks, row_streams, substream
+
+
+def _chunk_calls(seed, s, size):
+    """What map_chunks hands its function, in the order of the results."""
+    return map_chunks(lambda c, lo, hi, rng: (c, lo, hi, rng.random(3)), seed, s, size)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**63 - 1), s=st.integers(0, 60), size=st.integers(1, 25),
-       extra=st.integers(1, 40))
-def test_chunks_tile_in_order_on_index_streams(seed, s, size, extra):
-    got = list(chunks(seed, s, size))
+       extra=st.integers(1, 40), workers=st.integers(1, 4))
+def test_map_chunks_tile_in_order_on_index_streams(seed, s, size, extra, workers):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "usable_cpus", lambda: workers)
+        got = _chunk_calls(seed, s, size)
+        longer = _chunk_calls(seed, s + extra, size)
     assert [c for c, *_ in got] == list(range(len(got)))
     assert [i for _, lo, hi, _ in got for i in range(lo, hi)] == list(range(s))
     assert all(hi - lo == size for _, lo, hi, _ in got[:-1])
     assert all(0 < hi - lo <= size for _, lo, hi, _ in got)
     # a longer loop opens the same chunks, at the same offsets, on the same streams
-    longer = list(chunks(seed, s + extra, size))
-    for (c, lo, _, rng), (c2, lo2, _, rng2) in zip(got, longer):
+    for (c, lo, _, draws), (c2, lo2, _, draws2) in zip(got, longer):
         expected = substream(seed, 0, c).random(3)
         assert (c2, lo2) == (c, lo)
-        np.testing.assert_array_equal(rng.random(3), expected)
-        np.testing.assert_array_equal(rng2.random(3), expected)
+        np.testing.assert_array_equal(draws, expected)
+        np.testing.assert_array_equal(draws2, expected)
+
+
+def test_map_chunks_runs_on_the_usable_cpus(monkeypatch):
+    threads = set()
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 3)
+    barrier = threading.Barrier(3, timeout=10)
+
+    def chunk(c, lo, hi, stream):
+        threads.add(threading.get_ident())
+        barrier.wait()          # three chunks run at once, or this times out
+        return c
+
+    assert map_chunks(chunk, 0, 30, 10) == [0, 1, 2]
+    assert len(threads) == 3
+    # one chunk runs on the caller's thread
+    assert map_chunks(lambda c, lo, hi, stream: threading.get_ident(), 0, 10, 10) == [
+        threading.get_ident()]
+
+
+def test_map_chunks_fill_one_array_under_thread_switching(monkeypatch):
+    # more workers than cores, switching threads every microsecond: each chunk
+    # writes its own rows of one array, and no row is lost or written twice
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 8)
+    s, size = 5000, 7
+    out = np.zeros(s)
+
+    def chunk(c, lo, hi, stream):
+        out[lo:hi] += stream.random(hi - lo)
+        return hi - lo
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = map_chunks(chunk, 3, s, size)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(counts) == s
+    want = np.concatenate([substream(3, 0, c).random(min(size, s - lo))
+                           for c, lo in enumerate(range(0, s, size))])
+    np.testing.assert_array_equal(out, want)
+
+
+def test_usable_cpus_is_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert rng.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert rng.usable_cpus() == (os.cpu_count() or 1)
+
+
+_LABEL = contextvars.ContextVar("label", default="unset")
+
+
+def test_map_chunks_run_in_the_callers_context(monkeypatch):
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 2)
+
+    def chunk(c, lo, hi, stream):
+        np.float64(1.0) / np.zeros(hi - lo)   # warns unless the caller's errstate holds
+        _LABEL.set(f"chunk {c}")              # stays in the chunk's own copy
+        return _LABEL.get(), np.geterr()["divide"]
+
+    token = _LABEL.set("caller")
+    try:
+        # the filters are the process's: a warning on a worker raises there
+        with warnings.catch_warnings(), np.errstate(divide="ignore"):
+            warnings.simplefilter("error")
+            got = map_chunks(chunk, 0, 8, 2)
+        assert _LABEL.get() == "caller"
+    finally:
+        _LABEL.reset(token)
+    assert got == [(f"chunk {c}", "ignore") for c in range(4)]
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt, RetryError])
+def test_a_failing_chunk_cancels_the_chunks_not_started(monkeypatch, error):
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 2)
+    started = []
+
+    def chunk(c, lo, hi, stream):
+        started.append(c)
+        if c in (0, 3):
+            raise error(f"chunk {c}")
+        time.sleep(0.05)
+
+    with pytest.raises(error, match="chunk 0"):
+        map_chunks(chunk, 0, 100, 1)
+    assert 0 in started and len(started) < 20
+
+
+def test_the_lowest_failing_chunk_raises_whatever_fails_first(monkeypatch):
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 4)
+
+    def chunk(c, lo, hi, stream):
+        if c == 1:
+            time.sleep(0.2)     # chunk 2 fails first
+        if c in (1, 2):
+            raise RetryError(f"chunk {c}")
+
+    with pytest.raises(RetryError, match="chunk 1"):
+        map_chunks(chunk, 0, 40, 10)
 
 
 # seeds of one to six 32-bit words, and indices of one and two words

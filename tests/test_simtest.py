@@ -1,6 +1,7 @@
 """Null simulation, rank p-values, and simulation-based tests."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from simflow import (
     substream,
     uniformity_test,
 )
+from simflow import rng, simtest
 from simflow.errors import RetryError
 from simflow.simtest import SIDES, lag1_autocorr, mean_stat, pooled_t
 
@@ -303,6 +305,46 @@ def test_simulate_null_chunk_and_retry_streams():
     assert max_attempt >= 2
     assert null.n_resampled == n_resampled
     np.testing.assert_array_equal(null.values, np.concatenate(ref))
+
+
+# defined on about 31% of draws, so a chunk of a few rows often stays
+# undefined after every retry, and its RetryError counts its own rows
+rarely_defined = SummaryStatistic(
+    "rarely-defined", "data",
+    lambda obs, labels: np.where(obs[:, 0] < -0.5, obs.mean(axis=1), np.nan))
+
+
+@pytest.mark.filterwarnings("ignore:.* null draws resampled")
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6), data=st.data())
+def test_simulate_null_is_the_same_on_any_number_of_threads(seed, size, data):
+    # one to four chunks: the values and resample count, or the RetryError
+    # of the lowest failing chunk, whatever the worker count
+    s = data.draw(st.integers(1, 4 * size), label="s")
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simtest, "_SIM_CHUNK", size)
+        for workers in (1, 2, 3, 4):
+            mp.setattr(rng, "usable_cpus", lambda w=workers: w)
+            try:
+                null = simulate_null(NormalNormal(n_obs=2), [0.0], rarely_defined, s, seed)
+                outcomes.append((null.values.tobytes(), null.n_resampled))
+            except RetryError as exc:
+                outcomes.append(str(exc))
+    assert outcomes == outcomes[:1] * 4
+
+
+def test_null_chunks_keep_the_callers_errstate(monkeypatch):
+    # a statistic that divides by zero, on two threads: the caller's
+    # errstate holds in both, so nothing warns
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 2)
+    reciprocal = SummaryStatistic(
+        "exp-reciprocal", "data",
+        lambda obs, labels: np.exp(-1.0 / np.zeros(obs.shape[0])) + obs.mean(axis=1))
+    with warnings.catch_warnings(), np.errstate(divide="ignore"):
+        warnings.simplefilter("error")
+        null = simulate_null(NormalNormal(n_obs=2), [0.0], reciprocal, 3 * 16_384, seed=4)
+    assert null.n_resampled == 0 and np.isfinite(null.values).all()
 
 
 def test_simulate_null_retry_cap():
