@@ -12,8 +12,9 @@ everything the run needs and returns its execute step, which a dry run
 skips. The report's config block echoes the resolved settings and the config
 sections the run read.
 
-Exit codes: 0 success, 2 configuration or validation error (nothing was
-simulated), 3 runtime or budget error (a partial report is still written).
+Exit codes follow the phase that failed: 0 success, 2 for any failure while
+resolving (nothing was simulated), 3 for any failure of the execute step (a
+partial report is still written).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .compare import (
 )
 from .diagnostics import band_contains, rank_histogram
 from .elicitation import beta_binomial_problem, elicit_prior
-from .errors import BudgetError, CapabilityError, DomainError, RetryError
+from .errors import DomainError
 from .models import AnalyticPosterior, Dataset, SummaryStatistic, make_model, param_target
 from .predictive import (
     frequentist_predictive_check,
@@ -289,6 +290,22 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
             cfg.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
+    # a [pipeline] or [output] key is read if some subcommand's flag falls back
+    # to it, so one config may serve several subcommands
+    declared = {flag.key for flag in FLAGS.values() if flag.key}
+    sections = cfg.sections()
+    if cfg.defaults():  # refused first, as configparser copies its keys into every section
+        sections.insert(0, "DEFAULT")
+    for name in sections:
+        if name in ("model", "approximator", "compare", "sweep") or name.startswith("model:"):
+            continue
+        if name not in ("pipeline", "output"):
+            raise ConfigError(f"unknown config section [{name}]; known: model, approximator, "
+                              "pipeline, output, compare, sweep and model:NAME")
+        unknown = sorted(k for k in cfg.options(name) if f"[{name}] {k}" not in declared)
+        if unknown:
+            known = sorted(key.split("] ")[1] for key in declared if key.startswith(f"[{name}]"))
+            raise ConfigError(f"unknown [{name}] key {unknown[0]!r}; known: {', '.join(known)}")
     return cfg
 
 
@@ -350,10 +367,7 @@ def _build(run, section: str, make, default=None):
     if name is None:
         raise ConfigError(f"no {section} selected; pass --{section} or set [{section}] name")
     params.update(_parse_kv(getattr(run, f"{section}_params")))
-    try:
-        built = make(name, **params)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    built = make(name, **params)
     run.sections[section] = {"name": name, **params}
     return built
 
@@ -699,10 +713,7 @@ def _cmd_elicit(run):
         expert = run.expert_stats
     else:
         raise ConfigError("elicit needs --expert-csv or --expert-stats")
-    try:
-        problem = beta_binomial_problem(expert, n_trials=run.n_trials, sims_per_eval=run.sims)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    problem = beta_binomial_problem(expert, n_trials=run.n_trials, sims_per_eval=run.sims)
     family = problem.prior_family
     if len(run.lam0) != family.lam_dim or not family.valid(run.lam0):
         raise ConfigError(f"--lam0 needs {family.lam_dim} positive numbers for the "
@@ -958,7 +969,7 @@ def _cmd_render(run):
             payload = json.load(fh)
         results = payload.get("results", payload)
         files = figures.render_figures(results)
-    except (ValueError, TypeError, KeyError, AttributeError, IndexError) as exc:
+    except Exception as exc:
         raise ConfigError(f"cannot render {path}: not a readable report "
                           f"({type(exc).__name__}: {exc})") from exc
     if not files:
@@ -1124,25 +1135,24 @@ def main(argv=None) -> int:
         from scipy import special  # noqa: F401
     head = {"schema_version": SCHEMA_VERSION, "command": args.command}
     t0 = time.perf_counter()
-    try:
+    try:  # resolving: whatever fails, nothing was simulated
         cfg = _load_config(args.config)
         settings, sources = _resolve({**_COMMON, **command.flags}, args, cfg)
-        seed = settings["seed"]
-        outdir = Path(settings["out"])
         run = SimpleNamespace(**settings, command=args.command, cfg=cfg, sections={})
         execute = command.handler(run)
-        if settings["dry_run"]:
-            print(f"seed: {seed} (from {sources['seed']})")
-            for line in command.plan:
-                print(f"  {line}")
-            print("dry run: nothing simulated")
-            return 0
-        results, files = execute()
-    except ConfigError as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetError, RetryError, CapabilityError, DomainError, RuntimeError,
-            MemoryError) as exc:
+    seed, outdir = settings["seed"], Path(settings["out"])
+    if settings["dry_run"]:
+        print(f"seed: {seed} (from {sources['seed']})")
+        for line in command.plan:
+            print(f"  {line}")
+        print("dry run: nothing simulated")
+        return 0
+    try:  # simulating: whatever fails, a partial report says what
+        results, files = execute()
+    except Exception as exc:
         diagnostics = getattr(exc, "diagnostics", {})
         payload = {
             **head,

@@ -69,11 +69,6 @@ def _finite(**params) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
-def _check_finite_observations(obs: np.ndarray) -> None:
-    if not np.isfinite(obs).all():
-        raise ValueError("observations must be finite")
-
-
 @dataclass(frozen=True)
 class Dataset:
     """A fixed-size sample: n scalar observations (1-D), optional group labels.
@@ -95,7 +90,8 @@ class Dataset:
             if labels.shape != (obs.shape[0],):
                 raise ValueError("group_labels length must match n_obs")
             object.__setattr__(self, "group_labels", labels)
-        _check_finite_observations(obs)
+        if not np.isfinite(obs).all():
+            raise ValueError("observations must be finite")
 
     @property
     def n_obs(self) -> int:
@@ -396,11 +392,15 @@ class Model:
     def simulate_checked(self, thetas, rng, n_obs: int | None = None) -> np.ndarray:
         """simulate_batch of a (k, param_dim) array, refusing a row outside the
         domain (DomainError) before anything is simulated, and observations
-        that are not finite (ValueError) after."""
+        that are not finite, such as an overflow (RuntimeError naming the
+        first row that simulated one), after."""
         thetas = np.asarray(thetas, dtype=float)
         self._check_domain(thetas)
         obs = self.simulate_batch(thetas, rng, n_obs=n_obs)
-        _check_finite_observations(obs)
+        if not np.isfinite(obs).all():
+            theta = thetas[(~np.isfinite(obs)).any(axis=1).argmax()]
+            raise RuntimeError(f"{self.name}: parameter {theta} simulated observations "
+                               "that are not finite")
         return obs
 
     def simulate_batch(
@@ -490,24 +490,25 @@ def simulate_statistic(model: Model, thetas: np.ndarray, rng, statistic: Summary
                        n_obs: int | None = None) -> np.ndarray:
     """statistic of one simulated dataset per parameter row; returns (s,).
 
-    A row outside the model's domain raises DomainError before any draw.
     The rows are simulated in blocks of _SIM_CHUNK, one after another from
-    the same rng. simulate_batch reads its generator in row order, so the
-    draws, and rng's state afterwards, are those of one call on all rows,
-    while memory holds one block of datasets instead of s of them.
+    the same rng, each through simulate_checked: a row outside the model's
+    domain raises DomainError before its block is drawn, and a row that
+    simulates a value that is not finite raises RuntimeError. simulate_batch
+    reads its generator in row order, so the draws, and rng's state
+    afterwards, are those of one call on all rows, while memory holds one
+    block of datasets instead of s of them.
     """
     if statistic.arity != "data":
         raise ValueError(f"statistic {statistic.name!r} is not a data statistic")
     rng = as_generator(rng)
     thetas = np.atleast_2d(thetas)
-    model._check_domain(thetas)
     n = model._n_obs(n_obs)
     _addressable((min(thetas.shape[0], _SIM_CHUNK), n))
     labels = model.group_labels(n)
     out = np.empty(thetas.shape[0])
     for lo in range(0, thetas.shape[0], _SIM_CHUNK):
         block = thetas[lo:lo + _SIM_CHUNK]
-        out[lo:lo + block.shape[0]] = statistic.fn(model.simulate_batch(block, rng, n_obs=n),
+        out[lo:lo + block.shape[0]] = statistic.fn(model.simulate_checked(block, rng, n_obs=n),
                                                    labels)
     return out
 
@@ -728,7 +729,8 @@ class LogNormalTwoGroup(Model):
         mu = np.atleast_2d(thetas)
         z = rng.standard_normal(size=(mu.shape[0], 2, half))
         logs = np.repeat(mu[:, :, None], half, axis=2) + self.sigma * z
-        return np.exp(logs).reshape(mu.shape[0], n_total)
+        with np.errstate(over="ignore"):  # an overflow is inf, which simulate_checked names
+            return np.exp(logs).reshape(mu.shape[0], n_total)
 
     def _log_likelihood(self, mu, obs, labels) -> np.ndarray:
         if labels is None:

@@ -154,7 +154,7 @@ def posterior_predictive_sample(
     """
     rng = substream(seed, 0)
     thetas = _take_draws(draws, s, rng)
-    obs = model.simulate_batch(thetas, rng, n_obs=n_obs)
+    obs = model.simulate_checked(thetas, rng, n_obs=n_obs)
     labels = model.group_labels(obs.shape[1])
     return [Dataset(obs[i], labels) for i in range(s)]
 

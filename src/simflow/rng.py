@@ -61,11 +61,11 @@ def map_chunks(fn: Callable[[int, int, int, np.random.Generator], object], seed:
     The chunks run on min(#chunks, usable_cpus()) threads, each in a copy of
     the caller's context (so the caller's np.errstate holds in it) and on
     the stream it opens itself, so fn may touch only its own chunk's rows.
-    Results come back in chunk order. When a chunk raises, the chunks not
-    yet started are cancelled, and once the started ones end, the error of
-    the lowest-index chunk that raised is raised. Chunks start in index
-    order, so every chunk below a failing one has run: the results and the
-    error are those of a loop over the chunks, whatever the thread count.
+    Results are read in chunk order, so the error raised is that of the
+    lowest-index chunk that raised: once its result is read, the chunks not
+    yet started are cancelled, and the started ones end. Chunks start in
+    index order, so every chunk below a failing one has run: the results and
+    the error are those of a loop over the chunks, whatever the thread count.
     """
     count = -(-s // size)
 
@@ -77,18 +77,12 @@ def map_chunks(fn: Callable[[int, int, int, np.random.Generator], object], seed:
     if workers <= 1:
         return [task(c) for c in range(count)]
     # loaded where a pool runs: it imports logging, which start-up need not
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [pool.submit(contextvars.copy_context().run, task, c) for c in range(count)]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    for future in futures:
-        if not future.cancelled() and future.exception() is not None:
-            raise future.exception()
-    return [future.result() for future in futures]
+    # a copy per chunk, as two threads cannot enter one context
+    contexts = [contextvars.copy_context() for _ in range(count)]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(contextvars.Context.run, contexts, [task] * count, range(count)))
 
 
 def row_blocks(seed: int, s: int, size: int) -> Iterator[tuple[int, int, RowStreams]]:

@@ -73,8 +73,23 @@ def _mean_diff(obs: np.ndarray, labels):
 mean_difference = SummaryStatistic("mean-diff", "data", _mean_diff)
 
 
+def _scale_free_groups(obs: np.ndarray, labels):
+    """_groups of obs, each row whose largest magnitude exceeds 2**400 first
+    divided by a power of two near it, for the statistics that a common
+    scale leaves unchanged (pooled-t, the variance ratio): its squared
+    deviations then cannot overflow, and a power of two scales without
+    rounding, so the statistic keeps its value."""
+    limit = 2.0**400
+    if obs.max(initial=0.0) > limit or obs.min(initial=0.0) < -limit:  # no temporary array
+        peak = np.abs(obs).max(axis=1)
+        big = peak > limit
+        obs = obs.copy()
+        obs[big] = np.ldexp(obs[big], -np.frexp(peak[big])[1][:, None])
+    return _groups(obs, labels)
+
+
 def _pooled_t(obs: np.ndarray, labels):
-    s0, s1 = _groups(obs, labels)
+    s0, s1 = _scale_free_groups(obs, labels)
     n0, n1 = s0.shape[1], s1.shape[1]
     m0 = s0.mean(axis=1)
     m1 = s1.mean(axis=1)
@@ -89,7 +104,7 @@ pooled_t = SummaryStatistic("pooled-t", "data", _pooled_t)
 
 
 def _variance_ratio(obs: np.ndarray, labels):
-    s0, s1 = _groups(obs, labels)
+    s0, s1 = _scale_free_groups(obs, labels)
     with np.errstate(divide="ignore", invalid="ignore"):
         return s0.var(axis=1, ddof=1) / s1.var(axis=1, ddof=1)
 
@@ -144,7 +159,9 @@ def simulate_null(
     """Simulate s null draws of the statistic at theta0.
 
     Draws on which the statistic is undefined (non-finite) are resampled
-    from a fresh derived stream, up to a retry cap. Work proceeds in
+    from a fresh derived stream, up to a retry cap; a simulated dataset that
+    is not finite raises (models.simulate_statistic), as no resample of it
+    would stand for the null. Work proceeds in
     fixed-size chunks (rng.map_chunks, on threads): chunk c draws from
     (root, 0, c) and its retry a from (root, 0, c, a), so results do not
     depend on how chunks are scheduled.

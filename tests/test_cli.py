@@ -311,6 +311,10 @@ _ABC_SBC = ["sbc", "--model", "normal-normal", "--approximator", "abc", "--S", "
                       ("abc", "acceptance_quantile=true,max_proposals=2000"))),
     # a [compare] key other than models (ignored, and echoed into the report)
     ["compare", "--config", "compare-bogus.ini", "--data", "data.csv", "--S", "100"],
+    # a [pipeline] or [output] key no flag reads, and a section nothing reads
+    # (each ignored)
+    *(["sbc", *_NN12, "--S", "20", "--M", "9", "--config", f"{name}.ini"]
+      for name in ("pipeline-bogus", "output-formatz", "section-bogus", "section-default")),
 ])
 def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -318,6 +322,11 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
                        "alpha-abc": "alpha = abc", "bins": "bins = 3.5", "s-frac": "s = 20.9",
                        "n-trials": "n_trials = 20.5"}.items():
         (tmp_path / f"{name}.ini").write_text(f"[pipeline]\n{line}\n")
+    for name, text in {"pipeline-bogus": "[pipeline]\nbogus = 3\n",
+                       "output-formatz": "[output]\nformatz = csv\n",
+                       "section-bogus": "[pipelines]\ns = 20\n",
+                       "section-default": "[DEFAULT]\ns = 20\n[pipeline]\nm = 9\n"}.items():
+        (tmp_path / f"{name}.ini").write_text(text)
     for name, (a, b) in {"prior-abc": ("abc", "0.5"), "prior-sum": ("0.9", "0.9")}.items():
         (tmp_path / f"{name}.ini").write_text(
             "[compare]\nmodels = a, b\n"
@@ -356,6 +365,20 @@ def test_invalid_numbers_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     assert not (out / "report.json").exists()
     if "compare-bogus.ini" in argv:
         assert "'bogus'" in err and "takes only models" in err
+    if "pipeline-bogus.ini" in argv or "output-formatz.ini" in argv:
+        assert err.startswith("error: unknown [") and ("'bogus'" in err or "'formatz'" in err)
+    if "section-bogus.ini" in argv or "section-default.ini" in argv:
+        assert err.startswith("error: unknown config section [")
+
+
+def test_a_config_key_another_subcommand_reads_is_accepted(tmp_path, capsys):
+    # a config shared between subcommands: prior-check reads no m, sbc does
+    ini = tmp_path / "shared.ini"
+    ini.write_text("[model]\nname = normal-normal\n[pipeline]\ns = 20\nm = 9\n"
+                   "[output]\nformats = json\n")
+    for argv in (["sbc"], ["prior-check", "--region=-1,1"]):
+        assert main([*argv, "--config", str(ini), "--out", str(tmp_path / argv[0])]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_undefined_statistic_exits_before_the_null(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ come from independent scipy computations, not from the code under test.
 """
 
 import re
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -23,10 +24,12 @@ from simflow import (
     LogNormalTwoGroup,
     Model,
     NormalNormal,
+    ParamDraws,
     PoissonGamma,
     concat_datasets,
     make_model,
     param_target,
+    posterior_predictive_sample,
     simulate_statistic,
     substream,
 )
@@ -554,6 +557,25 @@ def test_simulate_statistic_refuses_rows_outside_the_domain(model, theta):
     with pytest.raises(DomainError, match="outside plausible domain"):
         simulate_statistic(model, np.array([[0.5], [theta]]), rng, STATISTIC_REGISTRY["mean"])
     assert rng.random() == substream(0, 0).random()
+
+
+def test_simulated_data_that_is_not_finite_names_the_model_and_first_row():
+    # exp(800) overflows: every path that simulates refuses it by one rule,
+    # with no overflow warning (it exited 1, passed inf to the statistic, or
+    # resampled the null)
+    model = LogNormalTwoGroup(n_per_group=2)
+    thetas = np.array([[0.0, 0.0], [800.0, 0.0], [900.0, 0.0]])
+    runs = [lambda: model.simulate_checked(thetas, substream(0, 0)),
+            lambda: simulate_statistic(model, thetas, substream(0, 0),
+                                       STATISTIC_REGISTRY["mean-diff"]),
+            lambda: posterior_predictive_sample(model, ParamDraws(thetas, "test"), 3)]
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError) as caught:
+                run()
+        assert str(caught.value) == ("lognormal-two-group: parameter [800.   0.] simulated "
+                                     "observations that are not finite")
 
 
 # --- domain and registry ------------------------------------------------------

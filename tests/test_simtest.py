@@ -347,6 +347,32 @@ def test_null_chunks_keep_the_callers_errstate(monkeypatch):
     assert null.n_resampled == 0 and np.isfinite(null.values).all()
 
 
+def test_a_null_dataset_that_is_not_finite_raises_instead_of_resampling():
+    # exp(800) overflows every dataset: the null resampled them, then
+    # failed on its retry cap with overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="simulated observations that are not finite") \
+                as caught:
+            simulate_null(LogNormalTwoGroup(n_per_group=2), [800.0, 0.0],
+                          STATISTIC_REGISTRY["mean-diff"], s=50, seed=0)
+    assert caught.type is RuntimeError
+
+
+@pytest.mark.parametrize("name", ["pooled-t", "variance-ratio"])
+def test_scale_free_statistics_keep_their_value_where_a_variance_overflows(name):
+    # values near 1e304 overflowed the squared deviations: pooled-t read 0
+    # for every such dataset, with "overflow encountered in square"
+    statistic = STATISTIC_REGISTRY[name]
+    obs = substream(3, 0).standard_normal((4, 6)) + 2.0
+    labels = np.repeat([0, 1], 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (400, 600, 1009):
+            np.testing.assert_array_equal(statistic.fn(np.ldexp(obs, k), labels),
+                                          statistic.fn(obs, labels))
+
+
 def test_simulate_null_retry_cap():
     broken = SummaryStatistic("never", "data",
                               lambda obs, labels: np.full(obs.shape[0], np.nan))
