@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.quantile loads it through np.unique; load it at import
 
 from .approximators import Approximator
 from .diagnostics import PValueSet, UniformityVerdict, uniformity_test

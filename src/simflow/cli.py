@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -972,7 +973,7 @@ def _cmd_render(run):
     except Exception as exc:
         raise ConfigError(f"cannot render {path}: not a readable report "
                           f"({type(exc).__name__}: {exc})") from exc
-    if not files:
+    if results.get("kind") not in figures.renderable_kinds():
         print(f"warning: no figure renderer for report kind "
               f"{results.get('kind')!r}; known: {', '.join(figures.renderable_kinds())}",
               file=sys.stderr)
@@ -989,8 +990,9 @@ class Command(NamedTuple):
     plan: list[str]       # the seed plan a dry run prints
     flags: dict           # flag -> Use, besides the common flags
     needs: tuple = ()     # the models.Capabilities its model must have
-    # every run calls scipy.special, so main imports it before the clock
-    # starts; other runs import it where they call it
+    # every execute step calls scipy.special, so main imports it before the
+    # clock starts unless the run is dry; other runs import it where they
+    # call it
     special: bool = False
 
 
@@ -1128,11 +1130,28 @@ def _write_outputs(outdir: Path, payload: dict, formats: set[str], files: dict) 
 # Entry point
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code. Each warning it raises
+    prints as one `warning: <message>` line; a caller that records warnings
+    still records them."""
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
+    try:
+        return _main(argv)
+    finally:
+        warnings.formatwarning = formatwarning
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
-    if command.special:
-        from scipy import special  # noqa: F401
+    if not args.dry_run:  # what execute() loads lazily, loaded before the clock
+        import numpy.ma  # noqa: F401  np.quantile and np.unique load it
+        if command.special:
+            from scipy import special  # noqa: F401
     head = {"schema_version": SCHEMA_VERSION, "command": args.command}
     t0 = time.perf_counter()
     try:  # resolving: whatever fails, nothing was simulated
@@ -1144,7 +1163,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     seed, outdir = settings["seed"], Path(settings["out"])
-    if settings["dry_run"]:
+    if args.dry_run:
         print(f"seed: {seed} (from {sources['seed']})")
         for line in command.plan:
             print(f"  {line}")

@@ -14,7 +14,6 @@ from math import isqrt
 from typing import Callable
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.quantile loads it through np.unique; load it at import
 
 from .models import _count
 from .rng import substream

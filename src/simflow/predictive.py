@@ -101,11 +101,13 @@ def _replication_result(
     rng,
     metadata: dict,
 ) -> PredictiveResult:
-    """Replicate one dataset per row of thetas from rng, then rank y_obs."""
+    """Replicate one dataset per row of thetas from rng, then rank y_obs
+    among the replications whose statistic is defined (finite)."""
     s = thetas.shape[0]
     reps = simulate_statistic(model, thetas, rng, statistic, n_obs=y_obs.n_obs)
     observed = statistic.on_data(y_obs)
-    ppp = simulation_pvalue(observed, reps, "lower", rng) if s >= 2 else None
+    defined = reps[np.isfinite(reps)]
+    ppp = simulation_pvalue(observed, defined, "lower", rng) if defined.size >= 2 else None
     return PredictiveResult(
         kind=kind,
         statistic=statistic.name,

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.quantile loads it through np.unique; load it at import
 
 from .errors import RetryError
 from .models import _SIM_CHUNK, Dataset, Model, SummaryStatistic, simulate_statistic
@@ -56,8 +55,8 @@ def _groups(obs: np.ndarray, labels: np.ndarray | None):
     """
     if labels is None:
         raise ValueError("this statistic needs two-group data (group labels)")
-    groups = np.unique(labels)
-    if groups.size != 2:
+    groups = sorted(set(labels.tolist()))  # np.unique would load numpy.ma in a dry run
+    if len(groups) != 2:
         raise ValueError("expected exactly two groups")
     return tuple(np.ascontiguousarray(obs[:, labels == g]) for g in groups)
 

@@ -471,7 +471,7 @@ def test_histogram_leaves_out_undefined_replications(tmp_path, capsys, monkeypat
     assert main(["ppc", "--model", "poisson-gamma", "--model-params", "a=3,b=1,n_obs=4",
                  "--statistic", "lag1-autocorr", "--S", "200", "--data", "data.csv",
                  "--out", "x"]) == 0
-    assert "Warning" not in capsys.readouterr().err
+    assert "warning" not in capsys.readouterr().err.lower()
     hist = _strict_json(tmp_path / "x" / "report.json")["results"]["replication_histogram"]
     assert hist["not_finite"] > 0
     assert sum(hist["counts"]) + hist["not_finite"] == 200
@@ -607,7 +607,7 @@ def test_null_sd_near_the_float_limit_is_strict_json(tmp_path, capsys):
     out = tmp_path / "test"
     assert main(["test", "--model", "normal-normal", "--theta0", "1e300", "--data", str(data),
                  "--out", str(out)]) == 0
-    assert "Warning" not in capsys.readouterr().err
+    assert "warning" not in capsys.readouterr().err.lower()
 
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
@@ -633,7 +633,7 @@ def test_null_mean_near_the_float_limit_is_strict_json(tmp_path, capsys):
         assert main(["test", "--model", "normal-normal", "--model-params", "n_obs=1",
                      "--theta0", "1e308", "--data", str(data), "--out", str(out)]) == 0
     assert not caught
-    assert "Warning" not in capsys.readouterr().err
+    assert "warning" not in capsys.readouterr().err.lower()
 
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
@@ -1137,14 +1137,70 @@ def test_power_scale_pipeline(tmp_path):
     assert unit["ess"] == 800.0
 
 
+_TEST_RESAMPLED = ["test", "--model", "poisson-gamma", "--model-params", "a=3,b=1,n_obs=4",
+                   "--statistic", "lag1-autocorr", "--theta0", "2", "--S", "2000",
+                   "--data", "y.csv", "--seed", "0", "--out", "out"]
+
+
+def _cli(cwd, argv: list[str]) -> subprocess.CompletedProcess:
+    """main(argv) in a fresh interpreter, whose warnings no pytest hook
+    records."""
+    env = {**os.environ, "PYTHONPATH": str(Path(simflow.__file__).parents[1])}
+    code = "import sys\nfrom simflow.cli import main\nsys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def test_a_warning_is_one_line(tmp_path):
+    # the null draws resampled are counted in the report (n_resampled);
+    # stderr says so in one line, with no source line
+    (tmp_path / "y.csv").write_text("y0\n0\n1\n0\n0\n")
+    proc = _cli(tmp_path, _TEST_RESAMPLED)
+    assert (proc.returncode, proc.stderr) == (
+        0, "warning: 22 null draws resampled (lag1-autocorr undefined)\n")
+    assert json.loads((tmp_path / "out" / "report.json").read_text()
+                      )["results"]["n_resampled"] == 22
+
+
+def test_a_warning_of_render_is_one_line(tmp_path, monkeypatch):
+    # a figure skipped while resolving warns in the same form, and the
+    # report's kind, which has a renderer, draws no "no figure renderer" line
+    # (it printed a source line, then that wrong line)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sbc", "--model", "normal-normal", "--S", "20", "--M", "9", "--out", "sbc",
+                 "--formats", "json"]) == 0
+    payload = json.loads((tmp_path / "sbc" / "report.json").read_text())
+    for target in payload["results"]["targets"].values():
+        target["pvalues"] = []
+    (tmp_path / "blank.json").write_text(json.dumps(payload))
+    proc = _cli(tmp_path, ["render", "--report", "blank.json", "--out", "r"])
+    assert (proc.returncode, proc.stderr) == (
+        0, "warning: target 'theta[0]' has no p-values; figure skipped\n")
+
+
+def test_main_leaves_warnings_to_a_caller_that_records_them(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "y.csv").write_text("y0\n0\n1\n0\n0\n")
+    formatwarning = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(_TEST_RESAMPLED) == 0
+    assert [str(w.message) for w in caught] == [
+        "22 null draws resampled (lag1-autocorr undefined)"]
+    assert warnings.formatwarning is formatwarning
+
+
 _SCIPY = ("scipy.special", "scipy.stats", "scipy.optimize")
+# modules no simflow import loads; main loads numpy.ma, and scipy.special
+# for a `special` row, before the clock of a run that executes
+_LAZY = ("numpy.ma", *_SCIPY)
 
 
 @pytest.mark.parametrize("module", ["simflow", "simflow.cli"])
 def test_import_leaves_scipy_stats_and_optimize_unloaded(module):
     # A fresh interpreter: this process has imported both modules already.
     env = {**os.environ, "PYTHONPATH": str(Path(simflow.__file__).parents[1])}
-    code = f"import sys, {module}; print(sorted(m for m in {_SCIPY!r} if m in sys.modules))"
+    code = f"import sys, {module}; print(sorted(m for m in {_LAZY!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
@@ -1164,36 +1220,54 @@ def _fresh_golden_run(tmp_path, label: str, code: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
+# main(argv) with its clock watched: the exit code, which of _LAZY were
+# loaded by the import and which at the clock's first read, and which scipy
+# modules at the end
+_CLOCKED_MAIN = (
+    "import time\nfrom simflow.cli import main\n"
+    f"def lazy(): return sorted(m for m in {_LAZY!r} if m in sys.modules)\n"
+    "imported, clock, read = lazy(), [], time.perf_counter\n"
+    "def perf_counter():\n"
+    "    clock.append(lazy())\n"
+    "    return read()\n"
+    "time.perf_counter = perf_counter\n"
+    "rc = main(argv)\n"
+    f"print(rc, imported, clock[0], sorted(m for m in {_SCIPY!r} if m in sys.modules))")
+
+
 @pytest.mark.parametrize("label", ["power", "accuracy", "test", "ppc", "prior-check", "abc",
                                    "compare", "compare-models", "sensitivity", "render"])
 def test_run_leaves_scipy_special_unloaded(tmp_path, label):
     # each subcommand whose _COMMANDS row leaves `special` unset, at its
-    # golden argv, imports none of scipy.special, scipy.stats and
-    # scipy.optimize
+    # golden argv, has numpy.ma (which np.quantile and np.unique load)
+    # loaded by main, not by the import, when main starts its clock, and
+    # imports none of scipy.special, scipy.stats and scipy.optimize
     assert not simflow.cli._COMMANDS[RUNS[label][0]].special
-    out = _fresh_golden_run(tmp_path, label, (
-        "from simflow.cli import main\n"
-        f"rc = main(argv)\nprint(rc, sorted(m for m in {_SCIPY!r} if m in sys.modules))"))
-    assert out.split("\n")[-2] == "0 []"
+    out = _fresh_golden_run(tmp_path, label, _CLOCKED_MAIN)
+    assert out.split("\n")[-2] == "0 [] ['numpy.ma'] []"
 
 
 @pytest.mark.parametrize("label", ["sbc", "post-sbc", "freq-calibrate", "elicit"])
 def test_special_rows_load_scipy_special_before_the_clock(tmp_path, label):
-    # a row with `special` set has scipy.special loaded when main starts its
-    # clock, so timing_seconds leaves the import out; scipy.stats and
-    # scipy.optimize stay unloaded (elicit searches with simflow's own
-    # Nelder-Mead)
+    # a row with `special` set has numpy.ma and scipy.special loaded by
+    # main, not by the import, when main starts its clock, so
+    # timing_seconds leaves the imports out; scipy.stats and scipy.optimize
+    # stay unloaded (elicit searches with simflow's own Nelder-Mead)
     assert simflow.cli._COMMANDS[RUNS[label][0]].special
+    out = _fresh_golden_run(tmp_path, label, _CLOCKED_MAIN)
+    assert out.split("\n")[-2] == "0 [] ['numpy.ma', 'scipy.special'] ['scipy.special']"
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_dry_run_loads_neither_numpy_ma_nor_scipy_special(tmp_path, label):
+    # resolving calls neither; only freq-calibrate-t's t law, which
+    # resolving builds from scipy.stats, loads both through it
     out = _fresh_golden_run(tmp_path, label, (
-        "import time\nfrom simflow.cli import main\n"
-        "clock, read = [], time.perf_counter\n"
-        "def perf_counter():\n"
-        "    clock.append('scipy.special' in sys.modules)\n"
-        "    return read()\n"
-        "time.perf_counter = perf_counter\n"
-        "rc = main(argv)\n"
-        f"print(rc, clock[0], sorted(m for m in {_SCIPY[1:]!r} if m in sys.modules))"))
-    assert out.split("\n")[-2] == "0 True []"
+        "from simflow.cli import main\n"
+        "rc = main([*argv, '--dry-run'])\n"
+        "print(rc, sorted(m for m in ('numpy.ma', 'scipy.special') if m in sys.modules))"))
+    loaded = "['numpy.ma', 'scipy.special']" if label == "freq-calibrate-t" else "[]"
+    assert out.split("\n")[-2] == f"0 {loaded}"
 
 
 def _parser_snapshot() -> dict:

@@ -6,7 +6,8 @@ element of a comma list, or one k=v entry of --model-params or
 --approximator-params. Further rows name cases found by earlier scans.
 Every run must exit 0, 2 or 3 with no exception escaping main, write no
 warning, and leave a report (if any) that a strict JSON parser accepts; an
-exit 2 leaves none. A failure names its argv.
+exit 2 leaves none. Each shrunk golden run also takes every seed in SEEDS,
+which must exit as SEEDS says. A failure names its argv.
 """
 
 import contextlib
@@ -28,6 +29,9 @@ NUMBER_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "2.5", "-0.
                  "x")
 ENTRY_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e-154", "1e154", "2.5", "true", "1e-8",
                 "4e18")
+# --seed values and the exit code each must give: any integer >= 0 is a seed
+SEEDS = {**dict.fromkeys(["0", "1", str(2**32), str(2**63), str(2**64 + 5), str(10**30)], 0),
+         **dict.fromkeys(["-1", "2.5", "x"], 2)}
 # a run that takes longer is a hang the contract does not allow
 TIMEOUT_S = 20
 
@@ -134,8 +138,8 @@ class _Hung(BaseException):
     failed run."""
 
 
-def _breach(argv: list[str], out) -> str | None:
-    """How main(argv) breaks the contract, or None."""
+def _breach(argv: list[str], out, seed: str = "5", exits=(0, 2, 3)) -> str | None:
+    """How main(argv) at seed breaks the contract, or None."""
 
     def hung(signum, frame):
         raise _Hung
@@ -148,7 +152,7 @@ def _breach(argv: list[str], out) -> str | None:
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("always")
             try:
-                rc = main([*argv, "--seed", "5", "--out", str(out), "--formats", "json"])
+                rc = main([*argv, "--seed", seed, "--out", str(out), "--formats", "json"])
             except SystemExit as exc:     # argparse refuses a flag's value
                 rc = exc.code
     except _Hung:
@@ -158,9 +162,9 @@ def _breach(argv: list[str], out) -> str | None:
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    if rc not in (0, 2, 3):
+    if rc not in exits:
         return f"exit {rc}"
-    if caught or "Warning" in err.getvalue():
+    if caught or "warning" in err.getvalue().lower():
         return f"warned: {[str(w.message) for w in caught] or err.getvalue()}"
     path = out / "report.json"
     if rc == 2 and path.exists():
@@ -181,6 +185,17 @@ def test_every_variant_keeps_the_exit_code_contract(workdir, monkeypatch, label)
         breach = _breach(argv, workdir / "scan" / label / str(i))
         if breach:
             breaches.append(f"{' '.join(argv)}: {breach}")
+    assert not breaches, "\n".join(breaches)
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_every_seed_keeps_the_exit_code_contract(workdir, monkeypatch, label):
+    monkeypatch.chdir(workdir)
+    breaches = []
+    for seed, code in SEEDS.items():
+        breach = _breach(SCAN[label][0], workdir / "seeds" / label / seed, seed, (code,))
+        if breach:
+            breaches.append(f"--seed {seed}: {breach}")
     assert not breaches, "\n".join(breaches)
 
 

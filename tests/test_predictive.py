@@ -15,6 +15,7 @@ from simflow import (
     NormalNormal,
     ParamDraws,
     PerturbedConjugate,
+    PoissonGamma,
     SbcConfig,
     frequentist_predictive_check,
     posterior_predictive_sample,
@@ -26,9 +27,9 @@ from simflow import (
     substream,
 )
 from simflow.compare import power_scale_weights
-from simflow.models import SummaryStatistic, _count
+from simflow.models import SummaryStatistic, _count, simulate_statistic
 from simflow.rng import as_generator
-from simflow.simtest import mean_stat, sample_max
+from simflow.simtest import lag1_autocorr, mean_stat, sample_max
 
 T0 = "theta[0]"
 
@@ -129,6 +130,25 @@ def test_single_replication_has_no_pvalue():
     result = frequentist_predictive_check(model, [0.0], mean_stat, y, s=1, seed=0)
     assert result.replication_stats.size == 1
     assert result.ppp is None
+
+
+def test_ppp_ranks_among_defined_replications_only():
+    # lag1-autocorr is undefined (NaN) on a constant dataset, which four
+    # small counts often are; such a replication has no rank, so it is
+    # neither below, tied with nor above the observed value
+    model = PoissonGamma(a=3.0, b=1.0, n_obs=4)
+    y = Dataset(np.array([0.0, 1.0, 0.0, 0.0]))
+    result = frequentist_predictive_check(model, [2.0], lag1_autocorr, y, s=200, seed=0)
+    rng = substream(0, 0)
+    reps = simulate_statistic(model, np.full((200, 1), 2.0), rng, lag1_autocorr, n_obs=4)
+    assert np.array_equal(result.replication_stats, reps, equal_nan=True)
+    defined = reps[np.isfinite(reps)]
+    observed = lag1_autocorr.on_data(y)
+    below, ties = int((defined < observed).sum()), int((defined == observed).sum())
+    assert 2 <= defined.size < 200 and ties > 0
+    assert result.ppp == (below + rng.binomial(ties, 0.5)) / defined.size
+    # a rate of 0 gives constant datasets only: no replication is defined
+    assert frequentist_predictive_check(model, [0.0], lag1_autocorr, y, s=50).ppp is None
 
 
 def test_point_mass_ppc_equals_frequentist_check():
