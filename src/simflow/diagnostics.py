@@ -119,6 +119,10 @@ class _NullCounts:
     q_j = (p_j - p_{j-1}) / (1 - p_{j-1}). The band's simultaneous coverage
     follows from these increments by a forward recursion over the counts
     (Sailynoja, Burkner & Vehtari 2022, Stat. Comput. 32:32).
+
+    Only what count_bounds and coverage read is kept: the tails of each grid
+    point's count law between tail_min and 0.5, and the recursion's factors
+    over the counts low..high that the widest band, at tail_min, allows.
     """
 
     def __init__(self, s: int, granularity: int | None, tail_min: float):
@@ -129,23 +133,45 @@ class _NullCounts:
         probs = _null_cdf_at_grid(s, granularity)
         k = np.arange(s + 1)
         logf = special.gammaln(k + 1.0)
-        p = probs[:, None]
-        pmf = np.exp(logf[s] - logf[k] - logf[s - k]
-                     + special.xlogy(k, p) + special.xlog1py(s - k, -p))
-        self.cdf = np.cumsum(pmf, axis=1)                     # P(C_j <= k)
-        self.sf = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]   # P(C_j > k), k < s
+        # Row j of the tables is counts start[j] .. start[j] + width - 1, which
+        # hold every count whose pmf is not 0. Before them a row of cdf is 0
+        # and one of sf its whole sum; after them cdf is its whole sum and sf
+        # is 0. The sums add the same nonzero terms in the same order as over
+        # the whole row, so every entry is the whole row's.
+        start, width = _pmf_windows(s, probs)
+        cols = start[:, None] + np.arange(width)
+        # log pmf = log C(s, k) + xlogy(k, p) + xlog1py(s - k, -p), added in
+        # that order, the last two from one log per row. At k = 0, k log p is
+        # -0.0 where xlogy gives 0; both add as 0.
+        pmf = (logf[s] - logf[k] - logf[s - k])[cols]
+        term = cols * special.xlogy(1.0, probs)[:, None]
+        pmf += term
+        np.subtract(s, cols, out=cols)
+        with np.errstate(invalid="ignore"):   # 0 * log1p(-1) at k = s when p = 1
+            np.multiply(cols, special.xlog1py(1.0, -probs)[:, None], out=term)
+        term[start + width - 1 == s, -1] = 0.0
+        pmf += term
+        del cols, term
+        np.exp(pmf, out=pmf)
+        cdf = np.cumsum(pmf, axis=1)                     # P(C_j <= start + i)
+        sf = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]   # P(C_j > start + i)
         del pmf
 
         # count_bounds is asked only for tail levels x in [tail_min, 0.5]. The
         # rows of cdf rise and those of sf fall, so every entry outside the
         # slice between tail_min and 0.5 is counted at every such x, or at
         # none: keep the slices, padded to one width, and the counts before.
-        self.lo_base = np.count_nonzero(self.cdf < tail_min, axis=1)
-        self.lo_tail = _row_slices(self.cdf, self.lo_base,
-                                   np.count_nonzero(self.cdf < 0.5, axis=1), 1.0)
-        self.up_base = np.count_nonzero(self.sf > 0.5, axis=1)
-        self.up_tail = _row_slices(self.sf, self.up_base,
-                                   np.count_nonzero(self.sf > tail_min, axis=1), 0.0)
+        # A window's counts add to those before it (cdf 0 < tail_min, sf a
+        # whole sum > 0.5); none after it is counted (cdf > 0.5, sf 0).
+        lo_base = np.count_nonzero(cdf < tail_min, axis=1)
+        self.lo_base = start + lo_base
+        self.lo_tail = _row_slices(cdf, lo_base, np.count_nonzero(cdf < 0.5, axis=1), 1.0)
+        up_base = np.count_nonzero(sf > 0.5, axis=1)
+        self.up_base = start + up_base
+        self.up_tail = _row_slices(sf, up_base, np.count_nonzero(sf > tail_min, axis=1), 0.0)
+        del cdf, sf
+        low, high = self.count_bounds(2.0 * tail_min)
+        self.low, self.high = np.ceil(low).astype(np.int64), np.floor(high).astype(np.int64)
 
         # log P(c -> c') = alpha[c] + beta[c' - c] + gamma[c'] for 0 < q < 1,
         # so each step of the recursion is one convolution. Any tilt lam
@@ -154,12 +180,30 @@ class _NullCounts:
         prev = np.concatenate(([0.0], probs[:-1]))
         self.q = (probs - prev) / (1.0 - prev)
         # steps with q of 0 or 1 move no count or every count; never convolved
+        self.convolved = np.flatnonzero((self.q > 0.0) & (self.q < 1.0))
         qm = np.where((self.q > 0.0) & (self.q < 1.0), self.q, 0.5)[:, None]
         lq, l1q = np.log(qm), np.log1p(-qm)
         lam = np.log(s * (1.0 - prev[:, None]) + 0.5) + l1q
-        self.alpha = logf[s - k] + (s - k) * l1q + lam * k
-        self.beta = -logf[k] + k * (lq - l1q + lam)
-        self.gamma = -logf[s - k] - lam * k
+        tilt = lq - l1q + lam
+        # One run per convolved row of each factor, all in log_factors:
+        # alpha over the counts the step leaves (the previous row's low..high,
+        # 0 before the first row), beta over the increments up to the widest
+        # step, gamma over the counts it reaches. log_factors[at[i] + c] is
+        # the value at c in run i of a factor.
+        j = self.convolved
+        low_before = np.concatenate(([0], self.low[:-1]))[j]
+        high_before = np.concatenate(([0], self.high[:-1]))[j]
+        l1q, lam, tilt = l1q[j, 0], lam[j, 0], tilt[j, 0]
+        c, i, alpha_at = _runs(low_before, high_before)
+        alpha = logf[s - c] + (s - c) * l1q[i] + lam[i] * c
+        c, i, beta_at = _runs(np.zeros_like(j), self.high[j] - low_before)
+        beta = -logf[c] + c * tilt[i]
+        c, i, gamma_at = _runs(self.low[j], self.high[j])
+        gamma = -logf[s - c] - lam[i] * c
+        self.log_factors = np.concatenate([alpha, beta, gamma])
+        self.alpha_at = alpha_at
+        self.beta_at = beta_at + alpha.size
+        self.gamma_at = gamma_at + alpha.size + beta.size
 
     def count_bounds(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise binomial quantiles at delta/2 and 1 - delta/2 per grid point.
@@ -174,32 +218,77 @@ class _NullCounts:
         return np.minimum(lo, mean), np.maximum(up, mean)
 
     def coverage(self, count_lower: np.ndarray, count_upper: np.ndarray) -> float:
-        """Exact probability that every grid count stays inside the bounds."""
+        """Exact probability that every grid count stays inside the bounds.
+
+        The bounds must lie within low..high, the widest band's.
+        """
         s = self.s
         lows = np.ceil(count_lower).astype(np.int64)
         ups = np.floor(count_upper).astype(np.int64)
-        # state[i] = P(C_j = a + i and all counts so far inside), a <= C_j <= b
+        if np.any(lows < self.low) or np.any(ups > self.high):
+            raise ValueError("count bounds reach past those of the widest band")
+        # Step j takes the counts a..b to lo..up; all of them are known before
+        # any probability is. state[i] = P(C_j = a + i and all counts so far
+        # inside).
+        steps = []
         a = b = 0
-        state = np.ones(1)
-        for j, q in enumerate(self.q):
-            lo = max(int(lows[j]), a)
-            up = min(int(ups[j]), b if q == 0.0 else s)
-            if lo > up:
+        for q, low, high in zip(self.q.tolist(), lows.tolist(), ups.tolist()):
+            lo, up = max(low, a), min(high, b if q == 0.0 else s)
+            if lo > up or (q == 1.0 and up != s):
                 return 0.0
+            steps.append((q, a, b, lo, up))
+            a, b = lo, up
+        # Each convolution's three factors are exp(alpha - max alpha),
+        # exp(beta - max beta) and exp(gamma + max alpha + max beta) over
+        # its counts: gathered for every step at once, with one exp.
+        a, b, lo, up = np.array([step[1:] for step in steps])[self.convolved].T
+        starts = np.stack([self.alpha_at + a, self.beta_at, self.gamma_at + lo], axis=1).ravel()
+        sizes = np.stack([b - a + 1, up - a + 1, up - lo + 1], axis=1).ravel()
+        logs = self.log_factors[_run_index(starts, sizes)]
+        cuts = np.concatenate(([0], np.cumsum(sizes)))
+        top = np.maximum.reduceat(logs, cuts[:-1]).reshape(-1, 3)
+        shift = np.stack([-top[:, 0], -top[:, 1], top[:, 0] + top[:, 1]], axis=1).ravel()
+        factors = np.exp(logs + np.repeat(shift, sizes))
+        cuts = cuts.tolist()
+        cuts = iter(zip(cuts[0::3], cuts[1::3], cuts[2::3], cuts[3::3]))
+        state = np.ones(1)
+        for q, a, b, lo, up in steps:
             if q == 0.0:
                 state = state[lo - a:up - a + 1]
             elif q == 1.0:
-                if up != s:
-                    return 0.0
                 state = np.full(1, state.sum())
             else:
-                al = self.alpha[j, a:b + 1]
-                be = self.beta[j, :up - a + 1]
-                am, bm = al.max(), be.max()
-                conv = np.convolve(state * np.exp(al - am), np.exp(be - bm))
-                state = conv[lo - a:up - a + 1] * np.exp(self.gamma[j, lo:up + 1] + (am + bm))
-            a, b = lo, up
+                i, j, k, n = next(cuts)
+                state = np.convolve(state * factors[i:j], factors[j:k])[lo - a:up - a + 1] \
+                    * factors[k:n]
         return float(state.sum())
+
+
+# Hoeffding's inequality puts the Binomial(s, p) pmf below exp(-_WINDOW_LOG)
+# outside |k - s p| <= sqrt(_WINDOW_LOG * s / 2). Its float value is then 0,
+# as exp underflows to 0 below about -745.1, with room to spare for rounding.
+_WINDOW_LOG = 760.0
+
+
+def _pmf_windows(s: int, probs: np.ndarray) -> tuple[np.ndarray, int]:
+    """(start, width): for each p in probs, the counts start .. start + width - 1
+    of 0..s hold every count whose Binomial(s, p) pmf is not 0 in floats."""
+    reach = math.sqrt(_WINDOW_LOG * s / 2.0)
+    width = min(s + 1, 2 * math.ceil(reach) + 2)
+    return np.clip(np.floor(s * probs - reach).astype(np.int64), 0, s + 1 - width), width
+
+
+def _run_index(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + sizes[i] - 1 for each i, in turn."""
+    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+
+
+def _runs(first: np.ndarray, last: np.ndarray):
+    """The runs first[i]..last[i] laid end to end: each entry's value and run,
+    and at[i] with entry at[i] + c holding value c of run i."""
+    sizes = last - first + 1
+    values = _run_index(first, sizes)
+    return values, np.repeat(np.arange(sizes.size), sizes), np.cumsum(sizes) - sizes - first
 
 
 def _row_slices(table: np.ndarray, start: np.ndarray, stop: np.ndarray,

@@ -130,33 +130,110 @@ def test_band_is_loosest_with_stated_coverage(s, m):
     assert null.coverage(*looser) < band.coverage
 
 
-def _candidates(null, coverage):
+# A frozen copy of the whole-table construction _NullCounts used before it
+# kept only windows of its tables: the reference the windowed tables and the
+# recursion over them are held to. Each entry is computed as it was; the rows
+# are built ten at a time only to bound the memory at large s.
+def _full_pmf(s, probs):
+    """The Binomial(s, p) pmf at k = 0..s, one row per p in probs."""
+    from scipy import special
+
+    k = np.arange(s + 1)
+    logf = special.gammaln(k + 1.0)
+    p = probs[:, None]
+    return np.exp(logf[s] - logf[k] - logf[s - k]
+                  + special.xlogy(k, p) + special.xlog1py(s - k, -p))
+
+
+def _full_tables(s, m):
+    """P(C_j <= k) for k = 0..s and P(C_j > k) for k = 0..s-1, for every grid point j."""
+    probs = diagnostics._null_cdf_at_grid(s, m)
+    cdf, sf = np.empty((probs.size, s + 1)), np.empty((probs.size, s))
+    for rows in np.array_split(np.arange(probs.size), -(-probs.size // 10)):
+        pmf = _full_pmf(s, probs[rows])
+        cdf[rows] = np.cumsum(pmf, axis=1)
+        sf[rows] = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]
+    return cdf, sf
+
+
+def _full_factors(s, m):
+    """q and the log factors alpha, beta, gamma of the recursion, over all counts."""
+    from scipy import special
+
+    probs = diagnostics._null_cdf_at_grid(s, m)
+    k = np.arange(s + 1)
+    logf = special.gammaln(k + 1.0)
+    prev = np.concatenate(([0.0], probs[:-1]))
+    q = (probs - prev) / (1.0 - prev)
+    qm = np.where((q > 0.0) & (q < 1.0), q, 0.5)[:, None]
+    lq, l1q = np.log(qm), np.log1p(-qm)
+    lam = np.log(s * (1.0 - prev[:, None]) + 0.5) + l1q
+    alpha = logf[s - k] + (s - k) * l1q + lam * k
+    beta = -logf[k] + k * (lq - l1q + lam)
+    gamma = -logf[s - k] - lam * k
+    return q, alpha, beta, gamma
+
+
+def _full_coverage(s, factors, count_lower, count_upper):
+    """The coverage recursion as it read the whole factor tables."""
+    q_all, alpha, beta, gamma = factors
+    lows = np.ceil(count_lower).astype(np.int64)
+    ups = np.floor(count_upper).astype(np.int64)
+    a = b = 0
+    state = np.ones(1)
+    for j, q in enumerate(q_all):
+        lo = max(int(lows[j]), a)
+        up = min(int(ups[j]), b if q == 0.0 else s)
+        if lo > up:
+            return 0.0
+        if q == 0.0:
+            state = state[lo - a:up - a + 1]
+        elif q == 1.0:
+            if up != s:
+                return 0.0
+            state = np.full(1, state.sum())
+        else:
+            al = alpha[j, a:b + 1]
+            be = beta[j, :up - a + 1]
+            am, bm = al.max(), be.max()
+            conv = np.convolve(state * np.exp(al - am), np.exp(be - bm))
+            state = conv[lo - a:up - a + 1] * np.exp(gamma[j, lo:up + 1] + (am + bm))
+        a, b = lo, up
+    return float(state.sum())
+
+
+def _candidates(tables, coverage):
     """The candidate deltas of the band search, read from the whole count tables."""
-    bonferroni = (1.0 - coverage) / null.grid.size
-    tails = np.concatenate([t[(t > bonferroni / 2.0) & (t < 0.5)] for t in (null.cdf, null.sf)])
+    cdf, sf = tables
+    bonferroni = (1.0 - coverage) / cdf.shape[0]
+    tails = np.concatenate([t[(t > bonferroni / 2.0) & (t < 0.5)] for t in (cdf, sf)])
     tails = np.unique(np.concatenate([tails, np.nextafter(tails, 0.0)]))
     return np.concatenate(([bonferroni], 2.0 * tails[2.0 * tails > bonferroni], [1.0]))
 
 
-def _full_row_bounds(null, delta):
+def _full_row_bounds(tables, delta):
     """count_bounds as counted over whole rows of the count tables."""
+    cdf, sf = tables
     x = delta / 2.0
-    mean = null.s * null.grid
-    return (np.minimum(np.count_nonzero(null.cdf < x, axis=1), mean),
-            np.maximum(np.count_nonzero(null.sf > x, axis=1), mean))
+    s = sf.shape[1]
+    mean = s * diagnostics._grid_for(s)
+    return (np.minimum(np.count_nonzero(cdf < x, axis=1), mean),
+            np.maximum(np.count_nonzero(sf > x, axis=1), mean))
 
 
-def _bisected_band(s, m, coverage):
+def _bisected_band(s, m, coverage, tables=None):
     """The band as plain bisection over the candidates finds it, and its recursions.
 
-    A frozen copy of the search the secant search replaced.
+    A frozen copy of the search the secant search replaced, over the whole
+    count tables.
     """
+    tables = tables or _full_tables(s, m)
     null = diagnostics._NullCounts(s, m, (1.0 - coverage) / min(s, 100) / 2.0)
-    deltas = _candidates(null, coverage)
+    deltas = _candidates(tables, coverage)
     calls = []
 
     def band_at(i):
-        bounds = _full_row_bounds(null, deltas[i])
+        bounds = _full_row_bounds(tables, deltas[i])
         calls.append(i)
         return bounds, null.coverage(*bounds)
 
@@ -201,12 +278,18 @@ def _assert_same_band(got, want):
             assert type(a) is type(b) and a == b, field.name
 
 
-@pytest.mark.parametrize("m", [None, 1, 9, 19, 99, 999])
-@pytest.mark.parametrize("s", [10, 11, 50, 400, 2000, 10_000])
+_SIZES = pytest.mark.parametrize("s", [10, 11, 50, 400, 2000, 10_000])
+_GRANULARITIES = pytest.mark.parametrize("m", [None, 1, 9, 19, 99, 999])
+_COVERAGES = (0.5, 0.8, 0.9, 0.95, 0.99)
+
+
+@_GRANULARITIES
+@_SIZES
 def test_band_search_equals_frozen_bisection(s, m, monkeypatch):
-    for coverage in (0.5, 0.8, 0.9, 0.95, 0.99):
+    tables = _full_tables(s, m)
+    for coverage in _COVERAGES:
         got, _ = _searched_band(s, m, coverage, monkeypatch)
-        want, _ = _bisected_band(s, m, coverage)
+        want, _ = _bisected_band(s, m, coverage, tables)
         _assert_same_band(got, want)
 
 
@@ -240,9 +323,150 @@ def test_windowed_count_bounds_equal_full_rows(s, m, coverage, monkeypatch):
     monkeypatch.setattr(diagnostics, "_NullCounts", Recorded)
     diagnostics._calibrated_band.__wrapped__(s, m, coverage)
     (null,) = built
-    for delta in _candidates(null, coverage):
-        got, want = null.count_bounds(delta), _full_row_bounds(null, delta)
+    tables = _full_tables(s, m)
+    for delta in _candidates(tables, coverage):
+        got, want = null.count_bounds(delta), _full_row_bounds(tables, delta)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), delta
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@_GRANULARITIES
+@pytest.mark.parametrize("s", [10, 11, 50, 400, 2000, 10_000, 30_000])
+def test_pmf_is_zero_outside_its_window(s, m):
+    probs = diagnostics._null_cdf_at_grid(s, m)
+    start, width = diagnostics._pmf_windows(s, probs)
+    assert np.all(start >= 0) and np.all(start + width <= s + 1)
+    for rows in np.array_split(np.arange(probs.size), 10):
+        pmf = _full_pmf(s, probs[rows])
+        inside = np.arange(s + 1) - start[rows, None]
+        assert not np.any(pmf[(inside < 0) | (inside >= width)])
+
+
+@_GRANULARITIES
+@_SIZES
+def test_stored_tables_equal_frozen_full_tables(s, m):
+    cdf, sf = _full_tables(s, m)
+    q, alpha, beta, gamma = _full_factors(s, m)
+    mean = s * diagnostics._grid_for(s)
+    for coverage in (0.5, 0.95, 0.99):
+        tail_min = (1.0 - coverage) / min(s, 100) / 2.0
+        null = diagnostics._NullCounts(s, m, tail_min)
+        # the tails between tail_min and 0.5, each padded to one width, and
+        # the counts before them
+        for base, tail, table, inside, pad in (
+                (null.lo_base, null.lo_tail, cdf, (cdf >= tail_min) & (cdf < 0.5), 1.0),
+                (null.up_base, null.up_tail, sf, (sf <= 0.5) & (sf > tail_min), 0.0)):
+            for j, row in enumerate(table):
+                (cols,) = np.nonzero(inside[j])
+                assert np.array_equal(cols, base[j] + np.arange(cols.size)), j
+                assert np.array_equal(_bits(tail[j, :cols.size]), _bits(row[cols])), j
+                assert np.all(tail[j, cols.size:] == pad), j
+        # the widest band's counts, and the log factors over them
+        low = np.ceil(np.minimum(np.count_nonzero(cdf < tail_min, axis=1), mean))
+        high = np.floor(np.maximum(np.count_nonzero(sf > tail_min, axis=1), mean))
+        assert np.array_equal(null.low, low) and np.array_equal(null.high, high)
+        assert np.array_equal(null.q, q)
+        assert np.array_equal(null.convolved, np.flatnonzero((q > 0.0) & (q < 1.0)))
+        before = np.concatenate(([[0, 0]], np.stack([low, high], axis=1)[:-1])).astype(int)
+        stored = 0
+        for i, j in enumerate(null.convolved):
+            for at, full, counts in (
+                    (null.alpha_at, alpha, np.arange(before[j, 0], before[j, 1] + 1)),
+                    (null.beta_at, beta, np.arange(int(high[j]) - before[j, 0] + 1)),
+                    (null.gamma_at, gamma, np.arange(int(low[j]), int(high[j]) + 1))):
+                got = null.log_factors[at[i] + counts]
+                assert np.array_equal(_bits(got), _bits(full[j, counts])), (i, j)
+                stored += counts.size
+        assert null.log_factors.size == stored
+
+
+def _visited_bounds(s, m, coverage, monkeypatch):
+    """The null counts of one band search and every pair of bounds it tried."""
+    nulls, visited = [], []
+    recursion = diagnostics._NullCounts.coverage
+
+    def recorded(self, *bounds):
+        nulls.append(self)
+        visited.append(bounds)
+        return recursion(self, *bounds)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(diagnostics._NullCounts, "coverage", recorded)
+        diagnostics._calibrated_band.__wrapped__(s, m, coverage)
+    (null,) = {id(n): n for n in nulls}.values()
+    return null, visited
+
+
+@_GRANULARITIES
+@pytest.mark.parametrize("s", [10, 11, 50, 400, 2000])
+def test_coverage_equals_frozen_recursion_at_every_visited_band(s, m, monkeypatch):
+    factors = _full_factors(s, m)
+    for coverage in _COVERAGES:
+        null, visited = _visited_bounds(s, m, coverage, monkeypatch)
+        for bounds in visited:
+            got, want = null.coverage(*bounds), _full_coverage(s, factors, *bounds)
+            assert _bits(got) == _bits(want), (coverage, bounds)
+
+
+# band sizes with rows of q = 0 (m below the grid size), a row of q = 1 (the
+# last, always), and continuous values
+_SMALL = [(10, None), (30, 9), (50, 19), (120, 1), (200, 9), (400, 99)]
+_SMALL_TAIL = 0.05 / 100 / 2.0
+
+
+@st.composite
+def _bounds_in_range(draw):
+    """(s, m, count_lower, count_upper) within the widest band's counts; about
+    half the draws cross a lower bound over an upper one, emptying the state."""
+    s, m = draw(st.sampled_from(_SMALL))
+    null = diagnostics._NullCounts(s, m, _SMALL_TAIL)
+    span = null.high - null.low
+    n = span.size
+    fractions = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    reach = draw(st.sampled_from([0.5, 1.0]))
+    lower = null.low + np.floor(reach * np.array(draw(fractions)) * span)
+    upper = null.high - np.floor(reach * np.array(draw(fractions)) * span)
+    return s, m, lower, upper
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bounds_in_range())
+def test_coverage_equals_frozen_recursion_at_drawn_bounds(drawn):
+    s, m, lower, upper = drawn
+    null = diagnostics._NullCounts(s, m, _SMALL_TAIL)
+    got, want = null.coverage(lower, upper), _full_coverage(s, _full_factors(s, m), lower, upper)
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("s, m", [(10, None), (50, 19), (400, 99)])
+def test_coverage_refuses_bounds_past_the_widest_band(s, m):
+    null = diagnostics._NullCounts(s, m, _SMALL_TAIL)
+    low, high = null.low.astype(float), null.high.astype(float)
+    assert 0.0 < null.coverage(low, high) <= 1.0
+    for j in (0, low.size // 2, low.size - 1):
+        if low[j] > 0:
+            with pytest.raises(ValueError):
+                null.coverage(np.where(np.arange(low.size) == j, low - 1, low), high)
+        if high[j] < s:
+            with pytest.raises(ValueError):
+                null.coverage(low, np.where(np.arange(low.size) == j, high + 1, high))
+
+
+def test_null_counts_memory_at_large_s():
+    # numpy reports its buffers to tracemalloc; whole (100, S + 1) tables
+    # came to about 470 MB here
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        diagnostics._NullCounts(100_000, 999, 0.05 / 100 / 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 def test_chi2_type1_error_rates():

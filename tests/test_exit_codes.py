@@ -4,6 +4,9 @@ Each golden run (test_golden.RUNS), shrunk to S = 50, M = 19, --null-s 300
 and --sims 200, has one value replaced at a time: a numeric flag, one
 element of a comma list, or one k=v entry of --model-params or
 --approximator-params. Further rows name cases found by earlier scans.
+Each golden run that reads an INI file also runs with one numeric value of
+that file replaced at a time (one element of a | list), by every value the
+flag scan tries, and with no --seed flag, so a config seed is read.
 Every run must exit 0, 2 or 3 with no exception escaping main, write no
 warning, and leave a report (if any) that a strict JSON parser accepts; an
 exit 2 leaves none. Each shrunk golden run also takes every seed in SEEDS,
@@ -19,7 +22,7 @@ import warnings
 import pytest
 
 from simflow.cli import main
-from test_golden import CONFIG_ONLY, RUNS, write_inputs
+from test_golden import CONFIG_ONLY, INPUTS, RUNS, write_inputs
 
 SHRINK = {"--S": 50, "--M": 19, "--null-s": 300, "--sims": 200}
 COUNTS = ("--S", "--M", "--null-s", "--sims", "--max-iter", "--bins")
@@ -107,6 +110,29 @@ def _variants(argv: list[str]) -> list[list[str]]:
 
 SCAN = {label: _variants(argv) for label, argv in RUNS.items()} | EXTRA
 
+# the golden runs that read an INI file, and that file
+CONFIGS = {label: argv[argv.index("--config") + 1] for label, argv in RUNS.items()
+           if "--config" in argv}
+# every value the flag scan tries, each once
+CONFIG_VALUES = tuple(dict.fromkeys(COUNT_VALUES + NUMBER_VALUES + ENTRY_VALUES))
+
+
+def _config_variants(text: str) -> list[tuple[str, str]]:
+    """(the changed line, the INI text) with one numeric value replaced, for
+    every value: one element at a time of a | list."""
+    lines = text.splitlines(keepends=True)
+    rows = []
+    for i, line in enumerate(lines):
+        key, eq, value = line.partition("=")
+        parts = _numbers(value.strip().replace("|", ",")) if eq else None
+        if parts is None:
+            continue
+        for j in range(len(parts)):
+            for v in CONFIG_VALUES:
+                changed = f"{key.strip()} = {'|'.join([*parts[:j], v, *parts[j + 1:]])}"
+                rows.append((changed, "".join([*lines[:i], changed + "\n", *lines[i + 1:]])))
+    return rows
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -138,8 +164,8 @@ class _Hung(BaseException):
     failed run."""
 
 
-def _breach(argv: list[str], out, seed: str = "5", exits=(0, 2, 3)) -> str | None:
-    """How main(argv) at seed breaks the contract, or None."""
+def _breach(argv: list[str], out, seed: str | None = "5", exits=(0, 2, 3)) -> str | None:
+    """How main(argv) at seed (None: no --seed flag) breaks the contract, or None."""
 
     def hung(signum, frame):
         raise _Hung
@@ -152,7 +178,8 @@ def _breach(argv: list[str], out, seed: str = "5", exits=(0, 2, 3)) -> str | Non
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("always")
             try:
-                rc = main([*argv, "--seed", seed, "--out", str(out), "--formats", "json"])
+                seeded = [] if seed is None else ["--seed", seed]
+                rc = main([*argv, *seeded, "--out", str(out), "--formats", "json"])
             except SystemExit as exc:     # argparse refuses a flag's value
                 rc = exc.code
     except _Hung:
@@ -199,6 +226,26 @@ def test_every_seed_keeps_the_exit_code_contract(workdir, monkeypatch, label):
     assert not breaches, "\n".join(breaches)
 
 
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_every_config_value_keeps_the_exit_code_contract(workdir, monkeypatch, label):
+    monkeypatch.chdir(workdir)
+    monkeypatch.delenv("SIMFLOW_SEED", raising=False)
+    argv, name = SCAN[label][0], CONFIGS[label]
+    breaches = []
+    for i, (changed, text) in enumerate(_config_variants(INPUTS[name])):
+        run = workdir / "config" / label / str(i)
+        run.mkdir(parents=True)
+        (run / name).write_text(text)
+        breach = _breach([str(run / name) if arg == name else arg for arg in argv],
+                         run / "out", seed=None)
+        if breach:
+            breaches.append(f"{name}: {changed}: {breach}")
+    assert not breaches, "\n".join(breaches)
+
+
 def test_the_scan_covers_every_golden_run():
     assert SCAN.keys() >= RUNS.keys() and CONFIG_ONLY <= SCAN.keys()
     assert sum(len(rows) for rows in SCAN.values()) > 1000
+    # every INI file a golden run reads, with each of its numeric values varied
+    assert sorted(CONFIGS.values()) == sorted(name for name in INPUTS if name.endswith(".ini"))
+    assert sum(len(_config_variants(INPUTS[name])) for name in CONFIGS.values()) > 300
