@@ -23,6 +23,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -1145,6 +1146,15 @@ def main(argv=None) -> int:
         warnings.formatwarning = formatwarning
 
 
+def console_main() -> int:
+    """The `simflow` program: main() on the command line, then a GC freeze,
+    so the interpreter's collections at exit skip the objects alive then,
+    which are mostly modules and can never be garbage."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
@@ -1212,4 +1222,4 @@ def _main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

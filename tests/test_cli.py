@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -1143,11 +1144,10 @@ _TEST_RESAMPLED = ["test", "--model", "poisson-gamma", "--model-params", "a=3,b=
 
 
 def _cli(cwd, argv: list[str]) -> subprocess.CompletedProcess:
-    """main(argv) in a fresh interpreter, whose warnings no pytest hook
-    records."""
+    """`python -m simflow.cli argv`: the program, in a fresh interpreter
+    whose warnings no pytest hook records."""
     env = {**os.environ, "PYTHONPATH": str(Path(simflow.__file__).parents[1])}
-    code = "import sys\nfrom simflow.cli import main\nsys.exit(main(sys.argv[1:]))"
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
+    return subprocess.run([sys.executable, "-m", "simflow.cli", *argv], env=env, cwd=cwd,
                           capture_output=True, text=True)
 
 
@@ -1188,6 +1188,92 @@ def test_main_leaves_warnings_to_a_caller_that_records_them(tmp_path, monkeypatc
     assert [str(w.message) for w in caught] == [
         "22 null draws resampled (lag1-autocorr undefined)"]
     assert warnings.formatwarning is formatwarning
+
+
+def _report(outdir: Path):
+    """report.json without timing_seconds, or None where none was written."""
+    path = outdir / "report.json"
+    if not path.exists():
+        return None
+    payload = json.loads(path.read_text())
+    del payload["timing_seconds"]
+    return payload
+
+
+_PIPELINE_BOGUS = "[pipeline]\nbogus = 3\n"
+_SBC_SMALL = ["sbc", "--model", "normal-normal", "--S", "20", "--M", "9", "--out", "out",
+              "--formats", "json"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([*_SBC_SMALL, "--config", "bogus.ini"], 2),
+    (["accuracy", "--model", "lognormal-two-group", "--theta-star", "800,0", "--out", "out"], 3),
+], ids=["resolving", "simulating"])
+def test_program_fails_as_main_does(tmp_path, monkeypatch, capsys, argv, code):
+    # the program and main(argv) in this process agree on a failed run:
+    # exit code, stderr, and the partial report (which only exit 3 writes)
+    for side in ("program", "main"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "bogus.ini").write_text(_PIPELINE_BOGUS)
+    proc = _cli(tmp_path / "program", argv)
+    monkeypatch.chdir(tmp_path / "main")
+    capsys.readouterr()
+    assert main(argv) == code
+    assert (proc.returncode, proc.stderr) == (code, capsys.readouterr().err)
+    report = _report(tmp_path / "program" / "out")
+    assert report == _report(tmp_path / "main" / "out")
+    assert (report is not None) == (code == 3)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("extra, code", [([], 0), (["--dry-run"], 0),
+                                         (["--config", "bogus.ini"], 2)],
+                         ids=["real", "dry", "refused"])
+def test_main_leaves_the_gc_as_it_found_it(tmp_path, monkeypatch, extra, code, enabled):
+    # only the program freezes the GC, as it exits; a caller that runs main
+    # in-process keeps its collector on or off, and its garbage collectable
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bogus.ini").write_text(_PIPELINE_BOGUS)
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main([*_SBC_SMALL, *extra]) == code
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["real", "dry"])
+def test_program_freezes_the_gc_before_exit(tmp_path, extra):
+    # `python -m simflow.cli` runs the module as __main__; it ends with exit
+    # code 0 and the objects alive at exit frozen, out of the interpreter's
+    # last collections
+    out = _fresh_golden_run(tmp_path, "sbc", (
+        "import gc, runpy\n"
+        f"sys.argv = ['simflow', *argv, *{extra!r}]\n"
+        "try:\n"
+        "    runpy.run_module('simflow.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0)\n"))
+    assert out.split("\n")[-2] == "0 True"
+
+
+def test_console_script_runs_the_main_block_entry():
+    # the installed `simflow` and `python -m simflow.cli` call one function
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ImportError:  # Python 3.10
+        target = re.search(r'^simflow\s*=\s*"([^"]+)"', text, re.M).group(1)
+    else:
+        target = tomllib.loads(text)["project"]["scripts"]["simflow"]
+    tree = ast.parse(Path(simflow.cli.__file__).read_text())
+    block = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    calls = [node.func.id for node in ast.walk(block)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert [target] == [f"simflow.cli:{name}" for name in calls]
+    assert callable(getattr(simflow.cli, calls[0]))
 
 
 _SCIPY = ("scipy.special", "scipy.stats", "scipy.optimize")
