@@ -18,15 +18,17 @@ it too, with the approximator's draws as the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from . import _deferred
 from .approximators import Approximator
-from .diagnostics import PValueSet, UniformityVerdict, uniformity_test
 from .models import Model, SummaryStatistic, _count, param_target
 from .rng import row_blocks
-from .simtest import rank_pvalues
+
+if TYPE_CHECKING:
+    from .diagnostics import UniformityVerdict
 
 __all__ = [
     "SbcConfig",
@@ -46,6 +48,12 @@ __all__ = [
     "absolute_error",
 ]
 
+
+# imported where a pipeline first calls them, so that building an SbcConfig
+# loads neither diagnostics nor simtest
+PValueSet = _deferred("diagnostics", "PValueSet")
+uniformity_test = _deferred("diagnostics", "uniformity_test")
+rank_pvalues = _deferred("simtest", "rank_pvalues")
 
 # Replications per block of _replicate: a block of (k, M) posterior draws at
 # M = 999 is 8 MB

@@ -24,6 +24,7 @@ import configparser
 import csv
 import dataclasses
 import gc
+import importlib
 import itertools
 import json
 import math
@@ -37,51 +38,46 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import figures, report
+from . import _deferred
 from .approximators import (
     AbcRejection,
     ExactConjugate,
     PerturbedConjugate,
     RandomWalkMetropolis,
 )
-from .calibration import (
-    SbcConfig,
-    absolute_error,
-    estimator_accuracy,
-    posterior_mean_estimator,
-    power_analysis,
-    run_frequentist_calibration,
-    run_sbc,
-    sample_mean_estimator,
-    squared_error,
-)
-from .compare import (
-    ModelEntry,
-    marginal_likelihood_mc,
-    posterior_model_probs,
-    power_scale_weights,
-    sensitivity_sweep,
-    weighted_mean,
-    weighted_quantile,
-)
-from .diagnostics import band_contains, rank_histogram
-from .elicitation import beta_binomial_problem, elicit_prior
 from .errors import DomainError
-from .models import AnalyticPosterior, Dataset, SummaryStatistic, make_model, param_target
-from .predictive import (
-    frequentist_predictive_check,
-    prior_pushforward_check,
-    run_posterior_sbc,
-    run_ppc,
-)
+from .models import SIDES, AnalyticPosterior, Dataset, SummaryStatistic, make_model, param_target
 from .rng import substream
-from .simtest import (
-    SIDES,
-    DISTANCE_REGISTRY,
-    STATISTIC_REGISTRY,
-    AnalyticZTest,
-    SimulationTest,
-)
+
+# Resolving any subcommand needs only the modules imported above. What the
+# handlers call from the others is a stand-in (simflow._deferred) that
+# imports its module at its first call, so a dry run loads only what its
+# handler calls; a value a handler passes on is imported where it is read.
+# main imports all of them before the clock of a run that executes.
+_EXECUTE_MODULES = ("calibration", "compare", "diagnostics", "elicitation", "figures",
+                    "predictive", "report", "simtest")
+SbcConfig = _deferred("calibration", "SbcConfig")
+estimator_accuracy = _deferred("calibration", "estimator_accuracy")
+power_analysis = _deferred("calibration", "power_analysis")
+run_frequentist_calibration = _deferred("calibration", "run_frequentist_calibration")
+run_sbc = _deferred("calibration", "run_sbc")
+ModelEntry = _deferred("compare", "ModelEntry")
+marginal_likelihood_mc = _deferred("compare", "marginal_likelihood_mc")
+posterior_model_probs = _deferred("compare", "posterior_model_probs")
+power_scale_weights = _deferred("compare", "power_scale_weights")
+sensitivity_sweep = _deferred("compare", "sensitivity_sweep")
+weighted_mean = _deferred("compare", "weighted_mean")
+weighted_quantile = _deferred("compare", "weighted_quantile")
+band_contains = _deferred("diagnostics", "band_contains")
+rank_histogram = _deferred("diagnostics", "rank_histogram")
+beta_binomial_problem = _deferred("elicitation", "beta_binomial_problem")
+elicit_prior = _deferred("elicitation", "elicit_prior")
+frequentist_predictive_check = _deferred("predictive", "frequentist_predictive_check")
+prior_pushforward_check = _deferred("predictive", "prior_pushforward_check")
+run_posterior_sbc = _deferred("predictive", "run_posterior_sbc")
+run_ppc = _deferred("predictive", "run_ppc")
+AnalyticZTest = _deferred("simtest", "AnalyticZTest")
+SimulationTest = _deferred("simtest", "SimulationTest")
 
 __all__ = ["main", "ConfigError"]
 
@@ -399,6 +395,8 @@ _APPROXIMATORS = {"abc": AbcRejection, "exact": ExactConjugate,
 def _approximator(name: str, **settings):
     cls = _named("approximator", name, _APPROXIMATORS)
     if cls is AbcRejection:  # its statistic T by the name of the distance |T(y) - T(y_obs)|
+        from .simtest import DISTANCE_REGISTRY
+
         distance = settings.pop("distance", "mean-distance")
         return cls(_named("distance", distance, DISTANCE_REGISTRY), **settings)
     return cls(**settings)
@@ -411,6 +409,8 @@ def _build_approximator(run, model):
 
 
 def _statistic(name: str, model):
+    from .simtest import STATISTIC_REGISTRY
+
     statistic = _named("statistic", name, STATISTIC_REGISTRY)
     # four all-zero values, two per group of a two-group model (a group's
     # variance needs two), show whether the statistic applies: that depends
@@ -431,6 +431,8 @@ def _defined_on(statistic, y: Dataset, path) -> None:
 
 
 def _estimator(name: str, model) -> SummaryStatistic:
+    from .calibration import posterior_mean_estimator, sample_mean_estimator
+
     estimators = {"sample-mean": lambda model: sample_mean_estimator,
                   "posterior-mean": posterior_mean_estimator}
     if name == "posterior-mean":
@@ -559,8 +561,23 @@ def _cmd_sbc(run):
     return execute
 
 
+class _StudentT(NamedTuple):
+    """Student's t law. Its cdf is the arithmetic of scipy.stats.t(df, loc,
+    scale).cdf, bit for bit, without the second that importing scipy.stats
+    costs."""
+
+    df: float
+    loc: float = 0.0
+    scale: float = 1.0
+
+    def cdf(self, x):
+        from scipy import special
+
+        return special.stdtr(self.df, (np.asarray(x, dtype=float) - self.loc) / self.scale)
+
+
 def _parse_sampling(text: str):
-    """normal:loc,scale (default 0,1) as a closed form; t:df,loc,scale via scipy."""
+    """normal:loc,scale (default 0,1) or t:df,loc,scale, as closed forms."""
     name, _, rest = text.partition(":")
     try:
         params = _floats(rest) if rest else []
@@ -577,9 +594,7 @@ def _parse_sampling(text: str):
                 len(params) == 3 and not params[2] > 0):
             raise ConfigError(f"t sampling law needs t:df,loc,scale with df > 0 and "
                               f"scale > 0, e.g. t:9,0,1, got {text!r}")
-        from scipy import stats
-
-        return stats.t(*params)
+        return _StudentT(*params)
     raise ConfigError(f"unknown sampling distribution {text!r}; use normal:loc,scale or t:df,loc,scale")
 
 
@@ -625,6 +640,8 @@ def _cmd_power(run):
 
 
 def _cmd_accuracy(run):
+    from .calibration import absolute_error, squared_error
+
     model = _build_model(run)
     estimator = _estimator(run.estimator, model)
     distance = _named("distance", run.distance,
@@ -963,6 +980,8 @@ def _sensitivity_sweep(run):
 
 
 def _cmd_render(run):
+    from . import figures
+
     path = Path(run.report)
     if not path.is_file():
         raise ConfigError(f"report file not found: {path}")
@@ -1086,8 +1105,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """argparse for every subcommand, built from _COMMANDS and FLAGS.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """argparse for every subcommand, built from _COMMANDS and FLAGS; given
+    a command, only that subcommand gets its flags, the others only their
+    names and help.
 
     A flag with a config key has no argparse default, so an unset flag
     falls back to the config file; main applies the table's default.
@@ -1097,9 +1118,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation-based calibration, testing, and checking pipelines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for option, use in {**_COMMON, **command.flags}.items():
+    for name, row in _COMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
+        if command not in (None, name):
+            continue
+        for option, use in {**_COMMON, **row.flags}.items():
             flag = FLAGS[option]
             if flag.kind is bool:
                 p.add_argument(option, action="store_true", help=flag.help)
@@ -1115,6 +1138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_outputs(outdir: Path, payload: dict, formats: set[str], files: dict) -> None:
+    from . import figures, report
+
     outdir.mkdir(parents=True, exist_ok=True)
     report.write_report(payload, outdir / "report.json")
     if "svg" in formats:
@@ -1156,12 +1181,12 @@ def console_main() -> int:
 
 
 def _main(argv) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     command = _COMMANDS[args.command]
-    if not args.dry_run:  # what execute() loads lazily, loaded before the clock
-        import numpy.ma  # noqa: F401  np.quantile and np.unique load it
-        if command.special:
-            from scipy import special  # noqa: F401
+    if not args.dry_run:  # what resolving and execute() import, before the clock
+        for module in _EXECUTE_MODULES:
+            importlib.import_module(f".{module}", __package__)
     head = {"schema_version": SCHEMA_VERSION, "command": args.command}
     t0 = time.perf_counter()
     try:  # resolving: whatever fails, nothing was simulated
@@ -1172,6 +1197,7 @@ def _main(argv) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    resolved = time.perf_counter() - t0
     seed, outdir = settings["seed"], Path(settings["out"])
     if args.dry_run:
         print(f"seed: {seed} (from {sources['seed']})")
@@ -1179,6 +1205,12 @@ def _main(argv) -> int:
             print(f"  {line}")
         print("dry run: nothing simulated")
         return 0
+    # what execute() loads lazily, imported once resolving has passed and
+    # left out of the clock, which resumes where resolving stopped it
+    import numpy.ma  # noqa: F401  np.quantile and np.unique load it
+    if command.special:
+        from scipy import special  # noqa: F401
+    t0 = time.perf_counter() - resolved
     try:  # simulating: whatever fails, a partial report says what
         results, files = execute()
     except Exception as exc:
@@ -1190,6 +1222,8 @@ def _main(argv) -> int:
                       "diagnostics": diagnostics},
             "timing_seconds": time.perf_counter() - t0,
         }
+        from . import report
+
         try:
             outdir.mkdir(parents=True, exist_ok=True)
             report.write_report(payload, outdir / "report.json")

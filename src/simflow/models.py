@@ -38,6 +38,11 @@ __all__ = [
 # Rows simulated per block by simulate_statistic and per null chunk by
 # simtest.simulate_null: a (16384, n) block of floats is 128 KiB per observation.
 _SIM_CHUNK = 16384
+
+# The rejection sides of simtest's tests, kept here so that the CLI's --side
+# choices load no simtest
+SIDES = ("lower", "upper", "two_sided")
+
 # Parameter rows per block of a log-likelihood on one dataset: its (rows, n)
 # temporaries are 32 KiB per observation
 _LIKELIHOOD_BLOCK = 4096

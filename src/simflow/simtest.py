@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RetryError
-from .models import _SIM_CHUNK, Dataset, Model, SummaryStatistic, simulate_statistic
+from .models import _SIM_CHUNK, SIDES, Dataset, Model, SummaryStatistic, simulate_statistic
 from .rng import as_generator, map_chunks, substream
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
 ]
 
 _RETRY_CAP = 5
-
-SIDES = ("lower", "upper", "two_sided")
 
 
 # ---------------------------------------------------------------------------

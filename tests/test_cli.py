@@ -565,6 +565,24 @@ def test_sampling_law_defaults_to_unit_scale():
     assert law.cdf(0.3) == 0.5 and law.cdf(0.8) == stats.norm(0.3, 0.5).cdf(0.8)
 
 
+@pytest.mark.parametrize("params", [(9.0,), (0.5, 0.3, 2.0), (1.0, -1.0, 1e-300), (1e300,),
+                                    (math.inf, 0.0, math.inf), (3.0, math.inf), (3.0, math.nan)])
+def test_t_sampling_law_is_scipys(params):
+    # the cdf bit for bit, its warnings included, at every kind of float
+    x = np.array([-np.inf, -1e308, -2.5, -0.0, 0.0, 1e-300, 3.0, 1e308, np.inf, np.nan])
+    law = _parse_sampling("t:" + ",".join(map(str, params)))
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always")
+        got = law.cdf(x)
+    with warnings.catch_warnings(record=True) as scipys:
+        warnings.simplefilter("always")
+        want = stats.t(*params).cdf(x)
+    assert got.tobytes() == want.tobytes()
+    assert [str(w.message) for w in ours] == [str(w.message) for w in scipys]
+    got, want = law.cdf(0.25), stats.t(*params).cdf(0.25)
+    assert (type(got), got.tobytes()) == (type(want), want.tobytes())
+
+
 def test_unknown_format_rejected(tmp_path):
     rc = main(["sbc", "--model", "normal-normal", "--S", "50", "--M", "9",
                "--out", str(tmp_path / "x"), "--formats", "json,exe"])
@@ -1306,19 +1324,27 @@ def _fresh_golden_run(tmp_path, label: str, code: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
-# main(argv) with its clock watched: the exit code, which of _LAZY were
-# loaded by the import and which at the clock's first read, and which scipy
-# modules at the end
+# main(argv) with its clock watched, as one JSON object: the exit code,
+# which of _LAZY the import loaded and which were loaded when the clock
+# resumed for execute(), the modules each timed stretch loaded (from a read
+# that starts or resumes the clock to the read that stops it: resolving,
+# then execute and the report), and which of _SCIPY were loaded at the end
 _CLOCKED_MAIN = (
-    "import time\nfrom simflow.cli import main\n"
-    f"def lazy(): return sorted(m for m in {_LAZY!r} if m in sys.modules)\n"
-    "imported, clock, read = lazy(), [], time.perf_counter\n"
+    "import json, time\nfrom simflow.cli import main\n"
+    "def loaded(names, among): return sorted(m for m in names if m in among)\n"
+    f"imported, reads, read = loaded({_LAZY!r}, sys.modules), [], time.perf_counter\n"
     "def perf_counter():\n"
-    "    clock.append(lazy())\n"
+    "    reads.append(set(sys.modules))\n"
     "    return read()\n"
     "time.perf_counter = perf_counter\n"
     "rc = main(argv)\n"
-    f"print(rc, imported, clock[0], sorted(m for m in {_SCIPY!r} if m in sys.modules))")
+    "stretches = [sorted(reads[i + 1] - reads[i]) for i in range(0, len(reads), 2)]\n"
+    f"print(json.dumps({{'rc': rc, 'imported': imported, 'resumed': loaded({_LAZY!r}, reads[2]),\n"
+    f"                  'stretches': stretches, 'scipy': loaded({_SCIPY!r}, sys.modules)}}))")
+
+
+def _clocked_golden_run(tmp_path, label: str) -> dict:
+    return json.loads(_fresh_golden_run(tmp_path, label, _CLOCKED_MAIN).split("\n")[-2])
 
 
 @pytest.mark.parametrize("label", ["power", "accuracy", "test", "ppc", "prior-check", "abc",
@@ -1326,38 +1352,97 @@ _CLOCKED_MAIN = (
 def test_run_leaves_scipy_special_unloaded(tmp_path, label):
     # each subcommand whose _COMMANDS row leaves `special` unset, at its
     # golden argv, has numpy.ma (which np.quantile and np.unique load)
-    # loaded by main, not by the import, when main starts its clock, and
-    # imports none of scipy.special, scipy.stats and scipy.optimize
+    # loaded by main, not by the import, when main resumes its clock for
+    # execute(), and imports none of scipy.special, scipy.stats and
+    # scipy.optimize
     assert not simflow.cli._COMMANDS[RUNS[label][0]].special
-    out = _fresh_golden_run(tmp_path, label, _CLOCKED_MAIN)
-    assert out.split("\n")[-2] == "0 [] ['numpy.ma'] []"
+    out = _clocked_golden_run(tmp_path, label)
+    assert (out["rc"], out["imported"], out["resumed"], out["scipy"]) == (0, [], ["numpy.ma"], [])
 
 
 @pytest.mark.parametrize("label", ["sbc", "post-sbc", "freq-calibrate", "elicit"])
 def test_special_rows_load_scipy_special_before_the_clock(tmp_path, label):
     # a row with `special` set has numpy.ma and scipy.special loaded by
-    # main, not by the import, when main starts its clock, so
-    # timing_seconds leaves the imports out; scipy.stats and scipy.optimize
-    # stay unloaded (elicit searches with simflow's own Nelder-Mead)
+    # main, not by the import, when main resumes its clock for execute(),
+    # so timing_seconds leaves the imports out; scipy.stats and
+    # scipy.optimize stay unloaded (elicit searches with simflow's own
+    # Nelder-Mead)
     assert simflow.cli._COMMANDS[RUNS[label][0]].special
-    out = _fresh_golden_run(tmp_path, label, _CLOCKED_MAIN)
-    assert out.split("\n")[-2] == "0 [] ['numpy.ma', 'scipy.special'] ['scipy.special']"
+    out = _clocked_golden_run(tmp_path, label)
+    assert (out["rc"], out["imported"], out["resumed"], out["scipy"]) == (
+        0, [], ["numpy.ma", "scipy.special"], ["scipy.special"])
+
+
+# golden runs whose configuration, unlike its _COMMANDS row, calls
+# scipy.special, which execute() imports inside the clock: the z test's
+# ndtr, beta-binomial and Poisson-gamma densities, an sbc sweep's band
+_SPECIAL_IN_EXECUTE = {"power-z", "sensitivity-perturbed-beta", "sensitivity-poisson",
+                       "sensitivity-rwm-beta", "sweep"}
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_no_import_inside_the_clock(tmp_path, label):
+    # main imports every simflow module before it starts the clock of a run
+    # that executes, and numpy.ma (and scipy.special for a `special` row)
+    # after resolving has passed, with the clock stopped: resolving loads
+    # nothing while timed, and execute() loads nothing but scipy.special in
+    # the configurations that call it
+    out = _clocked_golden_run(tmp_path, label)
+    resolving, executing = out["stretches"]
+    assert (out["rc"], resolving) == (0, [])
+    if label in _SPECIAL_IN_EXECUTE:
+        assert "scipy.special" in executing
+        assert not [m for m in executing if m.startswith("simflow") or m == "numpy.ma"]
+    else:
+        assert executing == []
+
+
+def test_refused_run_loads_neither_numpy_ma_nor_scipy_special(tmp_path):
+    # a run that resolving refuses stops before main's preload of what
+    # execute() loads
+    (tmp_path / "bogus.ini").write_text(_PIPELINE_BOGUS)
+    out = _fresh_golden_run(tmp_path, "sbc", (
+        "from simflow.cli import main\n"
+        "rc = main([*argv, '--config', 'bogus.ini'])\n"
+        "print(rc, sorted(m for m in ('numpy.ma', 'scipy.special') if m in sys.modules))"))
+    assert out.split("\n")[-2] == "2 []"
+    proc = _cli(tmp_path, [*argv_of("sbc"), "--config", "bogus.ini"])
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: unknown [pipeline] key 'bogus'; known: alpha, band_coverage, bins, m, "
+           "max_proposals, n_trials, s, seed, sims_per_eval, threads\n")
 
 
 @pytest.mark.parametrize("label", sorted(RUNS))
 def test_dry_run_loads_neither_numpy_ma_nor_scipy_special(tmp_path, label):
-    # resolving calls neither; only freq-calibrate-t's t law, which
-    # resolving builds from scipy.stats, loads both through it
+    # resolving calls neither, freq-calibrate-t's t law included
     out = _fresh_golden_run(tmp_path, label, (
         "from simflow.cli import main\n"
         "rc = main([*argv, '--dry-run'])\n"
         "print(rc, sorted(m for m in ('numpy.ma', 'scipy.special') if m in sys.modules))"))
-    loaded = "['numpy.ma', 'scipy.special']" if label == "freq-calibrate-t" else "[]"
-    assert out.split("\n")[-2] == f"0 {loaded}"
+    assert out.split("\n")[-2] == "0 []"
 
 
-def _parser_snapshot() -> dict:
-    parser = simflow.cli.build_parser()
+_RESOLVING_MODULES = ["simflow", "simflow.approximators", "simflow.cli", "simflow.errors",
+                      "simflow.models", "simflow.rng"]
+
+
+@pytest.mark.parametrize("label, extra", [
+    ("sbc", ["simflow.calibration"]), ("power", ["simflow.simtest"]),
+    ("compare-models", ["simflow.compare"]), ("elicit", ["simflow.elicitation"]),
+    ("render", ["simflow.figures"]), ("abc", ["simflow.simtest"]),
+    ("sensitivity", [])])
+def test_dry_run_loads_only_the_simflow_modules_resolving_calls(tmp_path, label, extra):
+    # a dry run imports what its handler calls; every run imports the
+    # modules that resolving any subcommand needs
+    out = _fresh_golden_run(tmp_path, label, (
+        "from simflow.cli import main\n"
+        "rc = main([*argv, '--dry-run'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'simflow'))"))
+    assert out.split("\n")[-2] == f"0 {sorted(_RESOLVING_MODULES + extra)}"
+
+
+def _parser_snapshot(command: str | None = None) -> dict:
+    parser = simflow.cli.build_parser(command)
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {name: sorted([list(a.option_strings), a.dest, a.default,
                           getattr(a.type, "__name__", a.type),
@@ -1371,3 +1456,36 @@ def test_parser_matches_snapshot():
     # whether required, and action. A flag added, dropped or renamed shows here.
     snapshot = json.loads((Path(__file__).with_name("parser_snapshot.json")).read_text())
     assert _parser_snapshot() == {name: sorted(opts) for name, opts in snapshot.items()}
+
+
+def test_parser_of_one_subcommand_gives_it_every_flag():
+    # main builds only the named subcommand's flags; the others keep their
+    # names and help, so the parent's usage and choices hold
+    full = _parser_snapshot()
+    for name in full:
+        one = _parser_snapshot(name)
+        assert one[name] == full[name]
+        assert all(len(opts) == 1 for other, opts in one.items() if other != name)  # -h
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["sbc", "-h"], ["bogus"], ["sbc", "--bogus"],
+                                  ["--seed", "1", "sbc"]],
+                         ids=["none", "help", "sbc-help", "unknown", "unknown-flag", "flag-first"])
+def test_program_prints_what_the_full_parser_prints(tmp_path, argv):
+    # stdout, stderr and exit code of the program match those of a parser
+    # with every subcommand's flags
+    proc = _cli(tmp_path, argv)
+    code = ("import contextlib, io, sys\nfrom simflow.cli import build_parser\n"
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "    try:\n"
+            f"        build_parser().parse_args({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        rc = exc.code\n"
+            "sys.stdout.write(out.getvalue()); sys.stderr.write(err.getvalue()); sys.exit(rc)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(simflow.__file__).parents[1])}
+    full = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        full.returncode, full.stdout, full.stderr)
+    assert proc.returncode in (0, 2)
